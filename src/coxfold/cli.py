@@ -27,7 +27,7 @@ from .coxeter import (
     validate,
 )
 from .cyclo import INF
-from .folding import Automorphism, fold
+from .folding import Automorphism, _orbit_str, fold
 from .verify import VerifyConfig, input_digest, property_suite
 from .words import CoxeterGroup, parse_word, word_str
 
@@ -52,10 +52,6 @@ def _emit(text: str):
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
-
-
-def _orbit_str(orbit) -> str:
-    return "{" + ",".join(map(str, sorted(orbit))) + "}"
 
 
 def _label_str(v) -> str:
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="recompute the built-in instances")
     p.add_argument("--slow", action="store_true",
-                   help="include the minutes-scale rows")
+                   help="also run the rows that enumerate a large group (E6)")
     add_format(p)
     p.set_defaults(func=cmd_catalog)
 

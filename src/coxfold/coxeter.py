@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclo import INF
+from .cyclo import DEGREE_CAP, INF, degree_problem, label_lcm
 
 DEFAULT_RANK_CAP = 16
 
@@ -59,8 +59,13 @@ class CoxeterMatrix:
         return CoxeterMatrix(norm)
 
 
-def validate(matrix: CoxeterMatrix, rank_cap: int = DEFAULT_RANK_CAP) -> list[str]:
-    """All invariant violations, each with the offending indices."""
+def validate(matrix: CoxeterMatrix, rank_cap: int = DEFAULT_RANK_CAP,
+             degree_cap: int = DEGREE_CAP) -> list[str]:
+    """All invariant violations, each with the offending indices.
+
+    Well-formed labels must also fit the exact arithmetic: the cyclotomic
+    field holding every 2cos(pi/m) may have degree at most degree_cap.
+    """
     errors = []
     n = matrix.rank
     if n < 1 or n > rank_cap:
@@ -79,6 +84,10 @@ def validate(matrix: CoxeterMatrix, rank_cap: int = DEFAULT_RANK_CAP) -> list[st
                 errors.append(f"asymmetric at ({i},{j}): {a} != {b}")
             if a != INF and (a != int(a) or a < 2):
                 errors.append(f"off-diagonal at ({i},{j}) must be >= 2, got {a}")
+    if not errors:
+        problem = degree_problem(label_lcm(matrix), degree_cap)
+        if problem:
+            errors.append(problem)
     return errors
 
 
@@ -140,6 +149,26 @@ class FiniteTypeLabel:
             return {3: 120, 4: 14400}[n]
         if self.family == "I2":
             return 2 * n
+        raise ValueError(self.family)
+
+    @property
+    def positive_root_count(self) -> int:
+        """|Phi+|, which is also the length of the longest element."""
+        n = self.parameter
+        if self.family == "A":
+            return n * (n + 1) // 2
+        if self.family == "B":
+            return n * n
+        if self.family == "D":
+            return n * (n - 1)
+        if self.family == "E":
+            return {6: 36, 7: 63, 8: 120}[n]
+        if self.family == "F":
+            return 24
+        if self.family == "H":
+            return {3: 15, 4: 60}[n]
+        if self.family == "I2":
+            return n
         raise ValueError(self.family)
 
 

@@ -29,6 +29,9 @@ INF = math.inf
 _SIGN_START_PREC = 64
 _SIGN_MAX_PREC = 1 << 16
 
+#: largest field degree phi(2N) a Coxeter matrix may ask for
+DEGREE_CAP = 64
+
 # mpmath's interval context keeps its precision in module-global state, so
 # evaluations are serialized.  The memo makes repeated queries on the same
 # canonical value free; results are precision-independent, so the cache is
@@ -117,17 +120,15 @@ class ArithContext:
 
     __slots__ = ("N", "modulus", "degree", "_zero", "_one", "_two_cos_cache")
 
-    def __init__(self, N: int, degree_cap: int = 64):
+    def __init__(self, N: int, degree_cap: int = DEGREE_CAP):
         if N < 1:
             raise ValueError("N must be positive")
         if N == 1:
             N = 2
+        problem = degree_problem(N, degree_cap)
+        if problem:
+            raise ValueError(problem)
         deg = euler_phi(2 * N)
-        if deg > degree_cap:
-            raise ValueError(
-                f"rank/label combination too large: phi({2 * N}) = {deg} "
-                f"exceeds the degree cap {degree_cap}"
-            )
         self.N = N
         self.modulus = cyclotomic_polynomial(2 * N)
         self.degree = deg
@@ -400,12 +401,31 @@ class CycloReal:
         return (self - o).sign() <= 0
 
 
-def make_context(matrix, degree_cap: int = 64) -> ArithContext:
-    """Context sized for a Coxeter matrix: N = lcm(2, finite labels)."""
+def label_lcm(matrix) -> int:
+    """N = lcm(2, finite labels): 2cos(pi/m) is in the field for every label m."""
     N = 2
     for i in range(1, matrix.rank + 1):
         for j in range(i + 1, matrix.rank + 1):
             v = matrix.m(i, j)
             if v != INF:
                 N = math.lcm(N, int(v))
-    return ArithContext(N, degree_cap=degree_cap)
+    return N
+
+
+def degree_problem(N: int, degree_cap: int = DEGREE_CAP) -> str | None:
+    """Why the field for N is too large, or None when phi(2N) fits the cap."""
+    # phi(n) >= sqrt(n/2), so phi(2N) > cap once N > cap^2; deciding that
+    # without factoring keeps huge (e.g. prime) labels from stalling here
+    if N > degree_cap * degree_cap:
+        return (f"rank/label combination too large: phi({2 * N}) "
+                f"exceeds the degree cap {degree_cap}")
+    deg = euler_phi(2 * N)
+    if deg > degree_cap:
+        return (f"rank/label combination too large: phi({2 * N}) = {deg} "
+                f"exceeds the degree cap {degree_cap}")
+    return None
+
+
+def make_context(matrix, degree_cap: int = DEGREE_CAP) -> ArithContext:
+    """Context sized for a Coxeter matrix: N = lcm(2, finite labels)."""
+    return ArithContext(label_lcm(matrix), degree_cap=degree_cap)

@@ -114,28 +114,21 @@ def orbits(matrix: CoxeterMatrix, autos: Sequence[Automorphism]) -> tuple[frozen
     )
 
 
-def conjugate_action(gamma: Automorphism, cols):
-    """Action matrix of gamma(w) from that of w.
+def conjugate_action(gamma: Automorphism, w: Element):
+    """Action of gamma(w), from that of w.
 
-    gamma preserves the Coxeter matrix, so it permutes the simple roots and
-    conjugates the reflection action: entry (i, j) moves to (gamma i,
-    gamma j).  Agrees with mapping the word letterwise and reducing, at a
-    fraction of the cost.
+    gamma preserves the Coxeter matrix, so it permutes the roots and
+    conjugates the reflection action.  Agrees with mapping the word
+    letterwise and reducing, at a fraction of the cost.
     """
-    n = len(cols)
-    out = [None] * n
-    for j in range(n):
-        src = cols[j]
-        permuted = [None] * n
-        for i in range(n):
-            permuted[gamma(i + 1) - 1] = src[i]
-        out[gamma(j + 1) - 1] = tuple(permuted)
-    return tuple(out)
+    return w.group._engine.conjugate(gamma.images, w.cols)
 
 
 def is_fixed(w: Element, autos: Sequence[Automorphism]) -> bool:
-    """Fixed by every generator; that suffices for the generated group."""
-    return all(conjugate_action(gamma, w.cols) == w.cols for gamma in autos)
+    """Fixed by every generator; that suffices for the generated group.
+    A commutation test of gamma with the action of w."""
+    fixes = w.group._engine.fixes
+    return all(fixes(gamma.images, w.cols) for gamma in autos)
 
 
 def _orbit_str(orbit) -> str:
@@ -202,31 +195,31 @@ class FoldedSystem:
 
     # -- factorization over the folded generators ------------------------------
 
-    def _factorize_pair(self, cols, inv_cols, choose=None, source=None):
-        """Factorize the element with action pair (cols, inv_cols).
+    def _factorize_inv(self, inv_cols, choose=None, source=None):
+        """Factorize the element whose inverse action is inv_cols.
 
         Peels one descent orbit at a time: all letters of the orbit must
         descend, and greedily stripping them must remove exactly the weight
         of the orbit (the longest element is the unique maximal-length
         element of a finite parabolic, so the count equality pins it).
         Returns (orbit sequence, letters stripped); the letter total is the
-        length of the element.  Works letter by letter on the raw action,
-        no normal-form extraction anywhere.
+        length of the element.  Left descents are read off the inverse
+        action, and stripping t maps it to inv_cols * t, so the element
+        itself never needs a normal form.
         """
-        from .words import root_sign
-
         group = self.group
+        engine = group._engine
+        negative, rmul = engine.negative, engine.rmul
         seq: list[frozenset] = []
         letters = 0
         while True:
-            descents = [s for s in group.generators()
-                        if root_sign(inv_cols[s - 1]) < 0]
+            descents = [s for s in group.generators() if negative(inv_cols, s)]
             if not descents:
                 break
             s = choose(descents) if choose is not None else descents[0]
             orbit = self.orbit_of(s)
             for t in sorted(orbit):
-                if root_sign(inv_cols[t - 1]) >= 0:
+                if not negative(inv_cols, t):
                     raise InvariantViolation(
                         "factorize", "orbit of a descent is not all-descending",
                         self._witness(source=source, descent=s,
@@ -243,9 +236,8 @@ class FoldedSystem:
             while stripping:
                 stripping = False
                 for t in sorted(orbit):
-                    if root_sign(inv_cols[t - 1]) < 0:
-                        cols = group._left_mul_cols(cols, t)
-                        inv_cols = group._right_mul_cols(inv_cols, t)
+                    if negative(inv_cols, t):
+                        inv_cols = rmul(inv_cols, t)
                         count += 1
                         stripping = True
                         break
@@ -257,7 +249,7 @@ class FoldedSystem:
                 )
             seq.append(orbit)
             letters += count
-        if cols != group._unit_cols:
+        if inv_cols != engine.identity:
             raise InvariantViolation(
                 "factorize", "residual action is not the identity",
                 self._witness(source=source,
@@ -275,8 +267,8 @@ class FoldedSystem:
         """
         if not self.is_fixed(w):
             raise ValueError("element is not fixed by the automorphism group")
-        seq, letters = self._factorize_pair(
-            w.cols, w.inv_cols, choose=choose, source=list(w.word)
+        seq, letters = self._factorize_inv(
+            w.inv_cols, choose=choose, source=list(w.word)
         )
         if letters != w.length:
             raise InvariantViolation(
@@ -290,28 +282,25 @@ class FoldedSystem:
         """Word length of a fixed element over the folded generators."""
         return len(self.greedy_factorize(w))
 
-    def _product_pair(self, orbit_word: Sequence[frozenset]):
-        group = self.group
-        cols, inv_cols = group._unit_cols, group._unit_cols
+    def _product_inv(self, orbit_word: Sequence[frozenset]):
+        """Inverse action of a product of folded generators."""
+        compose = self.group._engine.compose
+        inv_cols = self.group._engine.identity
         for J in orbit_word:
-            wj = self.longest[J]
-            cols = group._compose_cols(cols, wj.cols)
-            inv_cols = group._compose_cols(wj.inv_cols, inv_cols)
-        return cols, inv_cols
+            inv_cols = compose(self.longest[J].inv_cols, inv_cols)
+        return inv_cols
 
     def factorize_product(self, orbit_word: Sequence[frozenset]):
         """(greedy factor sequence, length) of a product of folded
         generators, computed without materializing the product."""
-        cols, inv_cols = self._product_pair(orbit_word)
-        return self._factorize_pair(
-            cols, inv_cols, source=[sorted(J) for J in orbit_word]
+        return self._factorize_inv(
+            self._product_inv(orbit_word),
+            source=[sorted(J) for J in orbit_word],
         )
 
     def lambda_of_product(self, a: Element, b: Element) -> int:
-        group = self.group
-        cols = group._compose_cols(a.cols, b.cols)
-        inv_cols = group._compose_cols(b.inv_cols, a.inv_cols)
-        seq, _ = self._factorize_pair(cols, inv_cols)
+        inv_cols = self.group._engine.compose(b.inv_cols, a.inv_cols)
+        seq, _ = self._factorize_inv(inv_cols)
         return len(seq)
 
     # -- folded-level predicates ------------------------------------------------
@@ -322,10 +311,8 @@ class FoldedSystem:
         """(lengths add, folded lengths add) for a pair of fixed elements."""
         if not (self.is_fixed(w) and self.is_fixed(wp)):
             raise ValueError("both elements must be fixed")
-        group = self.group
-        cols = group._compose_cols(w.cols, wp.cols)
-        inv_cols = group._compose_cols(wp.inv_cols, w.inv_cols)
-        seq, letters = self._factorize_pair(cols, inv_cols)
+        inv_cols = self.group._engine.compose(wp.inv_cols, w.inv_cols)
+        seq, letters = self._factorize_inv(inv_cols)
         if lam_w is None:
             lam_w = self.lambda_length(w)
         if lam_wp is None:

@@ -27,12 +27,11 @@ from .folding import (
     Automorphism,
     FoldedSystem,
     InvariantViolation,
-    conjugate_action,
     fold,
     is_fixed,
     validate_automorphism,
 )
-from .words import CoxeterGroup, Element, root_sign
+from .words import CoxeterGroup, Element
 
 DEFAULT_INFINITE_RADIUS = 8
 
@@ -88,6 +87,9 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
     """
     if radius is None and classify_finite(group.matrix, group.generators()) is None:
         raise ValueError("full enumeration requested on an infinite group")
+    engine = group._engine
+    negative, lmul, rmul = engine.negative, engine.lmul, engine.rmul
+    gens = group.generators()
     elements = [group.identity]
     level = [group.identity]
     depth = 0
@@ -95,15 +97,15 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
         depth += 1
         nxt = []
         for x in level:
-            for s in group.generators():
-                if group.is_left_descent(s, x):
+            for s in gens:
+                if negative(x.inv_cols, s):
                     continue
-                inv_cols = group._right_mul_cols(x.inv_cols, s)
+                inv_cols = rmul(x.inv_cols, s)
                 # canonical predecessor: no smaller generator may descend s*x
-                if any(root_sign(inv_cols[t - 1]) < 0 for t in range(1, s)):
+                if any(negative(inv_cols, t) for t in range(1, s)):
                     continue
-                cols = group._left_mul_cols(x.cols, s)
-                nxt.append(Element(group, (s,) + x.word, cols, inv_cols))
+                nxt.append(Element(group, (s,) + x.word,
+                                   lmul(s, x.cols), inv_cols))
         nxt.sort(key=lambda e: e.word)
         elements.extend(nxt)
         if len(elements) > node_cap:
@@ -146,6 +148,7 @@ class GeneratedBall:
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                    radius: int | None, node_cap: int = 200_000) -> GeneratedBall:
     gens = tuple(gens)
+    compose = group._engine.compose
     identity = group.identity
     pairs = [(identity.cols, identity.inv_cols)]
     levels = [0]
@@ -158,14 +161,14 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
         lvl = levels[head]
         out: list[int | None] = []
         for g in gens:
-            y_cols = group._compose_cols(cols, g.cols)
+            y_cols = compose(cols, g.cols)
             idx = key_index.get(y_cols)
             if idx is None:
                 if radius is not None and lvl + 1 > radius:
                     truncated = True
                     out.append(None)
                     continue
-                y_inv = group._compose_cols(g.inv_cols, inv_cols)
+                y_inv = compose(g.inv_cols, inv_cols)
                 idx = len(pairs)
                 pairs.append((y_cols, y_inv))
                 levels.append(lvl + 1)
@@ -185,12 +188,12 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
 def _ball_edges(ball: Ball) -> list[list[int | None]]:
     """Right-multiplication edges within a ball, by generator."""
     group = ball.group
+    rmul = group._engine.rmul
     edges = []
     for w in ball.elements:
         row: list[int | None] = []
         for s in group.generators():
-            cols = group._right_mul_cols(w.cols, s)
-            row.append(ball.key_index.get(cols))
+            row.append(ball.key_index.get(rmul(w.cols, s)))
         edges.append(row)
     return edges
 
@@ -280,15 +283,14 @@ def _greedy_probe(group: CoxeterGroup, subset, cap: int) -> bool:
     non-descending generator of the subset until none remains.  With the
     rank cap of 16, every finite parabolic closes well within 512 steps,
     so hitting the cap certifies an infinite parabolic.  Works on the raw
-    inverse action; left descents are its negative columns.
+    inverse action; left descents are its negative roots.
     """
-    from .words import root_sign
-
-    inv_cols = group._unit_cols
+    engine = group._engine
+    inv_cols = engine.identity
     for _ in range(cap):
         for s in subset:
-            if root_sign(inv_cols[s - 1]) >= 0:
-                inv_cols = group._right_mul_cols(inv_cols, s)
+            if not engine.negative(inv_cols, s):
+                inv_cols = engine.rmul(inv_cols, s)
                 break
         else:
             return True
@@ -523,11 +525,9 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
         return CheckResult("generated-subgroup-matches-fixed-set", "pass",
                            {"generated": len(gen_keys), "fixed": len(fixed_keys),
                             "mode": "full"})
+    fixes = folded.group._engine.fixes
     for pair in gen_ball.pairs:
-        if any(
-            conjugate_action(gamma, pair[0]) != pair[0]
-            for gamma in folded.autos
-        ):
+        if not all(fixes(gamma.images, pair[0]) for gamma in folded.autos):
             return CheckResult(
                 "generated-subgroup-matches-fixed-set", "fail",
                 {"generated": len(gen_keys)},
@@ -657,8 +657,9 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     else:
         stats["pairs"] = len(candidates)
         stats["pairs_exhaustive"] = True
+    compose = group._engine.compose
     for i, j in candidates:
-        z_cols = group._compose_cols(elements[i].cols, elements[j].cols)
+        z_cols = compose(elements[i].cols, elements[j].cols)
         lam_z = gen_ball.key_index.get(z_cols)
         if lam_z is None:
             return CheckResult("presentation-isomorphism", "fail", stats,

@@ -1,10 +1,24 @@
 """The word problem for a Coxeter system, solved geometrically.
 
-Every group element is represented by the matrix of its action on the span
-of the simple roots (columns = images of simple roots, coordinates exact
-CycloReal scalars), together with the inverse action.  Descent queries are
-then sign tests: s is a left descent of w exactly when w^-1(alpha_s) is a
-negative root, and right descents read off the action itself.
+A group element is its canonical word plus an action pair: the action of
+w and of w^-1 on roots, stored column by column (``cols``, ``inv_cols``).
+Two engines compute with these pairs behind one set of primitives
+(identity, lmul, rmul, compose, negative, conjugate, fixes):
+
+* Finite W, as decided by classify_finite, uses a root-index table.  The
+  root system Phi is enumerated once with the exact ``reflect``; each root
+  gets an index, positive roots first, and each simple reflection becomes
+  an integer permutation of Phi.  An action is the tuple of root indices
+  w(Phi), products are tuple indexing, and a root is negative exactly when
+  its index is at least |Phi+|.  The table is built on the first element
+  operation, so constructing a group costs no more than the matrix setup.
+* Infinite W uses the matrix engine: columns are the images of the simple
+  roots in exact CycloReal coordinates, and a root is negative when its
+  coordinates are.
+
+Either way a descent query is a sign test: s is a left descent of w exactly
+when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
+is.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent.  Equality
@@ -17,10 +31,12 @@ coordinates.
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterMatrix, classify_finite, validate
-from .cyclo import ArithContext, CycloReal, make_context
+from .cyclo import DEGREE_CAP, ArithContext, CycloReal, make_context
 
 # safety valve for normal-form extraction; far beyond desk scale
 _MAX_EXTRACT_STEPS = 100_000
@@ -43,6 +59,15 @@ def is_positive_root(coords: Sequence[CycloReal]) -> bool:
     return root_sign(coords) > 0
 
 
+class RootSystemError(RuntimeError):
+    """The root closure disagrees with the classification; carries a
+    witness (matrix, subset, expected count) to replay it."""
+
+    def __init__(self, message: str, witness: dict):
+        self.witness = witness
+        super().__init__(f"{message}: {witness}")
+
+
 class CoxeterGroup:
     """A Coxeter system (W, S) with an exact word-problem engine.
 
@@ -52,10 +77,10 @@ class CoxeterGroup:
     """
 
     def __init__(self, matrix: CoxeterMatrix, rank_cap: int = 16,
-                 degree_cap: int = 64):
+                 degree_cap: int = DEGREE_CAP):
         # rank 0 is legal here: it is the folded matrix of an empty
         # generator set (the trivial group).  User input enforces rank >= 1.
-        errs = validate(matrix, rank_cap=rank_cap)
+        errs = validate(matrix, rank_cap=rank_cap, degree_cap=degree_cap)
         if matrix.rank == 0:
             errs = [e for e in errs if not e.startswith("rank")]
         if errs:
@@ -81,10 +106,15 @@ class CoxeterGroup:
             col[j] = one
             unit.append(tuple(col))
         self._unit_cols = tuple(unit)
-        self._identity = Element(self, (), self._unit_cols, self._unit_cols)
-        self._simples = {
-            s: self._element_from_word_trusted((s,)) for s in self.generators()
-        }
+
+    @cached_property
+    def _engine(self):
+        """The action engine, built on first use: a root-index table for
+        finite W, exact matrices otherwise (and for the trivial group,
+        which has no roots to index)."""
+        if not classify_finite(self.matrix, self.generators()):
+            return _MatrixEngine(self)
+        return _RootTable(self)
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -114,73 +144,87 @@ class CoxeterGroup:
         out[s - 1] = acc
         return tuple(out)
 
-    # -- raw action pairs (cols, inv_cols) ------------------------------------
+    def _root_closure(self, subset) -> tuple[list, dict]:
+        """Positive roots of the finite parabolic W_I, simple roots first,
+        and for each s in I the index of s(beta) for every positive root
+        beta (-1 for s(alpha_s) = -alpha_s).
 
-    def _left_mul_cols(self, cols, s):
-        return tuple(self.reflect(s, col) for col in cols)
+        Every other image of a positive root is positive, so no sign test
+        is needed; the closure is capped at the root count of the
+        classification and must meet it exactly.
+        """
+        subset = sorted(set(subset))
+        labels = classify_finite(self.matrix, subset)
+        if labels is None:
+            raise ValueError("parabolic subgroup is infinite")
+        count = sum(lab.positive_root_count for lab in labels)
+        witness = {"matrix": str(self.matrix).split("\n"), "subset": subset,
+                   "positive_root_count": count}
+        roots = [self.simple_root(s) for s in subset]
+        index = {r: i for i, r in enumerate(roots)}
+        images: dict[int, list[int]] = {s: [] for s in subset}
+        for i, r in enumerate(roots):  # grows while it is read
+            for k, s in enumerate(subset):
+                if i == k:
+                    images[s].append(-1)
+                    continue
+                img = self.reflect(s, r)
+                j = index.get(img)
+                if j is None:
+                    if len(roots) == count:
+                        raise RootSystemError(
+                            "root closure exceeds the positive root count",
+                            witness)
+                    j = index[img] = len(roots)
+                    roots.append(img)
+                images[s].append(j)
+        if len(roots) != count:
+            raise RootSystemError(
+                f"root closure stops at {len(roots)} positive roots", witness)
+        return roots, images
 
-    def _right_mul_cols(self, cols, s):
-        old = cols[s - 1]
-        out = list(cols)
-        out[s - 1] = tuple(-c for c in old)
-        for t in self._nbrs[s]:
-            coeff = self._coeff[s][t]
-            out[t - 1] = tuple(
-                a + coeff * b for a, b in zip(cols[t - 1], old)
-            )
-        return tuple(out)
+    # -- elements from action pairs --------------------------------------------
 
-    def _apply_cols(self, cols, coords):
-        acc = None
-        for t, ct in enumerate(coords):
-            if ct.is_zero():
-                continue
-            contrib = tuple(ct * x for x in cols[t])
-            acc = contrib if acc is None else tuple(
-                a + b for a, b in zip(acc, contrib)
-            )
-        if acc is None:
-            return tuple([self.ctx.zero] * self.rank)
-        return acc
-
-    def _compose_cols(self, outer, inner):
-        return tuple(self._apply_cols(outer, col) for col in inner)
-
-    def _min_left_descent(self, inv_cols):
-        """Smallest s with w^-1(alpha_s) negative, or None for the identity."""
-        for s in self.generators():
-            if root_sign(inv_cols[s - 1]) < 0:
-                return s
-        return None
-
-    def _extract_word(self, cols, inv_cols) -> tuple[int, ...]:
-        """Canonical word from an action pair by peeling smallest descents."""
+    def _extract_word(self, inv_cols) -> tuple[int, ...]:
+        """Canonical word from the inverse action by peeling the smallest
+        left descent: s * w has inverse action w^-1 * s."""
+        engine = self._engine
+        negative, rmul = engine.negative, engine.rmul
+        gens = self.generators()
         letters = []
         for _ in range(_MAX_EXTRACT_STEPS):
-            s = self._min_left_descent(inv_cols)
-            if s is None:
-                assert cols == self._unit_cols, "residual action is not identity"
+            for s in gens:
+                if negative(inv_cols, s):
+                    break
+            else:
+                assert inv_cols == engine.identity, "residual action is not identity"
                 return tuple(letters)
             letters.append(s)
-            cols = self._left_mul_cols(cols, s)
-            inv_cols = self._right_mul_cols(inv_cols, s)
+            inv_cols = rmul(inv_cols, s)
         raise RuntimeError("normal-form extraction did not terminate")
 
     def _element_from_cols(self, cols, inv_cols) -> "Element":
-        return Element(self, self._extract_word(cols, inv_cols), cols, inv_cols)
+        return Element(self, self._extract_word(inv_cols), cols, inv_cols)
 
     def _element_from_word_trusted(self, word) -> "Element":
-        cols, inv_cols = self._unit_cols, self._unit_cols
+        engine = self._engine
+        cols = inv_cols = engine.identity
         for s in word:
-            cols = self._right_mul_cols(cols, s)
-            inv_cols = self._left_mul_cols(inv_cols, s)
+            cols = engine.rmul(cols, s)
+            inv_cols = engine.lmul(s, inv_cols)
         return self._element_from_cols(cols, inv_cols)
 
     # -- public element constructors ------------------------------------------
 
-    @property
+    @cached_property
     def identity(self) -> "Element":
-        return self._identity
+        unit = self._engine.identity
+        return Element(self, (), unit, unit)
+
+    @cached_property
+    def _simples(self) -> dict:
+        return {s: self._element_from_word_trusted((s,))
+                for s in self.generators()}
 
     def simple(self, s: int) -> "Element":
         return self._simples[s]
@@ -199,9 +243,9 @@ class CoxeterGroup:
     def multiply(self, a: "Element", b: "Element") -> "Element":
         if a.group.matrix != self.matrix or b.group.matrix != self.matrix:
             raise ValueError("elements belong to a different Coxeter matrix")
-        cols = self._compose_cols(a.cols, b.cols)
-        inv_cols = self._compose_cols(b.inv_cols, a.inv_cols)
-        out = self._element_from_cols(cols, inv_cols)
+        compose = self._engine.compose
+        out = self._element_from_cols(compose(a.cols, b.cols),
+                                      compose(b.inv_cols, a.inv_cols))
         assert out.length <= a.length + b.length
         assert (out.length - a.length - b.length) % 2 == 0
         return out
@@ -213,10 +257,10 @@ class CoxeterGroup:
 
     def is_left_descent(self, s: int, w: "Element") -> bool:
         """True exactly when l(s*w) < l(w)."""
-        return root_sign(w.inv_cols[s - 1]) < 0
+        return self._engine.negative(w.inv_cols, s)
 
     def is_right_descent(self, s: int, w: "Element") -> bool:
-        return root_sign(w.cols[s - 1]) < 0
+        return self._engine.negative(w.cols, s)
 
     def left_descents(self, w: "Element") -> tuple[int, ...]:
         return tuple(s for s in self.generators() if self.is_left_descent(s, w))
@@ -230,42 +274,34 @@ class CoxeterGroup:
         """All positive roots of the standard parabolic W_I (finite I only)."""
         if subset is None:
             subset = self.generators()
-        subset = sorted(set(subset))
-        if classify_finite(self.matrix, subset) is None:
-            raise ValueError("parabolic subgroup is infinite")
-        roots = {self.simple_root(s) for s in subset}
-        frontier = list(roots)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for s in subset:
-                    img = self.reflect(s, r)
-                    if is_positive_root(img) and img not in roots:
-                        roots.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return roots
+        roots, _ = self._root_closure(subset)
+        return set(roots)
 
     def longest_element(self, subset) -> "Element":
         """Longest element of a finite standard parabolic, built greedily:
         keep left-multiplying by the smallest generator in I that does not
-        yet descend.  Verifies it is an involution of the expected length."""
+        yet descend.  Verifies it is an involution whose length is the
+        positive root count of the classification."""
         subset = sorted(set(subset))
         for s in subset:
             if not 1 <= s <= self.rank:
                 raise ValueError(f"generator index {s} out of range")
-        if classify_finite(self.matrix, subset) is None:
+        labels = classify_finite(self.matrix, subset)
+        if labels is None:
             raise ValueError("parabolic subgroup is infinite; no longest element")
-        w = self.identity
+        engine = self._engine
+        cols = inv_cols = engine.identity
         while True:
             for s in subset:
-                if not self.is_left_descent(s, w):
-                    w = self.multiply(self.simple(s), w)
+                if not engine.negative(inv_cols, s):
+                    cols = engine.lmul(s, cols)
+                    inv_cols = engine.rmul(inv_cols, s)
                     break
             else:
                 break
+        w = self._element_from_cols(cols, inv_cols)
         assert self.multiply(w, w) == self.identity, "longest element not an involution"
-        assert w.length == len(self.positive_roots(subset)), \
+        assert w.length == sum(lab.positive_root_count for lab in labels), \
             "longest element has wrong length"
         return w
 
@@ -303,16 +339,169 @@ class CoxeterGroup:
         raise RuntimeError("exchange failed on a reduced word; engine bug")
 
 
+# -- the two engines -------------------------------------------------------------
+#
+# Both compute with actions, one side of an element's pair at a time:
+#   identity          the action of e
+#   lmul(s, a)        the action of s * w, from that a of w
+#   rmul(a, s)        the action of w * s
+#   compose(a, b)     the action of u * v, from those of u and v
+#   negative(a, s)    whether the image of alpha_s is a negative root
+#   conjugate(g, a)   the action of gamma(w), gamma given by its images g
+#   fixes(g, a)       whether gamma(w) = w
+#   inversions(a)     the number of positive roots sent negative
+
+
+class _MatrixEngine:
+    """Exact matrices on the span of the simple roots, for any W:
+    cols[j] is the image of alpha_{j+1} in simple-root coordinates."""
+
+    def __init__(self, group: CoxeterGroup):
+        self.group = group
+        self.identity = group._unit_cols
+
+    def lmul(self, s, cols):
+        reflect = self.group.reflect
+        return tuple(reflect(s, col) for col in cols)
+
+    def rmul(self, cols, s):
+        group = self.group
+        old = cols[s - 1]
+        out = list(cols)
+        out[s - 1] = tuple(-c for c in old)
+        for t in group._nbrs[s]:
+            coeff = group._coeff[s][t]
+            out[t - 1] = tuple(
+                a + coeff * b for a, b in zip(cols[t - 1], old)
+            )
+        return tuple(out)
+
+    def _apply(self, cols, coords):
+        acc = None
+        for t, ct in enumerate(coords):
+            if ct.is_zero():
+                continue
+            contrib = tuple(ct * x for x in cols[t])
+            acc = contrib if acc is None else tuple(
+                a + b for a, b in zip(acc, contrib)
+            )
+        if acc is None:
+            return tuple([self.group.ctx.zero] * self.group.rank)
+        return acc
+
+    def compose(self, outer, inner):
+        return tuple(self._apply(outer, col) for col in inner)
+
+    def negative(self, cols, s):
+        return root_sign(cols[s - 1]) < 0
+
+    def conjugate(self, images, cols):
+        # gamma permutes the simple roots, so entry (i, j) moves to
+        # (gamma i, gamma j)
+        n = len(cols)
+        out = [None] * n
+        for j in range(n):
+            permuted = [None] * n
+            for i, c in enumerate(cols[j]):
+                permuted[images[i] - 1] = c
+            out[images[j] - 1] = tuple(permuted)
+        return tuple(out)
+
+    def fixes(self, images, cols):
+        return self.conjugate(images, cols) == cols
+
+    def inversions(self, cols):
+        return sum(1 for r in self.group.positive_roots()
+                   if not is_positive_root(self._apply(cols, r)))
+
+
+class _RootTable:
+    """Integer permutations of the root system of a finite W:
+    cols[i] is the index of the image of root i.  Roots 0..P-1 are the
+    positive roots (the first rank of them simple) and -beta_i has index
+    i + P."""
+
+    def __init__(self, group: CoxeterGroup):
+        roots, images = group._root_closure(group.generators())
+        P = len(roots)
+        self.rank = group.rank
+        self.npos = P
+        self.identity = tuple(range(2 * P))
+        self._roots = roots
+        self._index = {r: i for i, r in enumerate(roots)}
+        self._perms = [()]
+        for s in group.generators():
+            half = [P + i if j < 0 else j for i, j in enumerate(images[s])]
+            self._perms.append(self._extend(half))
+        # w * s reads w's images at s's indices; itemgetter does it in C
+        self._rmul_getters = [None] + [itemgetter(*p) for p in self._perms[1:]]
+        self._gamma_perms: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _extend(self, half):
+        """A permutation of Phi from its values on Phi+, since g(-b) = -g(b)."""
+        P = self.npos
+        return tuple(half + [j + P if j < P else j - P for j in half])
+
+    def lmul(self, s, cols):
+        return itemgetter(*cols)(self._perms[s])
+
+    def rmul(self, cols, s):
+        return self._rmul_getters[s](cols)
+
+    def compose(self, outer, inner):
+        return itemgetter(*inner)(outer)
+
+    def negative(self, cols, s):
+        return cols[s - 1] >= self.npos
+
+    def _gamma_perm(self, images):
+        """gamma on Phi: it permutes root coordinates like the generators."""
+        g = self._gamma_perms.get(images)
+        if g is None:
+            half = []
+            for r in self._roots:
+                moved = [None] * self.rank
+                for i, c in enumerate(r):
+                    moved[images[i] - 1] = c
+                j = self._index.get(tuple(moved))
+                if j is None:
+                    raise ValueError(f"{list(images)} does not permute the roots")
+                half.append(j)
+            g = self._gamma_perms[images] = self._extend(half)
+        return g
+
+    def conjugate(self, images, cols):
+        g = self._gamma_perm(images)
+        out = [0] * len(cols)
+        for i, j in enumerate(cols):
+            out[g[i]] = g[j]
+        return tuple(out)
+
+    def fixes(self, images, cols):
+        # gamma w = w gamma on the simple roots, which determine both sides
+        g = self._gamma_perm(images)
+        return all(g[cols[i]] == cols[t - 1] for i, t in enumerate(images))
+
+    def inversions(self, cols):
+        P = self.npos
+        return sum(1 for j in cols[:P] if j >= P)
+
+
 class Element:
-    """Group element: canonical reduced word plus its exact root action."""
+    """Group element: canonical reduced word plus its action pair.
+
+    ``cols`` is the action of w and ``inv_cols`` that of w^-1, in the form
+    of the group's engine: tuples of root indices w(Phi) for finite W,
+    exact CycloReal columns (images of the simple roots) otherwise.
+    """
 
     __slots__ = ("group", "word", "cols", "inv_cols", "_hash")
 
     def __init__(self, group: CoxeterGroup, word: tuple[int, ...], cols, inv_cols):
         self.group = group
         self.word = word
-        self.cols = cols          # cols[j] = image of alpha_{j+1} under w
-        self.inv_cols = inv_cols  # images under w^-1
+        self.cols = cols          # the action of w
+        self.inv_cols = inv_cols  # the action of w^-1
         self._hash = None
 
     @property
@@ -352,11 +541,7 @@ class Element:
 
         Independent of the stored word; used to cross-check lengths.
         """
-        count = 0
-        for r in self.group.positive_roots():
-            if not is_positive_root(self.group._apply_cols(self.cols, r)):
-                count += 1
-        return count
+        return self.group._engine.inversions(self.cols)
 
 
 def word_str(word: Sequence[int]) -> str:

@@ -3,7 +3,7 @@ import pytest
 from coxfold.coxeter import CoxeterMatrix
 from coxfold.cyclo import INF
 from coxfold.folding import Automorphism
-from coxfold.words import CoxeterGroup
+from coxfold.words import CoxeterGroup, _MatrixEngine
 
 
 def a_matrix(n):
@@ -37,6 +37,14 @@ FLIPS = {
 }
 
 _groups: dict[str, CoxeterGroup] = {}
+
+
+def matrix_engine_group(matrix):
+    """A group on the exact CycloReal matrix engine, even for finite W,
+    where it serves as the reference for the root table."""
+    W = CoxeterGroup(matrix)
+    W._engine = _MatrixEngine(W)
+    return W
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from coxfold.catalog import entry_by_name, run_catalog, run_entry
 from coxfold.coxeter import classify_finite
 from coxfold.folding import fold
@@ -82,9 +80,8 @@ def test_criterion_1_folding_catalog(group_of):
             assert 2 * l_wk == m * (detail.weight_a + detail.weight_b)
 
 
-@pytest.mark.slow
 def test_criterion_1_slow_e6_row():
-    with criterion(1, "folding catalog, E6 row", 600):
+    with criterion(1, "folding catalog, E6 row", 60):
         row = run_entry(entry_by_name("e6-flip"))
         assert (row.computed_type, row.computed_weights, row.computed_order) \
             == ("F4", (2, 2, 1, 1), 1152)

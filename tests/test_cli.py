@@ -118,6 +118,19 @@ def test_verify_validation_failure_exit_2(capsys, tmp_path):
     assert "[skipped]" in out
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("reduce", ["--word", "1 2"]), ("fold", []), ("verify", []), ("classify", []),
+])
+def test_field_degree_over_cap_exits_2(capsys, tmp_path, command, extra):
+    # label 1000 needs a cyclotomic field of degree 800, over the cap of 64
+    p = tmp_path / "huge.cox"
+    p.write_text("rank 2\nm 1 2 1000\nauto id\n")
+    rc, out, err = run_cli(capsys, command, str(p), *extra)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "exceeds the degree cap 64" in err
+
+
 def test_verify_infinite_radius_flag(capsys, tmp_path):
     p = tmp_path / "tri.cox"
     p.write_text(TRIANGLE)

@@ -154,6 +154,58 @@ def test_orders():
     assert coxeter_order(f4, [1, 2, 3, 4]) == 1152
 
 
+def test_positive_root_count():
+    # the length of the longest element, found greedily from descents,
+    # is the positive root count of the classification
+    from coxfold.words import CoxeterGroup
+
+    cases = {
+        "A4": (a_matrix(4), 10),
+        "B4": (CoxeterMatrix.from_labels(
+            4, {(1, 2): 3, (2, 3): 3, (3, 4): 4}), 16),
+        "D5": (CoxeterMatrix.from_labels(
+            5, {(1, 2): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3}), 20),
+        "E6": (CoxeterMatrix.from_labels(
+            6, {(1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (2, 4): 3}), 36),
+        "F4": (CoxeterMatrix.from_labels(
+            4, {(1, 2): 3, (2, 3): 4, (3, 4): 3}), 24),
+        "H3": (CoxeterMatrix.from_labels(3, {(1, 2): 5, (2, 3): 3}), 15),
+        "H4": (CoxeterMatrix.from_labels(
+            4, {(1, 2): 5, (2, 3): 3, (3, 4): 3}), 60),
+        "I2(7)": (CoxeterMatrix.from_labels(2, {(1, 2): 7}), 7),
+    }
+    for name, (matrix, count) in cases.items():
+        (label,) = classify_finite(matrix, matrix.generators())
+        assert str(label) == name
+        assert label.positive_root_count == count
+        W = CoxeterGroup(matrix)
+        assert W.longest_element(matrix.generators()).length == count
+    assert [lab.positive_root_count for lab in classify_finite(
+        MATRICES["a3"], [1, 3])] == [1, 1]
+    e7 = classify_finite(CoxeterMatrix.from_labels(
+        7, {(1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3, (2, 4): 3}),
+        range(1, 8))
+    e8 = classify_finite(CoxeterMatrix.from_labels(
+        8, {(1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3, (7, 8): 3,
+            (2, 4): 3}), range(1, 9))
+    assert (e7[0].positive_root_count, e8[0].positive_root_count) == (63, 120)
+
+
+def test_validate_field_degree_cap():
+    # 2cos(pi/1000) needs the cyclotomic field of degree phi(2000) = 800
+    huge = CoxeterMatrix.from_labels(2, {(1, 2): 1000})
+    (err,) = validate(huge)
+    assert "phi(2000) = 800 exceeds the degree cap 64" in err
+    assert validate(huge, degree_cap=800) == []
+    # two large prime labels: rejected by a bound, without factoring N
+    primes = CoxeterMatrix.from_labels(
+        3, {(1, 2): 1_000_000_007, (2, 3): 998_244_353})
+    (err,) = validate(primes)
+    assert "exceeds the degree cap 64" in err
+    with pytest.raises(ParseError, match="degree cap"):
+        parse_input("rank 2\nm 1 2 1000\nauto id\n")
+
+
 def test_type_string():
     assert type_string(MATRICES["a3"]) == "A3"
     assert type_string(MATRICES["a3"], [1, 3]) == "A1 x A1"

@@ -160,7 +160,7 @@ def test_is_fixed_agrees_with_letterwise_application(group_of):
     for w in enumerate_ball(W).elements:
         direct = gamma.apply_element(w) == w
         assert is_fixed(w, [gamma]) == direct
-        assert conjugate_action(gamma, w.cols) == gamma.apply_element(w).cols
+        assert conjugate_action(gamma, w) == gamma.apply_element(w).cols
 
 
 # -- factorization ----------------------------------------------------------------

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxfold.coxeter import FiniteTypeLabel
 from coxfold.verify import enumerate_ball
-from coxfold.words import parse_word, root_sign, word_str
+from coxfold.words import CoxeterGroup, RootSystemError, parse_word, root_sign, word_str
 
 import oracles
+from conftest import MATRICES, matrix_engine_group
 
 
 # -- the geometric action -----------------------------------------------------
@@ -40,9 +42,9 @@ def test_reflection_involutive(group_of):
         assert W.reflect(s, W.reflect(s, v)) == v
 
 
-def test_root_images_have_uniform_sign(group_of):
+def test_root_images_have_uniform_sign():
     # every image of a simple root under an element is positive or negative
-    W = group_of("b3")
+    W = matrix_engine_group(MATRICES["b3"])
     for w in enumerate_ball(W).elements:
         for col in w.cols:
             sign = root_sign(col)
@@ -192,6 +194,26 @@ def test_longest_length_equals_positive_root_count(group_of):
     for subset in ([1], [1, 2], [2, 3], [1, 2, 3], [1, 3]):
         w = W.longest_element(subset)
         assert w.length == len(W.positive_roots(subset))
+
+
+def test_table_is_built_on_first_element_operation():
+    W = CoxeterGroup(MATRICES["b3"])
+    assert "_engine" not in vars(W)
+    assert W.reduce([1, 2]).length == 2
+    assert vars(W)["_engine"].npos == 9
+
+
+@pytest.mark.parametrize("delta,message", [(-1, "exceeds"), (1, "stops at 9")])
+def test_root_closure_must_meet_the_classified_count(monkeypatch, delta, message):
+    true_count = FiniteTypeLabel.positive_root_count
+    monkeypatch.setattr(FiniteTypeLabel, "positive_root_count", property(
+        lambda self: true_count.fget(self) + delta))
+    W = CoxeterGroup(MATRICES["b3"])
+    with pytest.raises(RootSystemError, match=message) as err:
+        W.identity  # the first element operation builds the table
+    assert err.value.witness["subset"] == [1, 2, 3]
+    assert err.value.witness["positive_root_count"] == 9 + delta
+    assert err.value.witness["matrix"] == str(MATRICES["b3"]).split("\n")
 
 
 # -- coset decomposition ------------------------------------------------------------
