@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full property suite over every built-in catalog instance.
 
-    python scripts/verify_all.py [--slow] [--seed N] [--jobs N]
+    python scripts/verify_all.py [--slow] [--seed N]
 
 Prints one summary line per instance and a per-check table for failures.
 Exit status 0 only if every check of every instance passes.
@@ -22,7 +22,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--slow", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     all_ok = True
@@ -33,9 +32,7 @@ def main() -> int:
         group = CoxeterGroup(parsed.matrix)
         autos = [Automorphism(images) for _, images in parsed.autos]
         t0 = time.time()
-        report = property_suite(
-            group, autos, VerifyConfig(seed=args.seed, jobs=args.jobs)
-        )
+        report = property_suite(group, autos, VerifyConfig(seed=args.seed))
         status = "PASS" if report.passed else "FAIL"
         print(f"{entry.name:24s} {status}  ({time.time() - t0:.1f}s)")
         if not report.passed:

@@ -10,7 +10,6 @@ total counts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .coxeter import classify_finite, parse_input
@@ -104,7 +103,6 @@ class CatalogRow:
     computed_order: int | None
     ball_note: str
     match: bool
-    seconds: float
 
     def to_dict(self):
         return {
@@ -121,13 +119,11 @@ class CatalogRow:
             },
             "ball_note": self.ball_note,
             "match": self.match,
-            "seconds": round(self.seconds, 2),
         }
 
 
 def run_entry(entry: CatalogEntry) -> CatalogRow:
     """Fold the entry and count its fixed subgroup by brute force."""
-    t0 = time.time()
     parsed = parse_input(entry.input_text)
     group = CoxeterGroup(parsed.matrix)
     autos = [Automorphism(images) for _, images in parsed.autos]
@@ -181,7 +177,6 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
         computed_order=computed_order,
         ball_note=ball_note,
         match=match,
-        seconds=time.time() - t0,
     )
 
 

@@ -3,7 +3,7 @@
 Subcommands: reduce, fold, verify, classify, catalog.  Input files use the
 line-based format parsed by coxfold.coxeter.parse_input; words are
 space-separated 1-based generator indices.  Output is deterministic for a
-fixed input, seed and job count.
+fixed input, seed and radius.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (the report
 carries a replayable witness), 2 input or validation error.
@@ -28,7 +28,7 @@ from .coxeter import (
 )
 from .cyclo import INF
 from .folding import Automorphism, _orbit_str, fold
-from .verify import VerifyConfig, input_digest, property_suite
+from .verify import NodeCapExceeded, VerifyConfig, property_suite
 from .words import CoxeterGroup, parse_word, word_str
 
 
@@ -52,10 +52,6 @@ def _emit(text: str):
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
-
-
-def _label_str(v) -> str:
-    return "inf" if v == INF else str(int(v))
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +85,18 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _fold_from(parsed):
+def _instance(parsed):
+    """The group and automorphisms of an input that must declare one."""
     if not parsed.autos:
         raise SystemExit2(
             "no automorphism declared; add an `auto` line (`auto id` is allowed)"
         )
     group = CoxeterGroup(parsed.matrix)
-    autos = [Automorphism(images) for _, images in parsed.autos]
+    return group, [Automorphism(images) for _, images in parsed.autos]
+
+
+def _fold_from(parsed):
+    group, autos = _instance(parsed)
     try:
         return fold(group, autos)
     except ValueError as err:
@@ -106,27 +107,15 @@ def cmd_fold(args) -> int:
     parsed = _load(args.file)
     folded = _fold_from(parsed)
     if args.format == "json":
+        summary = folded.to_dict()
         payload = {
-            "orbits": [sorted(o) for o in folded.orbit_partition],
-            "dropped_infinite": [sorted(o) for o in folded.dropped],
-            "generators": [
-                {"orbit": sorted(J), "word": list(folded.longest[J].word),
-                 "weight": folded.weight[J]}
-                for J in folded.bar_s
-            ],
-            "folded_matrix": [
-                [_label_str(v) for v in row]
-                for row in folded.folded_matrix.entries
-            ],
-            "folded_type": folded.folded_type(),
-            "weights": list(folded.ordered_weights()),
-            "pairs": [
-                {"orbits": [sorted(d.orbit_a), sorted(d.orbit_b)],
-                 "label": _label_str(d.label),
-                 "union_longest_length": d.longest_length,
-                 "weights": [d.weight_a, d.weight_b]}
-                for d in folded.details
-            ],
+            "orbits": summary["orbits"],
+            "dropped_infinite": summary["dropped_infinite"],
+            "generators": summary["generators"],
+            "folded_matrix": [[str(v) for v in row] for row in summary["matrix"]],
+            "folded_type": summary["type"],
+            "weights": summary["weights"],
+            "pairs": [dict(p, label=str(p["label"])) for p in summary["pairs"]],
         }
         _emit(json.dumps(payload, indent=2))
         return 0
@@ -143,8 +132,7 @@ def cmd_fold(args) -> int:
             f"longest word {word_str(w.word)}, weight {folded.weight[J]}"
         )
     lines.append("folded matrix:")
-    for row in folded.folded_matrix.entries:
-        lines.append("  " + " ".join(_label_str(v) for v in row))
+    lines.extend("  " + row for row in str(folded.folded_matrix).splitlines())
     weights = ", ".join(map(str, folded.ordered_weights()))
     lines.append(f"folded: {folded.folded_type()}, weights [{weights}]")
     for d in folded.details:
@@ -163,16 +151,12 @@ def cmd_fold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    parsed = _load(args.file)
-    if not parsed.autos:
-        raise SystemExit2(
-            "no automorphism declared; add an `auto` line (`auto id` is allowed)"
-        )
-    group = CoxeterGroup(parsed.matrix)
-    autos = [Automorphism(images) for _, images in parsed.autos]
-    config = VerifyConfig(seed=args.seed, radius=args.radius, jobs=args.jobs)
-    report = property_suite(group, autos, config,
-                            digest=input_digest(group.matrix, autos))
+    group, autos = _instance(_load(args.file))
+    config = VerifyConfig(seed=args.seed, radius=args.radius)
+    try:
+        report = property_suite(group, autos, config)
+    except NodeCapExceeded as err:
+        raise SystemExit2(str(err))
     if args.format == "json":
         _emit(report.to_json())
     else:
@@ -281,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=None,
                    help="ball radius for infinite groups (default 8)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

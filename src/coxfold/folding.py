@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .coxeter import CoxeterMatrix, classify_finite, components, type_string
+from .coxeter import (
+    CoxeterMatrix,
+    classify_finite,
+    components,
+    coxeter_order,
+    type_string,
+)
 from .cyclo import INF
 from .words import CoxeterGroup, Element
 
@@ -449,6 +455,36 @@ class FoldedSystem:
 
     def ordered_weights(self) -> tuple[int, ...]:
         return tuple(self.weight[J] for J in self.ordered_bar_s())
+
+    def to_dict(self) -> dict:
+        """JSON-safe summary: orbits, generators, folded matrix, weights
+        and the derivation of each label.  An infinite label is "inf"."""
+
+        def label(v):
+            return "inf" if v == INF else int(v)
+
+        fm = self.folded_matrix
+        return {
+            "orbits": [sorted(o) for o in self.orbit_partition],
+            "bar_s": [sorted(o) for o in self.bar_s],
+            "dropped_infinite": [sorted(o) for o in self.dropped],
+            "generators": [
+                {"orbit": sorted(J), "word": list(self.longest[J].word),
+                 "weight": self.weight[J]}
+                for J in self.bar_s
+            ],
+            "matrix": [[label(v) for v in row] for row in fm.entries],
+            "type": self.folded_type(),
+            "weights": list(self.ordered_weights()),
+            "fixed_subgroup_order": coxeter_order(fm, fm.generators()),
+            "pairs": [
+                {"orbits": [sorted(d.orbit_a), sorted(d.orbit_b)],
+                 "label": label(d.label),
+                 "union_longest_length": d.longest_length,
+                 "weights": [d.weight_a, d.weight_b]}
+                for d in self.details
+            ],
+        }
 
 
 def folded_type_string(matrix: CoxeterMatrix) -> str:

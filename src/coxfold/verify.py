@@ -8,8 +8,8 @@ by iterating products.  The folding side meets the oracle side only in the
 comparisons, so a passing report actually certifies something.
 
 Each named check returns pass/fail/skipped plus statistics; failures carry
-a replayable witness.  Reports are deterministic for a fixed input, seed
-and job count.
+a replayable witness.  The checks run one after another, and reports are
+deterministic for a fixed input, seed and radius.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .coxeter import CoxeterMatrix, classify_finite, coxeter_order
@@ -34,23 +35,38 @@ from .folding import (
 from .words import CoxeterGroup, Element
 
 DEFAULT_INFINITE_RADIUS = 8
+SAMPLES = 50                # randomized factorizations per element
+TRIALS = 200                # random orbit words for additivity probing
+PAIR_CAP = 6000             # exhaustive pair checks up to this many
+SAMPLE_PAIRS = 300          # sampled pairs beyond the cap
+EXCHANGE_LAMBDA_CAP = 4     # folded exchange tested up to this length
+GREEDY_CAP = 512            # step bound for the greedy finiteness probe
+SUBSET_CAP = 4096           # exhaustive subset checks up to this many
+NODE_CAP = 200_000          # hard bound on enumerated nodes
+
+CHECK_NAMES = (
+    "finiteness-classification-vs-greedy",
+    "fixed-elements-factorize",
+    "factorization-count-choice-independent",
+    "minimal-words-length-additive",
+    "dihedral-pairs",
+    "length-additivity-transfer",
+    "folded-exchange-condition",
+    "generated-subgroup-matches-fixed-set",
+    "presentation-isomorphism",
+)
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for the property suite; defaults are desk scale."""
+    """The property suite's inputs besides the instance."""
 
     seed: int = 0
     radius: int | None = None     # None: full when W is finite, else 8
-    samples: int = 50             # randomized factorizations per element
-    trials: int = 200             # random orbit words for additivity probing
-    pair_cap: int = 6000          # exhaustive pair checks up to this many
-    sample_pairs: int = 300       # sampled pairs beyond the cap
-    exchange_lambda_cap: int = 4  # folded exchange tested up to this length
-    greedy_cap: int = 512         # step bound for the greedy finiteness probe
-    subset_cap: int = 4096        # exhaustive subset checks up to this many
-    node_cap: int = 200_000       # hard bound on enumerated nodes
-    jobs: int = 1
+
+
+class NodeCapExceeded(ValueError):
+    """An enumeration would hold more than NODE_CAP elements."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +92,23 @@ class Ball:
         return len(self.elements)
 
 
-def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
-                   node_cap: int = 200_000) -> Ball:
+def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     """BFS over left multiplication by simple generators.
 
     An element of length k+1 is accepted exactly once: from its unique
     predecessor along the smallest left descent.  The stored words are
     therefore canonical without any normal-form extraction, and no
-    dedup table is needed.
+    dedup table is needed.  A full enumeration is refused up front when
+    the order of W is over the node cap.
     """
-    if radius is None and classify_finite(group.matrix, group.generators()) is None:
-        raise ValueError("full enumeration requested on an infinite group")
+    if radius is None:
+        order = coxeter_order(group.matrix, group.generators())
+        if order is None:
+            raise ValueError("full enumeration requested on an infinite group")
+        if order > NODE_CAP:
+            raise NodeCapExceeded(
+                f"the group has {order} elements, over the node cap {NODE_CAP}"
+            )
     engine = group._engine
     negative, lmul, rmul = engine.negative, engine.lmul, engine.rmul
     gens = group.generators()
@@ -108,8 +130,8 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
                                    lmul(s, x.cols), inv_cols))
         nxt.sort(key=lambda e: e.word)
         elements.extend(nxt)
-        if len(elements) > node_cap:
-            raise RuntimeError(f"ball exceeded the node cap {node_cap}")
+        if len(elements) > NODE_CAP:
+            raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
         level = nxt
     return Ball(group=group, radius=radius, complete=not level,
                 elements=tuple(elements))
@@ -146,7 +168,7 @@ class GeneratedBall:
 
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
-                   radius: int | None, node_cap: int = 200_000) -> GeneratedBall:
+                   radius: int | None) -> GeneratedBall:
     gens = tuple(gens)
     compose = group._engine.compose
     identity = group.identity
@@ -173,9 +195,9 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                 pairs.append((y_cols, y_inv))
                 levels.append(lvl + 1)
                 key_index[y_cols] = idx
-                if len(pairs) > node_cap:
-                    raise RuntimeError(
-                        f"generated subgroup exceeded the node cap {node_cap}"
+                if len(pairs) > NODE_CAP:
+                    raise NodeCapExceeded(
+                        f"generated subgroup exceeded the node cap {NODE_CAP}"
                     )
             out.append(idx)
         edges.append(out)
@@ -254,8 +276,8 @@ class Report:
         return {
             "version": 1,
             "input_digest": self.input_digest,
-            "orbit_summary": _plain(self.orbit_summary),
-            "folded_summary": _plain(self.folded_summary),
+            "orbit_summary": self.orbit_summary,
+            "folded_summary": self.folded_summary,
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -280,10 +302,12 @@ def _greedy_probe(group: CoxeterGroup, subset, cap: int) -> bool:
     """Does the greedy longest-element construction terminate within cap?
 
     Independent of the classification: just left-multiply by the smallest
-    non-descending generator of the subset until none remains.  With the
-    rank cap of 16, every finite parabolic closes well within 512 steps,
-    so hitting the cap certifies an infinite parabolic.  Works on the raw
-    inverse action; left descents are its negative roots.
+    non-descending generator of the subset until none remains.  A finite
+    parabolic closes after exactly l(w_0) steps, so hitting the cap means
+    infinite only when l(w_0) <= cap.  GREEDY_CAP = 512 does not cover
+    every input the rank and degree caps admit: five commuting I2(120)
+    blocks have l(w_0) = 600.  Works on the raw inverse action; left
+    descents are its negative roots.
     """
     engine = group._engine
     inv_cols = engine.identity
@@ -300,14 +324,14 @@ def _greedy_probe(group: CoxeterGroup, subset, cap: int) -> bool:
 def check_finiteness_vs_greedy(group: CoxeterGroup, config: VerifyConfig) -> CheckResult:
     n = group.rank
     masks = range(1 << n)
-    if (1 << n) > config.subset_cap:
+    if (1 << n) > SUBSET_CAP:
         rng = _rng(config, "finiteness")
-        masks = sorted(rng.sample(range(1 << n), config.subset_cap))
+        masks = sorted(rng.sample(range(1 << n), SUBSET_CAP))
     checked = 0
     for mask in masks:
         subset = [i + 1 for i in range(n) if (mask >> i) & 1]
         finite = classify_finite(group.matrix, subset) is not None
-        terminated = _greedy_probe(group, subset, config.greedy_cap)
+        terminated = _greedy_probe(group, subset, GREEDY_CAP)
         if finite != terminated:
             return CheckResult(
                 "finiteness-classification-vs-greedy", "fail",
@@ -318,7 +342,7 @@ def check_finiteness_vs_greedy(group: CoxeterGroup, config: VerifyConfig) -> Che
         checked += 1
     return CheckResult("finiteness-classification-vs-greedy", "pass",
                        {"subsets_checked": checked,
-                        "greedy_cap": config.greedy_cap})
+                        "greedy_cap": GREEDY_CAP})
 
 
 def check_factorize_fixed(folded: FoldedSystem, fixed: Sequence[Element]) -> CheckResult:
@@ -340,7 +364,7 @@ def check_choice_independence(folded: FoldedSystem, fixed: Sequence[Element],
     try:
         for w in fixed:
             base = len(folded.greedy_factorize(w))
-            for _ in range(config.samples):
+            for _ in range(SAMPLES):
                 alt = len(folded.greedy_factorize(w, choose=rng.choice))
                 tried += 1
                 if alt != base:
@@ -365,7 +389,7 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig) -> Chec
                            {"trials": 0, "minimal_hits": 0})
     rng = _rng(config, "minimal-additivity")
     hits = 0
-    for _ in range(config.trials):
+    for _ in range(TRIALS):
         k = rng.randint(0, 6)
         word = [folded.bar_s[rng.randrange(len(folded.bar_s))] for _ in range(k)]
         seq, length = folded.factorize_product(word)
@@ -376,12 +400,12 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig) -> Chec
         if length != expected:
             return CheckResult(
                 "minimal-words-length-additive", "fail",
-                {"trials": config.trials, "minimal_hits": hits},
+                {"trials": TRIALS, "minimal_hits": hits},
                 {"factors": [sorted(J) for J in word],
                  "product_length": length, "weight_sum": expected},
             )
     return CheckResult("minimal-words-length-additive", "pass",
-                       {"trials": config.trials, "minimal_hits": hits})
+                       {"trials": TRIALS, "minimal_hits": hits})
 
 
 def check_dihedral_pairs(folded: FoldedSystem) -> CheckResult:
@@ -457,13 +481,13 @@ def check_dihedral_pairs(folded: FoldedSystem) -> CheckResult:
 def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                               config: VerifyConfig) -> CheckResult:
     n = len(fixed)
-    if n * n <= config.pair_cap:
+    if n * n <= PAIR_CAP:
         pairs = [(i, j) for i in range(n) for j in range(n)]
         exhaustive = True
     else:
         rng = _rng(config, "additivity-transfer")
         pairs = [(rng.randrange(n), rng.randrange(n))
-                 for _ in range(config.sample_pairs)]
+                 for _ in range(SAMPLE_PAIRS)]
         exhaustive = False
     lam = [folded.lambda_length(w) for w in fixed]
     for i, j in pairs:
@@ -481,13 +505,13 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                        {"pairs": len(pairs), "exhaustive": exhaustive})
 
 
-def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
-                          config: VerifyConfig) -> CheckResult:
+def check_folded_exchange(folded: FoldedSystem,
+                          fixed: Sequence[Element]) -> CheckResult:
     verified = 0
     try:
         for w in fixed:
             word = folded.greedy_factorize(w)
-            if len(word) > config.exchange_lambda_cap:
+            if len(word) > EXCHANGE_LAMBDA_CAP:
                 continue
             lam = len(word)
             for orbit in folded.bar_s:
@@ -501,7 +525,7 @@ def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
                            {"descents_verified": verified}, witness)
     return CheckResult("folded-exchange-condition", "pass",
                        {"descents_verified": verified,
-                        "lambda_cap": config.exchange_lambda_cap})
+                        "lambda_cap": EXCHANGE_LAMBDA_CAP})
 
 
 def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
@@ -550,6 +574,32 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
                         "mode": "bounded"})
 
 
+def _presentation_pairs(levels: Sequence[int], radius: int | None,
+                        config: VerifyConfig) -> tuple[list, bool]:
+    """(index pairs to test, exhaustive?) for the length-transfer test.
+
+    The candidates are the pairs (i, j) with levels[i] + levels[j] <= radius
+    in i-major order; over PAIR_CAP, SAMPLE_PAIRS of them are drawn.
+    Levels are non-decreasing in BFS order, so the j of each i form a
+    prefix of length width[i].  Draws are indices into the candidate list,
+    mapped back to pairs, so the list itself is never built.
+    """
+    n = len(levels)
+    if radius is None:
+        width = [n] * n
+    else:
+        width = [bisect_right(levels, radius - lvl) for lvl in levels]
+    if sum(width) <= PAIR_CAP:
+        return [(i, j) for i in range(n) for j in range(width[i])], True
+    rng = _rng(config, "presentation-pairs")
+    starts = list(accumulate(width, initial=0))
+    pairs = []
+    for k in rng.sample(range(starts[-1]), SAMPLE_PAIRS):
+        i = bisect_right(starts, k) - 1
+        pairs.append((i, k - starts[i]))
+    return pairs, False
+
+
 def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                        config: VerifyConfig,
                        w_ball: Ball | None = None) -> CheckResult:
@@ -559,7 +609,7 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     group = folded.group
     radius = gen_ball.radius
     abstract = CoxeterGroup(folded.folded_matrix)
-    abstract_ball = enumerate_ball(abstract, radius, node_cap=config.node_cap)
+    abstract_ball = enumerate_ball(abstract, radius)
     abstract_edges = _ball_edges(abstract_ball)
 
     stats = {
@@ -641,22 +691,9 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
         return group._element_from_cols(*pair)
 
     elements = [materialize(pair) for pair in gen_ball.pairs]
-    n = len(elements)
-    if radius is None:
-        candidates = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        candidates = [
-            (i, j) for i in range(n) for j in range(n)
-            if gen_ball.levels[i] + gen_ball.levels[j] <= radius
-        ]
-    if len(candidates) > config.pair_cap:
-        rng = _rng(config, "presentation-pairs")
-        candidates = rng.sample(candidates, config.sample_pairs)
-        stats["pairs"] = len(candidates)
-        stats["pairs_exhaustive"] = False
-    else:
-        stats["pairs"] = len(candidates)
-        stats["pairs_exhaustive"] = True
+    candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
+    stats["pairs"] = len(candidates)
+    stats["pairs_exhaustive"] = exhaustive
     compose = group._engine.compose
     for i, j in candidates:
         z_cols = compose(elements[i].cols, elements[j].cols)
@@ -682,12 +719,20 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
 # the suite
 
 
+def _run_check(name, fn) -> CheckResult:
+    # a broken folded system raises with a witness from deep inside an
+    # operation; that is a finding, not a crash
+    try:
+        return fn()
+    except InvariantViolation as err:
+        return CheckResult(name, "fail", {}, err.witness)
+
+
 def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
-                   config: VerifyConfig = VerifyConfig(),
-                   digest: str | None = None) -> Report:
+                   config: VerifyConfig = VerifyConfig()) -> Report:
     """Run every check against one (matrix, automorphisms) instance."""
     autos = tuple(autos)
-    digest = digest or input_digest(group.matrix, autos)
+    digest = input_digest(group.matrix, autos)
 
     problems = []
     for gamma in autos:
@@ -698,36 +743,21 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
         {"generators": len(autos)},
         {"problems": problems} if problems else None,
     )
-
-    check_names = [
-        "finiteness-classification-vs-greedy",
-        "fixed-elements-factorize",
-        "factorization-count-choice-independent",
-        "minimal-words-length-additive",
-        "dihedral-pairs",
-        "length-additivity-transfer",
-        "folded-exchange-condition",
-        "generated-subgroup-matches-fixed-set",
-        "presentation-isomorphism",
-    ]
+    skipped = [CheckResult(name, "skipped", {}) for name in CHECK_NAMES]
     if problems:
-        checks = [validation] + [
-            CheckResult(name, "skipped", {}) for name in check_names
-        ]
-        return Report(input_digest=digest,
-                      orbit_summary={}, folded_summary={}, checks=checks)
+        return Report(input_digest=digest, orbit_summary={},
+                      folded_summary={}, checks=[validation] + skipped)
 
     try:
         folded = fold(group, autos)
     except InvariantViolation as err:
         checks = [validation,
                   CheckResult("fold-construction", "fail", {}, err.witness)]
-        checks += [CheckResult(name, "skipped", {}) for name in check_names]
-        return Report(input_digest=digest,
-                      orbit_summary={}, folded_summary={}, checks=checks)
+        return Report(input_digest=digest, orbit_summary={},
+                      folded_summary={}, checks=checks + skipped)
     finite_w = classify_finite(group.matrix, group.generators()) is not None
     w_radius = None if finite_w else (config.radius or DEFAULT_INFINITE_RADIUS)
-    ball = enumerate_ball(group, w_radius, node_cap=config.node_cap)
+    ball = enumerate_ball(group, w_radius)
     fixed = fixed_subgroup(ball, autos)
     folded_finite = (
         classify_finite(folded.folded_matrix, folded.folded_matrix.generators())
@@ -736,76 +766,28 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
     lam_radius = None if folded_finite else (config.radius or DEFAULT_INFINITE_RADIUS)
     gen_ball = generated_ball(
         group, [folded.longest[J] for J in folded.bar_s], lam_radius,
-        node_cap=config.node_cap,
     )
 
-    tasks = {
-        "finiteness-classification-vs-greedy":
-            lambda: check_finiteness_vs_greedy(group, config),
-        "fixed-elements-factorize":
-            lambda: check_factorize_fixed(folded, fixed),
-        "factorization-count-choice-independent":
-            lambda: check_choice_independence(folded, fixed, config),
-        "minimal-words-length-additive":
-            lambda: check_minimal_additivity(folded, config),
-        "dihedral-pairs":
-            lambda: check_dihedral_pairs(folded),
-        "length-additivity-transfer":
-            lambda: check_additivity_transfer(folded, fixed, config),
-        "folded-exchange-condition":
-            lambda: check_folded_exchange(folded, fixed, config),
-        "generated-subgroup-matches-fixed-set":
-            lambda: check_generated_matches_fixed(folded, gen_ball, fixed, ball),
-        "presentation-isomorphism":
-            lambda: presentation_check(folded, gen_ball, config, w_ball=ball),
-    }
-
-    def run_check(name, fn):
-        # a broken folded system raises with a witness from deep inside an
-        # operation; that is a finding, not a crash
-        try:
-            return fn()
-        except InvariantViolation as err:
-            return CheckResult(name, "fail", {}, err.witness)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {
-                name: pool.submit(run_check, name, fn)
-                for name, fn in tasks.items()
-            }
-            results = {name: fut.result() for name, fut in futures.items()}
-    else:
-        results = {name: run_check(name, fn) for name, fn in tasks.items()}
-    checks = [validation] + [results[name] for name in check_names]
-
-    orbit_summary = {
-        "orbits": [sorted(o) for o in folded.orbit_partition],
-        "bar_s": [sorted(o) for o in folded.bar_s],
-        "dropped_infinite": [sorted(o) for o in folded.dropped],
-        "generators": [
-            {"orbit": sorted(J), "word": list(folded.longest[J].word),
-             "weight": folded.weight[J]}
-            for J in folded.bar_s
-        ],
-    }
-    folded_summary = {
-        "matrix": [
-            ["inf" if v == INF else int(v) for v in row]
-            for row in folded.folded_matrix.entries
-        ],
-        "type": folded.folded_type(),
-        "weights": list(folded.ordered_weights()),
-        "fixed_subgroup_order": coxeter_order(
-            folded.folded_matrix, folded.folded_matrix.generators()
-        ),
-        "pairs": [
-            {"orbits": [sorted(d.orbit_a), sorted(d.orbit_b)],
-             "label": "inf" if d.label == INF else int(d.label),
-             "union_longest_length": d.longest_length,
-             "weights": [d.weight_a, d.weight_b]}
-            for d in folded.details
-        ],
-    }
-    return Report(input_digest=digest, orbit_summary=orbit_summary,
-                  folded_summary=folded_summary, checks=checks)
+    # in CHECK_NAMES order; each check function is looked up when it runs
+    thunks = (
+        lambda: check_finiteness_vs_greedy(group, config),
+        lambda: check_factorize_fixed(folded, fixed),
+        lambda: check_choice_independence(folded, fixed, config),
+        lambda: check_minimal_additivity(folded, config),
+        lambda: check_dihedral_pairs(folded),
+        lambda: check_additivity_transfer(folded, fixed, config),
+        lambda: check_folded_exchange(folded, fixed),
+        lambda: check_generated_matches_fixed(folded, gen_ball, fixed, ball),
+        lambda: presentation_check(folded, gen_ball, config, w_ball=ball),
+    )
+    checks = [validation] + [
+        _run_check(name, fn) for name, fn in zip(CHECK_NAMES, thunks, strict=True)
+    ]
+    summary = folded.to_dict()
+    orbit_keys = ("orbits", "bar_s", "dropped_infinite", "generators")
+    return Report(
+        input_digest=digest,
+        orbit_summary={k: summary.pop(k) for k in orbit_keys},
+        folded_summary=summary,
+        checks=checks,
+    )

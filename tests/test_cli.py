@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coxfold import cli
+from coxfold import cli, verify
 from coxfold.catalog import CatalogRow
 
 A3_FLIP = "rank 3\nm 1 2 3\nm 2 3 3\nauto flip 1>3 3>1\n"
@@ -145,10 +145,25 @@ def test_verify_deterministic_output(capsys, a3_file):
     assert (rc1, out1) == (rc2, out2)
 
 
-def test_verify_jobs_flag_same_output(capsys, a3_file):
-    _, out1, _ = run_cli(capsys, "verify", a3_file, "--jobs", "1")
-    _, out3, _ = run_cli(capsys, "verify", a3_file, "--jobs", "3")
-    assert out1 == out3
+def test_verify_over_node_cap_exits_2(capsys, tmp_path):
+    # A8 has 9! = 362880 elements, over the node cap; refused before enumeration
+    p = tmp_path / "a8.cox"
+    p.write_text("rank 8\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 8))
+                 + "auto flip 1>8 8>1 2>7 7>2 3>6 6>3 4>5 5>4\n")
+    rc, out, err = run_cli(capsys, "verify", str(p))
+    assert rc == 2
+    assert out == ""
+    assert err == "the group has 362880 elements, over the node cap 200000\n"
+
+
+def test_verify_infinite_ball_over_node_cap_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "NODE_CAP", 50)
+    p = tmp_path / "tri.cox"
+    p.write_text(TRIANGLE)
+    rc, out, err = run_cli(capsys, "verify", str(p))
+    assert rc == 2
+    assert out == ""
+    assert err == "ball exceeded the node cap 50\n"
 
 
 def test_classify(capsys, a3_file):
@@ -186,12 +201,12 @@ def fake_rows(all_match):
     row = CatalogRow(
         name="a3-flip", expected_type="I2(4)", expected_weights=(2, 1),
         expected_order=8, computed_type="I2(4)", computed_weights=(2, 1),
-        computed_order=8, ball_note="", match=True, seconds=0.01,
+        computed_order=8, ball_note="", match=True,
     )
     bad = CatalogRow(
         name="broken", expected_type="B3", expected_weights=(1,),
         expected_order=48, computed_type="A1", computed_weights=(9,),
-        computed_order=1, ball_note="", match=False, seconds=0.01,
+        computed_order=1, ball_note="", match=False,
     )
     return [row] if all_match else [row, bad]
 
@@ -217,3 +232,10 @@ def test_catalog_json(capsys, monkeypatch):
     data = json.loads(out)
     assert data["rows"][0]["expected"]["type"] == "I2(4)"
     assert data["rows"][0]["match"] is True
+
+
+def test_catalog_json_is_byte_identical_across_runs(capsys):
+    _, out1, _ = run_cli(capsys, "catalog", "--format", "json")
+    _, out2, _ = run_cli(capsys, "catalog", "--format", "json")
+    assert out1 == out2
+    assert "seconds" not in json.loads(out1)["rows"][0]

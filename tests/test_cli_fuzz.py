@@ -1,0 +1,103 @@
+"""Exit-code contract under random input: every run of every subcommand
+exits 0, 1 or 2, and no exception escapes `main` (which the console
+script would print as a traceback)."""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from coxfold import cli
+
+LABELS = ("2", "3", "4", "5", "6", "12", "inf", "1", "0", "-3", "x", "2.5",
+          "1000")
+VALID_LABELS = ("2", "2", "3", "4", "5", "6", "inf")
+SMALL = st.integers(-1, 6).map(str)
+
+
+@st.composite
+def well_formed(draw, max_rank):
+    """A valid file; its automorphism need not preserve the labels."""
+    rank = draw(st.integers(1, max_rank))
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+    labels = draw(st.lists(st.sampled_from(VALID_LABELS), min_size=len(pairs),
+                           max_size=len(pairs)))
+    lines = [f"rank {rank}"]
+    lines += [f"m {i} {j} {v}" for (i, j), v in zip(pairs, labels) if v != "2"]
+    identity = list(range(1, rank + 1))
+    images = draw(st.one_of(st.just(identity), st.permutations(identity)))
+    moved = " ".join(f"{s}>{t}" for s, t in enumerate(images, start=1) if s != t)
+    lines.append("auto g " + moved if moved else "auto id")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def malformed(draw, max_rank):
+    """Input files with malformed lines mixed in."""
+    lines = []
+    if draw(st.integers(0, 9)):
+        lines.append(f"rank {draw(st.integers(0, max_rank))}")
+    else:
+        lines.append(draw(st.sampled_from(["rank", "rank -1", "rank two", "m 1 2 3"])))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["m", "m", "auto", "auto id", "junk"]))
+        if kind == "m":
+            lines.append(f"m {draw(SMALL)} {draw(SMALL)} {draw(st.sampled_from(LABELS))}")
+        elif kind == "auto":
+            maps = draw(st.lists(st.tuples(SMALL, SMALL), max_size=4))
+            lines.append("auto g " + " ".join(f"{a}>{b}" for a, b in maps))
+        elif kind == "auto id":
+            lines.append("auto id")
+        else:
+            lines.append(draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+def input_texts(max_rank):
+    return st.one_of(well_formed(max_rank), malformed(max_rank))
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(["reduce", "fold", "verify", "classify",
+                                    "catalog"]))
+    fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
+    if command == "catalog":
+        return None, ["catalog", *fmt]
+    text = draw(input_texts(3 if command == "verify" else 5))
+    extra = []
+    if command == "reduce":
+        word = " ".join(draw(st.lists(SMALL, max_size=8)))
+        extra = ["--word", draw(st.sampled_from([word, word + " x"]))]
+    elif command == "verify":
+        # radius 0 would mean the default 8 on an infinite group
+        extra = ["--radius", str(draw(st.integers(1, 3))),
+                 "--seed", str(draw(st.integers(0, 3)))]
+    return text, [command, "FILE", *extra, *fmt]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exit_:          # argparse usage errors
+            rc = exit_.code
+    return rc, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(invocations())
+def test_cli_exit_codes_under_random_input(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "input.cox")
+            with open(path, "w") as fh:
+                fh.write(text)
+            argv = [path if a == "FILE" else a for a in argv]
+        rc, err = run_main(argv)
+    assert rc in (0, 1, 2), (argv, text, rc, err)
+    assert "Traceback" not in err

@@ -3,10 +3,15 @@ import json
 
 import pytest
 
+from coxfold import verify
 from coxfold.coxeter import CoxeterMatrix, coxeter_order
 from coxfold.folding import Automorphism, fold
+from coxfold.words import CoxeterGroup
 from coxfold.verify import (
+    NodeCapExceeded,
     VerifyConfig,
+    _presentation_pairs,
+    _rng,
     check_dihedral_pairs,
     enumerate_ball,
     fixed_subgroup,
@@ -224,13 +229,6 @@ def test_suite_deterministic(group_of):
     assert a.to_json() == b.to_json()
 
 
-def test_suite_jobs_parallel_same_report(group_of):
-    seq = property_suite(group_of("a3"), [FLIPS["a3"]], VerifyConfig(seed=1))
-    par = property_suite(group_of("a3"), [FLIPS["a3"]],
-                         VerifyConfig(seed=1, jobs=4))
-    assert seq.to_dict() == par.to_dict()
-
-
 def test_report_json_shape(group_of):
     rep = property_suite(group_of("a2"), [FLIPS["a2"]])
     data = json.loads(rep.to_json())
@@ -249,3 +247,61 @@ def test_infinite_labels_serialize(group_of):
                          VerifyConfig(radius=4))
     data = json.loads(rep.to_json())
     assert data["folded_summary"]["matrix"][0][1] == "inf"
+
+
+# -- bounds: the pair draw and the node cap ---------------------------------------
+
+
+def _levels(radius, count):
+    return [k for k in range(radius + 1) for _ in range(count(k))]
+
+
+@pytest.mark.parametrize("levels,radius", [
+    (_levels(6, lambda k: 2 * k + 1), None),        # 49^2 pairs, listed
+    (_levels(12, lambda k: 3 * k + 1), None),       # 247^2 pairs, sampled
+    (_levels(12, lambda k: 3 * k + 1), 12),         # 11284 pairs, sampled
+    (_levels(16, lambda k: k + 1), 16),             # 4845 pairs, listed
+    ([0, 1, 1, 2], 3),
+])
+def test_presentation_pairs_draw_the_listed_candidates(levels, radius):
+    # the index draw must pick exactly what sampling the full list picks,
+    # so seeded reports keep their bytes
+    config = VerifyConfig(seed=5)
+    bound = float("inf") if radius is None else radius
+    listed = [(i, j) for i in range(len(levels)) for j in range(len(levels))
+              if levels[i] + levels[j] <= bound]
+    pairs, exhaustive = _presentation_pairs(levels, radius, config)
+    if len(listed) > verify.PAIR_CAP:
+        expected = _rng(config, "presentation-pairs").sample(
+            listed, verify.SAMPLE_PAIRS)
+        assert not exhaustive and pairs == expected
+    else:
+        assert exhaustive and pairs == listed
+
+
+def test_presentation_check_h4_identity():
+    # |W| = 14400: 207M candidate pairs, which used to be listed in full
+    h4 = CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
+    W = CoxeterGroup(h4)
+    folded = fold(W, [Automorphism.identity_of(4)])
+    gen = generated_ball(W, [folded.longest[J] for J in folded.bar_s], None)
+    res = presentation_check(folded, gen, VerifyConfig())
+    assert res.status == "pass", res.witness
+    assert res.statistics["generated_size"] == 14400
+    assert res.statistics["pairs"] == verify.SAMPLE_PAIRS
+
+
+def test_full_ball_over_node_cap_is_refused_up_front():
+    a8 = CoxeterMatrix.from_labels(8, {(i, i + 1): 3 for i in range(1, 8)})
+    with pytest.raises(NodeCapExceeded, match="362880 elements"):
+        enumerate_ball(CoxeterGroup(a8))
+
+
+def test_bounded_balls_respect_node_cap(group_of, monkeypatch):
+    monkeypatch.setattr(verify, "NODE_CAP", 10)
+    with pytest.raises(NodeCapExceeded):
+        enumerate_ball(group_of("triangle"), radius=8)
+    W = group_of("triangle")
+    folded = fold(W, [FLIPS["triangle"]])
+    with pytest.raises(NodeCapExceeded):
+        generated_ball(W, [folded.longest[J] for J in folded.bar_s], 8)
