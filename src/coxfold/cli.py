@@ -152,7 +152,10 @@ def cmd_fold(args) -> int:
 
 def cmd_verify(args) -> int:
     group, autos = _instance(_load(args.file))
-    config = VerifyConfig(seed=args.seed, radius=args.radius)
+    try:
+        config = VerifyConfig(seed=args.seed, radius=args.radius)
+    except ValueError as err:
+        raise SystemExit2(str(err))
     try:
         report = property_suite(group, autos, config)
     except NodeCapExceeded as err:
@@ -263,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full property suite")
     p.add_argument("file")
     p.add_argument("--radius", type=int, default=None,
-                   help="ball radius for infinite groups (default 8)")
+                   help="ball radius for infinite groups, at least 1 "
+                        "(default 8)")
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_verify)

@@ -132,9 +132,10 @@ def conjugate_action(gamma: Automorphism, w: Element):
 
 def is_fixed(w: Element, autos: Sequence[Automorphism]) -> bool:
     """Fixed by every generator; that suffices for the generated group.
-    A commutation test of gamma with the action of w."""
+    A commutation test of gamma with the action of w^-1, since
+    gamma(w) = w exactly when gamma(w^-1) = w^-1."""
     fixes = w.group._engine.fixes
-    return all(fixes(gamma.images, w.cols) for gamma in autos)
+    return all(fixes(gamma.images, w.inv_cols) for gamma in autos)
 
 
 def _orbit_str(orbit) -> str:

@@ -3,9 +3,9 @@
 The enumeration side never consults the folding machinery: balls in W come
 from breadth-first search over simple generators with canonical-word
 acceptance, the generated fixed subgroup is explored by plain right
-multiplication with exact-action dedup, and dihedral orders are observed
-by iterating products.  The folding side meets the oracle side only in the
-comparisons, so a passing report actually certifies something.
+multiplication with dedup on the exact action of w^-1, and dihedral orders
+are observed by iterating products.  The folding side meets the oracle side
+only in the comparisons, so a passing report actually certifies something.
 
 Each named check returns pass/fail/skipped plus statistics; failures carry
 a replayable witness.  The checks run one after another, and reports are
@@ -64,6 +64,10 @@ class VerifyConfig:
     seed: int = 0
     radius: int | None = None     # None: full when W is finite, else 8
 
+    def __post_init__(self):
+        if self.radius is not None and self.radius < 1:
+            raise ValueError(f"radius must be at least 1, not {self.radius}")
+
 
 class NodeCapExceeded(ValueError):
     """An enumeration would hold more than NODE_CAP elements."""
@@ -75,7 +79,8 @@ class NodeCapExceeded(ValueError):
 
 @dataclass
 class Ball:
-    """Deduplicated BFS ball, ordered by (length, word)."""
+    """Deduplicated BFS ball, ordered by (length, word); key_index maps
+    the inverse action of each element to its position."""
 
     group: CoxeterGroup
     radius: int | None            # None means the full group
@@ -86,7 +91,7 @@ class Ball:
     def __post_init__(self):
         if not self.key_index:
             for i, w in enumerate(self.elements):
-                self.key_index[w.cols] = i
+                self.key_index[w.inv_cols] = i
 
     def __len__(self):
         return len(self.elements)
@@ -100,6 +105,10 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     therefore canonical without any normal-form extraction, and no
     dedup table is needed.  A full enumeration is refused up front when
     the order of W is over the node cap.
+
+    A generator t < s that commutes with s descends s*x exactly when it
+    descends x, since (s x)^-1(alpha_t) = x^-1(alpha_t); those are tested
+    on x before the action of s*x is built, and only the others after.
     """
     if radius is None:
         order = coxeter_order(group.matrix, group.generators())
@@ -110,8 +119,11 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
             )
     engine = group._engine
-    negative, lmul, rmul = engine.negative, engine.lmul, engine.rmul
+    negative, rmul = engine.negative, engine.rmul
     gens = group.generators()
+    m = group.matrix.m
+    commuting = {s: [t for t in range(1, s) if m(s, t) == 2] for s in gens}
+    braided = {s: [t for t in range(1, s) if m(s, t) != 2] for s in gens}
     elements = [group.identity]
     level = [group.identity]
     depth = 0
@@ -119,15 +131,17 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
         depth += 1
         nxt = []
         for x in level:
+            x_inv = x.inv_cols
             for s in gens:
-                if negative(x.inv_cols, s):
+                if negative(x_inv, s):
                     continue
-                inv_cols = rmul(x.inv_cols, s)
                 # canonical predecessor: no smaller generator may descend s*x
-                if any(negative(inv_cols, t) for t in range(1, s)):
+                if any(negative(x_inv, t) for t in commuting[s]):
                     continue
-                nxt.append(Element(group, (s,) + x.word,
-                                   lmul(s, x.cols), inv_cols))
+                inv_cols = rmul(x_inv, s)
+                if any(negative(inv_cols, t) for t in braided[s]):
+                    continue
+                nxt.append(Element(group, (s,) + x.word, inv_cols))
         nxt.sort(key=lambda e: e.word)
         elements.extend(nxt)
         if len(elements) > NODE_CAP:
@@ -151,12 +165,13 @@ class GeneratedBall:
     """BFS over right multiplication by the folded generators.
 
     Levels are word lengths over those generators by construction; dedup
-    uses the exact action as key.  Completely independent of the greedy
-    factorization it is later compared against.
+    uses the exact inverse action as key, and ``actions`` lists those keys
+    in BFS order.  Completely independent of the greedy factorization it
+    is later compared against.
     """
 
     gens: tuple[Element, ...]
-    pairs: list
+    actions: list
     levels: list[int]
     edges: list[list[int | None]]
     key_index: dict
@@ -164,58 +179,59 @@ class GeneratedBall:
     radius: int | None
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.actions)
 
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                    radius: int | None) -> GeneratedBall:
     gens = tuple(gens)
     compose = group._engine.compose
-    identity = group.identity
-    pairs = [(identity.cols, identity.inv_cols)]
+    identity = group._engine.identity
+    actions = [identity]
     levels = [0]
-    key_index = {identity.cols: 0}
+    key_index = {identity: 0}
     edges: list[list[int | None]] = []
     truncated = False
     head = 0
-    while head < len(pairs):
-        cols, inv_cols = pairs[head]
+    while head < len(actions):
+        inv_cols = actions[head]
         lvl = levels[head]
         out: list[int | None] = []
         for g in gens:
-            y_cols = compose(cols, g.cols)
-            idx = key_index.get(y_cols)
+            # (x g)^-1 = g^-1 x^-1
+            y_inv = compose(g.inv_cols, inv_cols)
+            idx = key_index.get(y_inv)
             if idx is None:
                 if radius is not None and lvl + 1 > radius:
                     truncated = True
                     out.append(None)
                     continue
-                y_inv = compose(g.inv_cols, inv_cols)
-                idx = len(pairs)
-                pairs.append((y_cols, y_inv))
+                idx = len(actions)
+                actions.append(y_inv)
                 levels.append(lvl + 1)
-                key_index[y_cols] = idx
-                if len(pairs) > NODE_CAP:
+                key_index[y_inv] = idx
+                if len(actions) > NODE_CAP:
                     raise NodeCapExceeded(
                         f"generated subgroup exceeded the node cap {NODE_CAP}"
                     )
             out.append(idx)
         edges.append(out)
         head += 1
-    return GeneratedBall(gens=gens, pairs=pairs, levels=levels, edges=edges,
-                         key_index=key_index, complete=not truncated,
-                         radius=radius)
+    return GeneratedBall(gens=gens, actions=actions, levels=levels,
+                         edges=edges, key_index=key_index,
+                         complete=not truncated, radius=radius)
 
 
 def _ball_edges(ball: Ball) -> list[list[int | None]]:
-    """Right-multiplication edges within a ball, by generator."""
+    """Right-multiplication edges within a ball, by generator; the key of
+    w*s is the action s w^-1."""
     group = ball.group
-    rmul = group._engine.rmul
+    lmul = group._engine.lmul
     edges = []
     for w in ball.elements:
         row: list[int | None] = []
         for s in group.generators():
-            row.append(ball.key_index.get(rmul(w.cols, s)))
+            row.append(ball.key_index.get(lmul(s, w.inv_cols)))
         edges.append(row)
     return edges
 
@@ -537,7 +553,7 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
     enumerated product is fixed, and every fixed element whose greedy
     factorization fits the radius appears among the products.
     """
-    fixed_keys = {w.cols for w in fixed}
+    fixed_keys = {w.inv_cols for w in fixed}
     gen_keys = set(gen_ball.key_index)
     if w_ball.complete and gen_ball.complete:
         if gen_keys != fixed_keys:
@@ -549,9 +565,10 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
         return CheckResult("generated-subgroup-matches-fixed-set", "pass",
                            {"generated": len(gen_keys), "fixed": len(fixed_keys),
                             "mode": "full"})
+    # gamma fixes w exactly when it fixes w^-1
     fixes = folded.group._engine.fixes
-    for pair in gen_ball.pairs:
-        if not all(fixes(gamma.images, pair[0]) for gamma in folded.autos):
+    for inv_cols in gen_ball.actions:
+        if not all(fixes(gamma.images, inv_cols) for gamma in folded.autos):
             return CheckResult(
                 "generated-subgroup-matches-fixed-set", "fail",
                 {"generated": len(gen_keys)},
@@ -562,7 +579,7 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
         lam = folded.lambda_length(w)
         if radius is not None and lam > radius:
             continue
-        if w.cols not in gen_ball.key_index:
+        if w.inv_cols not in gen_ball.key_index:
             return CheckResult(
                 "generated-subgroup-matches-fixed-set", "fail",
                 {"generated": len(gen_keys), "fixed": len(fixed_keys)},
@@ -683,21 +700,21 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     # Inside a full ball, lengths come from the enumeration itself.
     full_lookup = w_ball is not None and w_ball.complete
 
-    def materialize(pair):
+    def materialize(inv_cols):
         if full_lookup:
-            idx = w_ball.key_index.get(pair[0])
+            idx = w_ball.key_index.get(inv_cols)
             if idx is not None:
                 return w_ball.elements[idx]
-        return group._element_from_cols(*pair)
+        return group._element_from_inv(inv_cols)
 
-    elements = [materialize(pair) for pair in gen_ball.pairs]
+    elements = [materialize(inv_cols) for inv_cols in gen_ball.actions]
     candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
     stats["pairs"] = len(candidates)
     stats["pairs_exhaustive"] = exhaustive
     compose = group._engine.compose
     for i, j in candidates:
-        z_cols = compose(elements[i].cols, elements[j].cols)
-        lam_z = gen_ball.key_index.get(z_cols)
+        z_inv = compose(gen_ball.actions[j], gen_ball.actions[i])
+        lam_z = gen_ball.key_index.get(z_inv)
         if lam_z is None:
             return CheckResult("presentation-isomorphism", "fail", stats,
                                {"problem": "product left the generated ball"})
@@ -755,15 +772,16 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
                   CheckResult("fold-construction", "fail", {}, err.witness)]
         return Report(input_digest=digest, orbit_summary={},
                       folded_summary={}, checks=checks + skipped)
+    radius = DEFAULT_INFINITE_RADIUS if config.radius is None else config.radius
     finite_w = classify_finite(group.matrix, group.generators()) is not None
-    w_radius = None if finite_w else (config.radius or DEFAULT_INFINITE_RADIUS)
+    w_radius = None if finite_w else radius
     ball = enumerate_ball(group, w_radius)
     fixed = fixed_subgroup(ball, autos)
     folded_finite = (
         classify_finite(folded.folded_matrix, folded.folded_matrix.generators())
         is not None
     )
-    lam_radius = None if folded_finite else (config.radius or DEFAULT_INFINITE_RADIUS)
+    lam_radius = None if folded_finite else radius
     gen_ball = generated_ball(
         group, [folded.longest[J] for J in folded.bar_s], lam_radius,
     )

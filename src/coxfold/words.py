@@ -1,9 +1,11 @@
 """The word problem for a Coxeter system, solved geometrically.
 
-A group element is its canonical word plus an action pair: the action of
-w and of w^-1 on roots, stored column by column (``cols``, ``inv_cols``).
-Two engines compute with these pairs behind one set of primitives
-(identity, lmul, rmul, compose, negative, conjugate, fixes):
+A group element is its canonical word plus the action of w^-1 on roots
+(``inv_cols``); the action of w (``cols``) is derived from the word when
+a caller asks for it.  The inverse action alone gives the left descents,
+hence the normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1.
+Two engines compute with actions behind one set of primitives (identity,
+lmul, rmul, compose, negative, conjugate, fixes):
 
 * Finite W, as decided by classify_finite, uses a root-index table.  The
   root system Phi is enumerated once with the exact ``reflect``; each root
@@ -183,7 +185,7 @@ class CoxeterGroup:
                 f"root closure stops at {len(roots)} positive roots", witness)
         return roots, images
 
-    # -- elements from action pairs --------------------------------------------
+    # -- elements from inverse actions ----------------------------------------
 
     def _extract_word(self, inv_cols) -> tuple[int, ...]:
         """Canonical word from the inverse action by peeling the smallest
@@ -203,23 +205,22 @@ class CoxeterGroup:
             inv_cols = rmul(inv_cols, s)
         raise RuntimeError("normal-form extraction did not terminate")
 
-    def _element_from_cols(self, cols, inv_cols) -> "Element":
-        return Element(self, self._extract_word(inv_cols), cols, inv_cols)
+    def _element_from_inv(self, inv_cols) -> "Element":
+        return Element(self, self._extract_word(inv_cols), inv_cols)
 
     def _element_from_word_trusted(self, word) -> "Element":
-        engine = self._engine
-        cols = inv_cols = engine.identity
+        # (s_1 ... s_k)^-1 = s_k ... s_1
+        lmul = self._engine.lmul
+        inv_cols = self._engine.identity
         for s in word:
-            cols = engine.rmul(cols, s)
-            inv_cols = engine.lmul(s, inv_cols)
-        return self._element_from_cols(cols, inv_cols)
+            inv_cols = lmul(s, inv_cols)
+        return self._element_from_inv(inv_cols)
 
     # -- public element constructors ------------------------------------------
 
     @cached_property
     def identity(self) -> "Element":
-        unit = self._engine.identity
-        return Element(self, (), unit, unit)
+        return Element(self, (), self._engine.identity)
 
     @cached_property
     def _simples(self) -> dict:
@@ -243,15 +244,15 @@ class CoxeterGroup:
     def multiply(self, a: "Element", b: "Element") -> "Element":
         if a.group.matrix != self.matrix or b.group.matrix != self.matrix:
             raise ValueError("elements belong to a different Coxeter matrix")
-        compose = self._engine.compose
-        out = self._element_from_cols(compose(a.cols, b.cols),
-                                      compose(b.inv_cols, a.inv_cols))
+        # (ab)^-1 = b^-1 a^-1
+        inv_cols = self._engine.compose(b.inv_cols, a.inv_cols)
+        out = self._element_from_inv(inv_cols)
         assert out.length <= a.length + b.length
         assert (out.length - a.length - b.length) % 2 == 0
         return out
 
     def inverse(self, a: "Element") -> "Element":
-        return self._element_from_cols(a.inv_cols, a.cols)
+        return self._element_from_inv(a.cols)
 
     # -- descents --------------------------------------------------------------
 
@@ -290,16 +291,15 @@ class CoxeterGroup:
         if labels is None:
             raise ValueError("parabolic subgroup is infinite; no longest element")
         engine = self._engine
-        cols = inv_cols = engine.identity
+        inv_cols = engine.identity
         while True:
             for s in subset:
                 if not engine.negative(inv_cols, s):
-                    cols = engine.lmul(s, cols)
                     inv_cols = engine.rmul(inv_cols, s)
                     break
             else:
                 break
-        w = self._element_from_cols(cols, inv_cols)
+        w = self._element_from_inv(inv_cols)
         assert self.multiply(w, w) == self.identity, "longest element not an involution"
         assert w.length == sum(lab.positive_root_count for lab in labels), \
             "longest element has wrong length"
@@ -341,7 +341,7 @@ class CoxeterGroup:
 
 # -- the two engines -------------------------------------------------------------
 #
-# Both compute with actions, one side of an element's pair at a time:
+# Both compute with the action of one element at a time:
 #   identity          the action of e
 #   lmul(s, a)        the action of s * w, from that a of w
 #   rmul(a, s)        the action of w * s
@@ -488,21 +488,34 @@ class _RootTable:
 
 
 class Element:
-    """Group element: canonical reduced word plus its action pair.
+    """Group element: canonical reduced word plus the action of w^-1.
 
-    ``cols`` is the action of w and ``inv_cols`` that of w^-1, in the form
-    of the group's engine: tuples of root indices w(Phi) for finite W,
-    exact CycloReal columns (images of the simple roots) otherwise.
+    ``inv_cols`` is in the form of the group's engine: the tuple of root
+    indices w^-1(Phi) for finite W, exact CycloReal columns (images of the
+    simple roots) otherwise.  ``cols``, the action of w, is built from the
+    word on first use and cached.
     """
 
-    __slots__ = ("group", "word", "cols", "inv_cols", "_hash")
+    __slots__ = ("group", "word", "inv_cols", "_cols", "_hash")
 
-    def __init__(self, group: CoxeterGroup, word: tuple[int, ...], cols, inv_cols):
+    def __init__(self, group: CoxeterGroup, word: tuple[int, ...], inv_cols):
         self.group = group
         self.word = word
-        self.cols = cols          # the action of w
-        self.inv_cols = inv_cols  # the action of w^-1
+        self.inv_cols = inv_cols
+        self._cols = None
         self._hash = None
+
+    @property
+    def cols(self):
+        """The action of w: the identity times each letter of the word."""
+        cols = self._cols
+        if cols is None:
+            rmul = self.group._engine.rmul
+            cols = self.group._engine.identity
+            for s in self.word:
+                cols = rmul(cols, s)
+            self._cols = cols
+        return cols
 
     @property
     def length(self) -> int:
@@ -537,11 +550,12 @@ class Element:
         return " ".join(map(str, self.word)) if self.word else "e"
 
     def inversion_count(self) -> int:
-        """Number of positive roots of W sent negative (finite W only).
+        """Number of positive roots of W sent negative by w^-1, which is
+        l(w^-1) = l(w) (finite W only).
 
         Independent of the stored word; used to cross-check lengths.
         """
-        return self.group._engine.inversions(self.cols)
+        return self.group._engine.inversions(self.inv_cols)
 
 
 def word_str(word: Sequence[int]) -> str:

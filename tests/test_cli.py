@@ -139,6 +139,17 @@ def test_verify_infinite_radius_flag(capsys, tmp_path):
     assert "folded: I2(inf), weights [3, 1]" in out
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_verify_radius_below_one_exits_2(capsys, tmp_path, radius):
+    # 0 used to mean the default 8, and -1 passed on the identity alone
+    p = tmp_path / "tri.cox"
+    p.write_text(TRIANGLE)
+    rc, out, err = run_cli(capsys, "verify", str(p), "--radius", radius)
+    assert rc == 2
+    assert out == ""
+    assert err == f"radius must be at least 1, not {radius}\n"
+
+
 def test_verify_deterministic_output(capsys, a3_file):
     rc1, out1, _ = run_cli(capsys, "verify", a3_file, "--seed", "7")
     rc2, out2, _ = run_cli(capsys, "verify", a3_file, "--seed", "7")

@@ -72,7 +72,7 @@ def invocations(draw):
         word = " ".join(draw(st.lists(SMALL, max_size=8)))
         extra = ["--word", draw(st.sampled_from([word, word + " x"]))]
     elif command == "verify":
-        # radius 0 would mean the default 8 on an infinite group
+        # a radius below 1 is a usage error (exit 2), tested in test_cli.py
         extra = ["--radius", str(draw(st.integers(1, 3))),
                  "--seed", str(draw(st.integers(0, 3)))]
     return text, [command, "FILE", *extra, *fmt]

@@ -1,9 +1,11 @@
 """Golden bytes: sha256 of `fold` and `verify` stdout, both formats.
 
-The digests pin the exact reports of the eight fast catalog rows and of
+The digests pin the exact reports of the eight fast catalog rows, of
 H3 with the identity automorphism, whose presentation pairs are sampled
-(120^2 candidate pairs is over the exhaustive cap).  Any change to a
-payload, its key order, a statistic or a seeded draw shows up here.
+(120^2 candidate pairs is over the exhaustive cap), and of the (4,4,3)
+triangle group with its swap, whose field has N = 12 and whose balls are
+bounded (`verify --radius 8`).  Any change to a payload, its key order, a
+statistic or a seeded draw shows up here.
 """
 
 import hashlib
@@ -16,6 +18,10 @@ from coxfold.catalog import CATALOG
 
 INPUTS = {e.name: e.input_text for e in CATALOG if not e.slow}
 INPUTS["h3-id"] = "rank 3\nm 1 2 5\nm 2 3 3\nauto id\n"
+INPUTS["tri443-swap"] = "rank 3\nm 1 2 4\nm 1 3 4\nm 2 3 3\nauto swap 2>3 3>2\n"
+
+# arguments after the file, by input and command
+EXTRA = {("tri443-swap", "verify"): ("--radius", "8")}
 
 GOLDEN = {
     ("a2-flip", "fold", "text"): "df3a3d2ab3cc4a1914a5b6343c16cf6cd7aafdcb0b323c6bcbe03e9448bce0c0",
@@ -54,6 +60,10 @@ GOLDEN = {
     ("h3-id", "fold", "json"): "a47b2ab56e6c1e2b4c06a84d0dde9a795e58aab6d75c2c2be240b1b7daa6bc85",
     ("h3-id", "verify", "text"): "57cf837b7635f5d314c65afa5ce6f76d5e807fdcca352f5310bd4a57a19b7f03",
     ("h3-id", "verify", "json"): "e25299d2e16225d5f86bc2be3fae42c86e53aeeb4db948e7020115e1c0f4490a",
+    ("tri443-swap", "fold", "text"): "814ca468cdfca84b04958d40c881bb2438f312fd9b9347f08cb93501b3d22bb9",
+    ("tri443-swap", "fold", "json"): "224c414c430b67c53e108b6900e4490c33e2bfab89dbaaad8f4a44dfd09975ec",
+    ("tri443-swap", "verify", "text"): "6e66f8b9dc67c23e48489adeffaca6e6cf1179d34c0d0f42b7d7d894a18e5389",
+    ("tri443-swap", "verify", "json"): "e741c6e151972b4b8ee821546c8e627205dc3c22d35299bd9c74c1293e1248b3",
 }
 
 
@@ -66,7 +76,8 @@ def run_cli(capsys, tmp_path, name, *argv):
 
 @pytest.mark.parametrize("name,command,fmt", sorted(GOLDEN))
 def test_golden_stdout(capsys, tmp_path, name, command, fmt):
-    rc, out = run_cli(capsys, tmp_path, name, command, "--format", fmt)
+    rc, out = run_cli(capsys, tmp_path, name, command,
+                      *EXTRA.get((name, command), ()), "--format", fmt)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name, command, fmt]
 

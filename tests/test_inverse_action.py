@@ -1,0 +1,142 @@
+"""Differential tests: elements carry only the action of w^-1.
+
+The action of w (``cols``) is derived from the canonical word on first
+use.  Here it is compared with the forward action built letter by letter
+from the input word and with the inverse action of w^-1; right descents
+are compared with the left descents of w^-1, and the fixedness test on
+the inverse action with mapping the word letterwise.  Both engines are
+covered: table groups a5, d4 and h3, and matrix-engine groups affine A~2,
+the (4,4,3) triangle group, I2(inf), and b3 on the matrix engine.
+
+enumerate_ball tests generators that commute with s on the predecessor
+before it builds a candidate; a plain BFS, deduplicated on the action and
+with words from normal-form extraction, must list the same words.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxfold.catalog import CATALOG
+from coxfold.coxeter import CoxeterMatrix, coxeter_order, parse_input
+from coxfold.folding import Automorphism, is_fixed
+from coxfold.verify import enumerate_ball
+from coxfold.words import CoxeterGroup, _MatrixEngine, _RootTable
+
+from conftest import FLIPS, MATRICES, matrix_engine_group
+
+TRI443 = CoxeterMatrix.from_labels(3, {(1, 2): 4, (1, 3): 4, (2, 3): 3})
+H3 = CoxeterMatrix.from_labels(3, {(1, 2): 5, (2, 3): 3})
+
+# name: (group builder, engine it must run on, automorphisms besides id)
+CASES = {
+    "a5": (lambda: CoxeterGroup(MATRICES["a5"]), _RootTable, [FLIPS["a5"]]),
+    "d4": (lambda: CoxeterGroup(MATRICES["d4"]), _RootTable,
+           [FLIPS["d4_triality"], FLIPS["d4_swap"]]),
+    "h3": (lambda: CoxeterGroup(H3), _RootTable, []),
+    "affine-a2": (lambda: CoxeterGroup(MATRICES["triangle"]), _MatrixEngine,
+                  [FLIPS["triangle"], Automorphism((2, 3, 1))]),
+    "tri443": (lambda: CoxeterGroup(TRI443), _MatrixEngine,
+               [Automorphism((1, 3, 2))]),
+    "i2inf": (lambda: CoxeterGroup(MATRICES["dinf"]), _MatrixEngine,
+              [FLIPS["dinf"]]),
+    "b3-matrix": (lambda: matrix_engine_group(MATRICES["b3"]), _MatrixEngine,
+                  []),
+}
+
+_groups: dict[str, CoxeterGroup] = {}
+
+
+def group(name):
+    if name not in _groups:
+        build, engine, _ = CASES[name]
+        W = build()
+        assert isinstance(W._engine, engine)
+        _groups[name] = W
+    return _groups[name]
+
+
+def autos_of(name):
+    W = group(name)
+    return [Automorphism.identity_of(W.rank)] + CASES[name][2]
+
+
+def forward_action(W, word):
+    """The action of the product of `word`, one letter at a time."""
+    cols = W._engine.identity
+    for s in word:
+        cols = W._engine.rmul(cols, s)
+    return cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.data())
+def test_derived_action_agrees(name, data):
+    W = group(name)
+    word = data.draw(st.lists(st.integers(1, W.rank), max_size=12), label="word")
+    w = W.reduce(word)
+    inv = W.inverse(w)
+    assert w.cols == forward_action(W, word)
+    assert w.cols == inv.inv_cols
+    assert inv.cols == w.inv_cols
+    assert W.right_descents(w) == W.left_descents(inv)
+    assert W.left_descents(w) == W.right_descents(inv)
+    for gamma in autos_of(name):
+        assert is_fixed(w, [gamma]) == (gamma.apply_element(w) == w)
+
+
+def test_fixed_elements_are_found():
+    # the agreement above must not hold only because nothing is fixed
+    W = group("affine-a2")
+    gamma = FLIPS["triangle"]
+    w = W.reduce((1, 2, 1))
+    assert is_fixed(w, [gamma]) and gamma.apply_element(w) == w
+    assert not is_fixed(W.reduce((1,)), [gamma])
+
+
+def plain_ball_words(W, radius=None):
+    """Words of a ball by BFS over left multiplication, deduplicated on the
+    inverse action, each word extracted from its action; sorted by level
+    and word."""
+    engine = W._engine
+    seen = {engine.identity}
+    level = [engine.identity]
+    words = [()]
+    depth = 0
+    while level and (radius is None or depth < radius):
+        depth += 1
+        nxt = []
+        for inv_cols in level:
+            for s in W.generators():
+                if engine.negative(inv_cols, s):
+                    continue
+                y = engine.rmul(inv_cols, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        words.extend(sorted(W._extract_word(y) for y in nxt))
+        level = nxt
+    return words
+
+
+def _e6():
+    (entry,) = [e for e in CATALOG if e.name == "e6-flip"]
+    return CoxeterGroup(parse_input(entry.input_text).matrix)
+
+
+@pytest.mark.parametrize("build,radius", [
+    (lambda: group("a5"), None),
+    (lambda: group("d4"), None),
+    (_e6, None),
+    (lambda: group("tri443"), 6),
+], ids=["a5", "d4", "e6", "tri443-r6"])
+def test_enumerate_ball_matches_plain_bfs(build, radius):
+    W = build()
+    ball = enumerate_ball(W, radius)
+    words = [w.word for w in ball.elements]
+    assert words == plain_ball_words(W, radius)
+    if radius is None:
+        assert len(words) == coxeter_order(W.matrix, W.generators())
+    else:
+        assert not ball.complete and max(map(len, words)) == radius
+

@@ -64,7 +64,7 @@ def test_ball_order_and_uniqueness(group_of):
     # closed under inverse when complete
     keys = set(ball.key_index)
     for w in ball.elements:
-        assert w.inv_cols in keys
+        assert w.cols in keys  # the key of w^-1
 
 
 def test_ball_matches_permutation_oracle(group_of):
