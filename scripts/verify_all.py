@@ -31,10 +31,10 @@ def main() -> int:
         parsed = parse_input(entry.input_text)
         group = CoxeterGroup(parsed.matrix)
         autos = [Automorphism(images) for _, images in parsed.autos]
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = property_suite(group, autos, VerifyConfig(seed=args.seed))
         status = "PASS" if report.passed else "FAIL"
-        print(f"{entry.name:24s} {status}  ({time.time() - t0:.1f}s)")
+        print(f"{entry.name:24s} {status}  ({time.perf_counter() - t0:.1f}s)")
         if not report.passed:
             all_ok = False
             for c in report.checks:

@@ -11,7 +11,9 @@ Equality is decided on canonical forms, so it is exact.  Sign queries fall
 back to adaptive-precision interval evaluation (mpmath.iv): double the
 working precision until the enclosing interval excludes zero.  That loop
 terminates for every nonzero input because a nonzero algebraic number is
-bounded away from zero.
+bounded away from zero.  The enclosures of cos(k*pi/N) depend only on the
+context and the working precision, so each context computes them once per
+precision and every evaluation at that precision reuses them.
 """
 
 from __future__ import annotations
@@ -58,21 +60,29 @@ class ContextMismatch(ValueError):
 
 
 def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
+    """Exact division of integer polynomials (den monic up to sign).
+
+    Raises ArithmeticError, naming both polynomials, when den does not
+    divide num."""
+    rem = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    q = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
+    q = [0] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
         if c == 0:
             continue
-        assert c % lead == 0
+        if c % lead:
+            raise ArithmeticError(
+                f"{list(den)!r} does not divide {list(num)!r}: leading "
+                f"coefficient {lead} does not divide {c} at degree {k}")
         f = c // lead
         q[k - dd] = f
         for j, dj in enumerate(den):
-            num[k - dd + j] -= f * dj
-    assert all(c == 0 for c in num), "division was not exact"
+            rem[k - dd + j] -= f * dj
+    if any(rem):
+        raise ArithmeticError(
+            f"{list(den)!r} does not divide {list(num)!r}: remainder {rem!r}")
     return q
 
 
@@ -118,7 +128,8 @@ class ArithContext:
     polynomial; its degree phi(2N) bounds every canonical form.
     """
 
-    __slots__ = ("N", "modulus", "degree", "_zero", "_one", "_two_cos_cache")
+    __slots__ = ("N", "modulus", "degree", "_zero", "_one", "_two_cos_cache",
+                 "_cos_enclosures")
 
     def __init__(self, N: int, degree_cap: int = DEGREE_CAP):
         if N < 1:
@@ -135,6 +146,8 @@ class ArithContext:
         self._zero = CycloReal(self, (0,) * deg)
         self._one = CycloReal(self, (1,) + (0,) * (deg - 1))
         self._two_cos_cache: dict[object, CycloReal] = {}
+        # working precision -> enclosures of cos(k*pi/N), k < degree
+        self._cos_enclosures: dict[int, tuple] = {}
 
     def __repr__(self):
         return f"ArithContext(N={self.N}, degree={self.degree})"
@@ -180,6 +193,19 @@ class ArithContext:
             val = self.zeta_power(k) + self.zeta_power(2 * self.N - k)
         self._two_cos_cache[m] = val
         return val
+
+    def cos_enclosures(self) -> tuple:
+        """Intervals enclosing cos(k*pi/N) for k < degree, at mpmath.iv's
+        current precision.  The caller holds _EVAL_LOCK, which guards both
+        that precision and this cache."""
+        prec = mpmath.iv.prec
+        table = self._cos_enclosures.get(prec)
+        if table is None:
+            step = mpmath.iv.pi / self.N
+            table = self._cos_enclosures[prec] = (mpmath.iv.mpf(1),) + tuple(
+                mpmath.iv.cos(step * k) for k in range(1, self.degree)
+            )
+        return table
 
     def _reduce(self, coeffs: list) -> tuple:
         """Reduce a coefficient list modulo the cyclotomic modulus."""
@@ -369,12 +395,11 @@ class CycloReal:
 
     def _interval_value(self):
         # the value is real, so it equals the real part sum c_k cos(k*pi/N)
-        step = mpmath.iv.pi / self.ctx.N
+        cos = self.ctx.cos_enclosures()
         total = mpmath.iv.mpf(0)
         for k, c in enumerate(self.coeffs):
             if c:
-                term = mpmath.iv.cos(step * k) if k else mpmath.iv.mpf(1)
-                total += term * mpmath.iv.mpf(c.numerator) / c.denominator
+                total += cos[k] * mpmath.iv.mpf(c.numerator) / c.denominator
         return total
 
     def __float__(self):

@@ -8,7 +8,7 @@ checks the exchange condition at the folded level.
 
 Every structural fact used along the way (orbits of descents are full
 descent sets, coset components are longest elements, folded labels are
-integral, dropped blocks reproduce products) is asserted at runtime; a
+integral, dropped blocks reproduce products) is checked at runtime; a
 failure raises InvariantViolation carrying a replayable witness instead
 of returning a wrong answer.
 """
@@ -64,7 +64,12 @@ class Automorphism:
 
     def apply_element(self, w: Element) -> Element:
         out = w.group.reduce(self.apply_word(w.word))
-        assert out.length == w.length, "automorphism must preserve length"
+        if out.length != w.length:
+            raise InvariantViolation(
+                "automorphism", "image of an element has a different length",
+                w.group._witness(automorphisms=[list(self.images)],
+                                 word=list(w.word), image=list(out.word)),
+            )
         return out
 
     @staticmethod
@@ -168,6 +173,10 @@ class FoldedSystem:
     folded_matrix: CoxeterMatrix
     details: tuple[DihedralDetail, ...]
     _orbit_of: dict[int, frozenset] = field(default_factory=dict, repr=False)
+    # inverse action -> (its left descents, {orbit: peel}); see _factorize_inv.
+    # Not an init field, so a dataclasses.replace copy starts empty.
+    _steps: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         for orbit in self.orbit_partition:
@@ -193,12 +202,8 @@ class FoldedSystem:
         return out
 
     def _witness(self, **extra) -> dict:
-        base = {
-            "matrix": str(self.group.matrix).split("\n"),
-            "automorphisms": [list(g.images) for g in self.autos],
-        }
-        base.update(extra)
-        return base
+        return self.group._witness(
+            automorphisms=[list(g.images) for g in self.autos], **extra)
 
     # -- factorization over the folded generators ------------------------------
 
@@ -213,47 +218,33 @@ class FoldedSystem:
         length of the element.  Left descents are read off the inverse
         action, and stripping t maps it to inv_cols * t, so the element
         itself never needs a normal form.
+
+        Both steps are pure functions of the inverse action, so the system
+        memoizes them: the descents of each action reached, and each peel
+        that passed its checks.  The factorizations of one run (every fixed
+        element, under many choices) share their steps; a failing peel is
+        never stored and raises on every call, and `choose` is still asked
+        at every step, so a seeded rng draws what it drew before.
         """
-        group = self.group
-        engine = group._engine
-        negative, rmul = engine.negative, engine.rmul
+        engine = self.group._engine
+        negative, gens = engine.negative, self.group.generators()
+        steps = self._steps
         seq: list[frozenset] = []
         letters = 0
         while True:
-            descents = [s for s in group.generators() if negative(inv_cols, s)]
+            state = steps.get(inv_cols)
+            if state is None:
+                descents = tuple(s for s in gens if negative(inv_cols, s))
+                state = steps[inv_cols] = (descents, {})
+            descents, peels = state
             if not descents:
                 break
             s = choose(descents) if choose is not None else descents[0]
             orbit = self.orbit_of(s)
-            for t in sorted(orbit):
-                if not negative(inv_cols, t):
-                    raise InvariantViolation(
-                        "factorize", "orbit of a descent is not all-descending",
-                        self._witness(source=source, descent=s,
-                                      orbit=sorted(orbit), non_descent=t,
-                                      peeled=[sorted(J) for J in seq]),
-                    )
-            if orbit not in self.longest:
-                raise InvariantViolation(
-                    "factorize", "descent orbit spans an infinite parabolic",
-                    self._witness(source=source, orbit=sorted(orbit)),
-                )
-            count = 0
-            stripping = True
-            while stripping:
-                stripping = False
-                for t in sorted(orbit):
-                    if negative(inv_cols, t):
-                        inv_cols = rmul(inv_cols, t)
-                        count += 1
-                        stripping = True
-                        break
-            if count != self.weight[orbit]:
-                raise InvariantViolation(
-                    "factorize", "parabolic component is not the longest element",
-                    self._witness(source=source, orbit=sorted(orbit),
-                                  stripped=count, weight=self.weight[orbit]),
-                )
+            peel = peels.get(orbit)
+            if peel is None:
+                peel = peels[orbit] = self._peel(inv_cols, s, orbit, source, seq)
+            count, inv_cols = peel
             seq.append(orbit)
             letters += count
         if inv_cols != engine.identity:
@@ -264,8 +255,47 @@ class FoldedSystem:
             )
         return seq, letters
 
+    def _peel(self, inv_cols, s, orbit, source, seq):
+        """Strip the parabolic component of orbit (reached from the
+        descent s) off the left: (letters stripped, inverse action after).
+        Raises unless it is the longest element w_orbit."""
+        engine = self.group._engine
+        negative, rmul = engine.negative, engine.rmul
+        members = sorted(orbit)
+        for t in members:
+            if not negative(inv_cols, t):
+                raise InvariantViolation(
+                    "factorize", "orbit of a descent is not all-descending",
+                    self._witness(source=source, descent=s,
+                                  orbit=members, non_descent=t,
+                                  peeled=[sorted(J) for J in seq]),
+                )
+        if orbit not in self.longest:
+            raise InvariantViolation(
+                "factorize", "descent orbit spans an infinite parabolic",
+                self._witness(source=source, orbit=members),
+            )
+        count = 0
+        stripping = True
+        while stripping:
+            stripping = False
+            for t in members:
+                if negative(inv_cols, t):
+                    inv_cols = rmul(inv_cols, t)
+                    count += 1
+                    stripping = True
+                    break
+        if count != self.weight[orbit]:
+            raise InvariantViolation(
+                "factorize", "parabolic component is not the longest element",
+                self._witness(source=source, orbit=members,
+                              stripped=count, weight=self.weight[orbit]),
+            )
+        return count, inv_cols
+
     def greedy_factorize(
-        self, w: Element, choose: Callable[[list[int]], int] | None = None,
+        self, w: Element,
+        choose: Callable[[Sequence[int]], int] | None = None,
     ) -> list[frozenset]:
         """Peel w into folded generators: take a left descent s (smallest by
         default, or per `choose`), strip the full parabolic component of its
@@ -379,7 +409,12 @@ class FoldedSystem:
                 block_index = i
                 break
             upto += b.length
-        assert block_index is not None
+        if block_index is None:
+            raise InvariantViolation(
+                "folded-exchange", "exchanged letter lies past the minimal word",
+                self._witness(orbit=sorted(orbit), word=list(concat),
+                              letter_index=letter_index),
+            )
 
         z = self.product_of(orbit_word[: block_index - 1])
         conj = ~z * w_i * z
@@ -553,10 +588,7 @@ def fold(group: CoxeterGroup, autos: Sequence[Automorphism]) -> FoldedSystem:
     autos = tuple(autos)
     if not autos:
         raise ValueError("need at least one automorphism (identity is allowed)")
-    witness = {
-        "matrix": str(group.matrix).split("\n"),
-        "automorphisms": [list(g.images) for g in autos],
-    }
+    witness = group._witness(automorphisms=[list(g.images) for g in autos])
     for gamma in autos:
         errs = validate_automorphism(group.matrix, gamma.images)
         if errs:

@@ -61,13 +61,18 @@ def is_positive_root(coords: Sequence[CycloReal]) -> bool:
     return root_sign(coords) > 0
 
 
-class RootSystemError(RuntimeError):
-    """The root closure disagrees with the classification; carries a
-    witness (matrix, subset, expected count) to replay it."""
+class EngineInvariantError(RuntimeError):
+    """An identity the word engine guarantees failed: an engine bug, never
+    bad input.  Carries a witness (matrix, words) to replay it."""
 
     def __init__(self, message: str, witness: dict):
         self.witness = witness
         super().__init__(f"{message}: {witness}")
+
+
+class RootSystemError(EngineInvariantError):
+    """The root closure disagrees with the classification; carries a
+    witness (matrix, subset, expected count) to replay it."""
 
 
 class CoxeterGroup:
@@ -160,8 +165,7 @@ class CoxeterGroup:
         if labels is None:
             raise ValueError("parabolic subgroup is infinite")
         count = sum(lab.positive_root_count for lab in labels)
-        witness = {"matrix": str(self.matrix).split("\n"), "subset": subset,
-                   "positive_root_count": count}
+        witness = self._witness(subset=subset, positive_root_count=count)
         roots = [self.simple_root(s) for s in subset]
         index = {r: i for i, r in enumerate(roots)}
         images: dict[int, list[int]] = {s: [] for s in subset}
@@ -185,6 +189,9 @@ class CoxeterGroup:
                 f"root closure stops at {len(roots)} positive roots", witness)
         return roots, images
 
+    def _witness(self, **extra) -> dict:
+        return {"matrix": str(self.matrix).split("\n"), **extra}
+
     # -- elements from inverse actions ----------------------------------------
 
     def _extract_word(self, inv_cols) -> tuple[int, ...]:
@@ -199,7 +206,10 @@ class CoxeterGroup:
                 if negative(inv_cols, s):
                     break
             else:
-                assert inv_cols == engine.identity, "residual action is not identity"
+                if inv_cols != engine.identity:
+                    raise EngineInvariantError(
+                        "action without left descents is not the identity",
+                        self._witness(extracted=letters))
                 return tuple(letters)
             letters.append(s)
             inv_cols = rmul(inv_cols, s)
@@ -238,7 +248,10 @@ class CoxeterGroup:
             if not (isinstance(s, int) and 1 <= s <= self.rank):
                 raise ValueError(f"letter {s!r} out of range 1..{self.rank}")
         elt = self._element_from_word_trusted(word)
-        assert (len(word) - elt.length) % 2 == 0, "length parity broken"
+        if (len(word) - elt.length) % 2:
+            raise EngineInvariantError(
+                "normal form and word differ in length parity",
+                self._witness(word=list(word), normal_form=list(elt.word)))
         return elt
 
     def multiply(self, a: "Element", b: "Element") -> "Element":
@@ -247,8 +260,12 @@ class CoxeterGroup:
         # (ab)^-1 = b^-1 a^-1
         inv_cols = self._engine.compose(b.inv_cols, a.inv_cols)
         out = self._element_from_inv(inv_cols)
-        assert out.length <= a.length + b.length
-        assert (out.length - a.length - b.length) % 2 == 0
+        excess = a.length + b.length - out.length
+        if excess < 0 or excess % 2:
+            raise EngineInvariantError(
+                "product length is not l(a) + l(b) - 2k with k >= 0",
+                self._witness(left=list(a.word), right=list(b.word),
+                              product=list(out.word)))
         return out
 
     def inverse(self, a: "Element") -> "Element":
@@ -300,9 +317,16 @@ class CoxeterGroup:
             else:
                 break
         w = self._element_from_inv(inv_cols)
-        assert self.multiply(w, w) == self.identity, "longest element not an involution"
-        assert w.length == sum(lab.positive_root_count for lab in labels), \
-            "longest element has wrong length"
+        if self.multiply(w, w) != self.identity:
+            raise EngineInvariantError(
+                "longest element is not an involution",
+                self._witness(subset=subset, word=list(w.word)))
+        count = sum(lab.positive_root_count for lab in labels)
+        if w.length != count:
+            raise EngineInvariantError(
+                "longest element length is not the positive root count",
+                self._witness(subset=subset, word=list(w.word),
+                              positive_root_count=count))
         return w
 
     def coset_decompose(self, w: "Element", subset) -> tuple["Element", "Element"]:
@@ -320,7 +344,11 @@ class CoxeterGroup:
             else:
                 break
         u = self.reduce(letters)
-        assert u.length + x.length == w.length, "coset lengths must add"
+        if u.length + x.length != w.length:
+            raise EngineInvariantError(
+                "coset lengths do not add",
+                self._witness(word=list(w.word), subset=subset,
+                              parabolic=list(u.word), coset=list(x.word)))
         return u, x
 
     def exchange(self, word: Sequence[int], s: int) -> int:

@@ -1,8 +1,12 @@
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
+import mpmath
 import pytest
+
+from coxfold import cyclo
 
 from coxfold.coxeter import CoxeterMatrix
 from coxfold.cyclo import (
@@ -27,6 +31,13 @@ def test_cyclotomic_polynomials():
         poly = cyclotomic_polynomial(n)
         assert len(poly) - 1 == euler_phi(n)
         assert poly[-1] == 1
+
+
+def test_inexact_polynomial_division_raises():
+    with pytest.raises(ArithmeticError, match="remainder"):
+        cyclo._int_poly_divexact([1, 0, 1], [-1, 1])
+    with pytest.raises(ArithmeticError, match="does not divide 1"):
+        cyclo._int_poly_divexact([1, 0, 1], [1, 2])
 
 
 def test_euler_phi():
@@ -187,3 +198,79 @@ def test_zeta_power_not_real():
     ctx = ArithContext(6)
     assert not ctx.zeta_power(1).is_real()
     assert (ctx.zeta_power(1) + ctx.zeta_power(11)).is_real()
+
+
+# -- the cached cosine enclosures of the interval sign test ---------------------
+
+
+@contextmanager
+def _interval_prec(prec):
+    with cyclo._EVAL_LOCK:
+        saved = mpmath.iv.prec
+        mpmath.iv.prec = prec
+        try:
+            yield
+        finally:
+            mpmath.iv.prec = saved
+
+
+def _fresh_cos(N, k):
+    return mpmath.iv.cos(mpmath.iv.pi / N * k) if k else mpmath.iv.mpf(1)
+
+
+def _fresh_value(x):
+    """Enclosure of x at the current precision, every cosine recomputed."""
+    total = mpmath.iv.mpf(0)
+    for k, c in enumerate(x.coeffs):
+        if c:
+            total += (_fresh_cos(x.ctx.N, k)
+                      * mpmath.iv.mpf(c.numerator) / c.denominator)
+    return total
+
+
+def _reference_sign(x):
+    """Sign by the doubling interval loop, without the cached cosines."""
+    if x.is_zero():
+        return 0
+    prec = 64
+    while True:
+        with _interval_prec(prec):
+            total = _fresh_value(x)
+            if total > 0:
+                return 1
+            if total < 0:
+                return -1
+        prec *= 2
+
+
+def _random_real(ctx, rng):
+    v = ctx.zero
+    for k in range(ctx.degree):
+        v = v + ctx.zeta_power(k) * Fraction(rng.randint(-4, 4),
+                                             rng.choice((1, 1, 2, 3)))
+    return v + v.conjugate()
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+@pytest.mark.parametrize("N", [5, 12, 42])
+def test_cos_enclosures_equal_fresh_ones(N, prec):
+    ctx = ArithContext(N)
+    with _interval_prec(prec):
+        cached = ctx.cos_enclosures()
+        assert ctx.cos_enclosures() is cached
+        assert len(cached) == ctx.degree
+        for k, enc in enumerate(cached):
+            fresh = _fresh_cos(N, k)
+            assert enc._mpi_ == fresh._mpi_
+
+
+@pytest.mark.parametrize("N", [5, 12, 42])
+def test_cached_signs_agree_with_uncached_evaluation(N):
+    ctx = ArithContext(N)
+    rng = random.Random(N)
+    for _ in range(50):
+        x = _random_real(ctx, rng)
+        for prec in (64, 128):
+            with _interval_prec(prec):
+                assert x._interval_value()._mpi_ == _fresh_value(x)._mpi_
+        assert x.sign() == _reference_sign(x)

@@ -1,0 +1,141 @@
+"""Differential tests for the memoized factorization of FoldedSystem.
+
+`_factorize_inv` memoizes the descents of each inverse action it reaches
+and each orbit peel that passed its checks.  The reference below peels
+without any memo, exactly as the factorization is defined, and must agree
+with `greedy_factorize` and `factorize_product` on every fixed element:
+same orbit sequence, same letter count, and the same draws from a seeded
+`choose`.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from coxfold.catalog import entry_by_name
+from coxfold.coxeter import parse_input
+from coxfold.folding import Automorphism, InvariantViolation, fold
+from coxfold.verify import enumerate_ball, fixed_subgroup
+from coxfold.words import CoxeterGroup
+
+INSTANCES = {
+    # name: (input, ball radius; None enumerates all of W)
+    "a5-flip": (entry_by_name("a5-flip").input_text, None),
+    "h3-id": ("rank 3\nm 1 2 5\nm 2 3 3\nauto id\n", None),
+    "tri443-swap": ("rank 3\nm 1 2 4\nm 1 3 4\nm 2 3 3\n"
+                    "auto swap 2>3 3>2\n", 8),
+}
+
+_cache: dict = {}
+
+
+def instance(name):
+    """(folded system, fixed elements of the ball), built once per name."""
+    if name not in _cache:
+        text, radius = INSTANCES[name]
+        parsed = parse_input(text)
+        group = CoxeterGroup(parsed.matrix)
+        autos = [Automorphism(images) for _, images in parsed.autos]
+        fixed = fixed_subgroup(enumerate_ball(group, radius), autos)
+        _cache[name] = (fold(group, autos), fixed)
+    return _cache[name]
+
+
+def reference_factorize(folded, inv_cols, choose=None):
+    """(orbit sequence, letters) by peeling without a memo."""
+    group = folded.group
+    engine = group._engine
+    seq, letters = [], 0
+    while True:
+        descents = [s for s in group.generators()
+                    if engine.negative(inv_cols, s)]
+        if not descents:
+            break
+        s = choose(descents) if choose is not None else descents[0]
+        orbit = folded.orbit_of(s)
+        assert all(engine.negative(inv_cols, t) for t in orbit)
+        count = 0
+        while True:
+            down = [t for t in sorted(orbit) if engine.negative(inv_cols, t)]
+            if not down:
+                break
+            inv_cols = engine.rmul(inv_cols, down[0])
+            count += 1
+        assert count == folded.weight[orbit]
+        seq.append(orbit)
+        letters += count
+    assert inv_cols == engine.identity
+    return seq, letters
+
+
+def reference_product_inv(folded, orbit_word):
+    engine = folded.group._engine
+    inv_cols = engine.identity
+    for J in orbit_word:
+        inv_cols = engine.compose(folded.longest[J].inv_cols, inv_cols)
+    return inv_cols
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_memoized_peel_matches_reference(name):
+    folded, fixed = instance(name)
+    assert fixed
+    for w in fixed:
+        seq, letters = reference_factorize(folded, w.inv_cols)
+        assert letters == w.length
+        assert folded.greedy_factorize(w) == seq
+        assert folded.factorize_product(seq) == (seq, letters)
+        # a second pass runs on memo hits only
+        assert folded.greedy_factorize(w) == seq
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_memoized_peel_draws_like_reference(name):
+    folded, fixed = instance(name)
+    ref_rng, rng = random.Random(5), random.Random(5)
+    for w in fixed:
+        for _ in range(3):
+            seq, _ = reference_factorize(folded, w.inv_cols,
+                                         choose=ref_rng.choice)
+            assert folded.greedy_factorize(w, choose=rng.choice) == seq
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_factorize_product_matches_reference(name):
+    folded, _ = instance(name)
+    rng = random.Random(9)
+    for _ in range(100):
+        word = [rng.choice(folded.bar_s) for _ in range(rng.randint(0, 6))]
+        expected = reference_factorize(
+            folded, reference_product_inv(folded, word))
+        assert folded.factorize_product(word) == expected
+
+
+def test_failing_peel_raises_on_every_call():
+    folded, fixed = instance("a5-flip")
+    orbit = folded.bar_s[0]
+    broken = dataclasses.replace(
+        folded, weight={**folded.weight, orbit: folded.weight[orbit] + 1})
+    w = max(fixed, key=lambda e: e.length)
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(InvariantViolation) as exc:
+            broken.greedy_factorize(w)
+        witnesses.append(exc.value.witness)
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0]["check"] == "factorize"
+    # the failed peel was not stored
+    assert not any(orbit in peels for _, peels in broken._steps.values())
+
+
+def test_replaced_copy_starts_with_empty_memo():
+    folded, fixed = instance("h3-id")
+    for w in fixed:
+        folded.greedy_factorize(w)
+    assert folded._steps
+    copy = dataclasses.replace(folded)
+    assert copy._steps == {}
+    assert copy._steps is not folded._steps
+    assert copy == folded  # the memo takes no part in equality

@@ -211,6 +211,16 @@ def test_factorize_product_roundtrip(a3_fold):
     assert fs.product_of(word).length == 4
 
 
+def test_length_changing_automorphism_raises(monkeypatch):
+    W = CoxeterGroup(MATRICES["a3"])
+    w = W.reduce([1, 2])
+    monkeypatch.setattr(W, "reduce", lambda word: W.simple(1))
+    with pytest.raises(InvariantViolation) as exc:
+        FLIPS["a3"].apply_element(w)
+    assert exc.value.witness["word"] == [1, 2]
+    assert exc.value.witness["image"] == [1]
+
+
 def test_tampered_weight_raises_violation(group_of, a3_fold):
     # the falsification harness: a wrong folded system must be reported,
     # not silently accepted

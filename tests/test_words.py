@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from coxfold.coxeter import FiniteTypeLabel
 from coxfold.verify import enumerate_ball
-from coxfold.words import CoxeterGroup, RootSystemError, parse_word, root_sign, word_str
+from coxfold.words import (
+    CoxeterGroup,
+    EngineInvariantError,
+    RootSystemError,
+    parse_word,
+    root_sign,
+    word_str,
+)
 
 import oracles
 from conftest import MATRICES, matrix_engine_group
@@ -214,6 +221,41 @@ def test_root_closure_must_meet_the_classified_count(monkeypatch, delta, message
     assert err.value.witness["subset"] == [1, 2, 3]
     assert err.value.witness["positive_root_count"] == 9 + delta
     assert err.value.witness["matrix"] == str(MATRICES["b3"]).split("\n")
+
+
+def test_broken_engine_raises_with_a_witness(monkeypatch):
+    # the identities of the engine are checked by explicit raises, which
+    # python -O keeps: a broken engine never returns a wrong answer
+    W = CoxeterGroup(MATRICES["a3"])
+    s1, s2 = W.simple(1), W.simple(2)
+    matrix = str(MATRICES["a3"]).split("\n")
+
+    monkeypatch.setattr(W, "_extract_word", lambda inv_cols: (1,))
+    with pytest.raises(EngineInvariantError, match="parity") as err:
+        W.reduce([1, 2])
+    assert err.value.witness == {"matrix": matrix, "word": [1, 2],
+                                 "normal_form": [1]}
+
+    monkeypatch.setattr(W, "_extract_word", lambda inv_cols: (1, 2, 3))
+    with pytest.raises(EngineInvariantError, match="l\\(a\\) \\+ l\\(b\\)") as err:
+        s1 * s2
+    assert err.value.witness["product"] == [1, 2, 3]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(W._engine, "negative", lambda cols, s: False)
+    with pytest.raises(EngineInvariantError, match="not the identity"):
+        W.reduce([2])
+
+
+def test_wrong_longest_length_raises(monkeypatch):
+    W = CoxeterGroup(MATRICES["b3"])
+    W.identity  # build the root table with the true counts
+    true_count = FiniteTypeLabel.positive_root_count
+    monkeypatch.setattr(FiniteTypeLabel, "positive_root_count", property(
+        lambda self: true_count.fget(self) + 1))
+    with pytest.raises(EngineInvariantError, match="positive root count") as err:
+        W.longest_element([1, 2])
+    assert err.value.witness["positive_root_count"] == 4  # A2 has 3
 
 
 # -- coset decomposition ------------------------------------------------------------
