@@ -12,7 +12,6 @@ from .coxeter import (
     classify_finite,
     components,
     coxeter_order,
-    is_finite,
     parse_input,
     type_string,
     validate,
@@ -45,7 +44,7 @@ __all__ = [
     "CycloReal", "Element", "FiniteTypeLabel", "FoldedSystem", "INF",
     "InvariantViolation", "ParseError", "Report", "VerifyConfig",
     "classify_finite", "components", "coxeter_order", "enumerate_ball",
-    "fixed_subgroup", "fold", "is_finite", "is_fixed", "make_context",
+    "fixed_subgroup", "fold", "is_fixed", "make_context",
     "orbits", "parse_input", "parse_word", "presentation_check",
     "property_suite", "type_string", "validate", "validate_automorphism",
 ]

@@ -24,7 +24,6 @@ from .coxeter import (
     coxeter_order,
     parse_input,
     type_string,
-    validate,
 )
 from .cyclo import INF
 from .folding import Automorphism, _orbit_str, fold
@@ -189,9 +188,6 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     parsed = _load(args.file)
     matrix = parsed.matrix
-    errs = validate(matrix)
-    if errs:
-        raise SystemExit2("; ".join(errs))
     subset = list(matrix.generators())
     comps = components(matrix, subset)
     labels = classify_finite(matrix, subset)

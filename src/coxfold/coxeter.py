@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclo import DEGREE_CAP, INF, degree_problem, label_lcm
+from .cyclo import INF, degree_problem, label_lcm
 
-DEFAULT_RANK_CAP = 16
+RANK_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,16 @@ class CoxeterMatrix:
         return CoxeterMatrix(norm)
 
 
-def validate(matrix: CoxeterMatrix, rank_cap: int = DEFAULT_RANK_CAP,
-             degree_cap: int = DEGREE_CAP) -> list[str]:
+def validate(matrix: CoxeterMatrix) -> list[str]:
     """All invariant violations, each with the offending indices.
 
     Well-formed labels must also fit the exact arithmetic: the cyclotomic
-    field holding every 2cos(pi/m) may have degree at most degree_cap.
+    field holding every 2cos(pi/m) may have degree at most DEGREE_CAP.
     """
     errors = []
     n = matrix.rank
-    if n < 1 or n > rank_cap:
-        errors.append(f"rank {n} out of range 1..{rank_cap}")
+    if n < 1 or n > RANK_CAP:
+        errors.append(f"rank {n} out of range 1..{RANK_CAP}")
     for row in matrix.entries:
         if len(row) != n:
             errors.append("entry table is not square")
@@ -85,7 +84,7 @@ def validate(matrix: CoxeterMatrix, rank_cap: int = DEFAULT_RANK_CAP,
             if a != INF and (a != int(a) or a < 2):
                 errors.append(f"off-diagonal at ({i},{j}) must be >= 2, got {a}")
     if not errors:
-        problem = degree_problem(label_lcm(matrix), degree_cap)
+        problem = degree_problem(label_lcm(matrix))
         if problem:
             errors.append(problem)
     return errors
@@ -290,10 +289,6 @@ def classify_finite(matrix: CoxeterMatrix, subset):
     return tuple(labels)
 
 
-def is_finite(matrix: CoxeterMatrix, subset) -> bool:
-    return classify_finite(matrix, subset) is not None
-
-
 def coxeter_order(matrix: CoxeterMatrix, subset):
     """|W_I| for finite parabolics, None for infinite ones."""
     labels = classify_finite(matrix, subset)
@@ -342,7 +337,7 @@ class InputSystem:
     autos: tuple[tuple[str, tuple[int, ...]], ...]  # (name, images) pairs
 
 
-def parse_input(text: str, rank_cap: int = DEFAULT_RANK_CAP) -> InputSystem:
+def parse_input(text: str) -> InputSystem:
     """Parse the line-based input format.
 
     Directives: `rank <n>` (required first), `m <i> <j> <v>` with v an
@@ -370,8 +365,8 @@ def parse_input(text: str, rank_cap: int = DEFAULT_RANK_CAP) -> InputSystem:
                 problems.append((ln, "rank needs one integer argument"))
                 continue
             rank = int(tokens[1])
-            if not 1 <= rank <= rank_cap:
-                problems.append((ln, f"rank {rank} out of range 1..{rank_cap}"))
+            if not 1 <= rank <= RANK_CAP:
+                problems.append((ln, f"rank {rank} out of range 1..{RANK_CAP}"))
                 rank = None
             continue
 
@@ -456,7 +451,7 @@ def parse_input(text: str, rank_cap: int = DEFAULT_RANK_CAP) -> InputSystem:
         raise ParseError(problems)
 
     matrix = CoxeterMatrix.from_labels(rank, labels)
-    errs = validate(matrix, rank_cap=rank_cap)
+    errs = validate(matrix)
     if errs:
         raise ParseError((0, e) for e in errs)
     return InputSystem(matrix=matrix, autos=tuple(autos))

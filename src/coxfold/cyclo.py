@@ -131,12 +131,12 @@ class ArithContext:
     __slots__ = ("N", "modulus", "degree", "_zero", "_one", "_two_cos_cache",
                  "_cos_enclosures")
 
-    def __init__(self, N: int, degree_cap: int = DEGREE_CAP):
+    def __init__(self, N: int):
         if N < 1:
             raise ValueError("N must be positive")
         if N == 1:
             N = 2
-        problem = degree_problem(N, degree_cap)
+        problem = degree_problem(N)
         if problem:
             raise ValueError(problem)
         deg = euler_phi(2 * N)
@@ -437,20 +437,20 @@ def label_lcm(matrix) -> int:
     return N
 
 
-def degree_problem(N: int, degree_cap: int = DEGREE_CAP) -> str | None:
+def degree_problem(N: int) -> str | None:
     """Why the field for N is too large, or None when phi(2N) fits the cap."""
     # phi(n) >= sqrt(n/2), so phi(2N) > cap once N > cap^2; deciding that
     # without factoring keeps huge (e.g. prime) labels from stalling here
-    if N > degree_cap * degree_cap:
+    if N > DEGREE_CAP * DEGREE_CAP:
         return (f"rank/label combination too large: phi({2 * N}) "
-                f"exceeds the degree cap {degree_cap}")
+                f"exceeds the degree cap {DEGREE_CAP}")
     deg = euler_phi(2 * N)
-    if deg > degree_cap:
+    if deg > DEGREE_CAP:
         return (f"rank/label combination too large: phi({2 * N}) = {deg} "
-                f"exceeds the degree cap {degree_cap}")
+                f"exceeds the degree cap {DEGREE_CAP}")
     return None
 
 
-def make_context(matrix, degree_cap: int = DEGREE_CAP) -> ArithContext:
+def make_context(matrix) -> ArithContext:
     """Context sized for a Coxeter matrix: N = lcm(2, finite labels)."""
-    return ArithContext(label_lcm(matrix), degree_cap=degree_cap)
+    return ArithContext(label_lcm(matrix))

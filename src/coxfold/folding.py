@@ -125,16 +125,6 @@ def orbits(matrix: CoxeterMatrix, autos: Sequence[Automorphism]) -> tuple[frozen
     )
 
 
-def conjugate_action(gamma: Automorphism, w: Element):
-    """Action of gamma(w), from that of w.
-
-    gamma preserves the Coxeter matrix, so it permutes the roots and
-    conjugates the reflection action.  Agrees with mapping the word
-    letterwise and reducing, at a fraction of the cost.
-    """
-    return w.group._engine.conjugate(gamma.images, w.cols)
-
-
 def is_fixed(w: Element, autos: Sequence[Automorphism]) -> bool:
     """Fixed by every generator; that suffices for the generated group.
     A commutation test of gamma with the action of w^-1, since
@@ -172,9 +162,10 @@ class FoldedSystem:
     weight: dict[frozenset, int]
     folded_matrix: CoxeterMatrix
     details: tuple[DihedralDetail, ...]
-    _orbit_of: dict[int, frozenset] = field(default_factory=dict, repr=False)
+    # Neither is an init field, so a dataclasses.replace copy builds its own.
+    _orbit_of: dict[int, frozenset] = field(default_factory=dict, init=False,
+                                            compare=False, repr=False)
     # inverse action -> (its left descents, {orbit: peel}); see _factorize_inv.
-    # Not an init field, so a dataclasses.replace copy starts empty.
     _steps: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -259,8 +250,7 @@ class FoldedSystem:
         """Strip the parabolic component of orbit (reached from the
         descent s) off the left: (letters stripped, inverse action after).
         Raises unless it is the longest element w_orbit."""
-        engine = self.group._engine
-        negative, rmul = engine.negative, engine.rmul
+        negative = self.group._engine.negative
         members = sorted(orbit)
         for t in members:
             if not negative(inv_cols, t):
@@ -275,16 +265,8 @@ class FoldedSystem:
                 "factorize", "descent orbit spans an infinite parabolic",
                 self._witness(source=source, orbit=members),
             )
-        count = 0
-        stripping = True
-        while stripping:
-            stripping = False
-            for t in members:
-                if negative(inv_cols, t):
-                    inv_cols = rmul(inv_cols, t)
-                    count += 1
-                    stripping = True
-                    break
+        letters, inv_cols = self.group._strip(inv_cols, members)
+        count = len(letters)
         if count != self.weight[orbit]:
             raise InvariantViolation(
                 "factorize", "parabolic component is not the longest element",

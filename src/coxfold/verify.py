@@ -79,11 +79,10 @@ class NodeCapExceeded(ValueError):
 
 @dataclass
 class Ball:
-    """Deduplicated BFS ball, ordered by (length, word); key_index maps
-    the inverse action of each element to its position."""
+    """Deduplicated BFS ball of W, ordered by (length, word); complete when
+    it holds the whole group, and key_index maps the inverse action of each
+    element to its position."""
 
-    group: CoxeterGroup
-    radius: int | None            # None means the full group
     complete: bool
     elements: tuple[Element, ...]
     key_index: dict = field(repr=False, default_factory=dict)
@@ -147,8 +146,7 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
         if len(elements) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
         level = nxt
-    return Ball(group=group, radius=radius, complete=not level,
-                elements=tuple(elements))
+    return Ball(complete=not level, elements=tuple(elements))
 
 
 def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
@@ -162,7 +160,8 @@ def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, 
 
 @dataclass
 class GeneratedBall:
-    """BFS over right multiplication by the folded generators.
+    """BFS over right multiplication by generators: the folded generators,
+    or the simple reflections of the abstract folded group.
 
     Levels are word lengths over those generators by construction; dedup
     uses the exact inverse action as key, and ``actions`` lists those keys
@@ -220,20 +219,6 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
     return GeneratedBall(gens=gens, actions=actions, levels=levels,
                          edges=edges, key_index=key_index,
                          complete=not truncated, radius=radius)
-
-
-def _ball_edges(ball: Ball) -> list[list[int | None]]:
-    """Right-multiplication edges within a ball, by generator; the key of
-    w*s is the action s w^-1."""
-    group = ball.group
-    lmul = group._engine.lmul
-    edges = []
-    for w in ball.elements:
-        row: list[int | None] = []
-        for s in group.generators():
-            row.append(ball.key_index.get(lmul(s, w.inv_cols)))
-        edges.append(row)
-    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +299,17 @@ def _rng(config: VerifyConfig, name: str) -> random.Random:
 # individual checks
 
 
-def _greedy_probe(group: CoxeterGroup, subset, cap: int) -> bool:
-    """Does the greedy longest-element construction terminate within cap?
+def _greedy_probe(group: CoxeterGroup, subset) -> bool:
+    """Does the greedy longest-element walk stop in under GREEDY_CAP steps?
 
     Independent of the classification: just left-multiply by the smallest
     non-descending generator of the subset until none remains.  A finite
-    parabolic closes after exactly l(w_0) steps, so hitting the cap means
-    infinite only when l(w_0) <= cap.  GREEDY_CAP = 512 does not cover
+    parabolic stops after exactly l(w_0) steps, so the probe reports finite
+    exactly when l(w_0) < GREEDY_CAP.  GREEDY_CAP = 512 does not cover
     every input the rank and degree caps admit: five commuting I2(120)
-    blocks have l(w_0) = 600.  Works on the raw inverse action; left
-    descents are its negative roots.
+    blocks have l(w_0) = 600.
     """
-    engine = group._engine
-    inv_cols = engine.identity
-    for _ in range(cap):
-        for s in subset:
-            if not engine.negative(inv_cols, s):
-                inv_cols = engine.rmul(inv_cols, s)
-                break
-        else:
-            return True
-    return False
+    return group._grow(subset, GREEDY_CAP - 1) is not None
 
 
 def check_finiteness_vs_greedy(group: CoxeterGroup, config: VerifyConfig) -> CheckResult:
@@ -347,7 +322,7 @@ def check_finiteness_vs_greedy(group: CoxeterGroup, config: VerifyConfig) -> Che
     for mask in masks:
         subset = [i + 1 for i in range(n) if (mask >> i) & 1]
         finite = classify_finite(group.matrix, subset) is not None
-        terminated = _greedy_probe(group, subset, GREEDY_CAP)
+        terminated = _greedy_probe(group, subset)
         if finite != terminated:
             return CheckResult(
                 "finiteness-classification-vs-greedy", "fail",
@@ -625,9 +600,11 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     level, plus the length-transfer biconditional on element pairs."""
     group = folded.group
     radius = gen_ball.radius
+    # the abstract group walked the same way: BFS levels over simple
+    # reflections are lengths, and its edges are right products
     abstract = CoxeterGroup(folded.folded_matrix)
-    abstract_ball = enumerate_ball(abstract, radius)
-    abstract_edges = _ball_edges(abstract_ball)
+    abstract_ball = generated_ball(
+        abstract, [abstract.simple(s) for s in abstract.generators()], radius)
 
     stats = {
         "generated_size": len(gen_ball),
@@ -660,7 +637,7 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
             b = phi[a]
             for k in range(len(gen_ball.gens)):
                 a2 = gen_ball.edges[a][k]
-                b2 = abstract_edges[b][k]
+                b2 = abstract_ball.edges[b][k]
                 if (a2 is None) != (b2 is None):
                     return CheckResult(
                         "presentation-isomorphism", "fail", stats,
@@ -669,12 +646,12 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                     )
                 if a2 is None:
                     continue
-                if gen_ball.levels[a2] != abstract_ball.elements[b2].length:
+                if gen_ball.levels[a2] != abstract_ball.levels[b2]:
                     return CheckResult(
                         "presentation-isomorphism", "fail", stats,
                         {"problem": "folded length mismatch",
                          "generated_level": gen_ball.levels[a2],
-                         "abstract_length": abstract_ball.elements[b2].length},
+                         "abstract_length": abstract_ball.levels[b2]},
                     )
                 if phi[a2] is None:
                     if b2 in seen_images:

@@ -4,8 +4,8 @@ A group element is its canonical word plus the action of w^-1 on roots
 (``inv_cols``); the action of w (``cols``) is derived from the word when
 a caller asks for it.  The inverse action alone gives the left descents,
 hence the normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1.
-Two engines compute with actions behind one set of primitives (identity,
-lmul, rmul, compose, negative, conjugate, fixes):
+Two engines compute with actions behind seven primitives (identity, lmul,
+rmul, compose, negative, fixes, inversions):
 
 * Finite W, as decided by classify_finite, uses a root-index table.  The
   root system Phi is enumerated once with the exact ``reflect``; each root
@@ -24,7 +24,9 @@ is.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent.  Equality
-of elements is equality of canonical words.
+of elements is equality of canonical words.  The same greedy walk, down by
+descents (``_strip``) or up by non-descents (``_grow``), gives coset
+decompositions and longest elements.
 
 Root vectors are plain tuples of CycloReal in simple-root coordinates; a
 root is positive or negative according to the common sign of its nonzero
@@ -38,10 +40,10 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterMatrix, classify_finite, validate
-from .cyclo import DEGREE_CAP, ArithContext, CycloReal, make_context
+from .cyclo import ArithContext, CycloReal, make_context
 
-# safety valve for normal-form extraction; far beyond desk scale
-_MAX_EXTRACT_STEPS = 100_000
+# safety valve for descent stripping; far beyond desk scale
+_MAX_STRIP_STEPS = 100_000
 
 
 def root_sign(coords: Sequence[CycloReal]) -> int:
@@ -83,18 +85,17 @@ class CoxeterGroup:
     ``~``; they are immutable and hashable.
     """
 
-    def __init__(self, matrix: CoxeterMatrix, rank_cap: int = 16,
-                 degree_cap: int = DEGREE_CAP):
+    def __init__(self, matrix: CoxeterMatrix):
         # rank 0 is legal here: it is the folded matrix of an empty
         # generator set (the trivial group).  User input enforces rank >= 1.
-        errs = validate(matrix, rank_cap=rank_cap, degree_cap=degree_cap)
+        errs = validate(matrix)
         if matrix.rank == 0:
             errs = [e for e in errs if not e.startswith("rank")]
         if errs:
             raise ValueError("invalid Coxeter matrix: " + "; ".join(errs))
         self.matrix = matrix
         self.rank = matrix.rank
-        self.ctx: ArithContext = make_context(matrix, degree_cap=degree_cap)
+        self.ctx: ArithContext = make_context(matrix)
         zero = self.ctx.zero
         one = self.ctx.one
         n = self.rank
@@ -194,26 +195,51 @@ class CoxeterGroup:
 
     # -- elements from inverse actions ----------------------------------------
 
-    def _extract_word(self, inv_cols) -> tuple[int, ...]:
-        """Canonical word from the inverse action by peeling the smallest
-        left descent: s * w has inverse action w^-1 * s."""
-        engine = self._engine
-        negative, rmul = engine.negative, engine.rmul
-        gens = self.generators()
+    def _strip(self, inv_cols, subset) -> tuple[tuple[int, ...], object]:
+        """Peel the smallest left descent in subset until none is left:
+        (letters peeled, inverse action after).  s * w has inverse action
+        w^-1 * s, so for w = u * x with x a minimal coset representative of
+        W_I, the letters are a reduced word of u and the action is that of
+        x^-1."""
+        negative, rmul = self._engine.negative, self._engine.rmul
         letters = []
-        for _ in range(_MAX_EXTRACT_STEPS):
-            for s in gens:
+        for _ in range(_MAX_STRIP_STEPS):
+            for s in subset:
                 if negative(inv_cols, s):
                     break
             else:
-                if inv_cols != engine.identity:
-                    raise EngineInvariantError(
-                        "action without left descents is not the identity",
-                        self._witness(extracted=letters))
-                return tuple(letters)
+                return tuple(letters), inv_cols
             letters.append(s)
             inv_cols = rmul(inv_cols, s)
-        raise RuntimeError("normal-form extraction did not terminate")
+        raise EngineInvariantError(
+            "descent stripping did not terminate",
+            self._witness(subset=list(subset), steps=_MAX_STRIP_STEPS))
+
+    def _grow(self, subset, steps: int):
+        """Walk up from the identity: left-multiply by the smallest s in
+        subset that is not yet a left descent (the inverse action is
+        right-multiplied) until all of subset descends.  Returns the
+        inverse action reached, that of the longest element of W_I, or
+        None when the walk has not stopped after `steps` multiplications."""
+        negative, rmul = self._engine.negative, self._engine.rmul
+        inv_cols = self._engine.identity
+        for _ in range(steps + 1):
+            for s in subset:
+                if not negative(inv_cols, s):
+                    break
+            else:
+                return inv_cols
+            inv_cols = rmul(inv_cols, s)
+        return None
+
+    def _extract_word(self, inv_cols) -> tuple[int, ...]:
+        """Canonical word from the inverse action: strip every left descent."""
+        letters, rest = self._strip(inv_cols, self.generators())
+        if rest != self._engine.identity:
+            raise EngineInvariantError(
+                "action without left descents is not the identity",
+                self._witness(extracted=list(letters)))
+        return letters
 
     def _element_from_inv(self, inv_cols) -> "Element":
         return Element(self, self._extract_word(inv_cols), inv_cols)
@@ -307,21 +333,17 @@ class CoxeterGroup:
         labels = classify_finite(self.matrix, subset)
         if labels is None:
             raise ValueError("parabolic subgroup is infinite; no longest element")
-        engine = self._engine
-        inv_cols = engine.identity
-        while True:
-            for s in subset:
-                if not engine.negative(inv_cols, s):
-                    inv_cols = engine.rmul(inv_cols, s)
-                    break
-            else:
-                break
+        count = sum(lab.positive_root_count for lab in labels)
+        inv_cols = self._grow(subset, count)
+        if inv_cols is None:
+            raise EngineInvariantError(
+                "greedy walk exceeds the positive root count",
+                self._witness(subset=subset, positive_root_count=count))
         w = self._element_from_inv(inv_cols)
         if self.multiply(w, w) != self.identity:
             raise EngineInvariantError(
                 "longest element is not an involution",
                 self._witness(subset=subset, word=list(w.word)))
-        count = sum(lab.positive_root_count for lab in labels)
         if w.length != count:
             raise EngineInvariantError(
                 "longest element length is not the positive root count",
@@ -333,16 +355,8 @@ class CoxeterGroup:
         """Write w = u * x with u in W_I, x a minimal coset representative
         (no left descent of x lies in I), and l(w) = l(u) + l(x)."""
         subset = sorted(set(subset))
-        letters = []
-        x = w
-        while True:
-            for s in subset:
-                if self.is_left_descent(s, x):
-                    letters.append(s)
-                    x = self.multiply(self.simple(s), x)
-                    break
-            else:
-                break
+        letters, x_inv = self._strip(w.inv_cols, subset)
+        x = self._element_from_inv(x_inv)
         u = self.reduce(letters)
         if u.length + x.length != w.length:
             raise EngineInvariantError(
@@ -369,14 +383,14 @@ class CoxeterGroup:
 
 # -- the two engines -------------------------------------------------------------
 #
-# Both compute with the action of one element at a time:
+# Both compute with the action of one element at a time, through seven
+# primitives:
 #   identity          the action of e
 #   lmul(s, a)        the action of s * w, from that a of w
 #   rmul(a, s)        the action of w * s
 #   compose(a, b)     the action of u * v, from those of u and v
 #   negative(a, s)    whether the image of alpha_s is a negative root
-#   conjugate(g, a)   the action of gamma(w), gamma given by its images g
-#   fixes(g, a)       whether gamma(w) = w
+#   fixes(g, a)       whether gamma(w) = w, gamma given by its images g
 #   inversions(a)     the number of positive roots sent negative
 
 
@@ -423,20 +437,11 @@ class _MatrixEngine:
     def negative(self, cols, s):
         return root_sign(cols[s - 1]) < 0
 
-    def conjugate(self, images, cols):
-        # gamma permutes the simple roots, so entry (i, j) moves to
-        # (gamma i, gamma j)
-        n = len(cols)
-        out = [None] * n
-        for j in range(n):
-            permuted = [None] * n
-            for i, c in enumerate(cols[j]):
-                permuted[images[i] - 1] = c
-            out[images[j] - 1] = tuple(permuted)
-        return tuple(out)
-
     def fixes(self, images, cols):
-        return self.conjugate(images, cols) == cols
+        # gamma permutes the simple roots, so gamma(w) moves entry (i, j)
+        # of w to (gamma i, gamma j)
+        return all(cols[images[j] - 1][images[i] - 1] == c
+                   for j, col in enumerate(cols) for i, c in enumerate(col))
 
     def inversions(self, cols):
         return sum(1 for r in self.group.positive_roots()
@@ -497,13 +502,6 @@ class _RootTable:
                 half.append(j)
             g = self._gamma_perms[images] = self._extend(half)
         return g
-
-    def conjugate(self, images, cols):
-        g = self._gamma_perm(images)
-        out = [0] * len(cols)
-        for i, j in enumerate(cols):
-            out[g[i]] = g[j]
-        return tuple(out)
 
     def fixes(self, images, cols):
         # gamma w = w gamma on the simple roots, which determine both sides

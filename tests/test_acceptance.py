@@ -233,7 +233,7 @@ def test_criterion_7_finiteness_cross_check(group_of):
             for mask in range(1 << n):
                 subset = [i + 1 for i in range(n) if (mask >> i) & 1]
                 finite = classify_finite(W.matrix, subset) is not None
-                terminated = _greedy_probe(W, subset, 512)
+                terminated = _greedy_probe(W, subset)
                 assert finite == terminated, (name, subset)
                 subsets_checked += 1
         assert subsets_checked == 116

@@ -37,8 +37,8 @@ def test_validate_offdiagonal_too_small():
 
 
 def test_validate_rank_range():
-    assert any("rank" in e for e in validate(a_matrix(17)))
-    assert validate(a_matrix(17), rank_cap=20) == []
+    assert validate(a_matrix(17)) == ["rank 17 out of range 1..16"]
+    assert validate(a_matrix(16)) == []
 
 
 def test_components():
@@ -196,7 +196,8 @@ def test_validate_field_degree_cap():
     huge = CoxeterMatrix.from_labels(2, {(1, 2): 1000})
     (err,) = validate(huge)
     assert "phi(2000) = 800 exceeds the degree cap 64" in err
-    assert validate(huge, degree_cap=800) == []
+    # phi(128) = 64 is exactly the cap
+    assert validate(CoxeterMatrix.from_labels(2, {(1, 2): 64})) == []
     # two large prime labels: rejected by a bound, without factoring N
     primes = CoxeterMatrix.from_labels(
         3, {(1, 2): 1_000_000_007, (2, 3): 998_244_353})

@@ -10,7 +10,6 @@ from coxfold.cyclo import INF
 from coxfold.folding import (
     Automorphism,
     InvariantViolation,
-    conjugate_action,
     fold,
     is_fixed,
     orbits,
@@ -160,7 +159,16 @@ def test_is_fixed_agrees_with_letterwise_application(group_of):
     for w in enumerate_ball(W).elements:
         direct = gamma.apply_element(w) == w
         assert is_fixed(w, [gamma]) == direct
-        assert conjugate_action(gamma, w) == gamma.apply_element(w).cols
+
+
+def test_replaced_copy_leaves_its_source_intact(group_of):
+    # a tampered copy builds its own orbit lookup instead of rewriting the
+    # dict of the system it was copied from
+    fs = fold(group_of("a3"), [FLIPS["a3"]])
+    copy = dataclasses.replace(fs, orbit_partition=(O({1}), O({2}), O({3})))
+    assert fs.orbit_of(1) == {1, 3}
+    assert copy.orbit_of(1) == {1}
+    assert copy._orbit_of is not fs._orbit_of
 
 
 # -- factorization ----------------------------------------------------------------

@@ -128,6 +128,16 @@ def test_generated_ball_level_profile(group_of):
     gen = generated_ball(W, [folded.longest[J] for J in folded.bar_s], None)
     profile = [gen.levels.count(k) for k in range(max(gen.levels) + 1)]
     assert profile == [1, 2, 2, 2, 1]
+    # over the simple reflections the levels are the lengths, which is how
+    # presentation_check walks the abstract folded group
+    h3 = CoxeterMatrix.from_labels(3, {(1, 2): 5, (2, 3): 3})
+    for W in (group_of("a5"), CoxeterGroup(h3), group_of("triangle"),
+              group_of("dinf")):
+        ball = enumerate_ball(W, 6)
+        gen = generated_ball(W, [W.simple(s) for s in W.generators()], 6)
+        assert len(gen) == len(ball)
+        for inv_cols, level in zip(gen.actions, gen.levels):
+            assert level == ball.elements[ball.key_index[inv_cols]].length
 
 
 def test_presentation_affine_radius6(group_of):

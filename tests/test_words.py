@@ -258,6 +258,17 @@ def test_wrong_longest_length_raises(monkeypatch):
     assert err.value.witness["positive_root_count"] == 4  # A2 has 3
 
 
+def test_longest_walk_overrun_raises(monkeypatch):
+    # an engine that never reports a descent would grow forever; the walk
+    # is bounded by the classification's positive root count
+    W = CoxeterGroup(MATRICES["a2"])
+    monkeypatch.setattr(W._engine, "negative", lambda cols, s: False)
+    with pytest.raises(EngineInvariantError, match="greedy walk") as err:
+        W.longest_element([1, 2])
+    assert err.value.witness == {"matrix": str(MATRICES["a2"]).split("\n"),
+                                 "subset": [1, 2], "positive_root_count": 3}
+
+
 # -- coset decomposition ------------------------------------------------------------
 
 
