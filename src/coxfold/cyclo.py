@@ -11,9 +11,11 @@ Equality is decided on canonical forms, so it is exact.  Sign queries fall
 back to adaptive-precision interval evaluation (mpmath.iv): double the
 working precision until the enclosing interval excludes zero.  That loop
 terminates for every nonzero input because a nonzero algebraic number is
-bounded away from zero.  The enclosures of cos(k*pi/N) depend only on the
-context and the working precision, so each context computes them once per
-precision and every evaluation at that precision reuses them.
+bounded away from zero.  mpmath is imported on the first such evaluation,
+so a run that tests no sign, such as a fold of a finite W, never loads
+it.  The enclosures of cos(k*pi/N) depend only on the context and the
+working precision, so each context computes them once per precision and
+every evaluation at that precision reuses them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 INF = math.inf
 
@@ -35,9 +35,10 @@ _SIGN_MAX_PREC = 1 << 16
 DEGREE_CAP = 64
 
 # mpmath's interval context keeps its precision in module-global state, so
-# evaluations are serialized.  The memo makes repeated queries on the same
-# canonical value free; results are precision-independent, so the cache is
-# observationally absent.
+# evaluations, and the import of mpmath on the first of them, are
+# serialized.  The memo makes repeated queries on the same canonical value
+# free; results are precision-independent, so the cache is observationally
+# absent.
 _EVAL_LOCK = threading.Lock()
 _SIGN_MEMO: dict[tuple, int] = {}
 
@@ -198,6 +199,8 @@ class ArithContext:
         """Intervals enclosing cos(k*pi/N) for k < degree, at mpmath.iv's
         current precision.  The caller holds _EVAL_LOCK, which guards both
         that precision and this cache."""
+        import mpmath
+
         prec = mpmath.iv.prec
         table = self._cos_enclosures.get(prec)
         if table is None:
@@ -370,6 +373,8 @@ class CycloReal:
             return 0
         key = (self.ctx.N, self.coeffs)
         with _EVAL_LOCK:
+            import mpmath
+
             memo = _SIGN_MEMO.get(key)
             if memo is not None:
                 return memo
@@ -395,6 +400,8 @@ class CycloReal:
 
     def _interval_value(self):
         # the value is real, so it equals the real part sum c_k cos(k*pi/N)
+        import mpmath
+
         cos = self.ctx.cos_enclosures()
         total = mpmath.iv.mpf(0)
         for k, c in enumerate(self.coeffs):

@@ -1,11 +1,15 @@
 """Brute-force oracles and the property suite.
 
-The enumeration side never consults the folding machinery: balls in W come
-from breadth-first search over simple generators with canonical-word
-acceptance, the generated fixed subgroup is explored by plain right
-multiplication with dedup on the exact action of w^-1, and dihedral orders
-are observed by iterating products.  The folding side meets the oracle side
-only in the comparisons, so a passing report actually certifies something.
+The enumeration side never consults the folding machinery.  Balls in a
+finite W come from breadth-first search over simple generators with
+canonical-word acceptance on the root table; balls in an infinite W are
+the words of the ShortLex automaton on the elementary roots, and their
+fixed elements are found by the exchange walk on those words, so exact
+actions are built only for the elements kept.  The generated fixed
+subgroup is explored by plain right multiplication with dedup on the
+exact action of w^-1, and dihedral orders are observed by iterating
+products.  The folding side meets the oracle side only in the comparisons,
+so a passing report actually certifies something.
 
 Each named check returns pass/fail/skipped plus statistics; failures carry
 a replayable witness.  The checks run one after another, and reports are
@@ -19,6 +23,7 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -79,40 +84,49 @@ class NodeCapExceeded(ValueError):
 
 @dataclass
 class Ball:
-    """Deduplicated BFS ball of W, ordered by (length, word); complete when
-    it holds the whole group, and key_index maps the inverse action of each
-    element to its position."""
+    """Ball of W around e, in (length, word) order of canonical words;
+    complete when it holds the whole group.
 
+    Finite W also lists the elements, actions included, and key_index,
+    built on first read, maps the inverse action of each to its position.
+    Infinite W lists words only: fixed_subgroup builds elements for the
+    words it keeps."""
+
+    group: CoxeterGroup
     complete: bool
-    elements: tuple[Element, ...]
-    key_index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.key_index:
-            for i, w in enumerate(self.elements):
-                self.key_index[w.inv_cols] = i
+    words: tuple[tuple[int, ...], ...] = field(repr=False)
+    elements: tuple[Element, ...] | None = field(default=None, repr=False)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
+
+    @cached_property
+    def key_index(self) -> dict:
+        return {w.inv_cols: i for i, w in enumerate(self.elements)}
 
 
 def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
-    """BFS over left multiplication by simple generators.
+    """The ball of the given radius, or all of a finite W.
 
-    An element of length k+1 is accepted exactly once: from its unique
-    predecessor along the smallest left descent.  The stored words are
-    therefore canonical without any normal-form extraction, and no
-    dedup table is needed.  A full enumeration is refused up front when
-    the order of W is over the node cap.
+    Infinite W: a breadth-first walk of the ShortLex automaton on the
+    elementary roots lists the canonical words and does no arithmetic.
 
-    A generator t < s that commutes with s descends s*x exactly when it
-    descends x, since (s x)^-1(alpha_t) = x^-1(alpha_t); those are tested
-    on x before the action of s*x is built, and only the others after.
+    Finite W: BFS over left multiplication by simple generators on the
+    root table.  An element of length k+1 is accepted exactly once: from
+    its unique predecessor along the smallest left descent.  The stored
+    words are therefore canonical without any normal-form extraction, and
+    no dedup table is needed.  A full enumeration is refused up front when
+    the order of W is over the node cap.  A generator t < s that commutes
+    with s descends s*x exactly when it descends x, since
+    (s x)^-1(alpha_t) = x^-1(alpha_t); those are tested on x before the
+    action of s*x is built, and only the others after.
     """
+    if classify_finite(group.matrix, group.generators()) is None:
+        if radius is None:
+            raise ValueError("full enumeration requested on an infinite group")
+        return _shortlex_ball(group, radius)
     if radius is None:
         order = coxeter_order(group.matrix, group.generators())
-        if order is None:
-            raise ValueError("full enumeration requested on an infinite group")
         if order > NODE_CAP:
             raise NodeCapExceeded(
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
@@ -146,12 +160,54 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
         if len(elements) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
         level = nxt
-    return Ball(complete=not level, elements=tuple(elements))
+    return Ball(group, not level, tuple(e.word for e in elements),
+                tuple(elements))
+
+
+def _shortlex_ball(group: CoxeterGroup, radius: int) -> Ball:
+    """Words of length <= radius accepted by the ShortLex automaton, never
+    the whole of an infinite W.  A level in word order, extended letter by
+    letter in generator order, gives the next level in word order."""
+    row = group._elementary.shortlex_row
+    words = [()]
+    level = [((), 0)]
+    for _ in range(radius):
+        nxt = [(word + (s,), r) for word, q in level
+               for s, r in enumerate(row(q)) if r is not None]
+        words.extend(word for word, _ in nxt)
+        if len(words) > NODE_CAP:
+            raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
+        level = nxt
+    return Ball(group, False, tuple(words))
 
 
 def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
-    """Elements of the ball fixed by every automorphism generator."""
-    return tuple(w for w in ball.elements if is_fixed(w, autos))
+    """Elements of the ball fixed by every automorphism generator.
+
+    Finite W tests the action of each element.  Infinite W tests each word
+    with the exchange walk on the elementary roots, and builds the exact
+    action only for the words it keeps: each new prefix costs one lmul.
+    """
+    if ball.elements is not None:
+        return tuple(w for w in ball.elements if is_fixed(w, autos))
+    group = ball.group
+    fixes = group._elementary.fixes
+    lmul = group._engine.lmul
+    images = [gamma.images for gamma in autos]
+    inv_of = {(): group._engine.identity}   # prefix -> inverse action
+    out = []
+    for word in ball.words:
+        if not all(fixes(g, word) for g in images):
+            continue
+        k = len(word)
+        while word[:k] not in inv_of:
+            k -= 1
+        inv_cols = inv_of[word[:k]]
+        # (u s)^-1 = s u^-1
+        for j in range(k, len(word)):
+            inv_cols = inv_of[word[:j + 1]] = lmul(word[j], inv_cols)
+        out.append(Element(group, word, inv_cols))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ rmul, compose, negative, fixes, inversions):
   operation, so constructing a group costs no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
-  coordinates are.
+  coordinates are.  Next to it, built on first use, is the table of the
+  finitely many elementary roots (Brink and Howlett): it walks reduced
+  words without arithmetic, and drives the ShortLex automaton that lists
+  balls and the exchange walk that tests fixedness on words.
 
 Either way a descent query is a sign test: s is a left descent of w exactly
 when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
@@ -123,6 +126,12 @@ class CoxeterGroup:
         if not classify_finite(self.matrix, self.generators()):
             return _MatrixEngine(self)
         return _RootTable(self)
+
+    @cached_property
+    def _elementary(self) -> "_ElementaryRoots":
+        """The elementary roots and their reflection table, built on first
+        use: balls and fixed sets of an infinite W need no arithmetic on it."""
+        return _ElementaryRoots(self)
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -511,6 +520,125 @@ class _RootTable:
     def inversions(self, cols):
         P = self.npos
         return sum(1 for j in cols[:P] if j >= P)
+
+
+# -- elementary roots ------------------------------------------------------------
+#
+# Every Coxeter group has finitely many elementary roots: the positive roots
+# that dominate no other positive root (Brink and Howlett, "A finiteness
+# property and an automatic structure for Coxeter groups", Math. Ann. 296,
+# 1993).  Their reflection table is a finite automaton for reduced words, and
+# Casselman ("Computation in Coxeter groups II: constructing minimal roots",
+# Represent. Theory 12, 2008) builds the ShortLex automaton on it.
+
+NEG = -1    # s(alpha_s) = -alpha_s
+BIG = -2    # s(beta) is positive and dominates alpha_s: it never returns to E
+
+
+class _ElementaryRoots:
+    """The elementary roots E, simple roots first, and their reflection
+    table: step[i][s] is NEG when root i is alpha_s, BIG when
+    B(beta_i, alpha_s) <= -1, and otherwise the index of s(beta_i).
+
+    Walking alpha_c from right to left through a reduced word u decides
+    u * c: reaching NEG at letter j means u * c is u without letter j (the
+    exchange condition), and BIG or the start of u means u * c is reduced.
+    """
+
+    def __init__(self, group: CoxeterGroup):
+        gens = group.generators()
+        roots = [group.simple_root(s) for s in gens]
+        index = {r: i for i, r in enumerate(roots)}
+        step = []
+        for i, beta in enumerate(roots):  # grows while it is read
+            row = [None]
+            for s in gens:
+                if i == s - 1:
+                    row.append(NEG)
+                    continue
+                img = group.reflect(s, beta)
+                # s(beta) = beta - 2B(beta, alpha_s) alpha_s
+                two_b = beta[s - 1] - img[s - 1]
+                if two_b.is_zero():
+                    row.append(i)
+                elif (two_b + 2).sign() <= 0:
+                    row.append(BIG)
+                else:
+                    j = index.get(img)
+                    if j is None:
+                        j = index[img] = len(roots)
+                        roots.append(img)
+                    row.append(j)
+            step.append(tuple(row))
+        self.roots = roots
+        self.step = step
+        self.rank = group.rank
+        # s(alpha_t) for the t < s, as a set of root indices: once v turns
+        # one of them into alpha_u, s v u = t s v is a smaller rival
+        self._smaller = [0] + [self._image((1 << (s - 1)) - 1, s) for s in gens]
+        self._states = [(0, 0)]
+        self._ids = {(0, 0): 0}
+        self._rows: list[tuple | None] = [None]
+
+    def _image(self, mask: int, s: int) -> int:
+        """s applied to a set of root indices, keeping the elementary ones."""
+        step = self.step
+        out = 0
+        while mask:
+            low = mask & -mask
+            j = step[low.bit_length() - 1][s]
+            if j >= 0:
+                out |= 1 << j
+            mask ^= low
+        return out
+
+    def shortlex_row(self, q: int) -> tuple:
+        """Successors of state q of the ShortLex automaton, by generator
+        (entry 0 unused): the state after appending s, or None when the
+        longer word is not ShortLex-least.
+
+        A state is a pair (S, R) of sets of elementary roots, as bit masks,
+        for a ShortLex word w: S holds the roots that w sends negative, so
+        alpha_u in S means w * u is not reduced, and alpha_u in R means
+        w * u has a smaller reduced word.  The start is (0, 0), and s may
+        follow exactly when alpha_s lies in neither."""
+        row = self._rows[q]
+        if row is None:
+            S, R = self._states[q]
+            out = [None]
+            for s in range(1, self.rank + 1):
+                bit = 1 << (s - 1)
+                if (S | R) & bit:
+                    out.append(None)
+                    continue
+                key = (bit | self._image(S, s),
+                       self._image(R, s) | self._smaller[s])
+                nxt = self._ids.get(key)
+                if nxt is None:
+                    nxt = self._ids[key] = len(self._states)
+                    self._states.append(key)
+                    self._rows.append(None)
+                out.append(nxt)
+            row = self._rows[q] = tuple(out)
+        return row
+
+    def fixes(self, images, word) -> bool:
+        """gamma(w) = w, for gamma given by its images and w by a reduced
+        word: w^-1 * gamma(w) is the identity exactly when right-multiplying
+        the reversed word by each letter of gamma(word) deletes a letter
+        every time: the word then ends empty."""
+        step = self.step
+        u = list(reversed(word))
+        for c in word:
+            b = images[c - 1] - 1       # alpha_gamma(c)
+            for j in range(len(u) - 1, -1, -1):
+                b = step[b][u[j]]
+                if b < 0:
+                    break
+            if b != NEG:
+                return False
+            del u[j]
+        return True
 
 
 class Element:

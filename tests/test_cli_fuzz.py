@@ -1,15 +1,19 @@
 """Exit-code contract under random input: every run of every subcommand
 exits 0, 1 or 2, and no exception escapes `main` (which the console
-script would print as a traceback)."""
+script would print as a traceback).  On valid infinite-W inputs whose
+automorphisms preserve the matrix, `verify` exits 0: the folding theorem
+holds, so every check passes."""
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxfold import cli
+from coxfold.coxeter import classify_finite, parse_input
 
 LABELS = ("2", "3", "4", "5", "6", "12", "inf", "1", "0", "-3", "x", "2.5",
           "1000")
@@ -101,3 +105,43 @@ def test_cli_exit_codes_under_random_input(case):
         rc, err = run_main(argv)
     assert rc in (0, 1, 2), (argv, text, rc, err)
     assert "Traceback" not in err
+
+
+@st.composite
+def infinite_symmetric(draw):
+    """A file for an infinite W of rank 2..4, edge labels in 3, 4, 5, 6 and
+    inf (and 2 for no edge), with one automorphism generator: a
+    permutation drawn first, and one label drawn per orbit of it on the
+    pairs, so it preserves the matrix."""
+    rank = draw(st.integers(2, 4))
+    images = draw(st.permutations(range(1, rank + 1)))
+    labels = {}
+    for pair in itertools.combinations(range(1, rank + 1), 2):
+        if pair in labels:
+            continue
+        label = draw(st.sampled_from(("2", "3", "4", "5", "6", "inf")))
+        while pair not in labels:   # the orbit of the pair
+            labels[pair] = label
+            pair = tuple(sorted(images[i - 1] for i in pair))
+    lines = [f"rank {rank}"]
+    lines += [f"m {i} {j} {v}" for (i, j), v in sorted(labels.items())
+              if v != "2"]
+    moved = " ".join(f"{s}>{t}" for s, t in enumerate(images, start=1)
+                     if s != t)
+    lines.append("auto g " + moved if moved else "auto id")
+    text = "\n".join(lines) + "\n"
+    matrix = parse_input(text).matrix
+    assume(classify_finite(matrix, matrix.generators()) is None)
+    return text
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(infinite_symmetric(), st.integers(1, 6), st.integers(0, 3))
+def test_verify_passes_on_infinite_groups(text, radius, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.cox")
+        with open(path, "w") as fh:
+            fh.write(text)
+        rc, err = run_main(["verify", path, "--radius", str(radius),
+                            "--seed", str(seed)])
+    assert rc == 0, (text, radius, seed, err)

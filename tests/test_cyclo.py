@@ -1,7 +1,10 @@
 import math
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -274,3 +277,25 @@ def test_cached_signs_agree_with_uncached_evaluation(N):
             with _interval_prec(prec):
                 assert x._interval_value()._mpi_ == _fresh_value(x)._mpi_
         assert x.sign() == _reference_sign(x)
+
+
+# -- mpmath is imported on the first interval evaluation ---------------------------
+
+
+def test_mpmath_loads_on_first_sign_test():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import coxfold\n"
+        "assert 'mpmath' not in sys.modules, 'import coxfold'\n"
+        "W = coxfold.CoxeterGroup(coxfold.parse_input("
+        "'rank 3\\nm 1 2 3\\nm 2 3 4\\n').matrix)\n"
+        "coxfold.fold(W, [coxfold.Automorphism.identity_of(3)])\n"
+        "assert 'mpmath' not in sys.modules, 'finite fold'\n"
+        "assert (W.ctx.two_cos_pi_over(4) - 1).sign() == 1\n"
+        "assert 'mpmath' in sys.modules, 'sign test'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -9,9 +9,15 @@ covered: table groups a5, d4 and h3, and matrix-engine groups affine A~2,
 the (4,4,3) triangle group, I2(inf), and b3 on the matrix engine.
 
 enumerate_ball tests generators that commute with s on the predecessor
-before it builds a candidate; a plain BFS, deduplicated on the action and
-with words from normal-form extraction, must list the same words.
+before it builds a candidate on finite W, and walks the ShortLex automaton
+of the elementary roots on infinite W; either way a plain BFS,
+deduplicated on the action and with words from normal-form extraction,
+must list the same words.  On infinite W the fixed set from the exchange
+walk on words must also equal the matrix engine's fixedness test over the
+whole ball, for every diagram automorphism.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +26,7 @@ from hypothesis import strategies as st
 from coxfold.catalog import CATALOG
 from coxfold.coxeter import CoxeterMatrix, coxeter_order, parse_input
 from coxfold.folding import Automorphism, is_fixed
-from coxfold.verify import enumerate_ball
+from coxfold.verify import enumerate_ball, fixed_subgroup
 from coxfold.words import CoxeterGroup, _MatrixEngine, _RootTable
 
 from conftest import FLIPS, MATRICES, matrix_engine_group
@@ -133,10 +139,53 @@ def _e6():
 def test_enumerate_ball_matches_plain_bfs(build, radius):
     W = build()
     ball = enumerate_ball(W, radius)
-    words = [w.word for w in ball.elements]
+    words = list(ball.words)
     assert words == plain_ball_words(W, radius)
     if radius is None:
         assert len(words) == coxeter_order(W.matrix, W.generators())
     else:
         assert not ball.complete and max(map(len, words)) == radius
 
+
+
+# -- the elementary-root automaton against the matrix engine -------------------
+
+AUTOMATON_CASES = {
+    # name: (matrix, radius, |E|, number of diagram automorphisms)
+    "affine-a2": (MATRICES["triangle"], 8, 6, 6),
+    "affine-a3": (CoxeterMatrix.from_labels(
+        4, {(1, 2): 3, (2, 3): 3, (3, 4): 3, (1, 4): 3}), 6, 12, 8),
+    "tri443": (TRI443, 8, 8, 2),
+    "tri237": (CoxeterMatrix.from_labels(3, {(1, 2): 3, (2, 3): 7}), 10, 12, 1),
+    "affine-g2": (CoxeterMatrix.from_labels(3, {(1, 2): 6, (2, 3): 3}),
+                  10, 12, 1),
+    "i2inf": (MATRICES["dinf"], 10, 2, 2),
+}
+
+
+def diagram_automorphisms(matrix):
+    gens = range(1, matrix.rank + 1)
+    return [Automorphism(p) for p in itertools.permutations(gens)
+            if all(matrix.m(i, j) == matrix.m(p[i - 1], p[j - 1])
+                   for i in gens for j in gens)]
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMATON_CASES))
+def test_automaton_matches_matrix_engine(name):
+    matrix, radius, size, n_autos = AUTOMATON_CASES[name]
+    W = CoxeterGroup(matrix)
+    assert isinstance(W._engine, _MatrixEngine)
+    # the elementary roots of an affine group are as many as the roots of
+    # its finite type
+    assert len(W._elementary.roots) == size
+    ball = enumerate_ball(W, radius)
+    assert list(ball.words) == plain_ball_words(W, radius)
+    assert not ball.complete and max(map(len, ball.words)) == radius
+    autos = diagram_automorphisms(matrix)
+    assert len(autos) == n_autos
+    elements = [W.reduce(word) for word in ball.words]
+    for gammas in [[g] for g in autos] + [autos]:
+        expected = [w for w in elements if is_fixed(w, gammas)]
+        fixed = fixed_subgroup(ball, gammas)
+        assert [w.word for w in fixed] == [w.word for w in expected]
+        assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]

@@ -136,8 +136,9 @@ def test_generated_ball_level_profile(group_of):
         ball = enumerate_ball(W, 6)
         gen = generated_ball(W, [W.simple(s) for s in W.generators()], 6)
         assert len(gen) == len(ball)
-        for inv_cols, level in zip(gen.actions, gen.levels):
-            assert level == ball.elements[ball.key_index[inv_cols]].length
+        assert ({W._extract_word(a): level
+                 for a, level in zip(gen.actions, gen.levels)}
+                == {word: len(word) for word in ball.words})
 
 
 def test_presentation_affine_radius6(group_of):
