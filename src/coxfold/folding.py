@@ -168,6 +168,9 @@ class FoldedSystem:
     # inverse action -> (its left descents, {orbit: peel}); see _factorize_inv.
     _steps: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
+    # orbit word -> inverse action of its product; see _product_inv.
+    _products: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         for orbit in self.orbit_partition:
@@ -302,11 +305,20 @@ class FoldedSystem:
         return len(self.greedy_factorize(w))
 
     def _product_inv(self, orbit_word: Sequence[frozenset]):
-        """Inverse action of a product of folded generators."""
+        """Inverse action of a product of folded generators, memoized by
+        prefix: each orbit word not seen before costs one compose per
+        letter past its longest known prefix."""
+        products = self._products
+        word = tuple(orbit_word)
+        k = len(word)
+        while k and word[:k] not in products:
+            k -= 1
+        inv_cols = products.get(word[:k], self.group._engine.identity)
         compose = self.group._engine.compose
-        inv_cols = self.group._engine.identity
-        for J in orbit_word:
-            inv_cols = compose(self.longest[J].inv_cols, inv_cols)
+        # (u w_J)^-1 = w_J^-1 u^-1
+        for j in range(k, len(word)):
+            inv_cols = products[word[:j + 1]] = compose(
+                self.longest[word[j]].inv_cols, inv_cols)
         return inv_cols
 
     def factorize_product(self, orbit_word: Sequence[frozenset]):

@@ -236,6 +236,31 @@ class GeneratedBall:
     def __len__(self):
         return len(self.actions)
 
+    @cached_property
+    def _tree(self) -> list:
+        """The BFS tree: each element's discovering edge (parent, generator
+        index); an element is discovered by its first appearance."""
+        tree: list[tuple[int, int] | None] = [None] * len(self.actions)
+        for a, row in enumerate(self.edges):
+            for k, b in enumerate(row):
+                if b and tree[b] is None:
+                    tree[b] = (a, k)
+        return tree
+
+    def product(self, i: int, j: int) -> int | None:
+        """Index of x_i * x_j: follow the edges from i along the BFS-tree
+        word of j.  Edges are exact products with exact dedup, so this is
+        the index of the exact product; None when a truncated edge is met."""
+        tree, path = self._tree, []
+        while j:
+            j, k = tree[j]
+            path.append(k)
+        for k in reversed(path):
+            i = self.edges[i][k]
+            if i is None:
+                return None
+        return i
+
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                    radius: int | None) -> GeneratedBall:
@@ -359,9 +384,10 @@ def _greedy_probe(group: CoxeterGroup, subset) -> bool:
     """Does the greedy longest-element walk stop in under GREEDY_CAP steps?
 
     Independent of the classification: just left-multiply by the smallest
-    non-descending generator of the subset until none remains.  A finite
-    parabolic stops after exactly l(w_0) steps, so the probe reports finite
-    exactly when l(w_0) < GREEDY_CAP.  GREEDY_CAP = 512 does not cover
+    non-descending generator of the subset until none remains, with
+    descents read off the elementary-root table.  A finite parabolic stops
+    after exactly l(w_0) steps, so the probe reports finite exactly when
+    l(w_0) < GREEDY_CAP.  GREEDY_CAP = 512 does not cover
     every input the rank and degree caps admit: five commuting I2(120)
     blocks have l(w_0) = 600.
     """
@@ -653,7 +679,10 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                        w_ball: Ball | None = None) -> CheckResult:
     """Labeled-graph isomorphism between the generated fixed subgroup and
     the abstract Coxeter group of the folded matrix, matched level by
-    level, plus the length-transfer biconditional on element pairs."""
+    level, plus the length-transfer biconditional on element pairs.
+
+    Pair products come from GeneratedBall.product: a candidate pair has
+    levels[i] + levels[j] <= radius, so its walk never leaves the ball."""
     group = folded.group
     radius = gen_ball.radius
     # the abstract group walked the same way: BFS levels over simple
@@ -744,10 +773,8 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
     stats["pairs"] = len(candidates)
     stats["pairs_exhaustive"] = exhaustive
-    compose = group._engine.compose
     for i, j in candidates:
-        z_inv = compose(gen_ball.actions[j], gen_ball.actions[i])
-        lam_z = gen_ball.key_index.get(z_inv)
+        lam_z = gen_ball.product(i, j)
         if lam_z is None:
             return CheckResult("presentation-isomorphism", "fail", stats,
                                {"problem": "product left the generated ball"})

@@ -16,20 +16,24 @@ rmul, compose, negative, fixes, inversions):
   operation, so constructing a group costs no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
-  coordinates are.  Next to it, built on first use, is the table of the
-  finitely many elementary roots (Brink and Howlett): it walks reduced
-  words without arithmetic, and drives the ShortLex automaton that lists
-  balls and the exchange walk that tests fixedness on words.
+  coordinates are.
 
 Either way a descent query is a sign test: s is a left descent of w exactly
 when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
 is.
 
+Next to the engine, built on first use, is the table of the finitely many
+elementary roots (Brink and Howlett).  It walks reduced words without
+arithmetic: it drives the ShortLex automaton that lists the balls of an
+infinite W, the exchange walk that tests fixedness on words, and, for
+every W, the greedy walk up by non-descents (``_grow``) that builds
+longest elements and probes finiteness.  For a finite W every positive
+root is elementary, and the table is read off the root table.
+
 The stored word of an Element is canonical: the ShortLex-least reduced
-word, extracted by repeatedly peeling the smallest left descent.  Equality
-of elements is equality of canonical words.  The same greedy walk, down by
-descents (``_strip``) or up by non-descents (``_grow``), gives coset
-decompositions and longest elements.
+word, extracted by repeatedly peeling the smallest left descent
+(``_strip``).  Equality of elements is equality of canonical words.  The
+same walk down by descents gives coset decompositions.
 
 Root vectors are plain tuples of CycloReal in simple-root coordinates; a
 root is positive or negative according to the common sign of its nonzero
@@ -130,8 +134,10 @@ class CoxeterGroup:
     @cached_property
     def _elementary(self) -> "_ElementaryRoots":
         """The elementary roots and their reflection table, built on first
-        use: balls and fixed sets of an infinite W need no arithmetic on it."""
-        return _ElementaryRoots(self)
+        use: walks on reduced words need no arithmetic on it."""
+        if isinstance(self._engine, _RootTable):
+            return _ElementaryRoots.from_table(self._engine)
+        return _ElementaryRoots.closure(self)
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -224,21 +230,27 @@ class CoxeterGroup:
             "descent stripping did not terminate",
             self._witness(subset=list(subset), steps=_MAX_STRIP_STEPS))
 
-    def _grow(self, subset, steps: int):
+    def _grow(self, subset, steps: int) -> tuple[int, ...] | None:
         """Walk up from the identity: left-multiply by the smallest s in
-        subset that is not yet a left descent (the inverse action is
-        right-multiplied) until all of subset descends.  Returns the
-        inverse action reached, that of the longest element of W_I, or
-        None when the walk has not stopped after `steps` multiplications."""
-        negative, rmul = self._engine.negative, self._engine.rmul
-        inv_cols = self._engine.identity
+        subset that is not yet a left descent until all of subset descends.
+        Returns the letters in the order taken, whose reversal is a word of
+        the longest element of W_I, or None when the walk has not stopped
+        after `steps` multiplications.
+
+        The walk carries the set S of elementary roots that w^-1 sends
+        negative: s descends exactly when alpha_s is in S, and s * w has
+        S' = {alpha_s} + (s(S) within E)."""
+        image = self._elementary._image
+        mask = 0
+        letters = []
         for _ in range(steps + 1):
             for s in subset:
-                if not negative(inv_cols, s):
+                if not mask >> (s - 1) & 1:
                     break
             else:
-                return inv_cols
-            inv_cols = rmul(inv_cols, s)
+                return tuple(letters)
+            letters.append(s)
+            mask = 1 << (s - 1) | image(mask, s)
         return None
 
     def _extract_word(self, inv_cols) -> tuple[int, ...]:
@@ -343,12 +355,12 @@ class CoxeterGroup:
         if labels is None:
             raise ValueError("parabolic subgroup is infinite; no longest element")
         count = sum(lab.positive_root_count for lab in labels)
-        inv_cols = self._grow(subset, count)
-        if inv_cols is None:
+        letters = self._grow(subset, count)
+        if letters is None:
             raise EngineInvariantError(
                 "greedy walk exceeds the positive root count",
                 self._witness(subset=subset, positive_root_count=count))
-        w = self._element_from_inv(inv_cols)
+        w = self._element_from_word_trusted(letters[::-1])
         if self.multiply(w, w) != self.identity:
             raise EngineInvariantError(
                 "longest element is not an involution",
@@ -545,7 +557,22 @@ class _ElementaryRoots:
     exchange condition), and BIG or the start of u means u * c is reduced.
     """
 
-    def __init__(self, group: CoxeterGroup):
+    def __init__(self, rank: int, roots, step):
+        self.rank = rank
+        self.roots = roots
+        self.step = step
+        gens = range(1, rank + 1)
+        # s(alpha_t) for the t < s, as a set of root indices: once v turns
+        # one of them into alpha_u, s v u = t s v is a smaller rival
+        self._smaller = [0] + [self._image((1 << (s - 1)) - 1, s) for s in gens]
+        self._states = [(0, 0)]
+        self._ids = {(0, 0): 0}
+        self._rows: list[tuple | None] = [None]
+
+    @classmethod
+    def closure(cls, group: CoxeterGroup) -> "_ElementaryRoots":
+        """Close the simple roots under the exact reflect, one sign test
+        per root and generator."""
         gens = group.generators()
         roots = [group.simple_root(s) for s in gens]
         index = {r: i for i, r in enumerate(roots)}
@@ -570,15 +597,17 @@ class _ElementaryRoots:
                         roots.append(img)
                     row.append(j)
             step.append(tuple(row))
-        self.roots = roots
-        self.step = step
-        self.rank = group.rank
-        # s(alpha_t) for the t < s, as a set of root indices: once v turns
-        # one of them into alpha_u, s v u = t s v is a smaller rival
-        self._smaller = [0] + [self._image((1 << (s - 1)) - 1, s) for s in gens]
-        self._states = [(0, 0)]
-        self._ids = {(0, 0): 0}
-        self._rows: list[tuple | None] = [None]
+        return cls(group.rank, roots, step)
+
+    @classmethod
+    def from_table(cls, table: "_RootTable") -> "_ElementaryRoots":
+        """Every positive root of a finite W is elementary and no image is
+        BIG: the table is read off the root permutations, no sign test."""
+        P = table.npos
+        step = [(None,) + tuple(NEG if p[i] >= P else p[i]
+                                for p in table._perms[1:])
+                for i in range(P)]
+        return cls(table.rank, table._roots, step)
 
     def _image(self, mask: int, s: int) -> int:
         """s applied to a set of root indices, keeping the elementary ones."""

@@ -1,11 +1,12 @@
 """Differential tests for the memoized factorization of FoldedSystem.
 
 `_factorize_inv` memoizes the descents of each inverse action it reaches
-and each orbit peel that passed its checks.  The reference below peels
-without any memo, exactly as the factorization is defined, and must agree
-with `greedy_factorize` and `factorize_product` on every fixed element:
-same orbit sequence, same letter count, and the same draws from a seeded
-`choose`.
+and each orbit peel that passed its checks, and `_product_inv` the inverse
+action of each orbit-word prefix.  The reference below peels and
+multiplies without any memo, exactly as the factorization is defined, and
+must agree with `greedy_factorize` and `factorize_product` on every fixed
+element and on random orbit words: same orbit sequence, same letter
+count, and the same draws from a seeded `choose`.
 """
 
 import dataclasses
@@ -134,8 +135,10 @@ def test_replaced_copy_starts_with_empty_memo():
     folded, fixed = instance("h3-id")
     for w in fixed:
         folded.greedy_factorize(w)
-    assert folded._steps
+    folded.factorize_product(folded.bar_s * 2)
+    assert folded._steps and folded._products
     copy = dataclasses.replace(folded)
-    assert copy._steps == {}
-    assert copy._steps is not folded._steps
-    assert copy == folded  # the memo takes no part in equality
+    for memo in ("_steps", "_products"):
+        assert getattr(copy, memo) == {}
+        assert getattr(copy, memo) is not getattr(folded, memo)
+    assert copy == folded  # the memos take no part in equality

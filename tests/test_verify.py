@@ -4,7 +4,7 @@ import json
 import pytest
 
 from coxfold import verify
-from coxfold.coxeter import CoxeterMatrix, coxeter_order
+from coxfold.coxeter import CoxeterMatrix, classify_finite, coxeter_order
 from coxfold.folding import Automorphism, fold
 from coxfold.words import CoxeterGroup
 from coxfold.verify import (
@@ -288,6 +288,48 @@ def test_presentation_pairs_draw_the_listed_candidates(levels, radius):
         assert not exhaustive and pairs == expected
     else:
         assert exhaustive and pairs == listed
+
+
+PAIR_INSTANCES = {
+    # name: (matrix, automorphism, generated-ball radius; None when the
+    # folded group is finite, as in property_suite)
+    "affine-a2-flip": (CoxeterMatrix.from_labels(
+        3, {(1, 2): 3, (2, 3): 3, (1, 3): 3}), Automorphism((2, 1, 3)), 8),
+    "tri443-swap": (CoxeterMatrix.from_labels(
+        3, {(1, 2): 4, (1, 3): 4, (2, 3): 3}), Automorphism((1, 3, 2)), 8),
+    "a5-flip": (CoxeterMatrix.from_labels(
+        5, {(i, i + 1): 3 for i in range(1, 5)}),
+        Automorphism((5, 4, 3, 2, 1)), None),
+    "h3-id": (CoxeterMatrix.from_labels(3, {(1, 2): 5, (2, 3): 3}),
+              Automorphism((1, 2, 3)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_INSTANCES))
+def test_pair_products_follow_ball_edges(name):
+    # the edge walk of GeneratedBall.product against the exact product
+    matrix, gamma, radius = PAIR_INSTANCES[name]
+    W = CoxeterGroup(matrix)
+    folded = fold(W, [gamma])
+    fm = folded.folded_matrix
+    assert (classify_finite(fm, fm.generators()) is None) == (radius is not None)
+    gen_ball = generated_ball(W, [folded.longest[J] for J in folded.bar_s],
+                              radius)
+    assert gen_ball.complete == (radius is None)
+    pairs, exhaustive = _presentation_pairs(gen_ball.levels, radius,
+                                            VerifyConfig())
+    assert exhaustive == (name != "h3-id")
+    compose, acts = W._engine.compose, gen_ball.actions
+    for i, j in pairs:
+        assert gen_ball.product(i, j) == gen_ball.key_index[
+            compose(acts[j], acts[i])], (i, j)
+    # past the radius the walk may leave the ball, but never lands wrong
+    n = len(gen_ball)
+    for i in range(0, n, 7):
+        for j in range(0, n, 5):
+            k = gen_ball.product(i, j)
+            if k is not None:
+                assert k == gen_ball.key_index[compose(acts[j], acts[i])]
 
 
 def test_presentation_check_h4_identity():

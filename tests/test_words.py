@@ -259,10 +259,10 @@ def test_wrong_longest_length_raises(monkeypatch):
 
 
 def test_longest_walk_overrun_raises(monkeypatch):
-    # an engine that never reports a descent would grow forever; the walk
-    # is bounded by the classification's positive root count
+    # a root table that forgets every inversion would grow forever; the
+    # walk is bounded by the classification's positive root count
     W = CoxeterGroup(MATRICES["a2"])
-    monkeypatch.setattr(W._engine, "negative", lambda cols, s: False)
+    monkeypatch.setattr(W._elementary, "_image", lambda mask, s: 0)
     with pytest.raises(EngineInvariantError, match="greedy walk") as err:
         W.longest_element([1, 2])
     assert err.value.witness == {"matrix": str(MATRICES["a2"]).split("\n"),
