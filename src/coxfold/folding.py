@@ -165,7 +165,8 @@ class FoldedSystem:
     # Neither is an init field, so a dataclasses.replace copy builds its own.
     _orbit_of: dict[int, frozenset] = field(default_factory=dict, init=False,
                                             compare=False, repr=False)
-    # inverse action -> (its left descents, {orbit: peel}); see _factorize_inv.
+    # inverse action -> its state (action, left descents, {orbit: peel});
+    # see _factorize_inv.
     _steps: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
     # orbit word -> inverse action of its product; see _product_inv.
@@ -215,39 +216,46 @@ class FoldedSystem:
 
         Both steps are pure functions of the inverse action, so the system
         memoizes them: the descents of each action reached, and each peel
-        that passed its checks.  The factorizations of one run (every fixed
-        element, under many choices) share their steps; a failing peel is
-        never stored and raises on every call, and `choose` is still asked
-        at every step, so a seeded rng draws what it drew before.
+        that passed its checks, linked to the state it leads to, so a
+        repeated walk hashes no action.  The factorizations of one run
+        (every fixed element, under many choices) share their steps; a
+        failing peel is never stored and raises on every call, and `choose`
+        is still asked at every step, so a seeded rng draws what it drew
+        before.
         """
-        engine = self.group._engine
-        negative, gens = engine.negative, self.group.generators()
-        steps = self._steps
         seq: list[frozenset] = []
         letters = 0
+        state = self._state(inv_cols)
         while True:
-            state = steps.get(inv_cols)
-            if state is None:
-                descents = tuple(s for s in gens if negative(inv_cols, s))
-                state = steps[inv_cols] = (descents, {})
-            descents, peels = state
+            inv_cols, descents, peels = state
             if not descents:
                 break
             s = choose(descents) if choose is not None else descents[0]
             orbit = self.orbit_of(s)
             peel = peels.get(orbit)
             if peel is None:
-                peel = peels[orbit] = self._peel(inv_cols, s, orbit, source, seq)
-            count, inv_cols = peel
+                count, after = self._peel(inv_cols, s, orbit, source, seq)
+                peel = peels[orbit] = (count, self._state(after))
+            count, state = peel
             seq.append(orbit)
             letters += count
-        if inv_cols != engine.identity:
+        if inv_cols != self.group._engine.identity:
             raise InvariantViolation(
                 "factorize", "residual action is not the identity",
                 self._witness(source=source,
                               factors=[sorted(J) for J in seq]),
             )
         return seq, letters
+
+    def _state(self, inv_cols):
+        """The memo state of an inverse action, made on first reach."""
+        state = self._steps.get(inv_cols)
+        if state is None:
+            negative = self.group._engine.negative
+            descents = tuple(s for s in self.group.generators()
+                             if negative(inv_cols, s))
+            state = self._steps[inv_cols] = (inv_cols, descents, {})
+        return state
 
     def _peel(self, inv_cols, s, orbit, source, seq):
         """Strip the parabolic component of orbit (reached from the

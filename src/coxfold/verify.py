@@ -1,15 +1,16 @@
 """Brute-force oracles and the property suite.
 
-The enumeration side never consults the folding machinery.  Balls in a
-finite W come from breadth-first search over simple generators with
-canonical-word acceptance on the root table; balls in an infinite W are
-the words of the ShortLex automaton on the elementary roots, and their
-fixed elements are found by the exchange walk on those words, so exact
-actions are built only for the elements kept.  The generated fixed
-subgroup is explored by plain right multiplication with dedup on the
-exact action of w^-1, and dihedral orders are observed by iterating
-products.  The folding side meets the oracle side only in the comparisons,
-so a passing report actually certifies something.
+The enumeration side never consults the folding machinery.  A ball lists
+canonical words.  On the root table of a finite W it comes from a
+breadth-first search keyed by the images of the simple roots, and
+fixedness is tested on those images; on any other W it is the words of
+the ShortLex automaton on the elementary roots, and fixedness is tested
+by the exchange walk on words.  Either way elements, with their actions,
+are built only for the fixed words, never one per element of W.  The
+generated fixed subgroup is explored by plain right multiplication with
+dedup on the exact action of w^-1, and dihedral orders are observed by
+iterating products.  The folding side meets the oracle side only in the
+comparisons, so a passing report actually certifies something.
 
 Each named check returns pass/fail/skipped plus statistics; failures carry
 a replayable witness.  The checks run one after another, and reports are
@@ -25,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from .coxeter import CoxeterMatrix, classify_finite, coxeter_order
@@ -34,10 +36,9 @@ from .folding import (
     FoldedSystem,
     InvariantViolation,
     fold,
-    is_fixed,
     validate_automorphism,
 )
-from .words import CoxeterGroup, Element
+from .words import CoxeterGroup, Element, _RootTable
 
 DEFAULT_INFINITE_RADIUS = 8
 SAMPLES = 50                # randomized factorizations per element
@@ -47,7 +48,10 @@ SAMPLE_PAIRS = 300          # sampled pairs beyond the cap
 EXCHANGE_LAMBDA_CAP = 4     # folded exchange tested up to this length
 GREEDY_CAP = 512            # step bound for the greedy finiteness probe
 SUBSET_CAP = 4096           # exhaustive subset checks up to this many
-NODE_CAP = 200_000          # hard bound on enumerated nodes
+# hard bound on enumerated nodes.  A ball holds about 290 bytes per element
+# on the root table (E6, 51,840 elements) and 170 to 180 on the automaton
+# (the (4,4,3) triangle group at radius 16 and 18), by tracemalloc.
+NODE_CAP = 200_000
 
 CHECK_NAMES = (
     "finiteness-classification-vs-greedy",
@@ -84,130 +88,156 @@ class NodeCapExceeded(ValueError):
 
 @dataclass
 class Ball:
-    """Ball of W around e, in (length, word) order of canonical words;
+    """Ball of W around e: canonical words in (length, word) order;
     complete when it holds the whole group.
 
-    Finite W also lists the elements, actions included, and key_index,
-    built on first read, maps the inverse action of each to its position.
-    Infinite W lists words only: fixed_subgroup builds elements for the
-    words it keeps."""
+    On the root table, ``images`` lists for each word the images of the
+    simple roots under w as root indices, which determine w.  Elements,
+    actions included, are built from the words on first read of
+    ``elements``; the suite never reads it, and builds elements only for
+    the words fixed_subgroup keeps."""
 
     group: CoxeterGroup
     complete: bool
     words: tuple[tuple[int, ...], ...] = field(repr=False)
-    elements: tuple[Element, ...] | None = field(default=None, repr=False)
+    images: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.words)
 
     @cached_property
-    def key_index(self) -> dict:
-        return {w.inv_cols: i for i, w in enumerate(self.elements)}
+    def elements(self) -> tuple[Element, ...]:
+        return _elements(self.group, self.words)
 
 
 def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     """The ball of the given radius, or all of a finite W.
 
-    Infinite W: a breadth-first walk of the ShortLex automaton on the
-    elementary roots lists the canonical words and does no arithmetic.
+    A full enumeration is refused up front on an infinite W, and on a
+    finite W whose order is over the node cap.
 
-    Finite W: BFS over left multiplication by simple generators on the
-    root table.  An element of length k+1 is accepted exactly once: from
-    its unique predecessor along the smallest left descent.  The stored
-    words are therefore canonical without any normal-form extraction, and
-    no dedup table is needed.  A full enumeration is refused up front when
-    the order of W is over the node cap.  A generator t < s that commutes
-    with s descends s*x exactly when it descends x, since
-    (s x)^-1(alpha_t) = x^-1(alpha_t); those are tested on x before the
-    action of s*x is built, and only the others after.
+    Root table of rank 2 or more: breadth-first search over left
+    multiplication by simple generators.  Each element is keyed by the
+    images of the simple roots under w, rank root indices that determine
+    w; left multiplication by s applies the permutation of s to each.
+    Level k holds the elements of length k in ShortLex order of their
+    words.  For each s in increasing order, and each x of level k in
+    order, s*x is kept as (s,) + word(x) unless its key is in level k-1
+    (s descends x) or already in level k+1.  An element y of length k+1
+    is therefore first found from its smallest left descent s, with
+    s*y in level k, and (s,) + word(s*y) is its ShortLex-least reduced
+    word.  The words found for one s begin with s and follow the order of
+    level k, so level k+1 comes out in ShortLex order.  No descent test,
+    no normal-form extraction and no sort is needed.
+
+    Any other W (the matrix engine, and rank 0 or 1, where an itemgetter
+    of one index would give a root index instead of a key): a breadth-first
+    walk of the ShortLex automaton on the elementary roots lists the
+    canonical words and does no arithmetic.
     """
     if classify_finite(group.matrix, group.generators()) is None:
         if radius is None:
             raise ValueError("full enumeration requested on an infinite group")
-        return _shortlex_ball(group, radius)
-    if radius is None:
+    elif radius is None:
         order = coxeter_order(group.matrix, group.generators())
         if order > NODE_CAP:
             raise NodeCapExceeded(
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
             )
-    engine = group._engine
-    negative, rmul = engine.negative, engine.rmul
-    gens = group.generators()
-    m = group.matrix.m
-    commuting = {s: [t for t in range(1, s) if m(s, t) == 2] for s in gens}
-    braided = {s: [t for t in range(1, s) if m(s, t) != 2] for s in gens}
-    elements = [group.identity]
-    level = [group.identity]
+    if isinstance(group._engine, _RootTable) and group.rank > 1:
+        return _image_ball(group, radius)
+    return _shortlex_ball(group, radius)
+
+
+def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
+    perms = group._engine._perms
+    words, images = [()], [tuple(range(group.rank))]   # alpha_t is root t-1
+    level_words, level_images = words[:], images[:]
+    below: set = set()
     depth = 0
-    while level and (radius is None or depth < radius):
+    while level_words and (radius is None or depth < radius):
         depth += 1
-        nxt = []
-        for x in level:
-            x_inv = x.inv_cols
-            for s in gens:
-                if negative(x_inv, s):
-                    continue
-                # canonical predecessor: no smaller generator may descend s*x
-                if any(negative(x_inv, t) for t in commuting[s]):
-                    continue
-                inv_cols = rmul(x_inv, s)
-                if any(negative(inv_cols, t) for t in braided[s]):
-                    continue
-                nxt.append(Element(group, (s,) + x.word, inv_cols))
-        nxt.sort(key=lambda e: e.word)
-        elements.extend(nxt)
-        if len(elements) > NODE_CAP:
+        # s*x lies in level k-1 or k+1: seen holds level k-1, then level k+1
+        seen, below = below, set(level_images)
+        steps = [(word, itemgetter(*img))
+                 for word, img in zip(level_words, level_images)]
+        level_words, level_images = [], []
+        for s in group.generators():
+            perm = perms[s]
+            for word, get in steps:
+                img = get(perm)
+                if img not in seen:
+                    seen.add(img)
+                    level_words.append((s,) + word)
+                    level_images.append(img)
+        words.extend(level_words)
+        images.extend(level_images)
+        if len(words) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
-        level = nxt
-    return Ball(group, not level, tuple(e.word for e in elements),
-                tuple(elements))
+    return Ball(group, not level_words, tuple(words), tuple(images))
 
 
-def _shortlex_ball(group: CoxeterGroup, radius: int) -> Ball:
-    """Words of length <= radius accepted by the ShortLex automaton, never
-    the whole of an infinite W.  A level in word order, extended letter by
-    letter in generator order, gives the next level in word order."""
+def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
+    """Words of length <= radius accepted by the ShortLex automaton; with
+    no radius, every word of a finite W.  A level in word order, extended
+    letter by letter in generator order, gives the next level in word
+    order."""
     row = group._elementary.shortlex_row
     words = [()]
     level = [((), 0)]
-    for _ in range(radius):
-        nxt = [(word + (s,), r) for word, q in level
-               for s, r in enumerate(row(q)) if r is not None]
-        words.extend(word for word, _ in nxt)
+    depth = 0
+    while level and (radius is None or depth < radius):
+        depth += 1
+        level = [(word + (s,), r) for word, q in level
+                 for s, r in enumerate(row(q)) if r is not None]
+        words.extend(word for word, _ in level)
         if len(words) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
-        level = nxt
-    return Ball(group, False, tuple(words))
+    return Ball(group, not level, tuple(words))
+
+
+def _elements(group: CoxeterGroup, words) -> tuple[Element, ...]:
+    """Elements of canonical words in ball order.  Each new prefix costs
+    one lmul, since (u s)^-1 = s u^-1."""
+    lmul = group._engine.lmul
+    inv_of = {(): group._engine.identity}   # prefix -> inverse action
+    out = []
+    for word in words:
+        k = len(word)
+        while word[:k] not in inv_of:
+            k -= 1
+        inv_cols = inv_of[word[:k]]
+        for j in range(k, len(word)):
+            inv_cols = inv_of[word[:j + 1]] = lmul(word[j], inv_cols)
+        out.append(Element(group, word, inv_cols))
+    return tuple(out)
 
 
 def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
     """Elements of the ball fixed by every automorphism generator.
 
-    Finite W tests the action of each element.  Infinite W tests each word
-    with the exchange walk on the elementary roots, and builds the exact
-    action only for the words it keeps: each new prefix costs one lmul.
+    Each word is tested first, and elements are built only for the words
+    kept.  A ball with root images tests gamma w = w gamma on the simple
+    roots, g[w(alpha_t)] = w(alpha_gamma(t)) with g the permutation of
+    gamma on the roots; any other ball tests its words with the exchange
+    walk on the elementary roots.
     """
-    if ball.elements is not None:
-        return tuple(w for w in ball.elements if is_fixed(w, autos))
     group = ball.group
-    fixes = group._elementary.fixes
-    lmul = group._engine.lmul
-    images = [gamma.images for gamma in autos]
-    inv_of = {(): group._engine.identity}   # prefix -> inverse action
-    out = []
-    for word in ball.words:
-        if not all(fixes(g, word) for g in images):
-            continue
-        k = len(word)
-        while word[:k] not in inv_of:
-            k -= 1
-        inv_cols = inv_of[word[:k]]
-        # (u s)^-1 = s u^-1
-        for j in range(k, len(word)):
-            inv_cols = inv_of[word[:j + 1]] = lmul(word[j], inv_cols)
-        out.append(Element(group, word, inv_cols))
-    return tuple(out)
+    if ball.images is None:
+        fixes = group._elementary.fixes
+        images = [gamma.images for gamma in autos]
+        kept = [word for word in ball.words
+                if all(fixes(g, word) for g in images)]
+    else:
+        # one automorphism at a time; rank >= 2, so itemgetters give tuples
+        pairs = list(zip(ball.words, ball.images))
+        for gamma in autos:
+            g = group._engine._gamma_perm(gamma.images)
+            moved = itemgetter(*(t - 1 for t in gamma.images))
+            pairs = [(word, img) for word, img in pairs
+                     if itemgetter(*img)(g) == moved(img)]
+        kept = [word for word, _ in pairs]
+    return _elements(group, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -676,20 +706,29 @@ def _presentation_pairs(levels: Sequence[int], radius: int | None,
 
 def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                        config: VerifyConfig,
-                       w_ball: Ball | None = None) -> CheckResult:
+                       fixed: Sequence[Element] = ()) -> CheckResult:
     """Labeled-graph isomorphism between the generated fixed subgroup and
     the abstract Coxeter group of the folded matrix, matched level by
     level, plus the length-transfer biconditional on element pairs.
 
     Pair products come from GeneratedBall.product: a candidate pair has
-    levels[i] + levels[j] <= radius, so its walk never leaves the ball."""
+    levels[i] + levels[j] <= radius, so its walk never leaves the ball.
+    Generated elements found among `fixed` are not rebuilt."""
     group = folded.group
     radius = gen_ball.radius
     # the abstract group walked the same way: BFS levels over simple
-    # reflections are lengths, and its edges are right products
-    abstract = CoxeterGroup(folded.folded_matrix)
-    abstract_ball = generated_ball(
-        abstract, [abstract.simple(s) for s in abstract.generators()], radius)
+    # reflections are lengths, and its edges are right products.  When the
+    # folded matrix is W's own and the folded generators are W's simple
+    # reflections in order (every orbit a singleton), that walk is gen_ball.
+    if (folded.folded_matrix == group.matrix
+            and [g.word for g in gen_ball.gens]
+            == [(s,) for s in group.generators()]):
+        abstract_ball = gen_ball
+    else:
+        abstract = CoxeterGroup(folded.folded_matrix)
+        abstract_ball = generated_ball(
+            abstract, [abstract.simple(s) for s in abstract.generators()],
+            radius)
 
     stats = {
         "generated_size": len(gen_ball),
@@ -758,18 +797,10 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
         return CheckResult("presentation-isomorphism", "fail", stats,
                            {"problem": "generated graph is not connected"})
 
-    # length transfer: l adds exactly when the folded BFS level adds.
-    # Inside a full ball, lengths come from the enumeration itself.
-    full_lookup = w_ball is not None and w_ball.complete
-
-    def materialize(inv_cols):
-        if full_lookup:
-            idx = w_ball.key_index.get(inv_cols)
-            if idx is not None:
-                return w_ball.elements[idx]
-        return group._element_from_inv(inv_cols)
-
-    elements = [materialize(inv_cols) for inv_cols in gen_ball.actions]
+    # length transfer: l adds exactly when the folded BFS level adds
+    built = {w.inv_cols: w for w in fixed}
+    elements = [built.get(inv_cols) or group._element_from_inv(inv_cols)
+                for inv_cols in gen_ball.actions]
     candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
     stats["pairs"] = len(candidates)
     stats["pairs_exhaustive"] = exhaustive
@@ -856,7 +887,7 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
         lambda: check_additivity_transfer(folded, fixed, config),
         lambda: check_folded_exchange(folded, fixed),
         lambda: check_generated_matches_fixed(folded, gen_ball, fixed, ball),
-        lambda: presentation_check(folded, gen_ball, config, w_ball=ball),
+        lambda: presentation_check(folded, gen_ball, config, fixed),
     )
     checks = [validation] + [
         _run_check(name, fn) for name, fn in zip(CHECK_NAMES, thunks, strict=True)

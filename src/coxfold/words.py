@@ -25,10 +25,11 @@ is.
 Next to the engine, built on first use, is the table of the finitely many
 elementary roots (Brink and Howlett).  It walks reduced words without
 arithmetic: it drives the ShortLex automaton that lists the balls of an
-infinite W, the exchange walk that tests fixedness on words, and, for
-every W, the greedy walk up by non-descents (``_grow``) that builds
-longest elements and probes finiteness.  For a finite W every positive
-root is elementary, and the table is read off the root table.
+infinite W (and of W of rank 1), the exchange walk that tests fixedness
+on words, and, for every W, the greedy walk up by non-descents
+(``_grow``) that builds longest elements and probes finiteness.  For a
+finite W every positive root is elementary, and the table is read off
+the root table.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent

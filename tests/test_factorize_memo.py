@@ -128,7 +128,7 @@ def test_failing_peel_raises_on_every_call():
     assert witnesses[0] == witnesses[1]
     assert witnesses[0]["check"] == "factorize"
     # the failed peel was not stored
-    assert not any(orbit in peels for _, peels in broken._steps.values())
+    assert not any(orbit in peels for _, _, peels in broken._steps.values())
 
 
 def test_replaced_copy_starts_with_empty_memo():

@@ -8,13 +8,16 @@ the inverse action with mapping the word letterwise.  Both engines are
 covered: table groups a5, d4 and h3, and matrix-engine groups affine A~2,
 the (4,4,3) triangle group, I2(inf), and b3 on the matrix engine.
 
-enumerate_ball tests generators that commute with s on the predecessor
-before it builds a candidate on finite W, and walks the ShortLex automaton
-of the elementary roots on infinite W; either way a plain BFS,
+enumerate_ball keys a root-table W by the images of the simple roots and
+takes the first discovery of each element, and walks the ShortLex
+automaton of the elementary roots on any other W; either way a plain BFS,
 deduplicated on the action and with words from normal-form extraction,
-must list the same words.  On infinite W the fixed set from the exchange
-walk on words must also equal the matrix engine's fixedness test over the
-whole ball, for every diagram automorphism.
+must list the same words.  fixed_subgroup tests those images, or the
+words with the exchange walk, and must keep exactly the elements that the
+engine's fixedness test keeps over the whole ball, for every diagram
+automorphism and for all of them together: on the root table against
+the table's own test, and on infinite W against the matrix engine.
+Groups of rank 0 and 1 take the automaton.
 """
 
 import itertools
@@ -130,12 +133,18 @@ def _e6():
     return CoxeterGroup(parse_input(entry.input_text).matrix)
 
 
+F4 = CoxeterMatrix.from_labels(4, {(1, 2): 3, (2, 3): 4, (3, 4): 3})
+H4 = CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
+
+
 @pytest.mark.parametrize("build,radius", [
     (lambda: group("a5"), None),
     (lambda: group("d4"), None),
+    (lambda: CoxeterGroup(F4), None),
+    (lambda: CoxeterGroup(H4), None),
     (_e6, None),
     (lambda: group("tri443"), 6),
-], ids=["a5", "d4", "e6", "tri443-r6"])
+], ids=["a5", "d4", "f4", "h4", "e6", "tri443-r6"])
 def test_enumerate_ball_matches_plain_bfs(build, radius):
     W = build()
     ball = enumerate_ball(W, radius)
@@ -145,7 +154,52 @@ def test_enumerate_ball_matches_plain_bfs(build, radius):
         assert len(words) == coxeter_order(W.matrix, W.generators())
     else:
         assert not ball.complete and max(map(len, words)) == radius
+    assert (ball.images is not None) == isinstance(W._engine, _RootTable)
 
+
+# -- image-keyed fixed sets against the root table's fixedness test ------------
+
+IMAGE_CASES = {
+    # name: (group builder, number of diagram automorphisms)
+    "a5": (lambda: CoxeterGroup(MATRICES["a5"]), 2),
+    "b3": (lambda: CoxeterGroup(MATRICES["b3"]), 1),
+    "d4": (lambda: CoxeterGroup(MATRICES["d4"]), 6),
+    "f4": (lambda: CoxeterGroup(F4), 2),
+    "h3": (lambda: CoxeterGroup(H3), 1),
+    "e6": (_e6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+def test_image_fixed_set_matches_engine(name):
+    build, n_autos = IMAGE_CASES[name]
+    W = build()
+    ball = enumerate_ball(W)
+    assert isinstance(W._engine, _RootTable) and ball.images is not None
+    assert ball.complete
+    autos = diagram_automorphisms(W.matrix)
+    assert len(autos) == n_autos
+    elements = ball.elements
+    for gammas in [[g] for g in autos] + [autos]:
+        fixed = fixed_subgroup(ball, gammas)
+        expected = [w for w in elements if is_fixed(w, gammas)]
+        assert [w.word for w in fixed] == [w.word for w in expected]
+        assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]
+
+
+@pytest.mark.parametrize("matrix,order", [
+    (CoxeterMatrix(()), 1),
+    (CoxeterMatrix(((1,),)), 2),
+], ids=["rank0", "rank1"])
+def test_ranks_below_two_take_the_automaton(matrix, order):
+    # an itemgetter of one index gives a root index, not a key
+    W = CoxeterGroup(matrix)
+    ball = enumerate_ball(W)
+    assert ball.complete and ball.images is None
+    assert list(ball.words) == [(), (1,)][:order]
+    gamma = Automorphism.identity_of(W.rank)
+    assert [w.word for w in fixed_subgroup(ball, [gamma])] == list(ball.words)
+    assert [w.word for w in enumerate_ball(W, 1).elements] == list(ball.words)
 
 
 # -- the elementary-root automaton against the matrix engine -------------------

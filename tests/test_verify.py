@@ -4,9 +4,15 @@ import json
 import pytest
 
 from coxfold import verify
-from coxfold.coxeter import CoxeterMatrix, classify_finite, coxeter_order
+from coxfold.catalog import entry_by_name, run_entry
+from coxfold.coxeter import (
+    CoxeterMatrix,
+    classify_finite,
+    coxeter_order,
+    parse_input,
+)
 from coxfold.folding import Automorphism, fold
-from coxfold.words import CoxeterGroup
+from coxfold.words import CoxeterGroup, Element
 from coxfold.verify import (
     NodeCapExceeded,
     VerifyConfig,
@@ -62,7 +68,7 @@ def test_ball_order_and_uniqueness(group_of):
     assert words == sorted(words, key=lambda u: (len(u), u))
     assert len(set(words)) == len(words)
     # closed under inverse when complete
-    keys = set(ball.key_index)
+    keys = {w.inv_cols for w in ball.elements}
     for w in ball.elements:
         assert w.cols in keys  # the key of w^-1
 
@@ -71,6 +77,28 @@ def test_ball_matches_permutation_oracle(group_of):
     ball = enumerate_ball(group_of("a3"))
     perms = {oracles.word_to_perm(4, w.word) for w in ball.elements}
     assert len(perms) == 24
+
+
+def test_e6_runs_build_elements_only_for_kept_words(monkeypatch):
+    # |W(E6)| = 51840 and 1152 elements are fixed: the catalog row and the
+    # suite build elements for the fixed words and a few more, never for W
+    entry = entry_by_name("e6-flip")
+    built = []
+    init = Element.__init__
+
+    def counting_init(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    assert run_entry(entry).match
+    assert 1152 <= len(built) < 2000
+    built.clear()
+    parsed = parse_input(entry.input_text)
+    report = property_suite(CoxeterGroup(parsed.matrix),
+                            [Automorphism(images) for _, images in parsed.autos])
+    assert report.passed
+    assert 1152 <= len(built) < 5000
 
 
 # -- fixed subgroups ---------------------------------------------------------------
