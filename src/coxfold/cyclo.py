@@ -210,6 +210,45 @@ class ArithContext:
             )
         return table
 
+    def matmul(self, outer, inner) -> tuple:
+        """Product of two matrices over this field, each given by its
+        columns: column j of the result is sum_t inner[j][t] * outer[t].
+
+        One fused kernel.  Each entry accumulates the coefficient
+        convolutions of its scalar products in one plain list and is
+        reduced once, so no CycloReal is built for a product or a partial
+        sum.  Reduction is linear, so the canonical form is the one that
+        CycloReal `*` and `+` give.  It is _reduce's elimination, but
+        skipping the zero coefficients of the modulus, most of them."""
+        d = self.degree
+        size = 2 * d - 1
+        tail = [(j, m) for j, m in enumerate(self.modulus[:d]) if m]
+        high = range(size - 1, d - 1, -1)
+        rows = range(len(outer[0]) if outer else 0)
+        # the nonzero (power, coefficient) pairs of every entry of outer
+        terms = [[[(p, c) for p, c in enumerate(x.coeffs) if c] for x in col]
+                 for col in outer]
+        out = []
+        for col in inner:
+            parts = [(pairs, terms[t]) for t, x in enumerate(col)
+                     if (pairs := [(p, c) for p, c in enumerate(x.coeffs) if c])]
+            new = []
+            for i in rows:
+                acc = [0] * size
+                for pairs, column in parts:
+                    other = column[i]
+                    for p, a in pairs:
+                        for q, b in other:
+                            acc[p + q] += a * b
+                for k in high:
+                    c = acc[k]
+                    if c:
+                        for j, m in tail:
+                            acc[k - d + j] -= c * m
+                new.append(CycloReal(self, tuple(acc[:d])))
+            out.append(tuple(new))
+        return tuple(out)
+
     def _reduce(self, coeffs: list) -> tuple:
         """Reduce a coefficient list modulo the cyclotomic modulus."""
         d = self.degree

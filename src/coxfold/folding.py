@@ -162,7 +162,8 @@ class FoldedSystem:
     weight: dict[frozenset, int]
     folded_matrix: CoxeterMatrix
     details: tuple[DihedralDetail, ...]
-    # Neither is an init field, so a dataclasses.replace copy builds its own.
+    # None of these is an init field, so a dataclasses.replace copy builds
+    # its own.
     _orbit_of: dict[int, frozenset] = field(default_factory=dict, init=False,
                                             compare=False, repr=False)
     # inverse action -> its state (action, left descents, {orbit: peel});
@@ -172,6 +173,9 @@ class FoldedSystem:
     # orbit word -> inverse action of its product; see _product_inv.
     _products: dict = field(default_factory=dict, init=False, compare=False,
                             repr=False)
+    # element -> whether every automorphism fixes it; see is_fixed.
+    _fixed: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         for orbit in self.orbit_partition:
@@ -188,7 +192,12 @@ class FoldedSystem:
         return self.bar_s.index(orbit) + 1
 
     def is_fixed(self, w: Element) -> bool:
-        return is_fixed(w, self.autos)
+        """Memoized per element, that is per canonical word: the pair
+        checks test the same few fixed elements over and over."""
+        fixed = self._fixed.get(w)
+        if fixed is None:
+            fixed = self._fixed[w] = is_fixed(w, self.autos)
+        return fixed
 
     def product_of(self, orbit_word: Sequence[frozenset]) -> Element:
         out = self.group.identity

@@ -92,7 +92,9 @@ class Ball:
     complete when it holds the whole group.
 
     On the root table, ``images`` lists for each word the images of the
-    simple roots under w as root indices, which determine w.  Elements,
+    simple roots under w as root indices, which determine w; on the
+    ShortLex automaton, ``states`` lists for each word the automaton state
+    it reaches.  Elements,
     actions included, are built from the words on first read of
     ``elements``; the suite never reads it, and builds elements only for
     the words fixed_subgroup keeps."""
@@ -101,6 +103,7 @@ class Ball:
     complete: bool
     words: tuple[tuple[int, ...], ...] = field(repr=False)
     images: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+    states: tuple[int, ...] | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.words)
@@ -183,7 +186,7 @@ def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
     letter by letter in generator order, gives the next level in word
     order."""
     row = group._elementary.shortlex_row
-    words = [()]
+    words, states = [()], [0]
     level = [((), 0)]
     depth = 0
     while level and (radius is None or depth < radius):
@@ -191,9 +194,10 @@ def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
         level = [(word + (s,), r) for word, q in level
                  for s, r in enumerate(row(q)) if r is not None]
         words.extend(word for word, _ in level)
+        states.extend(q for _, q in level)
         if len(words) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
-    return Ball(group, not level, tuple(words))
+    return Ball(group, not level, tuple(words), states=tuple(states))
 
 
 def _elements(group: CoxeterGroup, words) -> tuple[Element, ...]:
@@ -219,25 +223,27 @@ def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, 
     Each word is tested first, and elements are built only for the words
     kept.  A ball with root images tests gamma w = w gamma on the simple
     roots, g[w(alpha_t)] = w(alpha_gamma(t)) with g the permutation of
-    gamma on the roots; any other ball tests its words with the exchange
-    walk on the elementary roots.
+    gamma on the roots.  A ball of automaton words tests its words with
+    the exchange walk on the elementary roots, but only those whose state
+    gamma leaves stable, which every fixed word's state is.
     """
     group = ball.group
-    if ball.images is None:
-        fixes = group._elementary.fixes
-        images = [gamma.images for gamma in autos]
-        kept = [word for word in ball.words
-                if all(fixes(g, word) for g in images)]
-    else:
-        # one automorphism at a time; rank >= 2, so itemgetters give tuples
-        pairs = list(zip(ball.words, ball.images))
-        for gamma in autos:
+    automaton = ball.images is None
+    pairs = list(zip(ball.words, ball.states if automaton else ball.images))
+    # one automorphism at a time
+    for gamma in autos:
+        if automaton:
+            table, g = group._elementary, gamma.images
+            stable = table.stable_states(g)
+            pairs = [(word, q) for word, q in pairs
+                     if q in stable and table.fixes(g, word)]
+        else:
+            # rank >= 2, so itemgetters give tuples
             g = group._engine._gamma_perm(gamma.images)
             moved = itemgetter(*(t - 1 for t in gamma.images))
             pairs = [(word, img) for word, img in pairs
                      if itemgetter(*img)(g) == moved(img)]
-        kept = [word for word, _ in pairs]
-    return _elements(group, kept)
+    return _elements(group, [word for word, _ in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ rmul, compose, negative, fixes, inversions):
   operation, so constructing a group costs no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
-  coordinates are.
+  coordinates are.  lmul and rmul are exact reflections; compose and
+  inversions are matrix products, each one call of the fused kernel
+  ``ArithContext.matmul``, which builds no scalar object per product.
 
 Either way a descent query is a sign test: s is a left descent of w exactly
 when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
@@ -26,10 +28,10 @@ Next to the engine, built on first use, is the table of the finitely many
 elementary roots (Brink and Howlett).  It walks reduced words without
 arithmetic: it drives the ShortLex automaton that lists the balls of an
 infinite W (and of W of rank 1), the exchange walk that tests fixedness
-on words, and, for every W, the greedy walk up by non-descents
-(``_grow``) that builds longest elements and probes finiteness.  For a
-finite W every positive root is elementary, and the table is read off
-the root table.
+on words, and, for every W, the exchange property (``exchange``) and the
+greedy walk up by non-descents (``_grow``) that builds longest elements
+and probes finiteness.  For a finite W every positive root is
+elementary, and the table is read off the root table.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent
@@ -389,18 +391,33 @@ class CoxeterGroup:
 
     def exchange(self, word: Sequence[int], s: int) -> int:
         """Exchange property: for reduced `word` and a left descent s of it,
-        the smallest 1-based index whose removal yields s * word."""
+        the 1-based index of the letter whose removal yields s * word.
+
+        One walk on the elementary-root table, letter by letter from the
+        left.  It carries the set S of elementary roots that the prefix u
+        sends negative: the next letter c keeps the word reduced exactly
+        when alpha_c is not in S, and u * c has S' = {alpha_c} + (c(S)
+        within E).  Next to it, u^-1(alpha_s) is carried along: reaching
+        NEG at letter c means s * u * c = u, so dropping that letter gives
+        s * word; for a reduced word it is unique."""
         word = tuple(word)
-        w = self.reduce(word)
-        if w.length != len(word):
-            raise ValueError("word is not reduced")
-        if not self.is_left_descent(s, w):
+        for c in word + (s,):
+            if not (isinstance(c, int) and 1 <= c <= self.rank):
+                raise ValueError(f"letter {c!r} out of range 1..{self.rank}")
+        step, image = self._elementary.step, self._elementary._image
+        mask, beta, index = 0, s - 1, None
+        for j, c in enumerate(word, start=1):
+            bit = 1 << (c - 1)
+            if mask & bit:
+                raise ValueError("word is not reduced")
+            mask = bit | image(mask, c)
+            if beta >= 0:
+                beta = step[beta][c]
+                if beta == NEG:
+                    index = j
+        if index is None:
             raise ValueError("not a descent")
-        target = self.multiply(self.simple(s), w)
-        for i in range(len(word)):
-            if self.reduce(word[:i] + word[i + 1:]) == target:
-                return i + 1
-        raise RuntimeError("exchange failed on a reduced word; engine bug")
+        return index
 
 
 # -- the two engines -------------------------------------------------------------
@@ -410,10 +427,11 @@ class CoxeterGroup:
 #   identity          the action of e
 #   lmul(s, a)        the action of s * w, from that a of w
 #   rmul(a, s)        the action of w * s
-#   compose(a, b)     the action of u * v, from those of u and v
+#   compose(a, b)     the action of u * v, from those of u and v (on
+#                     matrices, one call of the fused ArithContext.matmul)
 #   negative(a, s)    whether the image of alpha_s is a negative root
 #   fixes(g, a)       whether gamma(w) = w, gamma given by its images g
-#   inversions(a)     the number of positive roots sent negative
+#   inversions(a)     the number of positive roots sent negative (finite W)
 
 
 class _MatrixEngine:
@@ -440,21 +458,8 @@ class _MatrixEngine:
             )
         return tuple(out)
 
-    def _apply(self, cols, coords):
-        acc = None
-        for t, ct in enumerate(coords):
-            if ct.is_zero():
-                continue
-            contrib = tuple(ct * x for x in cols[t])
-            acc = contrib if acc is None else tuple(
-                a + b for a, b in zip(acc, contrib)
-            )
-        if acc is None:
-            return tuple([self.group.ctx.zero] * self.group.rank)
-        return acc
-
     def compose(self, outer, inner):
-        return tuple(self._apply(outer, col) for col in inner)
+        return self.group.ctx.matmul(outer, inner)
 
     def negative(self, cols, s):
         return root_sign(cols[s - 1]) < 0
@@ -466,8 +471,24 @@ class _MatrixEngine:
                    for j, col in enumerate(cols) for i, c in enumerate(col))
 
     def inversions(self, cols):
-        return sum(1 for r in self.group.positive_roots()
-                   if not is_positive_root(self._apply(cols, r)))
+        images = self.compose(cols, tuple(self.group.positive_roots()))
+        return sum(1 for r in images if not is_positive_root(r))
+
+
+def _permute_roots(roots, images) -> list[int]:
+    """gamma, given by its images, on a list of roots it maps onto itself,
+    by index: gamma permutes root coordinates like the generators."""
+    index = {r: i for i, r in enumerate(roots)}
+    out = []
+    for r in roots:
+        moved = [None] * len(images)
+        for i, c in enumerate(r):
+            moved[images[i] - 1] = c
+        j = index.get(tuple(moved))
+        if j is None:
+            raise ValueError(f"{list(images)} does not permute the roots")
+        out.append(j)
+    return out
 
 
 class _RootTable:
@@ -483,7 +504,6 @@ class _RootTable:
         self.npos = P
         self.identity = tuple(range(2 * P))
         self._roots = roots
-        self._index = {r: i for i, r in enumerate(roots)}
         self._perms = [()]
         for s in group.generators():
             half = [P + i if j < 0 else j for i, j in enumerate(images[s])]
@@ -513,15 +533,7 @@ class _RootTable:
         """gamma on Phi: it permutes root coordinates like the generators."""
         g = self._gamma_perms.get(images)
         if g is None:
-            half = []
-            for r in self._roots:
-                moved = [None] * self.rank
-                for i, c in enumerate(r):
-                    moved[images[i] - 1] = c
-                j = self._index.get(tuple(moved))
-                if j is None:
-                    raise ValueError(f"{list(images)} does not permute the roots")
-                half.append(j)
+            half = _permute_roots(self._roots, images)
             g = self._gamma_perms[images] = self._extend(half)
         return g
 
@@ -651,6 +663,23 @@ class _ElementaryRoots:
                 out.append(nxt)
             row = self._rows[q] = tuple(out)
         return row
+
+    def stable_states(self, images) -> set[int]:
+        """The ShortLex states made so far whose set S gamma, given by its
+        images, maps onto itself.  S is N(w) within E for the words w that
+        reach the state, and gamma permutes E; gamma(w) = w makes gamma map
+        N(w) onto itself, so a word reaching any other state is not fixed."""
+        perm = _permute_roots(self.roots, images)
+        out = set()
+        for q, (S, _) in enumerate(self._states):
+            moved, mask = 0, S
+            while mask:
+                low = mask & -mask
+                moved |= 1 << perm[low.bit_length() - 1]
+                mask ^= low
+            if moved == S:
+                out.add(q)
+        return out
 
     def fixes(self, images, word) -> bool:
         """gamma(w) = w, for gamma given by its images and w by a reduced

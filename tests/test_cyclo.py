@@ -21,7 +21,10 @@ from coxfold.cyclo import (
     make_context,
 )
 
-from conftest import MATRICES
+from coxfold.verify import enumerate_ball
+from coxfold.words import CoxeterGroup
+
+from conftest import MATRICES, matrix_engine_group
 
 
 def test_cyclotomic_polynomials():
@@ -277,6 +280,72 @@ def test_cached_signs_agree_with_uncached_evaluation(N):
             with _interval_prec(prec):
                 assert x._interval_value()._mpi_ == _fresh_value(x)._mpi_
         assert x.sign() == _reference_sign(x)
+
+
+# -- the fused matrix kernel against one scalar object per product -------------
+
+
+def _scalar_matmul(outer, inner, zero):
+    """Column j is sum_t inner[j][t] * outer[t], one CycloReal `*` and `+`
+    at a time."""
+    out = []
+    for col in inner:
+        acc = [zero] * len(outer[0])
+        for t, c in enumerate(col):
+            acc = [a + c * x for a, x in zip(acc, outer[t])]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _same(left, right):
+    # canonical coefficient tuples, compared entry by entry
+    return ([[x.coeffs for x in col] for col in left]
+            == [[x.coeffs for x in col] for col in right])
+
+
+KERNEL_GROUPS = {
+    # name: (group builder, ball radius; None is all of a finite W)
+    "affine-a2": (lambda: CoxeterGroup(MATRICES["triangle"]), 5),
+    "tri443": (lambda: CoxeterGroup(CoxeterMatrix.from_labels(
+        3, {(1, 2): 4, (1, 3): 4, (2, 3): 3})), 5),
+    "tri237": (lambda: CoxeterGroup(CoxeterMatrix.from_labels(
+        3, {(1, 2): 3, (2, 3): 7})), 6),
+    "b3-matrix": (lambda: matrix_engine_group(MATRICES["b3"]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_matmul_matches_scalar_products(name):
+    build, radius = KERNEL_GROUPS[name]
+    W = build()
+    ctx = W.ctx
+    actions = [w.inv_cols for w in enumerate_ball(W, radius).elements]
+    if name == "tri237":
+        assert ctx.degree == 24
+    rng = random.Random(name)
+    for _ in range(60):
+        outer, inner = rng.choice(actions), rng.choice(actions)
+        assert _same(ctx.matmul(outer, inner),
+                     _scalar_matmul(outer, inner, ctx.zero))
+    # a zero column, Fraction coefficients on both sides, and zeta^(d-1)
+    # (not real) on both sides, so the top coefficient of a product is hit
+    third = ctx.two_cos_pi_over(ctx.N) * Fraction(1, 3)
+    top = ctx.zeta_power(ctx.degree - 1)
+    odd = tuple(tuple(x * Fraction(-5, 2) for x in col) for col in actions[-1])
+    odd = ((top,) + odd[0][1:],) + odd[1:]
+    inner = ((ctx.zero,) * W.rank,
+             (top, third) + (ctx.one,) * (W.rank - 2),
+             actions[1][0]) + actions[-1][3:]
+    for outer in (actions[-1], odd):
+        product = ctx.matmul(outer, inner)
+        assert _same(product, _scalar_matmul(outer, inner, ctx.zero))
+        assert all(x.is_zero() for x in product[0])
+    assert any(isinstance(c, Fraction) for col in ctx.matmul(odd, inner)
+               for x in col for c in x.coeffs)
+
+
+def test_matmul_of_empty_matrices():
+    assert ArithContext(2).matmul((), ()) == ()
 
 
 # -- mpmath is imported on the first interval evaluation ---------------------------

@@ -7,6 +7,10 @@ multiplies without any memo, exactly as the factorization is defined, and
 must agree with `greedy_factorize` and `factorize_product` on every fixed
 element and on random orbit words: same orbit sequence, same letter
 count, and the same draws from a seeded `choose`.
+
+`is_fixed` memoizes its verdict per element: each element is tested
+once, a non-fixed one still raises on every call, and a replaced copy
+starts with a memo of its own.
 """
 
 import dataclasses
@@ -14,6 +18,7 @@ import random
 
 import pytest
 
+from coxfold import folding
 from coxfold.catalog import entry_by_name
 from coxfold.coxeter import parse_input
 from coxfold.folding import Automorphism, InvariantViolation, fold
@@ -136,9 +141,38 @@ def test_replaced_copy_starts_with_empty_memo():
     for w in fixed:
         folded.greedy_factorize(w)
     folded.factorize_product(folded.bar_s * 2)
-    assert folded._steps and folded._products
+    assert folded._steps and folded._products and folded._fixed
     copy = dataclasses.replace(folded)
-    for memo in ("_steps", "_products"):
+    for memo in ("_steps", "_products", "_fixed"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
     assert copy == folded  # the memos take no part in equality
+
+
+def test_fixedness_is_tested_once_per_element(monkeypatch):
+    folded, fixed = instance("tri443-swap")
+    folded = dataclasses.replace(folded)
+    calls = []
+    real = folding.is_fixed
+    monkeypatch.setattr(folding, "is_fixed",
+                        lambda w, autos: calls.append(w) or real(w, autos))
+    for _ in range(3):
+        for w in fixed:
+            folded.greedy_factorize(w)
+            folded.weight_additivity(w, fixed[-1])
+    assert sorted(calls, key=lambda w: w.word) == sorted(fixed,
+                                                         key=lambda w: w.word)
+
+
+@pytest.mark.parametrize("name", ["a5-flip", "tri443-swap"])
+def test_non_fixed_element_raises_on_every_call(name):
+    folded, fixed = instance(name)
+    w = folded.group.simple(2)   # the automorphism moves generator 2
+    assert not folding.is_fixed(w, folded.autos)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not fixed"):
+            folded.greedy_factorize(w)
+        with pytest.raises(ValueError, match="must be fixed"):
+            folded.weight_additivity(w, fixed[0])
+        with pytest.raises(ValueError, match="must be fixed"):
+            folded.weight_additivity(fixed[0], w)

@@ -17,7 +17,9 @@ words with the exchange walk, and must keep exactly the elements that the
 engine's fixedness test keeps over the whole ball, for every diagram
 automorphism and for all of them together: on the root table against
 the table's own test, and on infinite W against the matrix engine.
-Groups of rank 0 and 1 take the automaton.
+There it walks only the words whose automaton state the automorphism
+leaves stable, and every fixed word's state is stable.  Groups of rank 0
+and 1 take the automaton.
 """
 
 import itertools
@@ -243,3 +245,28 @@ def test_automaton_matches_matrix_engine(name):
         fixed = fixed_subgroup(ball, gammas)
         assert [w.word for w in fixed] == [w.word for w in expected]
         assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]
+    # fixed_subgroup walks only the words whose state gamma leaves stable:
+    # those whose set S, as a set of root vectors, gamma maps onto itself.
+    # Every fixed word's state is stable.
+    table = W._elementary
+    state = dict(zip(ball.words, ball.states))
+    for gamma in autos:
+        stable = table.stable_states(gamma.images)
+        expected = set()
+        for q, (S, _) in enumerate(table._states):
+            vectors = {r for i, r in enumerate(table.roots) if S >> i & 1}
+            if {move_root(gamma, r) for r in vectors} == vectors:
+                expected.add(q)
+        assert stable == expected
+        assert all(state[w.word] in stable
+                   for w in elements if is_fixed(w, [gamma]))
+        if not gamma.is_identity():
+            assert len(stable) < len(table._states)
+
+
+def move_root(gamma, r):
+    """gamma(r): coordinate i of r moves to coordinate gamma(i)."""
+    moved = [None] * len(r)
+    for i, c in enumerate(r):
+        moved[gamma(i + 1) - 1] = c
+    return tuple(moved)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxfold.coxeter import FiniteTypeLabel
+from coxfold.coxeter import CoxeterMatrix, FiniteTypeLabel
 from coxfold.verify import enumerate_ball
 from coxfold.words import (
     CoxeterGroup,
@@ -317,6 +317,22 @@ def test_exchange_examples(group_of):
     assert brute_exchange(A2, (1, 2, 1), 2) == 3
     A3 = group_of("a3")
     assert A3.exchange((2, 1, 3, 2), 2) == 1
+
+
+@pytest.mark.parametrize("matrix", [
+    MATRICES["triangle"],
+    CoxeterMatrix.from_labels(3, {(1, 2): 4, (1, 3): 4, (2, 3): 3}),
+], ids=["affine-a2", "tri443"])
+def test_exchange_matches_brute_force_on_infinite_groups(matrix):
+    W = CoxeterGroup(matrix)
+    ball = enumerate_ball(W, 6).elements
+    checked = 0
+    for w in ball:
+        for s in W.left_descents(w):
+            assert W.exchange(w.word, s) == brute_exchange(W, w.word, s)
+            checked += 1
+    # every element but the identity has a left descent
+    assert checked >= len(ball) - 1
 
 
 def test_exchange_errors(group_of):
