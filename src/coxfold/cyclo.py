@@ -7,44 +7,41 @@ the 2N-th cyclotomic polynomial.  Real values are exactly the polynomials
 invariant under zeta -> zeta^(-1); all constructors here produce such
 values and the ring operations preserve them.
 
-Equality is decided on canonical forms, so it is exact.  Sign queries fall
-back to adaptive-precision interval evaluation (mpmath.iv): double the
-working precision until the enclosing interval excludes zero.  That loop
-terminates for every nonzero input because a nonzero algebraic number is
-bounded away from zero.  mpmath is imported on the first such evaluation,
-so a run that tests no sign, such as a fold of a finite W, never loads
-it.  The enclosures of cos(k*pi/N) depend only on the context and the
-working precision, so each context computes them once per precision and
-every evaluation at that precision reuses them.
+Equality is decided on canonical forms, so it is exact.  A sign is
+decided on an enclosure in integer fixed point: each cos(k*pi/N) carries
+an explicit error bound (pi from Machin's formula, cos from its Taylor
+series), and the value sums them with its exact rational coefficients.
+The working precision doubles until the enclosure excludes zero, which
+happens for every nonzero input, since a nonzero algebraic number is
+bounded away from zero.  Each context computes the cosine enclosures once
+per working precision.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 INF = math.inf
 
-#: working-precision schedule for interval sign evaluation
+#: working-precision schedule of the sign test, in bits
 _SIGN_START_PREC = 64
 _SIGN_MAX_PREC = 1 << 16
+#: bits carried below the working precision; they absorb the rounding
+#: errors of pi and of the cosine series, below 2^18 units up to 2^16 bits
+_GUARD_BITS = 32
 
 #: largest field degree phi(2N) a Coxeter matrix may ask for
 DEGREE_CAP = 64
 
-# mpmath's interval context keeps its precision in module-global state, so
-# evaluations, and the import of mpmath on the first of them, are
-# serialized.  The memo makes repeated queries on the same canonical value
-# free; results are precision-independent, so the cache is observationally
-# absent.
-_EVAL_LOCK = threading.Lock()
+# The memo makes repeated queries on the same canonical value free; results
+# are precision-independent, so the cache is observationally absent.
 _SIGN_MEMO: dict[tuple, int] = {}
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Interval evaluation hit the precision cap without excluding zero.
+    """The enclosure at the precision cap still contains zero.
 
     This is a hard internal failure: it can only happen for a nonzero value
     whose magnitude is below 2^-_SIGN_MAX_PREC, far outside the scale of the
@@ -104,9 +101,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def euler_phi(n: int) -> int:
-    result = n
-    p = 2
-    m = n
+    result, m, p = n, n, 2
     while p * p <= m:
         if m % p == 0:
             while m % p == 0:
@@ -116,6 +111,56 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+# ---------------------------------------------------------------------------
+# fixed point: an integer v stands for v / one, one = 2^bits.  Each function
+# returns (v, bound): the true number is within bound / one of v / one.
+
+
+def _atan_inv(x: int, bits: int) -> tuple[int, int]:
+    """arctan(1/x) for an integer x >= 2, by its alternating series.
+
+    power = floor(one / x^(2j+1)) exactly, since floor(floor(a/b)/c) =
+    floor(a/(bc)), so term j, floor(power / (2j+1)), is off by less than 1.
+    The loop stops at the first j with power = 0; the tail from there is
+    below its first term, one / x^(2j+1) < 1.  So the bound is j + 1."""
+    power, total, j = (1 << bits) // x, 0, 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if j & 1 else term
+        power //= x * x
+        j += 1
+    return total, j + 1
+
+
+def _pi(bits: int) -> tuple[int, int]:
+    """Machin's formula, pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    a, ea = _atan_inv(5, bits)
+    b, eb = _atan_inv(239, bits)
+    return 16 * a - 4 * b, 16 * ea + 4 * eb
+
+
+def _cos(x: int, bits: int) -> tuple[int, int]:
+    """cos(x / one) for 0 <= x / one <= 1.5716, by its Taylor series.
+
+    With u = (x/one)^2 < 2.47, term j is tau_j = one u^j / (2j)!; it is
+    computed as t_j = floor(floor(t_{j-1} x2 / one) / ((2j-1) 2j)) from
+    t_0 = one and x2 = floor(x^2 / one) = one (u - d), 0 <= d < 1/one.
+    Every step rounds down, so e_j = tau_j - t_j >= 0, and
+        e_j < (u e_{j-1} + tau_{j-1} d) / ((2j-1) 2j) + 1,
+    where tau_{j-1} d <= u^(j-1) / (2j-2)! < 1.24.  So e_1 < 1.5, and for
+    j >= 2, e_{j-1} < 2 gives e_j < (2.47 * 2 + 1.24) / 12 + 1 < 2.  The
+    loop stops at the first t_J = 0.  The terms fall from j = 1 on, so the
+    alternating tail is at most tau_J = e_J < 2, and the bound is 2J."""
+    x2 = x * x >> bits
+    term = total = 1 << bits
+    j = 0
+    while term:
+        j += 1
+        term = (term * x2 >> bits) // ((2 * j - 1) * (2 * j))
+        total += -term if j & 1 else term
+    return total, 2 * j
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +174,8 @@ class ArithContext:
     polynomial; its degree phi(2N) bounds every canonical form.
     """
 
-    __slots__ = ("N", "modulus", "degree", "_zero", "_one", "_two_cos_cache",
-                 "_cos_enclosures")
+    __slots__ = ("N", "modulus", "degree", "_tail", "zero", "one",
+                 "_two_cos_cache", "_cos_enclosures")
 
     def __init__(self, N: int):
         if N < 1:
@@ -144,8 +189,10 @@ class ArithContext:
         self.N = N
         self.modulus = cyclotomic_polynomial(2 * N)
         self.degree = deg
-        self._zero = CycloReal(self, (0,) * deg)
-        self._one = CycloReal(self, (1,) + (0,) * (deg - 1))
+        # the nonzero coefficients below the (monic) top of the modulus
+        self._tail = tuple((j, m) for j, m in enumerate(self.modulus[:deg]) if m)
+        self.zero = CycloReal(self, (0,) * deg)
+        self.one = CycloReal(self, (1,) + (0,) * (deg - 1))
         self._two_cos_cache: dict[object, CycloReal] = {}
         # working precision -> enclosures of cos(k*pi/N), k < degree
         self._cos_enclosures: dict[int, tuple] = {}
@@ -159,14 +206,6 @@ class ArithContext:
     def __hash__(self):
         return hash(("ArithContext", self.N))
 
-    @property
-    def zero(self) -> CycloReal:
-        return self._zero
-
-    @property
-    def one(self) -> CycloReal:
-        return self._one
-
     def from_rational(self, q) -> CycloReal:
         return CycloReal(self, (_coeff(q),) + (0,) * (self.degree - 1))
 
@@ -178,10 +217,9 @@ class ArithContext:
 
     def two_cos_pi_over(self, m) -> CycloReal:
         """Exact 2cos(pi/m); m = INF yields 2 by convention."""
-        try:
-            return self._two_cos_cache[m]
-        except KeyError:
-            pass
+        val = self._two_cos_cache.get(m)
+        if val is not None:
+            return val
         if m == INF:
             val = self.from_rational(2)
         else:
@@ -195,19 +233,21 @@ class ArithContext:
         self._two_cos_cache[m] = val
         return val
 
-    def cos_enclosures(self) -> tuple:
-        """Intervals enclosing cos(k*pi/N) for k < degree, at mpmath.iv's
-        current precision.  The caller holds _EVAL_LOCK, which guards both
-        that precision and this cache."""
-        import mpmath
-
-        prec = mpmath.iv.prec
+    def cos_enclosures(self, prec: int) -> tuple:
+        """(value, bound) in fixed point with unit 2^(prec + _GUARD_BITS)
+        enclosing cos(k*pi/N), for k < degree; computed once per prec."""
         table = self._cos_enclosures.get(prec)
         if table is None:
-            step = mpmath.iv.pi / self.N
-            table = self._cos_enclosures[prec] = (mpmath.iv.mpf(1),) + tuple(
-                mpmath.iv.cos(step * k) for k in range(1, self.degree)
-            )
+            bits = prec + _GUARD_BITS
+            pi, pi_bound = _pi(bits)
+            N, enclosures = self.N, []
+            for k in range(self.degree):
+                j = min(k, N - k)       # cos(k*pi/N) = -cos(j*pi/N) if j < k
+                c, bound = _cos(j * pi // N, bits)
+                # j/N <= 1/2, so the argument is off by below pi_bound/2 + 1,
+                # and cos is 1-Lipschitz
+                enclosures.append((c if j == k else -c, bound + pi_bound + 1))
+            table = self._cos_enclosures[prec] = tuple(enclosures)
         return table
 
     def matmul(self, outer, inner) -> tuple:
@@ -218,12 +258,8 @@ class ArithContext:
         convolutions of its scalar products in one plain list and is
         reduced once, so no CycloReal is built for a product or a partial
         sum.  Reduction is linear, so the canonical form is the one that
-        CycloReal `*` and `+` give.  It is _reduce's elimination, but
-        skipping the zero coefficients of the modulus, most of them."""
-        d = self.degree
-        size = 2 * d - 1
-        tail = [(j, m) for j, m in enumerate(self.modulus[:d]) if m]
-        high = range(size - 1, d - 1, -1)
+        CycloReal `*` and `+` give."""
+        size = 2 * self.degree - 1
         rows = range(len(outer[0]) if outer else 0)
         # the nonzero (power, coefficient) pairs of every entry of outer
         terms = [[[(p, c) for p, c in enumerate(x.coeffs) if c] for x in col]
@@ -240,32 +276,20 @@ class ArithContext:
                     for p, a in pairs:
                         for q, b in other:
                             acc[p + q] += a * b
-                for k in high:
-                    c = acc[k]
-                    if c:
-                        for j, m in tail:
-                            acc[k - d + j] -= c * m
-                new.append(CycloReal(self, tuple(acc[:d])))
+                new.append(CycloReal(self, self._reduce(acc)))
             out.append(tuple(new))
         return tuple(out)
 
     def _reduce(self, coeffs: list) -> tuple:
-        """Reduce a coefficient list modulo the cyclotomic modulus."""
-        d = self.degree
-        mod = self.modulus
-        coeffs = list(coeffs)
+        """Reduce a coefficient list of length at least degree modulo the
+        cyclotomic modulus, in place."""
+        d, tail = self.degree, self._tail
         for k in range(len(coeffs) - 1, d - 1, -1):
             c = coeffs[k]
             if c:
-                coeffs[k] = 0
-                for j in range(d):
-                    mj = mod[j]
-                    if mj:
-                        coeffs[k - d + j] -= c * mj
-        out = coeffs[:d]
-        if len(out) < d:
-            out.extend([0] * (d - len(out)))
-        return tuple(out)
+                for j, m in tail:
+                    coeffs[k - d + j] -= c * m
+        return tuple(coeffs[:d])
 
 
 def _coeff(q):
@@ -283,6 +307,7 @@ def _coeff(q):
     return q.numerator if q.denominator == 1 else q
 
 
+@total_ordering
 class CycloReal:
     """An exact real number in the cyclotomic field of order 2N.
 
@@ -373,13 +398,8 @@ class CycloReal:
         return f"CycloReal(N={self.ctx.N}, {self.coeffs!r})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}" if k == 0 else f"{c}*z^{k}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}" if k == 0 else f"{c}*z^{k}"
+                          for k, c in enumerate(self.coeffs) if c) or "0"
 
     # -- structure ----------------------------------------------------------
 
@@ -411,65 +431,42 @@ class CycloReal:
         if self.is_zero():
             return 0
         key = (self.ctx.N, self.coeffs)
-        with _EVAL_LOCK:
-            import mpmath
-
-            memo = _SIGN_MEMO.get(key)
-            if memo is not None:
-                return memo
-            saved = mpmath.iv.prec
-            try:
-                prec = _SIGN_START_PREC
-                while prec <= _SIGN_MAX_PREC:
-                    mpmath.iv.prec = prec
-                    total = self._interval_value()
-                    if total > 0:
-                        _SIGN_MEMO[key] = 1
-                        return 1
-                    if total < 0:
-                        _SIGN_MEMO[key] = -1
-                        return -1
-                    prec *= 2
-            finally:
-                mpmath.iv.prec = saved
+        memo = _SIGN_MEMO.get(key)
+        if memo is not None:
+            return memo
+        prec = _SIGN_START_PREC
+        while prec <= _SIGN_MAX_PREC:
+            value, bound = self._interval_value(prec=prec)
+            if abs(value) > bound:
+                return _SIGN_MEMO.setdefault(key, 1 if value > 0 else -1)
+            prec *= 2
         raise PrecisionExhausted(
             f"sign undecided at {_SIGN_MAX_PREC} bits for nonzero value "
             f"{self.coeffs!r} (N={self.ctx.N})"
         )
 
-    def _interval_value(self):
-        # the value is real, so it equals the real part sum c_k cos(k*pi/N)
-        import mpmath
-
-        cos = self.ctx.cos_enclosures()
-        total = mpmath.iv.mpf(0)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += cos[k] * mpmath.iv.mpf(c.numerator) / c.denominator
-        return total
+    def _interval_value(self, *, prec: int) -> tuple[int, int]:
+        """(value, bound) enclosing D times this number in fixed point with
+        unit 2^(prec + _GUARD_BITS), D the lcm of the coefficient
+        denominators.  The number is real, so it equals sum c_k cos(k*pi/N),
+        and D c_k is an integer, so the sum adds no rounding."""
+        cos = self.ctx.cos_enclosures(prec)
+        terms = [(c, cos[k]) for k, c in enumerate(self.coeffs) if c]
+        D = math.lcm(*(c.denominator for c, _ in terms))
+        value = bound = 0
+        for c, (v, b) in terms:
+            a = c.numerator * (D // c.denominator)
+            value += a * v
+            bound += abs(a) * b
+        return value, bound
 
     def __float__(self):
         # non-rigorous float view, for display and test oracles only
-        return float(
-            sum(float(c) * math.cos(k * math.pi / self.ctx.N)
-                for k, c in enumerate(self.coeffs) if c)
-        )
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
+        return float(sum(float(c) * math.cos(k * math.pi / self.ctx.N)
+                         for k, c in enumerate(self.coeffs) if c))
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
+        return (self - self._coerce(other)).sign() < 0
 
 
 def label_lcm(matrix) -> int:

@@ -52,6 +52,14 @@ SUBSET_CAP = 4096           # exhaustive subset checks up to this many
 # on the root table (E6, 51,840 elements) and 170 to 180 on the automaton
 # (the (4,4,3) triangle group at radius 16 and 18), by tracemalloc.
 NODE_CAP = 200_000
+# A ball also holds its words, 8 bytes a letter, so it is capped in letters
+# too.  Lengths in a finite W are symmetric about l(w_0)/2, so all of W
+# spells |W| l(w_0) / 2 letters.  Over the finite W the node cap admits
+# (|W| <= NODE_CAP, phi(2N) <= DEGREE_CAP), that is largest for
+# A2 x I2(90) x I2(90): 194,400 * 183 / 2 = 17,787,600 letters.  The least
+# multiple of NODE_CAP above it refuses no such W; on infinite W it stops a
+# ball at about 150 MiB of words (I2(inf) at radius about 4,200).
+LETTER_CAP = 89 * NODE_CAP
 
 CHECK_NAMES = (
     "finiteness-classification-vs-greedy",
@@ -79,7 +87,8 @@ class VerifyConfig:
 
 
 class NodeCapExceeded(ValueError):
-    """An enumeration would hold more than NODE_CAP elements."""
+    """An enumeration would hold more than NODE_CAP elements, or a ball
+    more than LETTER_CAP letters."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +166,7 @@ def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
     words, images = [()], [tuple(range(group.rank))]   # alpha_t is root t-1
     level_words, level_images = words[:], images[:]
     below: set = set()
-    depth = 0
+    depth = letters = 0
     while level_words and (radius is None or depth < radius):
         depth += 1
         # s*x lies in level k-1 or k+1: seen holds level k-1, then level k+1
@@ -175,8 +184,8 @@ def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
                     level_images.append(img)
         words.extend(level_words)
         images.extend(level_images)
-        if len(words) > NODE_CAP:
-            raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
+        letters += depth * len(level_words)
+        _check_ball(len(words), letters)
     return Ball(group, not level_words, tuple(words), tuple(images))
 
 
@@ -188,16 +197,23 @@ def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
     row = group._elementary.shortlex_row
     words, states = [()], [0]
     level = [((), 0)]
-    depth = 0
+    depth = letters = 0
     while level and (radius is None or depth < radius):
         depth += 1
         level = [(word + (s,), r) for word, q in level
                  for s, r in enumerate(row(q)) if r is not None]
         words.extend(word for word, _ in level)
         states.extend(q for _, q in level)
-        if len(words) > NODE_CAP:
-            raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
+        letters += depth * len(level)
+        _check_ball(len(words), letters)
     return Ball(group, not level, tuple(words), states=tuple(states))
+
+
+def _check_ball(size: int, letters: int) -> None:
+    if size > NODE_CAP:
+        raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
+    if letters > LETTER_CAP:
+        raise NodeCapExceeded(f"ball exceeded the letter cap {LETTER_CAP}")
 
 
 def _elements(group: CoxeterGroup, words) -> tuple[Element, ...]:

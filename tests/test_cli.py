@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,27 @@ def test_verify_infinite_ball_over_node_cap_exits_2(capsys, tmp_path, monkeypatc
     assert rc == 2
     assert out == ""
     assert err == "ball exceeded the node cap 50\n"
+
+
+def test_verify_ball_over_letter_cap_exits_2(tmp_path):
+    # I2(inf) has two elements of each length, so the node cap alone lets
+    # its radius-100000 ball spell 10^10 letters; under a 1 GiB address
+    # space that ends in MemoryError unless the letter cap stops the walk
+    p = tmp_path / "i2inf.cox"
+    p.write_text("rank 2\nm 1 2 inf\nauto id\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from coxfold import cli\n"
+        f"sys.exit(cli.main(['verify', {str(p)!r}, '--radius', '100000']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"ball exceeded the letter cap {verify.LETTER_CAP}\n"
 
 
 def test_classify(capsys, a3_file):

@@ -206,42 +206,71 @@ def test_zeta_power_not_real():
     assert (ctx.zeta_power(1) + ctx.zeta_power(11)).is_real()
 
 
-# -- the cached cosine enclosures of the interval sign test ---------------------
+# -- the fixed-point sign test, against mpmath as an independent oracle --------
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_cos_enclosures_contain_the_cosines(prec):
+    bits = prec + cyclo._GUARD_BITS
+    with mpmath.workprec(400):
+        for N in range(2, 61):
+            ctx = ArithContext(N)
+            for k, (value, bound) in enumerate(ctx.cos_enclosures(prec)):
+                true = mpmath.cos(mpmath.pi * k / N) * 2 ** bits
+                assert abs(value - true) <= bound, (N, k)
+                # the guard bits absorb the rounding: prec bits are exact
+                assert bound < 1 << cyclo._GUARD_BITS
+
+
+@pytest.mark.parametrize("bits", [96, 160, 288])
+def test_pi_and_cos_bounds_hold_on_their_own(bits):
+    # the table adds pi's bound to each cosine's, which would hide a
+    # cosine bound that is too small
+    one = 2 ** bits
+    rng = random.Random(bits)
+    with mpmath.workprec(400):
+        value, bound = cyclo._pi(bits)
+        assert abs(value - mpmath.pi * one) <= bound
+        half_pi = int(mpmath.pi / 2 * one)
+        for x in [0, 1, one // 3, one, half_pi] + [rng.randrange(half_pi)
+                                                   for _ in range(20)]:
+            value, bound = cyclo._cos(x, bits)
+            assert abs(value - mpmath.cos(mpmath.mpf(x) / one) * one) <= bound
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+@pytest.mark.parametrize("N", [5, 12, 42])
+def test_cos_enclosures_equal_fresh_ones(N, prec):
+    ctx = ArithContext(N)
+    cached = ctx.cos_enclosures(prec)
+    assert ctx.cos_enclosures(prec) is cached
+    assert len(cached) == ctx.degree
+    assert ArithContext(N).cos_enclosures(prec) == cached
 
 
 @contextmanager
 def _interval_prec(prec):
-    with cyclo._EVAL_LOCK:
-        saved = mpmath.iv.prec
-        mpmath.iv.prec = prec
-        try:
-            yield
-        finally:
-            mpmath.iv.prec = saved
-
-
-def _fresh_cos(N, k):
-    return mpmath.iv.cos(mpmath.iv.pi / N * k) if k else mpmath.iv.mpf(1)
-
-
-def _fresh_value(x):
-    """Enclosure of x at the current precision, every cosine recomputed."""
-    total = mpmath.iv.mpf(0)
-    for k, c in enumerate(x.coeffs):
-        if c:
-            total += (_fresh_cos(x.ctx.N, k)
-                      * mpmath.iv.mpf(c.numerator) / c.denominator)
-    return total
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        yield
+    finally:
+        mpmath.iv.prec = saved
 
 
 def _reference_sign(x):
-    """Sign by the doubling interval loop, without the cached cosines."""
+    """Sign by doubling the precision of mpmath's interval arithmetic."""
     if x.is_zero():
         return 0
     prec = 64
     while True:
         with _interval_prec(prec):
-            total = _fresh_value(x)
+            total = mpmath.iv.mpf(0)
+            for k, c in enumerate(x.coeffs):
+                if c:
+                    cos = (mpmath.iv.cos(mpmath.iv.pi / x.ctx.N * k) if k
+                           else mpmath.iv.mpf(1))
+                    total += cos * mpmath.iv.mpf(c.numerator) / c.denominator
             if total > 0:
                 return 1
             if total < 0:
@@ -257,29 +286,40 @@ def _random_real(ctx, rng):
     return v + v.conjugate()
 
 
-@pytest.mark.parametrize("prec", [64, 128])
-@pytest.mark.parametrize("N", [5, 12, 42])
-def test_cos_enclosures_equal_fresh_ones(N, prec):
-    ctx = ArithContext(N)
-    with _interval_prec(prec):
-        cached = ctx.cos_enclosures()
-        assert ctx.cos_enclosures() is cached
-        assert len(cached) == ctx.degree
-        for k, enc in enumerate(cached):
-            fresh = _fresh_cos(N, k)
-            assert enc._mpi_ == fresh._mpi_
+def _near(x, exponent, side):
+    """A rational within about 10^-exponent of x, above it or below it."""
+    with mpmath.workdps(exponent + 20):
+        true = mpmath.fsum(c * mpmath.cos(mpmath.pi * k / x.ctx.N)
+                           for k, c in enumerate(x.coeffs) if c)
+        return Fraction(mpmath.nstr(true + side * mpmath.mpf(10) ** -exponent,
+                                    exponent + 10))
 
 
 @pytest.mark.parametrize("N", [5, 12, 42])
 def test_cached_signs_agree_with_uncached_evaluation(N):
     ctx = ArithContext(N)
     rng = random.Random(N)
-    for _ in range(50):
+    for i in range(50):
         x = _random_real(ctx, rng)
-        for prec in (64, 128):
-            with _interval_prec(prec):
-                assert x._interval_value()._mpi_ == _fresh_value(x)._mpi_
         assert x.sign() == _reference_sign(x)
+        if i % 10 == 0:
+            # values 1e-10 to 1e-50 from zero, on both sides
+            for exponent in (10, 30, 50):
+                for side in (1, -1):
+                    y = x - _near(x, exponent, side)
+                    assert y.sign() == _reference_sign(y) == -side
+
+
+def test_precision_exhausted_below_what_a_tiny_value_needs(monkeypatch):
+    ctx = ArithContext(30)
+    x = ctx.two_cos_pi_over(15)
+    y = x - _near(x, 50, 1)         # about -1e-50: 256 bits decide it
+    monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
+    monkeypatch.setattr(cyclo, "_SIGN_MAX_PREC", 128)
+    with pytest.raises(cyclo.PrecisionExhausted, match="undecided at 128 bits"):
+        y._compute_sign()
+    monkeypatch.setattr(cyclo, "_SIGN_MAX_PREC", 256)
+    assert y._compute_sign() == -1
 
 
 # -- the fused matrix kernel against one scalar object per product -------------
@@ -348,22 +388,24 @@ def test_matmul_of_empty_matrices():
     assert ArithContext(2).matmul((), ()) == ()
 
 
-# -- mpmath is imported on the first interval evaluation ---------------------------
+# -- no run imports mpmath ------------------------------------------------------
 
 
-def test_mpmath_loads_on_first_sign_test():
-    src = Path(__file__).resolve().parent.parent / "src"
+def test_mpmath_is_never_imported(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / "tri443.cox"
+    path.write_text("rank 3\nm 1 2 4\nm 1 3 4\nm 2 3 3\nauto swap 2>3 3>2\n")
     code = (
         "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
+        f"sys.path.insert(0, {str(root / 'src')!r})\n"
         "import coxfold\n"
-        "assert 'mpmath' not in sys.modules, 'import coxfold'\n"
+        "from coxfold import cli\n"
         "W = coxfold.CoxeterGroup(coxfold.parse_input("
         "'rank 3\\nm 1 2 3\\nm 2 3 4\\n').matrix)\n"
         "coxfold.fold(W, [coxfold.Automorphism.identity_of(3)])\n"
-        "assert 'mpmath' not in sys.modules, 'finite fold'\n"
         "assert (W.ctx.two_cos_pi_over(4) - 1).sign() == 1\n"
-        "assert 'mpmath' in sys.modules, 'sign test'\n"
+        f"assert cli.main(['verify', {str(path)!r}, '--radius', '4']) == 0\n"
+        "assert 'mpmath' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)

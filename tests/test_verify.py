@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
 from coxfold import verify
 from coxfold.catalog import entry_by_name, run_entry
+from coxfold.cyclo import degree_problem
 from coxfold.coxeter import (
     CoxeterMatrix,
     classify_finite,
@@ -376,6 +378,36 @@ def test_full_ball_over_node_cap_is_refused_up_front():
     a8 = CoxeterMatrix.from_labels(8, {(i, i + 1): 3 for i in range(1, 8)})
     with pytest.raises(NodeCapExceeded, match="362880 elements"):
         enumerate_ball(CoxeterGroup(a8))
+
+
+def test_letter_cap_admits_every_finite_group_the_node_cap_admits():
+    # every finite W with |W| <= NODE_CAP and field degree phi(2N) <=
+    # DEGREE_CAP, as a product of irreducibles (order, l(w_0), largest
+    # label); all of W spells |W| l(w_0) / 2 letters
+    cap = verify.NODE_CAP
+    irreducible = [(2, 1, 2), (51840, 36, 3), (1152, 24, 4), (120, 15, 5),
+                   (14400, 60, 5)]                  # A1, E6, F4, H3, H4
+    for n in range(2, 10):
+        irreducible += [(math.factorial(n + 1), n * (n + 1) // 2, 3),
+                        (2 ** n * math.factorial(n), n * n, 4)]
+        if n >= 4:
+            irreducible.append((2 ** (n - 1) * math.factorial(n), n * (n - 1), 3))
+    irreducible += [(2 * m, m, m) for m in range(5, cap // 2 + 1)]   # I2(m)
+    irreducible = [t for t in irreducible
+                   if t[0] <= cap and degree_problem(math.lcm(2, t[2])) is None]
+    best = 0
+
+    def extend(start, order, length, lcm):
+        nonlocal best
+        best = max(best, order * length // 2)
+        for i in range(start, len(irreducible)):
+            o, n, m = irreducible[i]
+            if order * o <= cap and degree_problem(math.lcm(lcm, m)) is None:
+                extend(i, order * o, length + n, math.lcm(lcm, m))
+
+    extend(0, 1, 0, 2)
+    assert best == 194400 * 183 // 2        # A2 x I2(90) x I2(90)
+    assert best <= verify.LETTER_CAP < best + cap
 
 
 def test_bounded_balls_respect_node_cap(group_of, monkeypatch):
