@@ -7,13 +7,14 @@ hence the normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1.
 Two engines compute with actions behind seven primitives (identity, lmul,
 rmul, compose, negative, fixes, inversions):
 
-* Finite W, as decided by classify_finite, uses a root-index table.  The
-  root system Phi is enumerated once with the exact ``reflect``; each root
-  gets an index, positive roots first, and each simple reflection becomes
-  an integer permutation of Phi.  An action is the tuple of root indices
-  w(Phi), products are tuple indexing, and a root is negative exactly when
-  its index is at least |Phi+|.  The table is built on the first element
-  operation, so constructing a group costs no more than the matrix setup.
+* Finite W, as decided by classify_finite, uses a root-index table.  Its
+  positive roots are the elementary roots below, checked against the
+  classification; each root gets an index, positive roots first, and each
+  simple reflection becomes an integer permutation of Phi.  An action is
+  the tuple of root indices w(Phi), products are tuple indexing, and a
+  root is negative exactly when its index is at least |Phi+|.  The table
+  is built on the first element operation, so constructing a group costs
+  no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
   coordinates are.  lmul and rmul are exact reflections; compose and
@@ -25,13 +26,14 @@ when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
 is.
 
 Next to the engine, built on first use, is the table of the finitely many
-elementary roots (Brink and Howlett).  It walks reduced words without
-arithmetic: it drives the ShortLex automaton that lists the balls of an
-infinite W (and of W of rank 1), the exchange walk that tests fixedness
-on words, and, for every W, the exchange property (``exchange``) and the
-greedy walk up by non-descents (``_grow``) that builds longest elements
-and probes finiteness.  For a finite W every positive root is
-elementary, and the table is read off the root table.
+elementary roots (Brink and Howlett): the simple roots closed under the
+exact ``reflect``, the one place where roots are closed.  It walks reduced
+words without arithmetic: it drives the ShortLex automaton that lists the
+balls of an infinite W (and of W of rank 1), the exchange walk that tests
+fixedness on words, and, for every W, the exchange property
+(``exchange``) and the greedy walk up by non-descents (``_grow``) that
+builds longest elements and probes finiteness.  For a finite W every
+positive root is elementary, and the root table is read off this table.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent
@@ -67,10 +69,6 @@ def root_sign(coords: Sequence[CycloReal]) -> int:
         if s:
             return s
     raise ValueError("zero vector is not a root")
-
-
-def is_positive_root(coords: Sequence[CycloReal]) -> bool:
-    return root_sign(coords) > 0
 
 
 class EngineInvariantError(RuntimeError):
@@ -128,8 +126,9 @@ class CoxeterGroup:
     @cached_property
     def _engine(self):
         """The action engine, built on first use: a root-index table for
-        finite W, exact matrices otherwise (and for the trivial group,
-        which has no roots to index)."""
+        finite W, read off the elementary roots, and exact matrices
+        otherwise (and for the trivial group, which has no roots to
+        index)."""
         if not classify_finite(self.matrix, self.generators()):
             return _MatrixEngine(self)
         return _RootTable(self)
@@ -137,10 +136,10 @@ class CoxeterGroup:
     @cached_property
     def _elementary(self) -> "_ElementaryRoots":
         """The elementary roots and their reflection table, built on first
-        use: walks on reduced words need no arithmetic on it."""
-        if isinstance(self._engine, _RootTable):
-            return _ElementaryRoots.from_table(self._engine)
-        return _ElementaryRoots.closure(self)
+        use: walks on reduced words need no arithmetic on it.  For a finite
+        W they are all the positive roots, and the root table is read off
+        them."""
+        return _ElementaryRoots(self.rank, *self._root_closure(self.generators()))
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -170,43 +169,58 @@ class CoxeterGroup:
         out[s - 1] = acc
         return tuple(out)
 
-    def _root_closure(self, subset) -> tuple[list, dict]:
-        """Positive roots of the finite parabolic W_I, simple roots first,
-        and for each s in I the index of s(beta) for every positive root
-        beta (-1 for s(alpha_s) = -alpha_s).
+    def _root_closure(self, subset) -> tuple[list, list]:
+        """The elementary roots of W_I, simple roots first, and their step
+        table: step[i][s], for s in I, is NEG when root i is alpha_s, BIG
+        when s(beta_i) dominates alpha_s, and otherwise the index of
+        s(beta_i); the entries of the other generators are None.
 
-        Every other image of a positive root is positive, so no sign test
-        is needed; the closure is capped at the root count of the
-        classification and must meet it exactly.
+        This is the one closure under the exact reflect.  An image is looked
+        up first; a listed root is elementary, so its step is never BIG, and
+        only an image not listed yet needs a sign test.
         """
+        subset = sorted(set(subset))
+        roots = [self.simple_root(s) for s in subset]
+        index = {r: i for i, r in enumerate(roots)}
+        step = []
+        for i, beta in enumerate(roots):  # grows while it is read
+            row = [None] * (self.rank + 1)
+            for k, s in enumerate(subset):
+                if i == k:
+                    row[s] = NEG
+                    continue
+                img = self.reflect(s, beta)
+                j = index.get(img)
+                if j is None:
+                    # s(beta) = beta - 2B(beta, alpha_s) alpha_s
+                    if (beta[s - 1] - img[s - 1] + 2).sign() <= 0:
+                        j = BIG
+                    else:
+                        j = index[img] = len(roots)
+                        roots.append(img)
+                row[s] = j
+            step.append(tuple(row))
+        return roots, step
+
+    def _check_finite(self, subset, roots, step) -> None:
+        """Every positive root of a finite W_I is elementary: its closure
+        must meet no BIG step and give as many roots as the classification
+        says, or RootSystemError is raised with a witness."""
         subset = sorted(set(subset))
         labels = classify_finite(self.matrix, subset)
         if labels is None:
             raise ValueError("parabolic subgroup is infinite")
         count = sum(lab.positive_root_count for lab in labels)
         witness = self._witness(subset=subset, positive_root_count=count)
-        roots = [self.simple_root(s) for s in subset]
-        index = {r: i for i, r in enumerate(roots)}
-        images: dict[int, list[int]] = {s: [] for s in subset}
-        for i, r in enumerate(roots):  # grows while it is read
-            for k, s in enumerate(subset):
-                if i == k:
-                    images[s].append(-1)
-                    continue
-                img = self.reflect(s, r)
-                j = index.get(img)
-                if j is None:
-                    if len(roots) == count:
-                        raise RootSystemError(
-                            "root closure exceeds the positive root count",
-                            witness)
-                    j = index[img] = len(roots)
-                    roots.append(img)
-                images[s].append(j)
-        if len(roots) != count:
+        if len(roots) > count:
+            raise RootSystemError(
+                "root closure exceeds the positive root count", witness)
+        if len(roots) < count:
             raise RootSystemError(
                 f"root closure stops at {len(roots)} positive roots", witness)
-        return roots, images
+        if any(BIG in row for row in step):
+            raise RootSystemError(
+                "root closure leaves the elementary roots", witness)
 
     def _witness(self, **extra) -> dict:
         return {"matrix": str(self.matrix).split("\n"), **extra}
@@ -342,7 +356,8 @@ class CoxeterGroup:
         """All positive roots of the standard parabolic W_I (finite I only)."""
         if subset is None:
             subset = self.generators()
-        roots, _ = self._root_closure(subset)
+        roots, step = self._root_closure(subset)
+        self._check_finite(subset, roots, step)
         return set(roots)
 
     def longest_element(self, subset) -> "Element":
@@ -472,7 +487,7 @@ class _MatrixEngine:
 
     def inversions(self, cols):
         images = self.compose(cols, tuple(self.group.positive_roots()))
-        return sum(1 for r in images if not is_positive_root(r))
+        return sum(1 for r in images if root_sign(r) < 0)
 
 
 def _permute_roots(roots, images) -> list[int]:
@@ -495,18 +510,23 @@ class _RootTable:
     """Integer permutations of the root system of a finite W:
     cols[i] is the index of the image of root i.  Roots 0..P-1 are the
     positive roots (the first rank of them simple) and -beta_i has index
-    i + P."""
+    i + P.
+
+    Every positive root of a finite W is elementary, so the roots and the
+    permutations are read off the elementary-root table: NEG sends beta_i
+    to -beta_i, and any other step to the root it indexes."""
 
     def __init__(self, group: CoxeterGroup):
-        roots, images = group._root_closure(group.generators())
-        P = len(roots)
-        self.rank = group.rank
+        table = group._elementary
+        group._check_finite(group.generators(), table.roots, table.step)
+        P = len(table.roots)
         self.npos = P
         self.identity = tuple(range(2 * P))
-        self._roots = roots
+        self._roots = table.roots
         self._perms = [()]
         for s in group.generators():
-            half = [P + i if j < 0 else j for i, j in enumerate(images[s])]
+            half = [P + i if row[s] == NEG else row[s]
+                    for i, row in enumerate(table.step)]
             self._perms.append(self._extend(half))
         # w * s reads w's images at s's indices; itemgetter does it in C
         self._rmul_getters = [None] + [itemgetter(*p) for p in self._perms[1:]]
@@ -562,8 +582,9 @@ BIG = -2    # s(beta) is positive and dominates alpha_s: it never returns to E
 
 class _ElementaryRoots:
     """The elementary roots E, simple roots first, and their reflection
-    table: step[i][s] is NEG when root i is alpha_s, BIG when
-    B(beta_i, alpha_s) <= -1, and otherwise the index of s(beta_i).
+    table, as CoxeterGroup._root_closure builds them: step[i][s] is NEG
+    when root i is alpha_s, BIG when B(beta_i, alpha_s) <= -1, and
+    otherwise the index of s(beta_i).
 
     Walking alpha_c from right to left through a reduced word u decides
     u * c: reaching NEG at letter j means u * c is u without letter j (the
@@ -581,46 +602,6 @@ class _ElementaryRoots:
         self._states = [(0, 0)]
         self._ids = {(0, 0): 0}
         self._rows: list[tuple | None] = [None]
-
-    @classmethod
-    def closure(cls, group: CoxeterGroup) -> "_ElementaryRoots":
-        """Close the simple roots under the exact reflect, one sign test
-        per root and generator."""
-        gens = group.generators()
-        roots = [group.simple_root(s) for s in gens]
-        index = {r: i for i, r in enumerate(roots)}
-        step = []
-        for i, beta in enumerate(roots):  # grows while it is read
-            row = [None]
-            for s in gens:
-                if i == s - 1:
-                    row.append(NEG)
-                    continue
-                img = group.reflect(s, beta)
-                # s(beta) = beta - 2B(beta, alpha_s) alpha_s
-                two_b = beta[s - 1] - img[s - 1]
-                if two_b.is_zero():
-                    row.append(i)
-                elif (two_b + 2).sign() <= 0:
-                    row.append(BIG)
-                else:
-                    j = index.get(img)
-                    if j is None:
-                        j = index[img] = len(roots)
-                        roots.append(img)
-                    row.append(j)
-            step.append(tuple(row))
-        return cls(group.rank, roots, step)
-
-    @classmethod
-    def from_table(cls, table: "_RootTable") -> "_ElementaryRoots":
-        """Every positive root of a finite W is elementary and no image is
-        BIG: the table is read off the root permutations, no sign test."""
-        P = table.npos
-        step = [(None,) + tuple(NEG if p[i] >= P else p[i]
-                                for p in table._perms[1:])
-                for i in range(P)]
-        return cls(table.rank, table._roots, step)
 
     def _image(self, mask: int, s: int) -> int:
         """s applied to a set of root indices, keeping the elementary ones."""

@@ -7,9 +7,13 @@ reference below is the walk on the engine itself: left descents from
 same letters on every subset, and give up (None) at the same step bound;
 finite groups run on the root table, infinite ones on exact matrices.
 
-For a finite W the elementary-root table is read off the root table,
-since every positive root is elementary; the closure under the exact
-reflections, with its sign tests, must give the same table.
+The elementary-root table is the one closure under the exact
+reflections; it looks each image up before it tests a sign.  The
+reference closure below tests a sign on every root and generator that
+do not commute; both must give the same roots, in the same order, with
+the same table.  For a finite W the root table is read off that table,
+since every positive root is elementary; its permutations must be those
+of the reflections on the reference roots and their negatives.
 """
 
 import pytest
@@ -17,7 +21,7 @@ import pytest
 from coxfold.coxeter import CoxeterMatrix, classify_finite
 from coxfold.cyclo import INF
 from coxfold.verify import GREEDY_CAP, _greedy_probe
-from coxfold.words import CoxeterGroup, _ElementaryRoots
+from coxfold.words import BIG, NEG, CoxeterGroup
 
 from conftest import MATRICES
 
@@ -72,15 +76,59 @@ def test_grow_matches_engine_walk(name):
     assert infinite_seen == (classify_finite(W.matrix, W.generators()) is None)
 
 
-@pytest.mark.parametrize("name", ["a5", "b3", "d4", "f4", "h3", "h4"])
-def test_finite_table_is_the_elementary_closure(name):
-    W = CoxeterGroup(GROUPS[name])
+CLOSURE_GROUPS = {
+    **GROUPS,
+    "e6": CoxeterMatrix.from_labels(
+        6, {(1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (2, 4): 3}),
+    "tri555": CoxeterMatrix.from_labels(3, {(1, 2): 5, (1, 3): 5, (2, 3): 5}),
+    "534": CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 4}),
+    "hyperbolic4": CoxeterMatrix.from_labels(4, {
+        (1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 3): 6, (2, 4): INF, (3, 4): 5}),
+}
+
+
+def reference_closure(W):
+    """The elementary roots and their step table, with a sign test on
+    every root beta and generator s with B(beta, alpha_s) != 0."""
+    gens = W.generators()
+    roots = [W.simple_root(s) for s in gens]
+    index = {r: i for i, r in enumerate(roots)}
+    step = []
+    for i, beta in enumerate(roots):  # grows while it is read
+        row = [None]
+        for s in gens:
+            if i == s - 1:
+                row.append(NEG)
+                continue
+            img = W.reflect(s, beta)
+            two_b = beta[s - 1] - img[s - 1]
+            if two_b.is_zero():
+                row.append(i)
+            elif (two_b + 2).sign() <= 0:
+                row.append(BIG)
+            else:
+                j = index.get(img)
+                if j is None:
+                    j = index[img] = len(roots)
+                    roots.append(img)
+                row.append(j)
+        step.append(tuple(row))
+    return roots, step
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_elementary_table_matches_reference_closure(name):
+    W = CoxeterGroup(CLOSURE_GROUPS[name])
+    roots, step = reference_closure(W)
     table = W._elementary
-    closure = _ElementaryRoots.closure(W)
-    # the same roots, up to order, with the same reflection table
-    index = {r: i for i, r in enumerate(table.roots)}
-    perm = [index[r] for r in closure.roots]
-    assert sorted(perm) == list(range(len(table.roots)))
-    for i, row in enumerate(closure.step):
-        assert [e if e < 0 else perm[e] for e in row[1:]] == \
-            list(table.step[perm[i]][1:])
+    assert table.roots == roots
+    assert table.step == step
+    if classify_finite(W.matrix, W.generators()) is None:
+        assert any(BIG in row for row in step)
+        return
+    assert not any(BIG in row for row in step)
+    assert W.positive_roots() == set(roots)
+    phi = roots + [tuple(-c for c in r) for r in roots]
+    index = {r: i for i, r in enumerate(phi)}
+    assert W._engine._perms == [()] + [
+        tuple(index[W.reflect(s, r)] for r in phi) for s in W.generators()]

@@ -1,10 +1,12 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxfold.coxeter import CoxeterMatrix, FiniteTypeLabel
+from coxfold import words
 from coxfold.verify import enumerate_ball
 from coxfold.words import (
     CoxeterGroup,
@@ -221,6 +223,25 @@ def test_root_closure_must_meet_the_classified_count(monkeypatch, delta, message
     assert err.value.witness["subset"] == [1, 2, 3]
     assert err.value.witness["positive_root_count"] == 9 + delta
     assert err.value.witness["matrix"] == str(MATRICES["b3"]).split("\n")
+
+
+@pytest.mark.parametrize("count,message", [
+    (5, "exceeds"), (6, "leaves the elementary roots"), (7, "stops at 6")])
+def test_classified_finite_closure_must_be_all_elementary(
+        monkeypatch, count, message):
+    # affine A2 has 6 elementary roots and BIG steps; once a classification
+    # calls it finite, both the root table and positive_roots must refuse it
+    monkeypatch.setattr(words, "classify_finite", lambda matrix, subset: [
+        SimpleNamespace(positive_root_count=count)])
+    W = CoxeterGroup(MATRICES["triangle"])
+    witness = {"matrix": str(MATRICES["triangle"]).split("\n"),
+               "subset": [1, 2, 3], "positive_root_count": count}
+    with pytest.raises(RootSystemError, match=message) as err:
+        W.identity  # the first element operation builds the table
+    assert err.value.witness == witness
+    with pytest.raises(RootSystemError, match=message) as err:
+        W.positive_roots([3, 1, 2])
+    assert err.value.witness == witness
 
 
 def test_broken_engine_raises_with_a_witness(monkeypatch):
