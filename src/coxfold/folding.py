@@ -176,6 +176,10 @@ class FoldedSystem:
     # element -> whether every automorphism fixes it; see is_fixed.
     _fixed: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
+    # id of a memo state -> its outcomes over every choice; see
+    # choice_outcomes.  States stay in _steps, so their ids stay theirs.
+    _outcomes: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         for orbit in self.orbit_partition:
@@ -226,11 +230,10 @@ class FoldedSystem:
         Both steps are pure functions of the inverse action, so the system
         memoizes them: the descents of each action reached, and each peel
         that passed its checks, linked to the state it leads to, so a
-        repeated walk hashes no action.  The factorizations of one run
-        (every fixed element, under many choices) share their steps; a
-        failing peel is never stored and raises on every call, and `choose`
-        is still asked at every step, so a seeded rng draws what it drew
-        before.
+        repeated walk hashes no action.  The factorizations of one run,
+        and choice_outcomes, share their steps; a failing peel is never
+        stored and raises on every call, and `choose` is still asked at
+        every step, so a seeded rng draws what it drew before.
         """
         seq: list[frozenset] = []
         letters = 0
@@ -243,8 +246,7 @@ class FoldedSystem:
             orbit = self.orbit_of(s)
             peel = peels.get(orbit)
             if peel is None:
-                count, after = self._peel(inv_cols, s, orbit, source, seq)
-                peel = peels[orbit] = (count, self._state(after))
+                peel = self._add_peel(state, s, orbit, source, seq)
             count, state = peel
             seq.append(orbit)
             letters += count
@@ -256,6 +258,59 @@ class FoldedSystem:
             )
         return seq, letters
 
+    def choice_outcomes(self, inv_cols, source=None) -> frozenset:
+        """Every (orbit count, letters) that _factorize_inv can return for
+        this inverse action, over every choice of descent at every step.
+
+        One post-order pass over the memo's state graph: a state's outcomes
+        are its successors' outcomes, each shifted by one orbit and the
+        letters of its peel, over the orbits of its descents; a state
+        without descents has the single outcome (0, 0).  The pass keeps
+        the path from inv_cols on an explicit stack, so its depth is not
+        bounded by the recursion limit.  Missing peels are made as
+        _factorize_inv makes them: a failing peel raises with the orbits
+        peeled along that path, and so does a state without descents that
+        is not the identity.  Outcomes are memoized per state, and only
+        once every successor has its own, so a failing branch raises on
+        every call.
+        """
+        outcomes = self._outcomes
+        root = self._state(inv_cols)
+        stack = [] if id(root) in outcomes else [(root, iter(root[1]))]
+        seq: list[frozenset] = []      # orbits peeled along the stack
+        while stack:
+            state, choices = stack[-1]
+            peels = state[2]
+            for s in choices:
+                orbit = self.orbit_of(s)
+                peel = peels.get(orbit)
+                if peel is None:
+                    peel = self._add_peel(state, s, orbit, source, seq)
+                after = peel[1]
+                if id(after) not in outcomes:
+                    seq.append(orbit)
+                    stack.append((after, iter(after[1])))
+                    break
+            else:
+                out = set()
+                for orbit in {self.orbit_of(s) for s in state[1]}:
+                    count, after = peels[orbit]
+                    out.update((orbits + 1, letters + count)
+                               for orbits, letters in outcomes[id(after)])
+                if not state[1]:
+                    if state[0] != self.group._engine.identity:
+                        raise InvariantViolation(
+                            "factorize", "residual action is not the identity",
+                            self._witness(source=source,
+                                          factors=[sorted(J) for J in seq]),
+                        )
+                    out.add((0, 0))
+                outcomes[id(state)] = frozenset(out)
+                stack.pop()
+                if seq:
+                    seq.pop()
+        return outcomes[id(root)]
+
     def _state(self, inv_cols):
         """The memo state of an inverse action, made on first reach."""
         state = self._steps.get(inv_cols)
@@ -265,6 +320,13 @@ class FoldedSystem:
                              if negative(inv_cols, s))
             state = self._steps[inv_cols] = (inv_cols, descents, {})
         return state
+
+    def _add_peel(self, state, s, orbit, source, seq):
+        """Peel orbit off a memo state and store the peel, linked to the
+        state it leads to; nothing is stored when the peel raises."""
+        count, after = self._peel(state[0], s, orbit, source, seq)
+        peel = state[2][orbit] = (count, self._state(after))
+        return peel
 
     def _peel(self, inv_cols, s, orbit, source, seq):
         """Strip the parabolic component of orbit (reached from the

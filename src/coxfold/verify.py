@@ -484,6 +484,47 @@ def check_factorize_fixed(folded: FoldedSystem, fixed: Sequence[Element]) -> Che
 
 def check_choice_independence(folded: FoldedSystem, fixed: Sequence[Element],
                               config: VerifyConfig) -> CheckResult:
+    """Every descent choice peels a fixed element into the same number of
+    orbits, and their letters add up to its length.
+
+    One exhaustive pass over the folded-peel memo decides this for every
+    choice at once (FoldedSystem.choice_outcomes).  When it holds, the
+    result is the one the sampled loop would give: ``factorizations``
+    counts its SAMPLES draws per element, which the pass covers.  Any other
+    outcome (a second count, a raising peel, a non-fixed element) runs the
+    sampled loop, whose witness is reported; should that loop pass, the
+    exhaustive pass's witness is reported as a failure instead.
+    """
+    witness = None
+    try:
+        for w in fixed:
+            if not folded.is_fixed(w):
+                witness = {"word": list(w.word),
+                           "problem": "element is not fixed"}
+                break
+            outcomes = folded.choice_outcomes(w.inv_cols, list(w.word))
+            (_, letters), *others = outcomes
+            if others or letters != w.length:
+                witness = {"word": list(w.word), "length": w.length,
+                           "outcomes": sorted(outcomes)}
+                break
+    except InvariantViolation as err:
+        witness = err.witness
+    if witness is None:
+        return CheckResult("factorization-count-choice-independent", "pass",
+                           {"fixed_elements": len(fixed),
+                            "factorizations": len(fixed) * SAMPLES})
+    result = _sampled_choice_independence(folded, fixed, config)
+    if result.status == "pass":
+        result = CheckResult(result.name, "fail", result.statistics, witness)
+    return result
+
+
+def _sampled_choice_independence(folded: FoldedSystem,
+                                 fixed: Sequence[Element],
+                                 config: VerifyConfig) -> CheckResult:
+    """SAMPLES seeded random descent choices per fixed element, each
+    compared with the smallest-descent factorization."""
     rng = _rng(config, "choice-independence")
     tried = 0
     try:
@@ -726,6 +767,20 @@ def _presentation_pairs(levels: Sequence[int], radius: int | None,
     return pairs, False
 
 
+def _length(folded: FoldedSystem, built: dict, inv_cols) -> int:
+    """Length of the element with this inverse action: a fixed element's
+    own, else the letters of its memoized folded walk, which strips one
+    left descent per letter down to the identity.  A walk that raises (a
+    broken folded system) gives way to the extracted canonical word."""
+    w = built.get(inv_cols)
+    if w is not None:
+        return w.length
+    try:
+        return folded._factorize_inv(inv_cols)[1]
+    except InvariantViolation:
+        return folded.group._element_from_inv(inv_cols).length
+
+
 def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                        config: VerifyConfig,
                        fixed: Sequence[Element] = ()) -> CheckResult:
@@ -735,7 +790,8 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
 
     Pair products come from GeneratedBall.product: a candidate pair has
     levels[i] + levels[j] <= radius, so its walk never leaves the ball.
-    Generated elements found among `fixed` are not rebuilt."""
+    Lengths come from `fixed` or from the memoized folded walk (_length);
+    canonical words are built only for a failure witness."""
     group = folded.group
     radius = gen_ball.radius
     # the abstract group walked the same way: BFS levels over simple
@@ -821,8 +877,8 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
 
     # length transfer: l adds exactly when the folded BFS level adds
     built = {w.inv_cols: w for w in fixed}
-    elements = [built.get(inv_cols) or group._element_from_inv(inv_cols)
-                for inv_cols in gen_ball.actions]
+    lengths = [_length(folded, built, inv_cols)
+               for inv_cols in gen_ball.actions]
     candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
     stats["pairs"] = len(candidates)
     stats["pairs_exhaustive"] = exhaustive
@@ -831,15 +887,17 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
         if lam_z is None:
             return CheckResult("presentation-isomorphism", "fail", stats,
                                {"problem": "product left the generated ball"})
-        z = elements[lam_z]
-        l_add = z.length == elements[i].length + elements[j].length
+        l_add = lengths[lam_z] == lengths[i] + lengths[j]
         lam_add = (gen_ball.levels[lam_z]
                    == gen_ball.levels[i] + gen_ball.levels[j])
         if l_add != lam_add:
+            left, right = (built.get(gen_ball.actions[k])
+                           or group._element_from_inv(gen_ball.actions[k])
+                           for k in (i, j))
             return CheckResult(
                 "presentation-isomorphism", "fail", stats,
                 {"problem": "length transfer fails",
-                 "left": list(elements[i].word), "right": list(elements[j].word),
+                 "left": list(left.word), "right": list(right.word),
                  "length_additive": l_add, "folded_additive": lam_add},
             )
     return CheckResult("presentation-isomorphism", "pass", stats)
