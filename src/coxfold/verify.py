@@ -482,69 +482,38 @@ def check_factorize_fixed(folded: FoldedSystem, fixed: Sequence[Element]) -> Che
                        {"fixed_elements": len(fixed), "max_lambda": max_lambda})
 
 
-def check_choice_independence(folded: FoldedSystem, fixed: Sequence[Element],
-                              config: VerifyConfig) -> CheckResult:
+def check_choice_independence(folded: FoldedSystem,
+                              fixed: Sequence[Element]) -> CheckResult:
     """Every descent choice peels a fixed element into the same number of
     orbits, and their letters add up to its length.
 
     One exhaustive pass over the folded-peel memo decides this for every
-    choice at once (FoldedSystem.choice_outcomes).  When it holds, the
-    result is the one the sampled loop would give: ``factorizations``
-    counts its SAMPLES draws per element, which the pass covers.  Any other
-    outcome (a second count, a raising peel, a non-fixed element) runs the
-    sampled loop, whose witness is reported; should that loop pass, the
-    exhaustive pass's witness is reported as a failure instead.
+    choice at once (FoldedSystem.choice_outcomes).  ``factorizations``
+    counts the SAMPLES seeded draws per element that the pass covers.  A
+    failure reports the element's outcomes, or the witness of the peel
+    that raised.
     """
-    witness = None
+    checked = 0
     try:
         for w in fixed:
             if not folded.is_fixed(w):
-                witness = {"word": list(w.word),
-                           "problem": "element is not fixed"}
-                break
+                raise ValueError("element is not fixed by the automorphism group")
             outcomes = folded.choice_outcomes(w.inv_cols, list(w.word))
             (_, letters), *others = outcomes
             if others or letters != w.length:
-                witness = {"word": list(w.word), "length": w.length,
-                           "outcomes": sorted(outcomes)}
-                break
-    except InvariantViolation as err:
-        witness = err.witness
-    if witness is None:
-        return CheckResult("factorization-count-choice-independent", "pass",
-                           {"fixed_elements": len(fixed),
-                            "factorizations": len(fixed) * SAMPLES})
-    result = _sampled_choice_independence(folded, fixed, config)
-    if result.status == "pass":
-        result = CheckResult(result.name, "fail", result.statistics, witness)
-    return result
-
-
-def _sampled_choice_independence(folded: FoldedSystem,
-                                 fixed: Sequence[Element],
-                                 config: VerifyConfig) -> CheckResult:
-    """SAMPLES seeded random descent choices per fixed element, each
-    compared with the smallest-descent factorization."""
-    rng = _rng(config, "choice-independence")
-    tried = 0
-    try:
-        for w in fixed:
-            base = len(folded.greedy_factorize(w))
-            for _ in range(SAMPLES):
-                alt = len(folded.greedy_factorize(w, choose=rng.choice))
-                tried += 1
-                if alt != base:
-                    return CheckResult(
-                        "factorization-count-choice-independent", "fail",
-                        {"factorizations": tried},
-                        {"word": list(w.word), "greedy_count": base,
-                         "randomized_count": alt},
-                    )
+                return CheckResult(
+                    "factorization-count-choice-independent", "fail",
+                    {"factorizations": checked * SAMPLES},
+                    {"word": list(w.word), "length": w.length,
+                     "outcomes": sorted(outcomes)},
+                )
+            checked += 1
     except InvariantViolation as err:
         return CheckResult("factorization-count-choice-independent", "fail",
-                           {"factorizations": tried}, err.witness)
+                           {"factorizations": checked * SAMPLES}, err.witness)
     return CheckResult("factorization-count-choice-independent", "pass",
-                       {"fixed_elements": len(fixed), "factorizations": tried})
+                       {"fixed_elements": len(fixed),
+                        "factorizations": len(fixed) * SAMPLES})
 
 
 def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig) -> CheckResult:
@@ -961,7 +930,7 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
     thunks = (
         lambda: check_finiteness_vs_greedy(group, config),
         lambda: check_factorize_fixed(folded, fixed),
-        lambda: check_choice_independence(folded, fixed, config),
+        lambda: check_choice_independence(folded, fixed),
         lambda: check_minimal_additivity(folded, config),
         lambda: check_dihedral_pairs(folded),
         lambda: check_additivity_transfer(folded, fixed, config),

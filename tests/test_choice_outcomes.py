@@ -1,12 +1,10 @@
 """The exhaustive choice-independence pass and the memo-walk lengths.
 
 `check_choice_independence` decides the property in one pass over the
-folded-peel memo (`FoldedSystem.choice_outcomes`) and keeps the sampled
-loop, `_sampled_choice_independence`, only for failures.  The sampled loop
-is the reference here: on every fixed set below both return the same
-`CheckResult`, and on a tampered system the exhaustive check reports the
-sampled loop's witness, or fails with its own where the seeded draws miss
-the tampered branch.
+folded-peel memo (`FoldedSystem.choice_outcomes`).  The seeded sampled
+loop it replaced is the reference here: on every fixed set below both
+return the same `CheckResult`; a tampered system fails both, and a
+tampered branch the seeded draws miss fails the exhaustive check alone.
 
 `presentation_check` takes lengths from the letters of the memoized walk
 instead of canonical words; they must be the extracted lengths.
@@ -25,7 +23,7 @@ from coxfold.verify import (
     SAMPLES,
     VerifyConfig,
     _length,
-    _sampled_choice_independence,
+    _rng,
     check_choice_independence,
     enumerate_ball,
     fixed_subgroup,
@@ -72,12 +70,39 @@ def fresh(folded, **changes):
     return dataclasses.replace(folded, **changes)
 
 
+def sampled_choice_independence(folded, fixed, config):
+    """The reference: SAMPLES seeded random descent choices per fixed
+    element, each compared with the smallest-descent factorization."""
+    rng = _rng(config, "choice-independence")
+    tried = 0
+    try:
+        for w in fixed:
+            base = len(folded.greedy_factorize(w))
+            for _ in range(SAMPLES):
+                alt = len(folded.greedy_factorize(w, choose=rng.choice))
+                tried += 1
+                if alt != base:
+                    return verify.CheckResult(
+                        "factorization-count-choice-independent", "fail",
+                        {"factorizations": tried},
+                        {"word": list(w.word), "greedy_count": base,
+                         "randomized_count": alt},
+                    )
+    except InvariantViolation as err:
+        return verify.CheckResult("factorization-count-choice-independent",
+                                  "fail", {"factorizations": tried},
+                                  err.witness)
+    return verify.CheckResult("factorization-count-choice-independent", "pass",
+                              {"fixed_elements": len(fixed),
+                               "factorizations": tried})
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_exhaustive_check_matches_sampled_loop(name):
     folded, fixed = instance(name)
     config = VerifyConfig(seed=0, radius=RADIUS)
-    result = check_choice_independence(fresh(folded), fixed, config)
-    assert result == _sampled_choice_independence(fresh(folded), fixed, config)
+    result = check_choice_independence(fresh(folded), fixed)
+    assert result == sampled_choice_independence(fresh(folded), fixed, config)
     assert result.status == "pass"
     assert result.statistics == {"fixed_elements": len(fixed),
                                  "factorizations": len(fixed) * SAMPLES}
@@ -90,14 +115,6 @@ def test_outcomes_are_the_single_factorization(name):
     for w in fixed:
         outcomes = system.choice_outcomes(w.inv_cols)
         assert outcomes == {(len(folded.greedy_factorize(w)), w.length)}
-
-
-def test_replaced_copy_starts_with_empty_outcome_memo():
-    folded, fixed = instance("h3-id")
-    system = fresh(folded)
-    system.choice_outcomes(fixed[-1].inv_cols)
-    assert system._outcomes
-    assert fresh(system)._outcomes == {}
 
 
 # -- tampered systems ------------------------------------------------------------
@@ -123,28 +140,37 @@ def tampered_peel_count(folded, fixed):
 
 
 @pytest.mark.parametrize("name", ["a5-flip", "h3-id", "tri443-swap"])
-@pytest.mark.parametrize("tamper", ["weight", "peel-count"])
-def test_tampered_system_gives_the_sampled_witness(name, tamper):
+def test_tampered_weight_fails_with_the_peel_witness(name):
     folded, fixed = instance(name)
-    config = VerifyConfig(seed=0, radius=RADIUS)
-
-    def broken():
-        if tamper == "weight":
-            return tampered_weight(folded)
-        return tampered_peel_count(folded, fixed)
-
-    result = check_choice_independence(broken(), fixed, config)
+    result = check_choice_independence(tampered_weight(folded), fixed)
     assert result.status == "fail"
-    assert result == _sampled_choice_independence(broken(), fixed, config)
     assert result.witness["check"] == "factorize"
+    reference = sampled_choice_independence(tampered_weight(folded), fixed,
+                                            VerifyConfig(seed=0))
+    assert reference.status == "fail"
 
 
-def test_non_fixed_element_runs_the_sampled_loop():
+@pytest.mark.parametrize("name", ["a5-flip", "h3-id", "tri443-swap"])
+def test_tampered_peel_count_fails_with_the_outcomes(name):
+    folded, fixed = instance(name)
+    w = max(fixed, key=lambda e: e.length)
+    result = check_choice_independence(tampered_peel_count(folded, fixed),
+                                       fixed)
+    assert result.status == "fail"
+    assert result.statistics == {"factorizations": fixed.index(w) * SAMPLES}
+    assert result.witness["word"] == list(w.word)
+    assert result.witness["length"] == w.length
+    assert w.length + 1 in {letters for _, letters in result.witness["outcomes"]}
+    reference = sampled_choice_independence(tampered_peel_count(folded, fixed),
+                                            fixed, VerifyConfig(seed=0))
+    assert reference.status == "fail"
+
+
+def test_non_fixed_element_raises():
     folded, _ = instance("a5-flip")
     w = folded.group.simple(2)   # the flip moves generator 2
-    for check in (check_choice_independence, _sampled_choice_independence):
-        with pytest.raises(ValueError, match="not fixed"):
-            check(fresh(folded), [w], VerifyConfig())
+    with pytest.raises(ValueError, match="not fixed"):
+        check_choice_independence(fresh(folded), [w])
 
 
 def test_failing_branch_raises_on_every_call():
@@ -164,12 +190,12 @@ def test_failing_branch_raises_on_every_call():
 def test_two_counts_on_a_missed_branch_fail():
     # From w_0 of H3 alone, the 50 seeded draws leave some memo branches
     # untaken.  Give one of them a second orbit count: the sampled loop
-    # still passes, so the check must fail with the exhaustive witness.
+    # still passes, and the exhaustive check must fail.
     folded, fixed = instance("h3-id")
     top = [max(fixed, key=lambda e: e.length)]
     config = VerifyConfig(seed=0)
     drawn = fresh(folded)
-    assert _sampled_choice_independence(drawn, top, config).status == "pass"
+    assert sampled_choice_independence(drawn, top, config).status == "pass"
 
     system = fresh(folded)
     system.choice_outcomes(top[0].inv_cols)
@@ -187,10 +213,9 @@ def test_two_counts_on_a_missed_branch_fail():
     peels, orbit, letters = missed
     peels[orbit] = (letters, identity)    # one orbit for the whole rest
 
-    result = check_choice_independence(system, top, config)
+    result = check_choice_independence(system, top)
     assert result.status == "fail"
-    assert result.statistics == {"fixed_elements": 1,
-                                 "factorizations": SAMPLES}
+    assert result.statistics == {"factorizations": 0}
     outcomes = result.witness["outcomes"]
     assert len({count for count, _ in outcomes}) == 2
     assert {letters for _, letters in outcomes} == {top[0].length}
@@ -200,13 +225,11 @@ def test_two_counts_on_a_missed_branch_fail():
 # -- depth ---------------------------------------------------------------------------
 
 
-def test_deep_walks_take_the_exhaustive_path(monkeypatch):
+def test_deep_walks_pass_without_recursion_error():
     # I2(inf) with the identity automorphism: every element is fixed and
     # peels one letter at a time, so walks are as long as the radius
     radius = 1100
     assert radius > sys.getrecursionlimit()
-    monkeypatch.setattr(verify, "_sampled_choice_independence",
-                        lambda *args: pytest.fail("sampled loop ran"))
     parsed = parse_input("rank 2\nm 1 2 inf\nauto id\n")
     group = CoxeterGroup(parsed.matrix)
     autos = [Automorphism(images) for _, images in parsed.autos]

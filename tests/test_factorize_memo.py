@@ -141,9 +141,11 @@ def test_replaced_copy_starts_with_empty_memo():
     for w in fixed:
         folded.greedy_factorize(w)
     folded.factorize_product(folded.bar_s * 2)
-    assert folded._steps and folded._products and folded._fixed
+    folded.choice_outcomes(fixed[-1].inv_cols)
+    assert (folded._steps and folded._products and folded._fixed
+            and folded._outcomes)
     copy = dataclasses.replace(folded)
-    for memo in ("_steps", "_products", "_fixed"):
+    for memo in ("_steps", "_products", "_fixed", "_outcomes"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
     assert copy == folded  # the memos take no part in equality
