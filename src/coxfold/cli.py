@@ -37,8 +37,8 @@ class SystemExit2(Exception):
 
 def _load(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemExit2(f"cannot read {path}: {err}")
     try:
         return parse_input(text)

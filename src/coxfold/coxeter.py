@@ -361,10 +361,15 @@ def parse_input(text: str) -> InputSystem:
             if kind != "rank":
                 problems.append((ln, f"expected 'rank <n>' first, got {kind!r}"))
                 continue
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            try:
+                # int() refuses a superscript digit, which isdigit() takes,
+                # and a token past the interpreter's digit limit
+                if len(tokens) != 2 or not tokens[1].isdecimal():
+                    raise ValueError
+                rank = int(tokens[1])
+            except ValueError:
                 problems.append((ln, "rank needs one integer argument"))
                 continue
-            rank = int(tokens[1])
             if not 1 <= rank <= RANK_CAP:
                 problems.append((ln, f"rank {rank} out of range 1..{RANK_CAP}"))
                 rank = None

@@ -16,7 +16,7 @@ of returning a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .coxeter import (
     CoxeterMatrix,
@@ -215,7 +215,7 @@ class FoldedSystem:
 
     # -- factorization over the folded generators ------------------------------
 
-    def _factorize_inv(self, inv_cols, choose=None, source=None):
+    def _factorize_inv(self, inv_cols, source=None):
         """Factorize the element whose inverse action is inv_cols.
 
         Peels one descent orbit at a time: all letters of the orbit must
@@ -232,8 +232,7 @@ class FoldedSystem:
         that passed its checks, linked to the state it leads to, so a
         repeated walk hashes no action.  The factorizations of one run,
         and choice_outcomes, share their steps; a failing peel is never
-        stored and raises on every call, and `choose` is still asked at
-        every step, so a seeded rng draws what it drew before.
+        stored and raises on every call.
         """
         seq: list[frozenset] = []
         letters = 0
@@ -242,11 +241,10 @@ class FoldedSystem:
             inv_cols, descents, peels = state
             if not descents:
                 break
-            s = choose(descents) if choose is not None else descents[0]
-            orbit = self.orbit_of(s)
+            orbit = self.orbit_of(descents[0])
             peel = peels.get(orbit)
             if peel is None:
-                peel = self._add_peel(state, s, orbit, source, seq)
+                peel = self._add_peel(state, descents[0], orbit, source, seq)
             count, state = peel
             seq.append(orbit)
             letters += count
@@ -357,20 +355,15 @@ class FoldedSystem:
             )
         return count, inv_cols
 
-    def greedy_factorize(
-        self, w: Element,
-        choose: Callable[[Sequence[int]], int] | None = None,
-    ) -> list[frozenset]:
-        """Peel w into folded generators: take a left descent s (smallest by
-        default, or per `choose`), strip the full parabolic component of its
-        orbit, recurse.  The factor weights sum to l(w) and the factors
-        multiply back to w; violations raise with a counterexample.
+    def greedy_factorize(self, w: Element) -> list[frozenset]:
+        """Peel w into folded generators: take the smallest left descent s,
+        strip the full parabolic component of its orbit, recurse.  The
+        factor weights sum to l(w) and the factors multiply back to w;
+        violations raise with a counterexample.
         """
         if not self.is_fixed(w):
             raise ValueError("element is not fixed by the automorphism group")
-        seq, letters = self._factorize_inv(
-            w.inv_cols, choose=choose, source=list(w.word)
-        )
+        seq, letters = self._factorize_inv(w.inv_cols, source=list(w.word))
         if letters != w.length:
             raise InvariantViolation(
                 "factorize", "factor weights do not sum to the length",
@@ -539,25 +532,17 @@ class FoldedSystem:
         if len(ends) != 2:
             return tuple(range(1, n + 1))
 
-        def walk(start):
-            path = [start]
-            prev = None
-            while len(path) < n:
-                nxt = [x for x in adj[path[-1]] if x != prev][0]
-                prev = path[-1]
-                path.append(nxt)
-            return path
-
-        def labels(path):
-            return [fm.m(path[k], path[k + 1]) for k in range(n - 1)]
-
-        a, b = walk(ends[0]), walk(ends[1])
-        la, lb = labels(a), labels(b)
-        if la < lb:
-            return tuple(a)
-        if lb < la:
-            return tuple(b)
-        return tuple(a if a[0] < b[0] else b)
+        # walk from the smaller end; on a label tie that walk is kept
+        path = [ends[0]]
+        prev = None
+        while len(path) < n:
+            nxt = [x for x in adj[path[-1]] if x != prev][0]
+            prev = path[-1]
+            path.append(nxt)
+        labels = [fm.m(path[k], path[k + 1]) for k in range(n - 1)]
+        if labels[::-1] < labels:
+            path.reverse()
+        return tuple(path)
 
     def ordered_bar_s(self) -> tuple[frozenset, ...]:
         return tuple(self.bar_s[i - 1] for i in self.diagram_order())

@@ -273,14 +273,16 @@ class GeneratedBall:
 
     Levels are word lengths over those generators by construction; dedup
     uses the exact inverse action as key, and ``actions`` lists those keys
-    in BFS order.  Completely independent of the greedy factorization it
-    is later compared against.
+    in BFS order.  ``parents`` holds each element's discovering edge
+    (parent index, generator index), None for the identity.  Completely
+    independent of the greedy factorization it is later compared against.
     """
 
     gens: tuple[Element, ...]
     actions: list
     levels: list[int]
     edges: list[list[int | None]]
+    parents: list[tuple[int, int] | None]
     key_index: dict
     complete: bool
     radius: int | None
@@ -288,24 +290,13 @@ class GeneratedBall:
     def __len__(self):
         return len(self.actions)
 
-    @cached_property
-    def _tree(self) -> list:
-        """The BFS tree: each element's discovering edge (parent, generator
-        index); an element is discovered by its first appearance."""
-        tree: list[tuple[int, int] | None] = [None] * len(self.actions)
-        for a, row in enumerate(self.edges):
-            for k, b in enumerate(row):
-                if b and tree[b] is None:
-                    tree[b] = (a, k)
-        return tree
-
     def product(self, i: int, j: int) -> int | None:
         """Index of x_i * x_j: follow the edges from i along the BFS-tree
         word of j.  Edges are exact products with exact dedup, so this is
         the index of the exact product; None when a truncated edge is met."""
-        tree, path = self._tree, []
+        path = []
         while j:
-            j, k = tree[j]
+            j, k = self.parents[j]
             path.append(k)
         for k in reversed(path):
             i = self.edges[i][k]
@@ -321,6 +312,7 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
     identity = group._engine.identity
     actions = [identity]
     levels = [0]
+    parents: list[tuple[int, int] | None] = [None]
     key_index = {identity: 0}
     edges: list[list[int | None]] = []
     truncated = False
@@ -329,7 +321,7 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
         inv_cols = actions[head]
         lvl = levels[head]
         out: list[int | None] = []
-        for g in gens:
+        for k, g in enumerate(gens):
             # (x g)^-1 = g^-1 x^-1
             y_inv = compose(g.inv_cols, inv_cols)
             idx = key_index.get(y_inv)
@@ -341,6 +333,7 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                 idx = len(actions)
                 actions.append(y_inv)
                 levels.append(lvl + 1)
+                parents.append((head, k))
                 key_index[y_inv] = idx
                 if len(actions) > NODE_CAP:
                     raise NodeCapExceeded(
@@ -350,7 +343,7 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
         edges.append(out)
         head += 1
     return GeneratedBall(gens=gens, actions=actions, levels=levels,
-                         edges=edges, key_index=key_index,
+                         edges=edges, parents=parents, key_index=key_index,
                          complete=not truncated, radius=radius)
 
 
@@ -754,8 +747,9 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                        config: VerifyConfig,
                        fixed: Sequence[Element] = ()) -> CheckResult:
     """Labeled-graph isomorphism between the generated fixed subgroup and
-    the abstract Coxeter group of the folded matrix, matched level by
-    level, plus the length-transfer biconditional on element pairs.
+    the abstract Coxeter group of the folded matrix, decided by comparing
+    their BFS edge tables, plus the length-transfer biconditional on
+    element pairs.
 
     Pair products come from GeneratedBall.product: a candidate pair has
     levels[i] + levels[j] <= radius, so its walk never leaves the ball.
@@ -796,53 +790,22 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
                      "level": gen_ball.levels[idx]},
                 )
 
-    # the only candidate isomorphism maps identity to identity and commutes
-    # with labeled edges; follow it breadth-first and demand consistency
-    phi: list[int | None] = [None] * len(gen_ball)
-    phi[0] = 0
-    queue = [0]
-    seen_images = {0}
-    while queue:
-        nxt = []
-        for a in queue:
-            b = phi[a]
-            for k in range(len(gen_ball.gens)):
-                a2 = gen_ball.edges[a][k]
-                b2 = abstract_ball.edges[b][k]
-                if (a2 is None) != (b2 is None):
-                    return CheckResult(
-                        "presentation-isomorphism", "fail", stats,
-                        {"problem": "edge present on one side only",
-                         "generator": k + 1, "level": gen_ball.levels[a]},
-                    )
-                if a2 is None:
-                    continue
-                if gen_ball.levels[a2] != abstract_ball.levels[b2]:
-                    return CheckResult(
-                        "presentation-isomorphism", "fail", stats,
-                        {"problem": "folded length mismatch",
-                         "generated_level": gen_ball.levels[a2],
-                         "abstract_length": abstract_ball.levels[b2]},
-                    )
-                if phi[a2] is None:
-                    if b2 in seen_images:
-                        return CheckResult(
-                            "presentation-isomorphism", "fail", stats,
-                            {"problem": "candidate map is not injective"},
-                        )
-                    phi[a2] = b2
-                    seen_images.add(b2)
-                    nxt.append(a2)
-                elif phi[a2] != b2:
-                    return CheckResult(
-                        "presentation-isomorphism", "fail", stats,
-                        {"problem": "labeled edges disagree",
-                         "generator": k + 1, "level": gen_ball.levels[a]},
-                    )
-        queue = nxt
-    if any(v is None for v in phi):
-        return CheckResult("presentation-isomorphism", "fail", stats,
-                           {"problem": "generated graph is not connected"})
+    # Both balls number elements in discovery order, trying generator k
+    # in the same order.  An isomorphism of labeled graphs that fixes the
+    # identity and keeps edges, truncated ones included, sends index i to
+    # i: element i is first reached by an edge (h, k) with h < i, and every
+    # earlier edge points below i.  So it exists exactly when the edge
+    # tables are equal.
+    for a, (row, other) in enumerate(zip(gen_ball.edges, abstract_ball.edges)):
+        if row != other:
+            k = next(k for k, (x, y) in enumerate(zip(row, other)) if x != y)
+            one_sided = (row[k] is None) != (other[k] is None)
+            return CheckResult(
+                "presentation-isomorphism", "fail", stats,
+                {"problem": ("edge present on one side only" if one_sided
+                             else "labeled edges disagree"),
+                 "generator": k + 1, "level": gen_ball.levels[a]},
+            )
 
     # length transfer: l adds exactly when the folded BFS level adds
     built = {w.inv_cols: w for w in fixed}

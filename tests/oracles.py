@@ -5,6 +5,10 @@ map to permutations (plain or signed), lengths come from BFS distance in
 the Cayley graph or from inversion counting, and group elements are bare
 tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
+
+The one exception is reference_factorize: it peels a fixed element with
+the engine's descent test and right multiplication, as the folded
+factorization is defined, but without any of FoldedSystem's memos.
 """
 
 from collections import deque
@@ -110,3 +114,35 @@ def bfs_lengths(identity, generators, compose, limit=None):
 
 def group_order(identity, generators, compose):
     return len(bfs_lengths(identity, generators, compose))
+
+
+# -- folded factorization without memos ------------------------------------------
+
+
+def reference_factorize(folded, inv_cols, choose=None):
+    """(orbit sequence, letters) of the element with this inverse action,
+    peeled one orbit at a time with no memo: the orbit of the smallest
+    left descent, or of the one `choose` picks from the sorted descents."""
+    group = folded.group
+    engine = group._engine
+    seq, letters = [], 0
+    while True:
+        descents = [s for s in group.generators()
+                    if engine.negative(inv_cols, s)]
+        if not descents:
+            break
+        s = choose(descents) if choose is not None else descents[0]
+        orbit = folded.orbit_of(s)
+        assert all(engine.negative(inv_cols, t) for t in orbit)
+        count = 0
+        while True:
+            down = [t for t in sorted(orbit) if engine.negative(inv_cols, t)]
+            if not down:
+                break
+            inv_cols = engine.rmul(inv_cols, down[0])
+            count += 1
+        assert count == folded.weight[orbit]
+        seq.append(orbit)
+        letters += count
+    assert inv_cols == engine.identity
+    return seq, letters

@@ -2,9 +2,11 @@
 
 `check_choice_independence` decides the property in one pass over the
 folded-peel memo (`FoldedSystem.choice_outcomes`).  The seeded sampled
-loop it replaced is the reference here: on every fixed set below both
+loop it replaced is the reference here, its random draws peeled by the
+memo-free oracles.reference_factorize: on every fixed set below both
 return the same `CheckResult`; a tampered system fails both, and a
-tampered branch the seeded draws miss fails the exhaustive check alone.
+tampered memo branch off the smallest-descent walk fails the exhaustive
+check alone.
 
 `presentation_check` takes lengths from the letters of the memoized walk
 instead of canonical words; they must be the extracted lengths.
@@ -31,6 +33,8 @@ from coxfold.verify import (
     presentation_check,
 )
 from coxfold.words import CoxeterGroup
+
+from oracles import reference_factorize
 
 RADIUS = 16
 
@@ -72,14 +76,16 @@ def fresh(folded, **changes):
 
 def sampled_choice_independence(folded, fixed, config):
     """The reference: SAMPLES seeded random descent choices per fixed
-    element, each compared with the smallest-descent factorization."""
+    element, peeled without the memo, each compared with the
+    smallest-descent factorization."""
     rng = _rng(config, "choice-independence")
     tried = 0
     try:
         for w in fixed:
             base = len(folded.greedy_factorize(w))
             for _ in range(SAMPLES):
-                alt = len(folded.greedy_factorize(w, choose=rng.choice))
+                alt = len(reference_factorize(folded, w.inv_cols,
+                                              choose=rng.choice)[0])
                 tried += 1
                 if alt != base:
                     return verify.CheckResult(
@@ -188,30 +194,28 @@ def test_failing_branch_raises_on_every_call():
 
 
 def test_two_counts_on_a_missed_branch_fail():
-    # From w_0 of H3 alone, the 50 seeded draws leave some memo branches
-    # untaken.  Give one of them a second orbit count: the sampled loop
-    # still passes, and the exhaustive check must fail.
+    # Give a memo branch of H3's w_0 off its smallest-descent walk a second
+    # orbit count.  The sampled loop reads the memo on that walk alone, so
+    # it still passes, and the exhaustive check must fail.
     folded, fixed = instance("h3-id")
     top = [max(fixed, key=lambda e: e.length)]
-    config = VerifyConfig(seed=0)
-    drawn = fresh(folded)
-    assert sampled_choice_independence(drawn, top, config).status == "pass"
-
     system = fresh(folded)
     system.choice_outcomes(top[0].inv_cols)
     system._outcomes.clear()
     identity = system._state(system.group._engine.identity)
     missed = None
-    for inv_cols, (_, _, peels) in system._steps.items():
-        seen = drawn._steps.get(inv_cols, (None, None, {}))[2]
+    for inv_cols, (_, descents, peels) in system._steps.items():
         seq, letters = folded._factorize_inv(inv_cols)
-        untaken = [orbit for orbit in peels if orbit not in seen]
+        untaken = [orbit for orbit in peels
+                   if orbit != system.orbit_of(descents[0])]
         if untaken and len(seq) >= 2:
             missed = (peels, untaken[0], letters)
             break
     assert missed is not None
     peels, orbit, letters = missed
     peels[orbit] = (letters, identity)    # one orbit for the whole rest
+    assert (sampled_choice_independence(system, top, VerifyConfig(seed=0))
+            .status == "pass")
 
     result = check_choice_independence(system, top)
     assert result.status == "fail"

@@ -229,6 +229,24 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_file(capsys, tmp_path):
+    p = tmp_path / "bad.cox"
+    p.write_bytes(b"\xff\xfe")
+    rc, _, err = run_cli(capsys, "classify", str(p))
+    assert rc == 2
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("rank", ["\u00b2", "9" * 5000])
+def test_rank_that_int_refuses(capsys, tmp_path, rank):
+    # isdigit() holds for both tokens, but int() raises on them
+    p = tmp_path / "rank.cox"
+    p.write_text(f"rank {rank}\n", encoding="utf-8")
+    rc, _, err = run_cli(capsys, "classify", str(p))
+    assert rc == 2
+    assert "rank needs one integer argument" in err
+
+
 # -- catalog rendering (stubbed rows; the real catalog runs in acceptance) ------
 
 

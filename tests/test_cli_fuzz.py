@@ -44,7 +44,8 @@ def malformed(draw, max_rank):
     if draw(st.integers(0, 9)):
         lines.append(f"rank {draw(st.integers(0, max_rank))}")
     else:
-        lines.append(draw(st.sampled_from(["rank", "rank -1", "rank two", "m 1 2 3"])))
+        lines.append(draw(st.sampled_from(
+            ["rank", "rank -1", "rank two", "rank \u00b2", "m 1 2 3"])))
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(["m", "m", "auto", "auto id", "junk"]))
         if kind == "m":
@@ -99,7 +100,7 @@ def test_cli_exit_codes_under_random_input(case):
     with tempfile.TemporaryDirectory() as tmp:
         if text is not None:
             path = os.path.join(tmp, "input.cox")
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             argv = [path if a == "FILE" else a for a in argv]
         rc, err = run_main(argv)

@@ -2,11 +2,11 @@
 
 `_factorize_inv` memoizes the descents of each inverse action it reaches
 and each orbit peel that passed its checks, and `_product_inv` the inverse
-action of each orbit-word prefix.  The reference below peels and
-multiplies without any memo, exactly as the factorization is defined, and
-must agree with `greedy_factorize` and `factorize_product` on every fixed
-element and on random orbit words: same orbit sequence, same letter
-count, and the same draws from a seeded `choose`.
+action of each orbit-word prefix.  The references (oracles.py's
+reference_factorize and the product below) peel and multiply without any
+memo, exactly as the factorization is defined, and must agree with
+`greedy_factorize` and `factorize_product` on every fixed element and on
+random orbit words: same orbit sequence and same letter count.
 
 `is_fixed` memoizes its verdict per element: each element is tested
 once, a non-fixed one still raises on every call, and a replaced copy
@@ -24,6 +24,8 @@ from coxfold.coxeter import parse_input
 from coxfold.folding import Automorphism, InvariantViolation, fold
 from coxfold.verify import enumerate_ball, fixed_subgroup
 from coxfold.words import CoxeterGroup
+
+from oracles import reference_factorize
 
 INSTANCES = {
     # name: (input, ball radius; None enumerates all of W)
@@ -48,33 +50,6 @@ def instance(name):
     return _cache[name]
 
 
-def reference_factorize(folded, inv_cols, choose=None):
-    """(orbit sequence, letters) by peeling without a memo."""
-    group = folded.group
-    engine = group._engine
-    seq, letters = [], 0
-    while True:
-        descents = [s for s in group.generators()
-                    if engine.negative(inv_cols, s)]
-        if not descents:
-            break
-        s = choose(descents) if choose is not None else descents[0]
-        orbit = folded.orbit_of(s)
-        assert all(engine.negative(inv_cols, t) for t in orbit)
-        count = 0
-        while True:
-            down = [t for t in sorted(orbit) if engine.negative(inv_cols, t)]
-            if not down:
-                break
-            inv_cols = engine.rmul(inv_cols, down[0])
-            count += 1
-        assert count == folded.weight[orbit]
-        seq.append(orbit)
-        letters += count
-    assert inv_cols == engine.identity
-    return seq, letters
-
-
 def reference_product_inv(folded, orbit_word):
     engine = folded.group._engine
     inv_cols = engine.identity
@@ -94,18 +69,6 @@ def test_memoized_peel_matches_reference(name):
         assert folded.factorize_product(seq) == (seq, letters)
         # a second pass runs on memo hits only
         assert folded.greedy_factorize(w) == seq
-
-
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_memoized_peel_draws_like_reference(name):
-    folded, fixed = instance(name)
-    ref_rng, rng = random.Random(5), random.Random(5)
-    for w in fixed:
-        for _ in range(3):
-            seq, _ = reference_factorize(folded, w.inv_cols,
-                                         choose=ref_rng.choice)
-            assert folded.greedy_factorize(w, choose=rng.choice) == seq
-    assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
