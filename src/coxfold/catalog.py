@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .coxeter import classify_finite, parse_input
 from .folding import Automorphism, fold
 from .verify import (
+    DEFAULT_INFINITE_RADIUS,
     VerifyConfig,
     enumerate_ball,
     fixed_subgroup,
@@ -22,8 +23,6 @@ from .verify import (
     presentation_check,
 )
 from .words import CoxeterGroup
-
-BALL_RADIUS = 8  # for rows with infinite ambient or folded groups
 
 
 @dataclass(frozen=True)
@@ -146,17 +145,18 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
         if folded_finite:
             gen = generated_ball(group, gens, None)
             computed_order = len(gen)
-            w_ball = enumerate_ball(group, BALL_RADIUS)
+            w_ball = enumerate_ball(group, DEFAULT_INFINITE_RADIUS)
             fixed_count = len(fixed_subgroup(w_ball, autos))
-            ball_note = f"radius-{BALL_RADIUS} fixed count {fixed_count}"
+            ball_note = (f"radius-{DEFAULT_INFINITE_RADIUS} fixed count "
+                         f"{fixed_count}")
             if fixed_count != computed_order:
                 computed_order = -1  # fixed set disagrees with the span
         else:
             computed_order = None
-            gen = generated_ball(group, gens, BALL_RADIUS)
+            gen = generated_ball(group, gens, DEFAULT_INFINITE_RADIUS)
             pres = presentation_check(folded, gen, VerifyConfig())
             ball_note = (
-                f"radius-{BALL_RADIUS} ball: {len(gen)} elements, "
+                f"radius-{DEFAULT_INFINITE_RADIUS} ball: {len(gen)} elements, "
                 f"presentation {pres.status}"
             )
             if pres.status != "pass":

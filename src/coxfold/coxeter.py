@@ -90,33 +90,69 @@ def validate(matrix: CoxeterMatrix) -> list[str]:
     return errors
 
 
+def neighbours(matrix: CoxeterMatrix, subset) -> dict[int, list[int]]:
+    """The diagram restricted to subset, as neighbour lists in increasing
+    order: s and t are joined when m(s,t) >= 3.  Keys are sorted."""
+    subset = sorted(set(subset))
+    for s in subset:
+        if not 1 <= s <= matrix.rank:
+            raise IndexError(f"generator index {s} out of range")
+    m = matrix.entries
+    return {s: [t for t in subset if m[s - 1][t - 1] >= 3] for s in subset}
+
+
+def graph_components(adj: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of a neighbour-list graph, as sorted tuples
+    ordered by smallest member."""
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for s in comp:
+            for t in adj[s]:
+                if t not in seen:
+                    seen.add(t)
+                    comp.append(t)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def path_from(adj: dict[int, list[int]], start: int,
+              prev: int | None = None) -> list[int]:
+    """The vertices met walking from start away from prev, on a graph
+    where no vertex of the walk has a second way on (a path, or an arm
+    of a tree)."""
+    path = [start]
+    while True:
+        ahead = [t for t in adj[path[-1]] if t != prev]
+        if not ahead:
+            return path
+        prev = path[-1]
+        path.append(ahead[0])
+
+
 def components(matrix: CoxeterMatrix, subset) -> tuple[tuple[int, ...], ...]:
     """Connected components of the diagram restricted to subset.
 
     Edges are the pairs with m(s,t) >= 3.  Returned as sorted tuples,
     ordered by smallest member.
     """
-    subset = sorted(set(subset))
-    for s in subset:
-        if not 1 <= s <= matrix.rank:
-            raise IndexError(f"generator index {s} out of range")
-    seen = set()
-    comps = []
-    for start in subset:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            for t in subset:
-                if t not in seen and matrix.m(s, t) >= 3:
-                    seen.add(t)
-                    comp.append(t)
-                    stack.append(t)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return graph_components(neighbours(matrix, subset))
+
+
+# degrees of the exceptional types (Humphreys, Reflection Groups and Coxeter
+# Groups, section 3.7)
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
+}
 
 
 @dataclass(frozen=True)
@@ -132,76 +168,51 @@ class FiniteTypeLabel:
         return f"{self.family}{self.parameter}"
 
     @property
-    def order(self) -> int:
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic polynomial invariants (Humphreys, sections
+        3.7 to 3.9): |W| is their product, |Phi+| the sum of d - 1."""
         n = self.parameter
         if self.family == "A":
-            return math.factorial(n + 1)
+            return tuple(range(2, n + 2))
         if self.family == "B":
-            return (1 << n) * math.factorial(n)
+            return tuple(range(2, 2 * n + 1, 2))
         if self.family == "D":
-            return (1 << (n - 1)) * math.factorial(n)
-        if self.family == "E":
-            return {6: 51840, 7: 2903040, 8: 696729600}[n]
-        if self.family == "F":
-            return 1152
-        if self.family == "H":
-            return {3: 120, 4: 14400}[n]
+            return tuple(range(2, 2 * n - 1, 2)) + (n,)
         if self.family == "I2":
-            return 2 * n
-        raise ValueError(self.family)
+            return (2, n)
+        return _EXCEPTIONAL_DEGREES[str(self)]
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.degrees)
 
     @property
     def positive_root_count(self) -> int:
         """|Phi+|, which is also the length of the longest element."""
-        n = self.parameter
-        if self.family == "A":
-            return n * (n + 1) // 2
-        if self.family == "B":
-            return n * n
-        if self.family == "D":
-            return n * (n - 1)
-        if self.family == "E":
-            return {6: 36, 7: 63, 8: 120}[n]
-        if self.family == "F":
-            return 24
-        if self.family == "H":
-            return {3: 15, 4: 60}[n]
-        if self.family == "I2":
-            return n
-        raise ValueError(self.family)
+        return sum(d - 1 for d in self.degrees)
 
 
-def _classify_component(matrix: CoxeterMatrix, comp: tuple[int, ...]):
-    """FiniteTypeLabel for one connected component, or None if infinite."""
+def _classify_component(matrix: CoxeterMatrix, adj, comp: tuple[int, ...]):
+    """FiniteTypeLabel for one connected component of the diagram with
+    neighbour lists adj, or None if W_comp is infinite."""
     n = len(comp)
     if n == 1:
         return FiniteTypeLabel("A", 1)
-
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = matrix.m(comp[a], comp[b])
-            if v >= 3:
-                if v == INF:
-                    return None
-                edges.append((comp[a], comp[b], int(v)))
-    if len(edges) != n - 1:
+    if sum(len(adj[s]) for s in comp) != 2 * (n - 1):
         return None  # a cycle; no finite type contains one
-
-    degree = {s: 0 for s in comp}
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-    branch = [s for s in comp if degree[s] >= 3]
-    if any(degree[s] > 3 for s in comp) or len(branch) > 1:
+    edge_labels = [matrix.m(s, t) for s in comp for t in adj[s] if s < t]
+    if INF in edge_labels:
         return None
-
-    heavy = [e for e in edges if e[2] >= 4]
+    heavy = sum(v >= 4 for v in edge_labels)
+    branch = [s for s in comp if len(adj[s]) >= 3]
+    if len(branch) > 1 or any(len(adj[s]) > 3 for s in branch):
+        return None
 
     if branch:
         if heavy:
             return None
-        arms = sorted(_arm_lengths(edges, branch[0]))
+        center = branch[0]
+        arms = sorted(len(path_from(adj, t, center)) for t in adj[center])
         if arms[:2] == [1, 1]:
             return FiniteTypeLabel("D", n)
         if arms == [1, 2, 2]:
@@ -213,10 +224,8 @@ def _classify_component(matrix: CoxeterMatrix, comp: tuple[int, ...]):
         return None
 
     # a path; read off the labels end to end
-    path = _path_order(edges, comp)
-    labels = [
-        int(matrix.m(path[k], path[k + 1])) for k in range(n - 1)
-    ]
+    path = path_from(adj, min(s for s in comp if len(adj[s]) == 1))
+    labels = [int(matrix.m(a, b)) for a, b in zip(path, path[1:])]
     if n == 2:
         m = labels[0]
         if m == 3:
@@ -224,7 +233,7 @@ def _classify_component(matrix: CoxeterMatrix, comp: tuple[int, ...]):
         if m == 4:
             return FiniteTypeLabel("B", 2)
         return FiniteTypeLabel("I2", m)
-    if len(heavy) > 1:
+    if heavy > 1:
         return None
     if not heavy:
         return FiniteTypeLabel("A", n)
@@ -242,47 +251,12 @@ def _classify_component(matrix: CoxeterMatrix, comp: tuple[int, ...]):
     return None
 
 
-def _arm_lengths(edges, center) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for a, b, _ in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    arms = []
-    for nxt in adj[center]:
-        length = 1
-        prev, cur = center, nxt
-        while True:
-            following = [x for x in adj[cur] if x != prev]
-            if not following:
-                break
-            prev, cur = cur, following[0]
-            length += 1
-        arms.append(length)
-    return arms
-
-
-def _path_order(edges, comp) -> list[int]:
-    adj: dict[int, list[int]] = {s: [] for s in comp}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    ends = [s for s in comp if len(adj[s]) == 1]
-    start = min(ends)
-    path = [start]
-    prev = None
-    cur = start
-    while len(path) < len(comp):
-        nxt = [x for x in adj[cur] if x != prev][0]
-        path.append(nxt)
-        prev, cur = cur, nxt
-    return path
-
-
 def classify_finite(matrix: CoxeterMatrix, subset):
     """Finite-type labels, one per component, or None when W_I is infinite."""
+    adj = neighbours(matrix, subset)
     labels = []
-    for comp in components(matrix, subset):
-        label = _classify_component(matrix, comp)
+    for comp in graph_components(adj):
+        label = _classify_component(matrix, adj, comp)
         if label is None:
             return None
         labels.append(label)
@@ -318,6 +292,20 @@ def type_string(matrix: CoxeterMatrix, subset=None) -> str:
 
 # ---------------------------------------------------------------------------
 # input files
+
+
+def parse_number(token: str) -> int | None:
+    """The value of a token of ASCII decimal digits, else None.
+
+    int() alone would also take a sign, underscores, surrounding spaces
+    and non-ASCII digits, and raises past the interpreter's digit limit.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter's digit limit
+        return None
 
 
 class ParseError(ValueError):
@@ -361,13 +349,8 @@ def parse_input(text: str) -> InputSystem:
             if kind != "rank":
                 problems.append((ln, f"expected 'rank <n>' first, got {kind!r}"))
                 continue
-            try:
-                # int() refuses a superscript digit, which isdigit() takes,
-                # and a token past the interpreter's digit limit
-                if len(tokens) != 2 or not tokens[1].isdecimal():
-                    raise ValueError
-                rank = int(tokens[1])
-            except ValueError:
+            rank = parse_number(tokens[1]) if len(tokens) == 2 else None
+            if rank is None:
                 problems.append((ln, "rank needs one integer argument"))
                 continue
             if not 1 <= rank <= RANK_CAP:
@@ -381,9 +364,8 @@ def parse_input(text: str) -> InputSystem:
             if len(tokens) != 4:
                 problems.append((ln, "m needs: m <i> <j> <v>"))
                 continue
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-            except ValueError:
+            i, j = parse_number(tokens[1]), parse_number(tokens[2])
+            if i is None or j is None:
                 problems.append((ln, "m indices must be integers"))
                 continue
             if not (1 <= i <= rank and 1 <= j <= rank):
@@ -392,17 +374,13 @@ def parse_input(text: str) -> InputSystem:
             if i == j:
                 problems.append((ln, "diagonal entries are fixed at 1"))
                 continue
-            if tokens[3] == "inf":
-                v = INF
-            else:
-                try:
-                    v = int(tokens[3])
-                except ValueError:
-                    problems.append((ln, f"bad label {tokens[3]!r}"))
-                    continue
-                if v < 2:
-                    problems.append((ln, f"label must be >= 2 or inf, got {v}"))
-                    continue
+            v = INF if tokens[3] == "inf" else parse_number(tokens[3])
+            if v is None:
+                problems.append((ln, f"bad label {tokens[3]!r}"))
+                continue
+            if v < 2:
+                problems.append((ln, f"label must be >= 2 or inf, got {v}"))
+                continue
             key = (min(i, j), max(i, j))
             if key in seen_pairs:
                 problems.append(
@@ -421,14 +399,9 @@ def parse_input(text: str) -> InputSystem:
             ok = True
             sources = set()
             for pair in tokens[2:]:
-                if ">" not in pair:
-                    problems.append((ln, f"bad mapping {pair!r}, expected i>j"))
-                    ok = False
-                    continue
                 a, _, b = pair.partition(">")
-                try:
-                    i, j = int(a), int(b)
-                except ValueError:
+                i, j = parse_number(a), parse_number(b)
+                if i is None or j is None:
                     problems.append((ln, f"bad mapping {pair!r}, expected i>j"))
                     ok = False
                     continue

@@ -21,8 +21,10 @@ from typing import Sequence
 from .coxeter import (
     CoxeterMatrix,
     classify_finite,
-    components,
     coxeter_order,
+    graph_components,
+    neighbours,
+    path_from,
     type_string,
 )
 from .cyclo import INF
@@ -102,27 +104,13 @@ def validate_automorphism(matrix: CoxeterMatrix, images: Sequence[int]) -> list[
 
 
 def orbits(matrix: CoxeterMatrix, autos: Sequence[Automorphism]) -> tuple[frozenset, ...]:
-    """Orbits of the generated permutation group, via union-find closure
-    over the generators.  Sorted by smallest member."""
-    parent = list(range(matrix.rank + 1))
+    """Orbits of the generated permutation group: the components of the
+    graph joining each s to gamma(s).  Sorted by smallest member.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gamma in autos:
-        for s in range(1, matrix.rank + 1):
-            a, b = find(s), find(gamma(s))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    buckets: dict[int, set] = {}
-    for s in range(1, matrix.rank + 1):
-        buckets.setdefault(find(s), set()).add(s)
-    return tuple(
-        frozenset(buckets[r]) for r in sorted(buckets)
-    )
+    The edges need no reverse: gamma^-1 is a power of gamma, so the points
+    reached from s along them already make up its orbit."""
+    adj = {s: [gamma(s) for gamma in autos] for s in matrix.generators()}
+    return tuple(frozenset(c) for c in graph_components(adj))
 
 
 def is_fixed(w: Element, autos: Sequence[Automorphism]) -> bool:
@@ -515,31 +503,17 @@ class FoldedSystem:
         label sequence is lexicographically least (ties: smaller first
         orbit); anything else keeps the by-minimum order.
         """
-        n = len(self.bar_s)
-        if n <= 1:
-            return tuple(range(1, n + 1))
         fm = self.folded_matrix
-        comps = components(fm, range(1, n + 1))
-        if len(comps) != 1:
-            return tuple(range(1, n + 1))
-        adj = {
-            i: [j for j in fm.generators() if j != i and fm.m(i, j) >= 3]
-            for i in fm.generators()
-        }
-        if any(len(v) > 2 for v in adj.values()):
-            return tuple(range(1, n + 1))
-        ends = sorted(i for i, v in adj.items() if len(v) == 1)
-        if len(ends) != 2:
-            return tuple(range(1, n + 1))
-
+        identity = tuple(fm.generators())
+        adj = neighbours(fm, identity)
+        ends = [i for i in identity if len(adj[i]) == 1]
+        if len(ends) != 2 or any(len(v) > 2 for v in adj.values()):
+            return identity
         # walk from the smaller end; on a label tie that walk is kept
-        path = [ends[0]]
-        prev = None
-        while len(path) < n:
-            nxt = [x for x in adj[path[-1]] if x != prev][0]
-            prev = path[-1]
-            path.append(nxt)
-        labels = [fm.m(path[k], path[k + 1]) for k in range(n - 1)]
+        path = path_from(adj, ends[0])
+        if len(path) != fm.rank:
+            return identity  # not connected
+        labels = [fm.m(a, b) for a, b in zip(path, path[1:])]
         if labels[::-1] < labels:
             path.reverse()
         return tuple(path)

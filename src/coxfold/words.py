@@ -51,7 +51,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .coxeter import CoxeterMatrix, classify_finite, validate
+from .coxeter import CoxeterMatrix, classify_finite, parse_number, validate
 from .cyclo import ArithContext, CycloReal, make_context
 
 # safety valve for descent stripping; far beyond desk scale
@@ -763,10 +763,9 @@ def parse_word(text: str, rank: int) -> tuple[int, ...]:
         return ()
     letters = []
     for tok in text.split():
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"bad word letter {tok!r}") from None
+        v = parse_number(tok)
+        if v is None:
+            raise ValueError(f"bad word letter {tok!r}")
         if not 1 <= v <= rank:
             raise ValueError(f"word letter {v} out of range 1..{rank}")
         letters.append(v)

@@ -25,6 +25,22 @@ MATRICES = {
     "dinf": CoxeterMatrix.from_labels(2, {(1, 2): INF}),
 }
 
+# tokens that int() reads, or that isdigit() takes, but that are not ASCII
+# decimal digits; the last is past the interpreter's 4,300-digit limit
+BAD_NUMBERS = ("+1", "-1", "1_0", "\u0663", "\uff13", "\u00b2", "1e3", "0x3",
+               "9" * 4301)
+
+# each numeric position of an input file, with the problem it reports for a
+# malformed token there
+NUMBER_POSITIONS = {
+    "rank": ("rank {}\n", "rank needs one integer argument"),
+    "m index i": ("rank 3\nm {} 2 3\n", "m indices must be integers"),
+    "m index j": ("rank 3\nm 1 {} 3\n", "m indices must be integers"),
+    "label": ("rank 3\nm 1 2 {}\n", "bad label"),
+    "auto source": ("rank 3\nauto f {}>1\n", "bad mapping"),
+    "auto target": ("rank 3\nauto f 1>{}\n", "bad mapping"),
+}
+
 FLIPS = {
     "a2": Automorphism((2, 1)),
     "a3": Automorphism((3, 2, 1)),

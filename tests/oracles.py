@@ -9,8 +9,13 @@ meaningful checks.
 The one exception is reference_factorize: it peels a fixed element with
 the engine's descent test and right multiplication, as the folded
 factorization is defined, but without any of FoldedSystem's memos.
+
+The diagram references at the end read a matrix only through m(s, t) and
+rank; they are the hand-written walks that the shared neighbour-list
+routines of coxfold.coxeter replaced, kept to compare against.
 """
 
+import math
 from collections import deque
 
 
@@ -146,3 +151,224 @@ def reference_factorize(folded, inv_cols, choose=None):
         letters += count
     assert inv_cols == engine.identity
     return seq, letters
+
+
+# -- diagram references -----------------------------------------------------------
+# a finite type is a (family, parameter) pair, as FiniteTypeLabel holds it
+
+INF = float("inf")
+
+
+def ref_components(matrix, subset):
+    """Components of the diagram on subset (edges m >= 3), by search."""
+    subset = sorted(set(subset))
+    seen = set()
+    comps = []
+    for start in subset:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            s = stack.pop()
+            for t in subset:
+                if t not in seen and matrix.m(s, t) >= 3:
+                    seen.add(t)
+                    comp.append(t)
+                    stack.append(t)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def _arm_lengths(edges, center):
+    adj = {}
+    for a, b, _ in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    arms = []
+    for nxt in adj[center]:
+        length = 1
+        prev, cur = center, nxt
+        while True:
+            following = [x for x in adj[cur] if x != prev]
+            if not following:
+                break
+            prev, cur = cur, following[0]
+            length += 1
+        arms.append(length)
+    return arms
+
+
+def _path_order(edges, comp):
+    adj = {s: [] for s in comp}
+    for a, b, _ in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    start = min(s for s in comp if len(adj[s]) == 1)
+    path = [start]
+    prev = None
+    cur = start
+    while len(path) < len(comp):
+        nxt = [x for x in adj[cur] if x != prev][0]
+        path.append(nxt)
+        prev, cur = cur, nxt
+    return path
+
+
+def ref_classify_component(matrix, comp):
+    """(family, parameter) of one connected component, or None."""
+    n = len(comp)
+    if n == 1:
+        return ("A", 1)
+    edges = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = matrix.m(comp[a], comp[b])
+            if v >= 3:
+                if v == INF:
+                    return None
+                edges.append((comp[a], comp[b], int(v)))
+    if len(edges) != n - 1:
+        return None
+    degree = {s: 0 for s in comp}
+    for a, b, _ in edges:
+        degree[a] += 1
+        degree[b] += 1
+    branch = [s for s in comp if degree[s] >= 3]
+    if any(degree[s] > 3 for s in comp) or len(branch) > 1:
+        return None
+    heavy = [e for e in edges if e[2] >= 4]
+    if branch:
+        if heavy:
+            return None
+        arms = sorted(_arm_lengths(edges, branch[0]))
+        if arms[:2] == [1, 1]:
+            return ("D", n)
+        return {(1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7),
+                (1, 2, 4): ("E", 8)}.get(tuple(arms))
+    path = _path_order(edges, comp)
+    labels = [int(matrix.m(path[k], path[k + 1])) for k in range(n - 1)]
+    if n == 2:
+        return {3: ("A", 2), 4: ("B", 2)}.get(labels[0], ("I2", labels[0]))
+    if len(heavy) > 1:
+        return None
+    if not heavy:
+        return ("A", n)
+    big = max(labels)
+    pos = labels.index(big)
+    at_end = pos == 0 or pos == n - 2
+    if big == 4:
+        if at_end:
+            return ("B", n)
+        if n == 4 and pos == 1:
+            return ("F", 4)
+        return None
+    if big == 5 and at_end and n in (3, 4):
+        return ("H", n)
+    return None
+
+
+def ref_classify_finite(matrix, subset):
+    types = []
+    for comp in ref_components(matrix, subset):
+        t = ref_classify_component(matrix, comp)
+        if t is None:
+            return None
+        types.append(t)
+    return tuple(types)
+
+
+def ref_order(family, n):
+    """|W| of one irreducible finite type, from closed formulas."""
+    if family == "A":
+        return math.factorial(n + 1)
+    if family == "B":
+        return (1 << n) * math.factorial(n)
+    if family == "D":
+        return (1 << (n - 1)) * math.factorial(n)
+    if family == "I2":
+        return 2 * n
+    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152,
+            "H3": 120, "H4": 14400}[f"{family}{n}"]
+
+
+def ref_positive_root_count(family, n):
+    if family == "A":
+        return n * (n + 1) // 2
+    if family == "B":
+        return n * n
+    if family == "D":
+        return n * (n - 1)
+    if family == "I2":
+        return n
+    return {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "H3": 15,
+            "H4": 60}[f"{family}{n}"]
+
+
+def ref_coxeter_order(matrix, subset):
+    types = ref_classify_finite(matrix, subset)
+    return None if types is None else math.prod(
+        ref_order(f, n) for f, n in types)
+
+
+def ref_type_string(matrix, subset):
+    subset = sorted(set(subset))
+    if not subset:
+        return "trivial"
+    types = ref_classify_finite(matrix, subset)
+    if types is not None:
+        names = [f"I2({n})" if f == "I2" else f"{f}{n}" for f, n in types]
+        return " x ".join(sorted(names))
+    if len(subset) == 2 and len(ref_components(matrix, subset)) == 1:
+        return "I2(inf)"
+    return "infinite"
+
+
+def ref_orbits(rank, perms):
+    """Orbits of the group generated by permutations of 1..rank (tuples of
+    images), by union-find; sorted by smallest member."""
+    parent = list(range(rank + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for images in perms:
+        for s in range(1, rank + 1):
+            a, b = find(s), find(images[s - 1])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    buckets = {}
+    for s in range(1, rank + 1):
+        buckets.setdefault(find(s), set()).add(s)
+    return tuple(frozenset(buckets[r]) for r in sorted(buckets))
+
+
+def ref_diagram_order(matrix):
+    """Display order of a folded diagram: a path read end to end with the
+    lexicographically least labels (a tie keeps the walk from the smaller
+    end); anything else in index order."""
+    n = matrix.rank
+    identity = tuple(range(1, n + 1))
+    if n <= 1 or len(ref_components(matrix, identity)) != 1:
+        return identity
+    adj = {i: [j for j in identity if j != i and matrix.m(i, j) >= 3]
+           for i in identity}
+    if any(len(v) > 2 for v in adj.values()):
+        return identity
+    ends = sorted(i for i, v in adj.items() if len(v) == 1)
+    if len(ends) != 2:
+        return identity
+    path = [ends[0]]
+    prev = None
+    while len(path) < n:
+        nxt = [x for x in adj[path[-1]] if x != prev][0]
+        prev = path[-1]
+        path.append(nxt)
+    labels = [matrix.m(path[k], path[k + 1]) for k in range(n - 1)]
+    if labels[::-1] < labels:
+        path.reverse()
+    return tuple(path)

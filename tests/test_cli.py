@@ -8,6 +8,8 @@ import pytest
 from coxfold import cli, verify
 from coxfold.catalog import CatalogRow
 
+from conftest import BAD_NUMBERS, NUMBER_POSITIONS
+
 A3_FLIP = "rank 3\nm 1 2 3\nm 2 3 3\nauto flip 1>3 3>1\n"
 A2 = "rank 2\nm 1 2 3\nauto id\n"
 TRIANGLE = "rank 3\nm 1 2 3\nm 2 3 3\nm 1 3 3\nauto flip 1>2 2>1\n"
@@ -245,6 +247,30 @@ def test_rank_that_int_refuses(capsys, tmp_path, rank):
     rc, _, err = run_cli(capsys, "classify", str(p))
     assert rc == 2
     assert "rank needs one integer argument" in err
+
+
+@pytest.mark.parametrize("position", [*NUMBER_POSITIONS, "--word"])
+@pytest.mark.parametrize("token", BAD_NUMBERS, ids=lambda t: repr(t)[:8])
+def test_number_that_is_not_ascii_digits_exits_2(capsys, tmp_path, a3_file,
+                                                  position, token):
+    if position == "--word":
+        argv = ["reduce", a3_file, "--word", f"1 {token}"]
+    else:
+        p = tmp_path / "bad.cox"
+        p.write_text(NUMBER_POSITIONS[position][0].format(token),
+                     encoding="utf-8")
+        argv = ["classify", str(p)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_leading_zeros_are_read(capsys, tmp_path):
+    p = tmp_path / "zeros.cox"
+    p.write_text("rank 0003\nm 0001 0002 0003\nm 0002 0003 0003\n")
+    rc, out, _ = run_cli(capsys, "reduce", str(p), "--word", "0001 002 01")
+    assert rc == 0
+    assert "input word: 1 2 1" in out and "length: 3" in out
 
 
 # -- catalog rendering (stubbed rows; the real catalog runs in acceptance) ------

@@ -15,10 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 from coxfold import cli
 from coxfold.coxeter import classify_finite, parse_input
 
+from conftest import BAD_NUMBERS
+
 LABELS = ("2", "3", "4", "5", "6", "12", "inf", "1", "0", "-3", "x", "2.5",
-          "1000")
+          "1000", *BAD_NUMBERS)
 VALID_LABELS = ("2", "2", "3", "4", "5", "6", "inf")
-SMALL = st.integers(-1, 6).map(str)
+SMALL = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(BAD_NUMBERS))
 
 
 @st.composite

@@ -11,8 +11,9 @@ from coxfold.coxeter import (
     validate,
 )
 from coxfold.cyclo import INF
+from coxfold.words import parse_word
 
-from conftest import MATRICES, a_matrix
+from conftest import BAD_NUMBERS, MATRICES, NUMBER_POSITIONS, a_matrix
 
 
 def test_validate_ok():
@@ -281,3 +282,25 @@ def test_parse_unknown_directive():
 def test_parse_empty():
     probs = problems_of("# nothing\n")
     assert any("no rank" in msg for _, msg in probs)
+
+
+@pytest.mark.parametrize("position", NUMBER_POSITIONS)
+@pytest.mark.parametrize("token", BAD_NUMBERS, ids=lambda t: repr(t)[:8])
+def test_parse_rejects_numbers_that_are_not_ascii_digits(position, token):
+    template, message = NUMBER_POSITIONS[position]
+    (problem,) = problems_of(template.format(token))
+    assert problem[0] in (1, 2) and message in problem[1]
+
+
+@pytest.mark.parametrize("token", BAD_NUMBERS, ids=lambda t: repr(t)[:8])
+def test_word_rejects_letters_that_are_not_ascii_digits(token):
+    with pytest.raises(ValueError, match="bad word letter"):
+        parse_word(f"1 {token} 2", 3)
+
+
+def test_leading_zeros_are_read():
+    parsed = parse_input("rank 0003\nm 0001 0002 0003\n"
+                         "auto f 0001>0003 0003>0001\n")
+    assert parsed.matrix.rank == 3 and parsed.matrix.m(1, 2) == 3
+    assert parsed.autos == (("f", (3, 2, 1)),)
+    assert parse_word("0001 02", 3) == (1, 2)

@@ -21,10 +21,11 @@ import random
 import pytest
 
 from coxfold import verify
-from coxfold.catalog import BALL_RADIUS, CATALOG
+from coxfold.catalog import CATALOG
 from coxfold.coxeter import classify_finite, parse_input
 from coxfold.folding import Automorphism, fold
-from coxfold.verify import VerifyConfig, generated_ball, presentation_check
+from coxfold.verify import (DEFAULT_INFINITE_RADIUS, VerifyConfig,
+                            generated_ball, presentation_check)
 from coxfold.words import CoxeterGroup
 
 # the verify instances of the benchmark, run at radius 16
@@ -41,7 +42,8 @@ BENCHMARK = {
 
 # name: (input, radius of the balls when the folded group is infinite)
 CASES = {
-    **{f"catalog:{e.name}": (e.input_text, BALL_RADIUS) for e in CATALOG},
+    **{f"catalog:{e.name}": (e.input_text, DEFAULT_INFINITE_RADIUS)
+       for e in CATALOG},
     **{f"benchmark:{name}": (text, 16) for name, text in BENCHMARK.items()},
 }
 
