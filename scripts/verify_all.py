@@ -12,7 +12,7 @@ import sys
 import time
 
 from coxfold.catalog import CATALOG
-from coxfold.coxeter import parse_input
+from coxfold.coxeter import parse_input, parse_number
 from coxfold.folding import Automorphism
 from coxfold.verify import VerifyConfig, property_suite
 from coxfold.words import CoxeterGroup
@@ -21,8 +21,11 @@ from coxfold.words import CoxeterGroup
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--slow", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", default="0")
     args = parser.parse_args()
+    seed = parse_number(args.seed)
+    if seed is None:
+        parser.error(f"bad --seed value {args.seed!r}: expected ASCII digits")
 
     all_ok = True
     for entry in CATALOG:
@@ -32,7 +35,7 @@ def main() -> int:
         group = CoxeterGroup(parsed.matrix)
         autos = [Automorphism(images) for _, images in parsed.autos]
         t0 = time.perf_counter()
-        report = property_suite(group, autos, VerifyConfig(seed=args.seed))
+        report = property_suite(group, autos, VerifyConfig(seed=seed))
         status = "PASS" if report.passed else "FAIL"
         print(f"{entry.name:24s} {status}  ({time.perf_counter() - t0:.1f}s)")
         if not report.passed:

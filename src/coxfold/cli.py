@@ -23,6 +23,7 @@ from .coxeter import (
     components,
     coxeter_order,
     parse_input,
+    parse_number,
     type_string,
 )
 from .cyclo import INF
@@ -149,10 +150,20 @@ def cmd_fold(args) -> int:
     return 0
 
 
+def _option_number(option: str, token: str) -> int:
+    value = parse_number(token)
+    if value is None:
+        raise SystemExit2(f"bad {option} value {token!r}: expected ASCII digits")
+    return value
+
+
 def cmd_verify(args) -> int:
+    seed = _option_number("--seed", args.seed)
+    radius = (None if args.radius is None
+              else _option_number("--radius", args.radius))
     group, autos = _instance(_load(args.file))
     try:
-        config = VerifyConfig(seed=args.seed, radius=args.radius)
+        config = VerifyConfig(seed=seed, radius=radius)
     except ValueError as err:
         raise SystemExit2(str(err))
     try:
@@ -261,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full property suite")
     p.add_argument("file")
-    p.add_argument("--radius", type=int, default=None,
+    p.add_argument("--radius", default=None,
                    help="ball radius for infinite groups, at least 1 "
                         "(default 8)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

@@ -1,16 +1,17 @@
-"""Exact arithmetic for real cyclotomic values.
+"""Exact arithmetic for real values in the cyclotomic integers.
 
-Scalars of the geometric reflection action are rational combinations of
-2cos(k*pi/N).  We represent them inside the cyclotomic field of order 2N:
-an element is a rational polynomial in zeta = exp(i*pi/N), reduced modulo
-the 2N-th cyclotomic polynomial.  Real values are exactly the polynomials
-invariant under zeta -> zeta^(-1); all constructors here produce such
-values and the ring operations preserve them.
+Scalars of the geometric reflection action are integer combinations of
+2cos(k*pi/N) = zeta^k + zeta^(-k), zeta = exp(i*pi/N): algebraic integers
+of the cyclotomic field of order 2N.  An element is an integer polynomial
+in zeta, reduced modulo the (monic) 2N-th cyclotomic polynomial, so its
+coefficients stay integers.  Real values are exactly the polynomials
+invariant under zeta -> zeta^(-1); the constructors here other than
+zeta_power produce such values and the ring operations preserve them.
 
 Equality is decided on canonical forms, so it is exact.  A sign is
 decided on an enclosure in integer fixed point: each cos(k*pi/N) carries
 an explicit error bound (pi from Machin's formula, cos from its Taylor
-series), and the value sums them with its exact rational coefficients.
+series), and the value sums them with its integer coefficients.
 The working precision doubles until the enclosure excludes zero, which
 happens for every nonzero input, since a nonzero algebraic number is
 bounded away from zero.  Each context computes the cosine enclosures once
@@ -20,8 +21,7 @@ per working precision.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 INF = math.inf
 
@@ -206,9 +206,6 @@ class ArithContext:
     def __hash__(self):
         return hash(("ArithContext", self.N))
 
-    def from_rational(self, q) -> CycloReal:
-        return CycloReal(self, (_coeff(q),) + (0,) * (self.degree - 1))
-
     def zeta_power(self, k: int) -> CycloReal:
         """zeta^k as an element of the field (not real in general)."""
         coeffs = [0] * (2 * self.N)
@@ -221,7 +218,7 @@ class ArithContext:
         if val is not None:
             return val
         if m == INF:
-            val = self.from_rational(2)
+            val = CycloReal(self, (2,) + (0,) * (self.degree - 1))
         else:
             m = int(m)
             if m < 2:
@@ -292,24 +289,8 @@ class ArithContext:
         return tuple(coeffs[:d])
 
 
-def _coeff(q):
-    """Normalize a rational coefficient: plain int when exact.
-
-    Coefficients are rationals; the values the reflection action produces
-    are in fact algebraic integers, and int arithmetic is much faster than
-    Fraction.  Mixing the two is safe because the numeric tower makes
-    Fraction(n) and n equal with equal hashes, so canonical forms and
-    their comparisons are unaffected.
-    """
-    if isinstance(q, int):
-        return q
-    q = Fraction(q)
-    return q.numerator if q.denominator == 1 else q
-
-
-@total_ordering
 class CycloReal:
-    """An exact real number in the cyclotomic field of order 2N.
+    """An exact real algebraic integer of the cyclotomic field of order 2N.
 
     Immutable; canonical form is the reduced coefficient tuple, so equality
     and hashing are structural.
@@ -332,8 +313,8 @@ class CycloReal:
                     f"mixing contexts N={self.ctx.N} and N={other.ctx.N}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_rational(other)
+        if isinstance(other, int):
+            return CycloReal(self.ctx, (other,) + (0,) * (self.ctx.degree - 1))
         return None
 
     def __add__(self, other):
@@ -360,13 +341,8 @@ class CycloReal:
         return CycloReal(self.ctx, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.ctx.zero
-            if other == 1:
-                return self
-            q = _coeff(other)
-            return CycloReal(self.ctx, tuple(a * q for a in self.coeffs))
+        if isinstance(other, int):
+            return CycloReal(self.ctx, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -384,8 +360,8 @@ class CycloReal:
     def __eq__(self, other):
         if isinstance(other, CycloReal):
             return self.ctx.N == other.ctx.N and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == self.ctx.from_rational(other)
+        if isinstance(other, int):
+            return self.coeffs == self._coerce(other).coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -401,24 +377,10 @@ class CycloReal:
         return " + ".join(f"{c}" if k == 0 else f"{c}*z^{k}"
                           for k, c in enumerate(self.coeffs) if c) or "0"
 
-    # -- structure ----------------------------------------------------------
+    # -- zero test and sign -------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def conjugate(self) -> CycloReal:
-        """Image under zeta -> zeta^(-1); fixed points are the real values."""
-        twoN = 2 * self.ctx.N
-        out = [0] * twoN
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(-k) % twoN] += c
-        return CycloReal(self.ctx, self.ctx._reduce(out))
-
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
-    # -- sign and numeric views ----------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
@@ -446,27 +408,17 @@ class CycloReal:
         )
 
     def _interval_value(self, *, prec: int) -> tuple[int, int]:
-        """(value, bound) enclosing D times this number in fixed point with
-        unit 2^(prec + _GUARD_BITS), D the lcm of the coefficient
-        denominators.  The number is real, so it equals sum c_k cos(k*pi/N),
-        and D c_k is an integer, so the sum adds no rounding."""
+        """(value, bound) enclosing this number in fixed point with unit
+        2^(prec + _GUARD_BITS).  The number is real, so it equals
+        sum c_k cos(k*pi/N), and each c_k is an integer, so the sum adds
+        no rounding."""
         cos = self.ctx.cos_enclosures(prec)
-        terms = [(c, cos[k]) for k, c in enumerate(self.coeffs) if c]
-        D = math.lcm(*(c.denominator for c, _ in terms))
         value = bound = 0
-        for c, (v, b) in terms:
-            a = c.numerator * (D // c.denominator)
-            value += a * v
-            bound += abs(a) * b
+        for c, (v, b) in zip(self.coeffs, cos):
+            if c:
+                value += c * v
+                bound += abs(c) * b
         return value, bound
-
-    def __float__(self):
-        # non-rigorous float view, for display and test oracles only
-        return float(sum(float(c) * math.cos(k * math.pi / self.ctx.N)
-                         for k, c in enumerate(self.coeffs) if c))
-
-    def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
 
 
 def label_lcm(matrix) -> int:

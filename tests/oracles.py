@@ -10,9 +10,12 @@ The one exception is reference_factorize: it peels a fixed element with
 the engine's descent test and right multiplication, as the folded
 factorization is defined, but without any of FoldedSystem's memos.
 
-The diagram references at the end read a matrix only through m(s, t) and
-rank; they are the hand-written walks that the shared neighbour-list
-routines of coxfold.coxeter replaced, kept to compare against.
+The diagram references read a matrix only through m(s, t) and rank; they
+are the hand-written walks that the shared neighbour-list routines of
+coxfold.coxeter replaced, kept to compare against.
+
+The cyclotomic views at the end read a CycloReal's coefficients only: a
+float evaluation and the Galois conjugation zeta -> zeta^(-1).
 """
 
 import math
@@ -372,3 +375,23 @@ def ref_diagram_order(matrix):
     if labels[::-1] < labels:
         path.reverse()
     return tuple(path)
+
+
+# -- cyclotomic views ---------------------------------------------------------------
+
+
+def approx(x):
+    """Float value of a real CycloReal, sum c_k cos(k*pi/N); not rigorous."""
+    return float(sum(float(c) * math.cos(k * math.pi / x.ctx.N)
+                     for k, c in enumerate(x.coeffs) if c))
+
+
+def conjugate(x):
+    """Image of a CycloReal under zeta -> zeta^(-1); the real values are its
+    fixed points."""
+    twoN = 2 * x.ctx.N
+    out = [0] * twoN
+    for k, c in enumerate(x.coeffs):
+        if c:
+            out[(-k) % twoN] += c
+    return type(x)(x.ctx, x.ctx._reduce(out))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -146,13 +147,16 @@ def test_verify_infinite_radius_flag(capsys, tmp_path):
 
 @pytest.mark.parametrize("radius", ["0", "-1"])
 def test_verify_radius_below_one_exits_2(capsys, tmp_path, radius):
-    # 0 used to mean the default 8, and -1 passed on the identity alone
+    # 0 used to mean the default 8, and -1 passed on the identity alone;
+    # a sign is not an ASCII digit, so -1 is a malformed number
     p = tmp_path / "tri.cox"
     p.write_text(TRIANGLE)
     rc, out, err = run_cli(capsys, "verify", str(p), "--radius", radius)
     assert rc == 2
     assert out == ""
-    assert err == f"radius must be at least 1, not {radius}\n"
+    assert err == {
+        "0": "radius must be at least 1, not 0\n",
+        "-1": "bad --radius value '-1': expected ASCII digits\n"}[radius]
 
 
 def test_verify_deterministic_output(capsys, a3_file):
@@ -263,6 +267,36 @@ def test_number_that_is_not_ascii_digits_exits_2(capsys, tmp_path, a3_file,
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("option", ["--radius", "--seed"])
+@pytest.mark.parametrize("token", BAD_NUMBERS, ids=lambda t: repr(t)[:8])
+def test_verify_option_that_is_not_ascii_digits_exits_2(capsys, tmp_path,
+                                                        option, token):
+    p = tmp_path / "tri.cox"
+    p.write_text(TRIANGLE)
+    rc, out, err = run_cli(capsys, "verify", str(p), option, token)
+    assert rc == 2 and out == ""
+    assert err == f"bad {option} value {token!r}: expected ASCII digits\n"
+
+
+@pytest.mark.parametrize("token", ["1_0", "-1", "\u0663"])
+def test_verify_all_seed_that_is_not_ascii_digits_exits_2(token):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "scripts/verify_all.py", "--seed", token], cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"bad --seed value {token!r}: expected ASCII digits" in proc.stderr
+
+
+def test_verify_options_read_leading_zeros(capsys, tmp_path):
+    p = tmp_path / "tri.cox"
+    p.write_text(TRIANGLE)
+    runs = [run_cli(capsys, "verify", str(p), "--radius", r, "--seed", s)
+            for r, s in (("5", "7"), ("005", "0007"))]
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_leading_zeros_are_read(capsys, tmp_path):
