@@ -1,16 +1,16 @@
 """Brute-force oracles and the property suite.
 
-The enumeration side never consults the folding machinery.  A ball lists
-canonical words.  On the root table of a finite W it comes from a
-breadth-first search keyed by the images of the simple roots, and
-fixedness is tested on those images; on any other W it is the words of
-the ShortLex automaton on the elementary roots, and fixedness is tested
-by the exchange walk on words.  Either way elements, with their actions,
-are built only for the fixed words, never one per element of W.  The
-generated fixed subgroup is explored by plain right multiplication with
-dedup on the exact action of w^-1, and dihedral orders are observed by
-iterating products.  The folding side meets the oracle side only in the
-comparisons, so a passing report actually certifies something.
+The enumeration side never consults the folding machinery.  A ball is a
+prefix tree of canonical ShortLex words.  On the root table of a finite W
+with at most 256 roots it comes from a breadth-first search keyed by the
+bytes of w^-1(alpha_t), and fixedness is tested on those keys; on any
+other W it comes from the ShortLex automaton on the elementary roots, and
+fixedness is tested by the exchange walk on words.  Either way only the
+fixed nodes are spelled and built as elements.  The generated fixed
+subgroup is explored by plain right multiplication with dedup on the exact
+action of w^-1, and dihedral orders are observed by iterating products.
+The folding side meets the oracle side only in the comparisons, so a
+passing report actually certifies something.
 
 Each named check returns pass/fail/skipped plus statistics; failures carry
 a replayable witness.  The checks run one after another, and reports are
@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,17 +49,17 @@ SAMPLE_PAIRS = 300          # sampled pairs beyond the cap
 EXCHANGE_LAMBDA_CAP = 4     # folded exchange tested up to this length
 GREEDY_CAP = 512            # step bound for the greedy finiteness probe
 SUBSET_CAP = 4096           # exhaustive subset checks up to this many
-# hard bound on enumerated nodes.  A ball holds about 290 bytes per element
-# on the root table (E6, 51,840 elements) and 170 to 180 on the automaton
-# (the (4,4,3) triangle group at radius 16 and 18), by tracemalloc.
+# hard bound on enumerated nodes.  A ball holds about 53 bytes per element
+# on bytes keys (E6, 51,840 elements) and 14 on automaton states (the
+# (4,4,3) triangle group at radius 16 and 18), by tracemalloc.
 NODE_CAP = 200_000
-# A ball also holds its words, 8 bytes a letter, so it is capped in letters
-# too.  Lengths in a finite W are symmetric about l(w_0)/2, so all of W
-# spells |W| l(w_0) / 2 letters.  Over the finite W the node cap admits
-# (|W| <= NODE_CAP, phi(2N) <= DEGREE_CAP), that is largest for
-# A2 x I2(90) x I2(90): 194,400 * 183 / 2 = 17,787,600 letters.  The least
-# multiple of NODE_CAP above it refuses no such W; on infinite W it stops a
-# ball at about 150 MiB of words (I2(inf) at radius about 4,200).
+# A ball holds no words, but Ball.words and the fixed elements spell them,
+# 8 bytes a letter, and I2(inf) under `auto id` fixes every element, so a
+# ball is capped in letters too.  A finite W spells |W| l(w_0) / 2 letters
+# (lengths are symmetric about l(w_0)/2).  Over the W the node cap admits
+# (|W| <= NODE_CAP, phi(2N) <= DEGREE_CAP) that is largest for A2 x I2(90)
+# x I2(90): 194,400 * 183 / 2 = 17,787,600.  The least multiple of NODE_CAP
+# above it refuses no such W, and stops I2(inf) near radius 4,200 (150 MiB).
 LETTER_CAP = 89 * NODE_CAP
 
 CHECK_NAMES = (
@@ -97,55 +98,56 @@ class NodeCapExceeded(ValueError):
 
 @dataclass
 class Ball:
-    """Ball of W around e: canonical words in (length, word) order;
-    complete when it holds the whole group.
+    """Ball of W around e: a prefix tree of canonical words in (length,
+    word) order; complete when it holds the whole group.
 
-    On the root table, ``images`` lists for each word the images of the
-    simple roots under w as root indices, which determine w; on the
-    ShortLex automaton, ``states`` lists for each word the automaton state
-    it reaches.  Elements,
-    actions included, are built from the words on first read of
-    ``elements``; the suite never reads it, and builds elements only for
-    the words fixed_subgroup keeps."""
+    Node 0 is e, and node i spells the word of the earlier node
+    ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
+    the root indices of w^-1(alpha_t) as bytes, or the ShortLex automaton
+    state its word reaches.  ``words`` and ``elements`` are built when read."""
 
     group: CoxeterGroup
-    complete: bool
-    words: tuple[tuple[int, ...], ...] = field(repr=False)
-    images: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
-    states: tuple[int, ...] | None = field(default=None, repr=False)
+    keys: list = field(repr=False)
+    complete: bool = False
+    parents: array = field(default_factory=lambda: array("i", [0]), repr=False)
+    letters: array = field(default_factory=lambda: array("B", [0]), repr=False)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.keys)
+
+    def spell(self, i: int) -> tuple[int, ...]:
+        word = []
+        while i:
+            word.append(self.letters[i])
+            i = self.parents[i]
+        return tuple(reversed(word))
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.spell, range(len(self))))
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        return _elements(self.group, self.words)
+        return _elements(self, range(len(self)))
 
 
 def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     """The ball of the given radius, or all of a finite W.
 
     A full enumeration is refused up front on an infinite W, and on a
-    finite W whose order is over the node cap.
+    finite W whose order is over the node cap.  Both walks extend the
+    nodes w of level k in ShortLex order, each by the generators s in
+    increasing order, and append w s when it is a new normal form, so
+    level k+1 comes out in ShortLex order.
 
-    Root table of rank 2 or more: breadth-first search over left
-    multiplication by simple generators.  Each element is keyed by the
-    images of the simple roots under w, rank root indices that determine
-    w; left multiplication by s applies the permutation of s to each.
-    Level k holds the elements of length k in ShortLex order of their
-    words.  For each s in increasing order, and each x of level k in
-    order, s*x is kept as (s,) + word(x) unless its key is in level k-1
-    (s descends x) or already in level k+1.  An element y of length k+1
-    is therefore first found from its smallest left descent s, with
-    s*y in level k, and (s,) + word(s*y) is its ShortLex-least reduced
-    word.  The words found for one s begin with s and follow the order of
-    level k, so level k+1 comes out in ShortLex order.  No descent test,
-    no normal-form extraction and no sort is needed.
-
-    Any other W (the matrix engine, and rank 0 or 1, where an itemgetter
-    of one index would give a root index instead of a key): a breadth-first
-    walk of the ShortLex automaton on the elementary roots lists the
-    canonical words and does no arithmetic.
+    Root table of rank 2 or more with at most 256 roots: the key of w s is
+    one bytes.translate of the key of w by the permutation of s, since
+    (w s)^-1 = s w^-1.  w s lies in level k-1 or k+1, and is new when its
+    key is in neither level k-1 nor the part of level k+1 found so far.
+    So y of length k+1 is first reached from the least pair (NF(y s), s)
+    over its right descents s, and NF(y s) s is its ShortLex normal form.
+    Any other W (the matrix engine, over 256 roots, rank 0 or 1) takes the
+    ShortLex automaton on the elementary roots, which does no arithmetic.
     """
     if classify_finite(group.matrix, group.generators()) is None:
         if radius is None:
@@ -156,110 +158,108 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
             raise NodeCapExceeded(
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
             )
-    if isinstance(group._engine, _RootTable) and group.rank > 1:
+    engine = group._engine
+    if (isinstance(engine, _RootTable) and group.rank > 1
+            and 2 * engine.npos <= 256):
         return _image_ball(group, radius)
     return _shortlex_ball(group, radius)
 
 
-def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
-    perms = group._engine._perms
-    words, images = [()], [tuple(range(group.rank))]   # alpha_t is root t-1
-    level_words, level_images = words[:], images[:]
-    below: set = set()
-    depth = letters = 0
-    while level_words and (radius is None or depth < radius):
+def _levels(ball: Ball, radius: int | None):
+    """Yield (prev, start) for each level k to extend: level k is the nodes
+    from start on, level k-1 those from prev to start.  Caps the ball, and
+    sets ``complete`` once the walk ends."""
+    prev = start = depth = letters = 0
+    while start < len(ball) and (radius is None or depth < radius):
         depth += 1
-        # s*x lies in level k-1 or k+1: seen holds level k-1, then level k+1
-        seen, below = below, set(level_images)
-        steps = [(word, itemgetter(*img))
-                 for word, img in zip(level_words, level_images)]
-        level_words, level_images = [], []
-        for s in group.generators():
-            perm = perms[s]
-            for word, get in steps:
-                img = get(perm)
-                if img not in seen:
-                    seen.add(img)
-                    level_words.append((s,) + word)
-                    level_images.append(img)
-        words.extend(level_words)
-        images.extend(level_images)
-        letters += depth * len(level_words)
-        _check_ball(len(words), letters)
-    return Ball(group, not level_words, tuple(words), tuple(images))
+        end = len(ball)
+        yield prev, start
+        prev, start = start, end
+        letters += depth * (len(ball) - end)
+        if len(ball) > NODE_CAP:
+            raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
+        if letters > LETTER_CAP:
+            raise NodeCapExceeded(f"ball exceeded the letter cap {LETTER_CAP}")
+    ball.complete = start == len(ball)
+
+
+def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
+    steps = [(s, bytes(perm).ljust(256, b"\0"))     # bytes.translate tables
+             for s, perm in enumerate(group._engine._perms[1:], 1)]
+    ball = Ball(group, [bytes(range(group.rank))])   # alpha_t is root t-1
+    parents, letters, keys = ball.parents, ball.letters, ball.keys
+    for prev, start in _levels(ball, radius):
+        seen = set(keys[prev:start])
+        for i in range(start, len(keys)):
+            key = keys[i]
+            for s, table in steps:
+                y = key.translate(table)
+                if y not in seen:
+                    seen.add(y)
+                    parents.append(i)
+                    letters.append(s)
+                    keys.append(y)
+    return ball
 
 
 def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
-    """Words of length <= radius accepted by the ShortLex automaton; with
-    no radius, every word of a finite W.  A level in word order, extended
-    letter by letter in generator order, gives the next level in word
-    order."""
     row = group._elementary.shortlex_row
-    words, states = [()], [0]
-    level = [((), 0)]
-    depth = letters = 0
-    while level and (radius is None or depth < radius):
-        depth += 1
-        level = [(word + (s,), r) for word, q in level
-                 for s, r in enumerate(row(q)) if r is not None]
-        words.extend(word for word, _ in level)
-        states.extend(q for _, q in level)
-        letters += depth * len(level)
-        _check_ball(len(words), letters)
-    return Ball(group, not level, tuple(words), states=tuple(states))
+    ball = Ball(group, [0])
+    parents, letters, keys = ball.parents, ball.letters, ball.keys
+    for _, start in _levels(ball, radius):
+        for i in range(start, len(keys)):
+            for s, q in enumerate(row(keys[i])):
+                if q is not None:
+                    parents.append(i)
+                    letters.append(s)
+                    keys.append(q)
+    return ball
 
 
-def _check_ball(size: int, letters: int) -> None:
-    if size > NODE_CAP:
-        raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
-    if letters > LETTER_CAP:
-        raise NodeCapExceeded(f"ball exceeded the letter cap {LETTER_CAP}")
-
-
-def _elements(group: CoxeterGroup, words) -> tuple[Element, ...]:
-    """Elements of canonical words in ball order.  Each new prefix costs
-    one lmul, since (u s)^-1 = s u^-1."""
+def _elements(ball: Ball, nodes) -> tuple[Element, ...]:
+    """Elements of the given nodes.  Each inverse action is one lmul from
+    its parent's, since (u s)^-1 = s u^-1."""
+    group, parents, letters = ball.group, ball.parents, ball.letters
     lmul = group._engine.lmul
-    inv_of = {(): group._engine.identity}   # prefix -> inverse action
+    inv_of = {0: group._engine.identity}    # node -> inverse action
     out = []
-    for word in words:
-        k = len(word)
-        while word[:k] not in inv_of:
-            k -= 1
-        inv_cols = inv_of[word[:k]]
-        for j in range(k, len(word)):
-            inv_cols = inv_of[word[:j + 1]] = lmul(word[j], inv_cols)
-        out.append(Element(group, word, inv_cols))
+    for i in nodes:
+        path = [i]
+        while path[-1] not in inv_of:
+            path.append(parents[path[-1]])
+        inv_cols = inv_of[path.pop()]
+        for j in reversed(path):
+            inv_cols = inv_of[j] = lmul(letters[j], inv_cols)
+        out.append(Element(group, ball.spell(i), inv_cols))
     return tuple(out)
 
 
 def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
-    """Elements of the ball fixed by every automorphism generator.
+    """Elements of the ball fixed by every automorphism generator, one
+    automorphism at a time; only the nodes kept are spelled and built.
 
-    Each word is tested first, and elements are built only for the words
-    kept.  A ball with root images tests gamma w = w gamma on the simple
-    roots, g[w(alpha_t)] = w(alpha_gamma(t)) with g the permutation of
-    gamma on the roots.  A ball of automaton words tests its words with
-    the exchange walk on the elementary roots, but only those whose state
-    gamma leaves stable, which every fixed word's state is.
+    gamma fixes w exactly when it fixes w^-1.  Bytes keys test
+    g[w^-1(alpha_t)] = w^-1(alpha_gamma(t)), with g the permutation of
+    gamma on the roots.  Automaton states test a node's word with the
+    exchange walk on the elementary roots, but only when gamma leaves its
+    state stable, as every fixed word's state is.
     """
-    group = ball.group
-    automaton = ball.images is None
-    pairs = list(zip(ball.words, ball.states if automaton else ball.images))
-    # one automorphism at a time
+    group, keys = ball.group, ball.keys
+    nodes = range(len(ball))
     for gamma in autos:
-        if automaton:
+        if isinstance(keys[0], bytes):
+            # rank >= 2, so moved gives a tuple
+            perm = group._engine._gamma_perm(gamma.images)
+            g = bytes(perm).ljust(256, b"\0")
+            moved = itemgetter(*(t - 1 for t in gamma.images))
+            nodes = [i for i in nodes
+                     if keys[i].translate(g) == bytes(moved(keys[i]))]
+        else:
             table, g = group._elementary, gamma.images
             stable = table.stable_states(g)
-            pairs = [(word, q) for word, q in pairs
-                     if q in stable and table.fixes(g, word)]
-        else:
-            # rank >= 2, so itemgetters give tuples
-            g = group._engine._gamma_perm(gamma.images)
-            moved = itemgetter(*(t - 1 for t in gamma.images))
-            pairs = [(word, img) for word, img in pairs
-                     if itemgetter(*img)(g) == moved(img)]
-    return _elements(group, [word for word, _ in pairs])
+            nodes = [i for i in nodes
+                     if keys[i] in stable and table.fixes(g, ball.spell(i))]
+    return _elements(ball, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ Next to the engine, built on first use, is the table of the finitely many
 elementary roots (Brink and Howlett): the simple roots closed under the
 exact ``reflect``, the one place where roots are closed.  It walks reduced
 words without arithmetic: it drives the ShortLex automaton that lists the
-balls of an infinite W (and of W of rank 1), the exchange walk that tests
-fixedness on words, and, for every W, the exchange property
-(``exchange``) and the greedy walk up by non-descents (``_grow``) that
-builds longest elements and probes finiteness.  For a finite W every
-positive root is elementary, and the root table is read off this table.
+balls of an infinite W (and of a finite W of rank 1 or over 256 roots),
+the exchange walk that tests fixedness on words, and, for every W, the
+exchange property (``exchange``) and the greedy walk up by non-descents
+(``_grow``) that builds longest elements and probes finiteness.  The
+root table of a finite W is read off it: every positive root is elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent

@@ -8,21 +8,24 @@ the inverse action with mapping the word letterwise.  Both engines are
 covered: table groups a5, d4 and h3, and matrix-engine groups affine A~2,
 the (4,4,3) triangle group, I2(inf), and b3 on the matrix engine.
 
-enumerate_ball keys a root-table W by the images of the simple roots and
-takes the first discovery of each element, and walks the ShortLex
-automaton of the elementary roots on any other W; either way a plain BFS,
-deduplicated on the action and with words from normal-form extraction,
-must list the same words.  fixed_subgroup tests those images, or the
-words with the exchange walk, and must keep exactly the elements that the
-engine's fixedness test keeps over the whole ball, for every diagram
-automorphism and for all of them together: on the root table against
-the table's own test, and on infinite W against the matrix engine.
-There it walks only the words whose automaton state the automorphism
-leaves stable, and every fixed word's state is stable.  Groups of rank 0
-and 1 take the automaton.
+enumerate_ball walks a root-table W of rank 2 or more with at most 256
+roots on bytes keys, the root indices of w^-1(alpha_t), and takes the
+first discovery of each element; it walks the ShortLex automaton of the
+elementary roots on any other W.  Either way a plain BFS, deduplicated on
+the action and with words from normal-form extraction, must list the same
+words.  The boundary cases I2(120) x I2(8), with exactly 256 roots, and
+I2(120) x I2(10), with 260, take one walk each.  fixed_subgroup tests
+those keys, or the words with the exchange walk, and must keep exactly
+the elements that the engine's fixedness test keeps over the whole ball,
+for every diagram automorphism and for all of them together: on the root
+table against the table's own test, and on infinite W against the matrix
+engine.  There it walks only the words whose automaton state the
+automorphism leaves stable, and every fixed word's state is stable.
+Groups of rank 0 and 1 take the automaton.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +142,19 @@ F4 = CoxeterMatrix.from_labels(4, {(1, 2): 3, (2, 3): 4, (3, 4): 3})
 H4 = CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
 
 
+def bytes_walk(ball):
+    """Did the ball come from the bytes-keyed walk?  The automaton walk
+    keys nodes by integer states."""
+    return isinstance(ball.keys[0], bytes)
+
+
+def i2_product(m, n):
+    return CoxeterMatrix.from_labels(4, {(1, 2): m, (3, 4): n})
+
+
+SWAP = Automorphism((2, 1, 4, 3))
+
+
 @pytest.mark.parametrize("build,radius", [
     (lambda: group("a5"), None),
     (lambda: group("d4"), None),
@@ -146,7 +162,9 @@ H4 = CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
     (lambda: CoxeterGroup(H4), None),
     (_e6, None),
     (lambda: group("tri443"), 6),
-], ids=["a5", "d4", "f4", "h4", "e6", "tri443-r6"])
+    (lambda: CoxeterGroup(i2_product(120, 8)), None),
+    (lambda: CoxeterGroup(i2_product(120, 10)), None),
+], ids=["a5", "d4", "f4", "h4", "e6", "tri443-r6", "i2-120x8", "i2-120x10"])
 def test_enumerate_ball_matches_plain_bfs(build, radius):
     W = build()
     ball = enumerate_ball(W, radius)
@@ -156,7 +174,49 @@ def test_enumerate_ball_matches_plain_bfs(build, radius):
         assert len(words) == coxeter_order(W.matrix, W.generators())
     else:
         assert not ball.complete and max(map(len, words)) == radius
-    assert (ball.images is not None) == isinstance(W._engine, _RootTable)
+    assert bytes_walk(ball) == (isinstance(W._engine, _RootTable)
+                                and 2 * W._engine.npos <= 256)
+
+
+@pytest.mark.parametrize("n,roots,order,walk", [
+    (8, 256, 3840, True),
+    (10, 260, 4800, False),
+], ids=["i2-120x8", "i2-120x10"])
+def test_walk_boundary_at_256_roots(n, roots, order, walk):
+    # the bytes walk needs every root index in one byte
+    W = CoxeterGroup(i2_product(120, n))
+    assert isinstance(W._engine, _RootTable) and 2 * W._engine.npos == roots
+    ball = enumerate_ball(W)
+    assert ball.complete and len(ball) == order and bytes_walk(ball) == walk
+    fixed = fixed_subgroup(ball, [SWAP])
+    expected = [w for w in ball.elements if is_fixed(w, [SWAP])]
+    assert [w.word for w in fixed] == [w.word for w in expected]
+    assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]
+    # e, the longest elements of the two factors, and their product
+    assert len(fixed) == 4
+    assert all(SWAP.apply_element(w) == w for w in fixed)
+
+
+def test_e6_ball_is_a_compact_prefix_tree():
+    # the ball holds bytes keys and the tree, not words or actions, and
+    # fixed_subgroup spells only the words it keeps
+    (entry,) = [e for e in CATALOG if e.name == "e6-flip"]
+    parsed = parse_input(entry.input_text)
+    W = CoxeterGroup(parsed.matrix)
+    (flip,) = [Automorphism(images) for _, images in parsed.autos]
+    enumerate_ball(W, 1)        # builds the root table outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball = enumerate_ball(W)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 51840
+    assert held <= 120 * len(ball)
+    assert bytes_walk(ball)
+    assert len(fixed_subgroup(ball, [flip])) == 1152
+    assert "words" not in vars(ball)
 
 
 # -- image-keyed fixed sets against the root table's fixedness test ------------
@@ -177,7 +237,7 @@ def test_image_fixed_set_matches_engine(name):
     build, n_autos = IMAGE_CASES[name]
     W = build()
     ball = enumerate_ball(W)
-    assert isinstance(W._engine, _RootTable) and ball.images is not None
+    assert isinstance(W._engine, _RootTable) and bytes_walk(ball)
     assert ball.complete
     autos = diagram_automorphisms(W.matrix)
     assert len(autos) == n_autos
@@ -197,7 +257,7 @@ def test_ranks_below_two_take_the_automaton(matrix, order):
     # an itemgetter of one index gives a root index, not a key
     W = CoxeterGroup(matrix)
     ball = enumerate_ball(W)
-    assert ball.complete and ball.images is None
+    assert ball.complete and not bytes_walk(ball)
     assert list(ball.words) == [(), (1,)][:order]
     gamma = Automorphism.identity_of(W.rank)
     assert [w.word for w in fixed_subgroup(ball, [gamma])] == list(ball.words)
@@ -249,7 +309,7 @@ def test_automaton_matches_matrix_engine(name):
     # those whose set S, as a set of root vectors, gamma maps onto itself.
     # Every fixed word's state is stable.
     table = W._elementary
-    state = dict(zip(ball.words, ball.states))
+    state = dict(zip(ball.words, ball.keys))
     for gamma in autos:
         stable = table.stable_states(gamma.images)
         expected = set()
