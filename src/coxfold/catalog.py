@@ -18,7 +18,7 @@ from .verify import (
     DEFAULT_INFINITE_RADIUS,
     VerifyConfig,
     enumerate_ball,
-    fixed_subgroup,
+    fixed_nodes,
     generated_ball,
     presentation_check,
 )
@@ -135,7 +135,7 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
     ball_note = ""
     if finite_w:
         ball = enumerate_ball(group)
-        computed_order = len(fixed_subgroup(ball, autos))
+        computed_order = len(fixed_nodes(ball, autos))
     else:
         folded_finite = (
             classify_finite(folded.folded_matrix,
@@ -146,7 +146,7 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
             gen = generated_ball(group, gens, None)
             computed_order = len(gen)
             w_ball = enumerate_ball(group, DEFAULT_INFINITE_RADIUS)
-            fixed_count = len(fixed_subgroup(w_ball, autos))
+            fixed_count = len(fixed_nodes(w_ball, autos))
             ball_note = (f"radius-{DEFAULT_INFINITE_RADIUS} fixed count "
                          f"{fixed_count}")
             if fixed_count != computed_order:

@@ -6,9 +6,10 @@ with at most 256 roots it comes from a breadth-first search keyed by the
 bytes of w^-1(alpha_t), and fixedness is tested on those keys; on any
 other W it comes from the ShortLex automaton on the elementary roots, and
 fixedness is tested by the exchange walk on words.  Either way only the
-fixed nodes are spelled and built as elements.  The generated fixed
-subgroup is explored by plain right multiplication with dedup on the exact
-action of w^-1, and dihedral orders are observed by iterating products.
+fixed nodes are spelled and built as elements, and counting them builds
+none.  The generated fixed subgroup is explored by plain right
+multiplication with dedup on the exact action of w^-1, and dihedral orders
+are observed by iterating products.
 The folding side meets the oracle side only in the comparisons, so a
 passing report actually certifies something.
 
@@ -146,6 +147,15 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     key is in neither level k-1 nor the part of level k+1 found so far.
     So y of length k+1 is first reached from the least pair (NF(y s), s)
     over its right descents s, and NF(y s) s is its ShortLex normal form.
+
+    A node w = u t, t its last letter, skips s = t and every s < t with
+    m(s, t) = 2, and no skipped w s is new, by induction along the walk:
+    w t = u is in level k-1.  For a skipped s < t, w s = (u s) t.  If u s
+    is shorter than u, w s is in level k-1.  Otherwise NF(u s) <= NF(u) s
+    < NF(u) t = NF(w), so u s came earlier in level k, where (u s) t was
+    found or skipped.  So the walk appends what the unpruned walk appends,
+    in the same order, and the dedup set still rejects the rest.
+
     Any other W (the matrix engine, over 256 roots, rank 0 or 1) takes the
     ShortLex automaton on the elementary roots, which does no arithmetic.
     """
@@ -184,15 +194,19 @@ def _levels(ball: Ball, radius: int | None):
 
 
 def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
-    steps = [(s, bytes(perm).ljust(256, b"\0"))     # bytes.translate tables
-             for s, perm in enumerate(group._engine._perms[1:], 1)]
+    tables = [bytes(perm).ljust(256, b"\0")        # bytes.translate tables
+              for perm in group._engine._perms]
+    m = group.matrix.m
+    steps = [[(s, tables[s]) for s in group.generators()   # by last letter
+              if s != t and not (s < t and m(s, t) == 2)]
+             for t in range(group.rank + 1)]
     ball = Ball(group, [bytes(range(group.rank))])   # alpha_t is root t-1
     parents, letters, keys = ball.parents, ball.letters, ball.keys
     for prev, start in _levels(ball, radius):
         seen = set(keys[prev:start])
         for i in range(start, len(keys)):
             key = keys[i]
-            for s, table in steps:
+            for s, table in steps[letters[i]]:
                 y = key.translate(table)
                 if y not in seen:
                     seen.add(y)
@@ -234,15 +248,18 @@ def _elements(ball: Ball, nodes) -> tuple[Element, ...]:
     return tuple(out)
 
 
-def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
-    """Elements of the ball fixed by every automorphism generator, one
-    automorphism at a time; only the nodes kept are spelled and built.
+def fixed_nodes(ball: Ball, autos: Sequence[Automorphism]) -> list[int]:
+    """Indices of the ball's nodes fixed by every automorphism generator,
+    tested one automorphism at a time.  Nothing is spelled on bytes keys.
 
     gamma fixes w exactly when it fixes w^-1.  Bytes keys test
-    g[w^-1(alpha_t)] = w^-1(alpha_gamma(t)), with g the permutation of
-    gamma on the roots.  Automaton states test a node's word with the
-    exchange walk on the elementary roots, but only when gamma leaves its
-    state stable, as every fixed word's state is.
+    g[w^-1(alpha_t)] = w^-1(alpha_gamma(t)) for every t, with g the
+    permutation of gamma on the roots.  The equation at t = 1 compares one
+    byte with one byte and runs first: it is one of the equations, so a
+    node that fails it is not fixed, and the full test decides every node
+    that passes it.  Automaton states test a node's word with the exchange
+    walk on the elementary roots, but only when gamma leaves its state
+    stable, as every fixed word's state is.
     """
     group, keys = ball.group, ball.keys
     nodes = range(len(ball))
@@ -252,14 +269,22 @@ def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, 
             perm = group._engine._gamma_perm(gamma.images)
             g = bytes(perm).ljust(256, b"\0")
             moved = itemgetter(*(t - 1 for t in gamma.images))
+            c = gamma.images[0] - 1
             nodes = [i for i in nodes
-                     if keys[i].translate(g) == bytes(moved(keys[i]))]
+                     if g[(key := keys[i])[0]] == key[c]
+                     and key.translate(g) == bytes(moved(key))]
         else:
             table, g = group._elementary, gamma.images
             stable = table.stable_states(g)
             nodes = [i for i in nodes
                      if keys[i] in stable and table.fixes(g, ball.spell(i))]
-    return _elements(ball, nodes)
+    return list(nodes)
+
+
+def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
+    """Elements of the ball's fixed nodes, by fixed_nodes, in ball order;
+    only those nodes are spelled and built."""
+    return _elements(ball, fixed_nodes(ball, autos))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ the Cayley graph or from inversion counting, and group elements are bare
 tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
 
-The one exception is reference_factorize: it peels a fixed element with
-the engine's descent test and right multiplication, as the folded
-factorization is defined, but without any of FoldedSystem's memos.
+The exceptions are reference_factorize and reference_image_ball.  The
+first peels a fixed element with the engine's descent test and right
+multiplication, as the folded factorization is defined, but without any
+of FoldedSystem's memos.  The second is the bytes-keyed ball walk of
+coxfold.verify before its last-letter rule: every node tries every
+generator, and the dedup set alone rejects what is not new.
 
 The diagram references read a matrix only through m(s, t) and rank; they
 are the hand-written walks that the shared neighbour-list routines of
@@ -20,6 +23,8 @@ float evaluation and the Galois conjugation zeta -> zeta^(-1).
 
 import math
 from collections import deque
+
+from coxfold.verify import Ball, _levels
 
 
 # -- plain permutations (symmetric group, diagram of type A) -----------------
@@ -154,6 +159,32 @@ def reference_factorize(folded, inv_cols, choose=None):
         letters += count
     assert inv_cols == engine.identity
     return seq, letters
+
+
+# -- the bytes-keyed ball walk without the last-letter rule -----------------------
+
+
+def reference_image_ball(group, radius=None):
+    """The ball of a root-table W of rank 2 or more with at most 256 roots,
+    keyed by the bytes of w^-1(alpha_t): each node of level k tries every
+    generator, and w s is appended when its key is in neither level k-1
+    nor the part of level k+1 found so far."""
+    steps = [(s, bytes(perm).ljust(256, b"\0"))     # bytes.translate tables
+             for s, perm in enumerate(group._engine._perms[1:], 1)]
+    ball = Ball(group, [bytes(range(group.rank))])   # alpha_t is root t-1
+    parents, letters, keys = ball.parents, ball.letters, ball.keys
+    for prev, start in _levels(ball, radius):
+        seen = set(keys[prev:start])
+        for i in range(start, len(keys)):
+            key = keys[i]
+            for s, table in steps:
+                y = key.translate(table)
+                if y not in seen:
+                    seen.add(y)
+                    parents.append(i)
+                    letters.append(s)
+                    keys.append(y)
+    return ball
 
 
 # -- diagram references -----------------------------------------------------------

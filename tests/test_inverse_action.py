@@ -14,9 +14,13 @@ first discovery of each element; it walks the ShortLex automaton of the
 elementary roots on any other W.  Either way a plain BFS, deduplicated on
 the action and with words from normal-form extraction, must list the same
 words.  The boundary cases I2(120) x I2(8), with exactly 256 roots, and
-I2(120) x I2(10), with 260, take one walk each.  fixed_subgroup tests
+I2(120) x I2(10), with 260, take one walk each.  The bytes walk skips the
+successors its last-letter rule shows are not new, and must append the
+same keys, parents and letters as the walk that tries every generator,
+on seeded random finite W, reducible ones included, and on relabelled E6
+and D4, whole and at radius 1 to 3.  fixed_nodes and fixed_subgroup test
 those keys, or the words with the exchange walk, and must keep exactly
-the elements that the engine's fixedness test keeps over the whole ball,
+the nodes that the engine's fixedness test keeps over the whole ball,
 for every diagram automorphism and for all of them together: on the root
 table against the table's own test, and on infinite W against the matrix
 engine.  There it walks only the words whose automaton state the
@@ -25,6 +29,7 @@ Groups of rank 0 and 1 take the automaton.
 """
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -32,12 +37,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxfold.catalog import CATALOG
-from coxfold.coxeter import CoxeterMatrix, coxeter_order, parse_input
+from coxfold.coxeter import (
+    CoxeterMatrix,
+    classify_finite,
+    components,
+    coxeter_order,
+    parse_input,
+)
 from coxfold.folding import Automorphism, is_fixed
-from coxfold.verify import enumerate_ball, fixed_subgroup
+from coxfold.verify import enumerate_ball, fixed_nodes, fixed_subgroup
 from coxfold.words import CoxeterGroup, _MatrixEngine, _RootTable
 
 from conftest import FLIPS, MATRICES, matrix_engine_group
+
+import oracles
 
 TRI443 = CoxeterMatrix.from_labels(3, {(1, 2): 4, (1, 3): 4, (2, 3): 3})
 H3 = CoxeterMatrix.from_labels(3, {(1, 2): 5, (2, 3): 3})
@@ -219,10 +232,70 @@ def test_e6_ball_is_a_compact_prefix_tree():
     assert "words" not in vars(ball)
 
 
+# -- the bytes walk against the walk without the last-letter rule ---------------
+
+
+def random_finite_matrices(rng, count):
+    """count finite W of rank 2 to 6 and order at most 5,000: a random
+    forest of labelled edges under a random labelling, where label 2 leaves
+    the group reducible."""
+    out = []
+    while len(out) < count:
+        rank = rng.randint(2, 6)
+        labels = {(rng.randint(1, v - 1), v): rng.choice((2, 3, 3, 3, 4, 5, 6))
+                  for v in range(2, rank + 1)}
+        perm = rng.sample(range(1, rank + 1), rank)
+        matrix = relabelled(CoxeterMatrix.from_labels(rank, labels), perm)
+        gens = matrix.generators()
+        if (classify_finite(matrix, gens) is not None
+                and coxeter_order(matrix, gens) <= 5000):
+            out.append(matrix)
+    return out
+
+
+def relabelled(matrix, perm):
+    """The matrix with generator s renamed perm[s - 1]."""
+    return CoxeterMatrix.from_labels(matrix.rank, {
+        (perm[i - 1], perm[j - 1]): matrix.m(i, j)
+        for i, j in itertools.combinations(matrix.generators(), 2)})
+
+
+def assert_walks_agree(W):
+    for radius in (None, 1, 2, 3):
+        ball = enumerate_ball(W, radius)
+        reference = oracles.reference_image_ball(W, radius)
+        assert bytes_walk(ball)
+        assert ball.keys == reference.keys
+        assert ball.parents == reference.parents
+        assert ball.letters == reference.letters
+        assert ball.complete == reference.complete
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pruned_walk_matches_reference_on_random_groups(seed):
+    matrices = random_finite_matrices(random.Random(seed), 10)
+    assert any(len(components(m, m.generators())) > 1 for m in matrices)
+    for matrix in matrices:
+        assert_walks_agree(CoxeterGroup(matrix))
+
+
+@pytest.mark.parametrize("name", ["e6", "d4"])
+def test_pruned_walk_matches_reference_relabelled(name):
+    # relabelling puts the commuting pairs s < t on both sides of the
+    # letters they commute with
+    matrix = _e6().matrix if name == "e6" else MATRICES["d4"]
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = rng.sample(range(1, matrix.rank + 1), matrix.rank)
+        assert_walks_agree(CoxeterGroup(relabelled(matrix, perm)))
+
+
 # -- image-keyed fixed sets against the root table's fixedness test ------------
 
 IMAGE_CASES = {
-    # name: (group builder, number of diagram automorphisms)
+    # name: (group builder, number of diagram automorphisms).  The identity,
+    # and the swap of leaves 3 and 4 of d4, fix generator 1, so the one-byte
+    # pre-test of fixed_nodes compares a byte of a key with itself.
     "a5": (lambda: CoxeterGroup(MATRICES["a5"]), 2),
     "b3": (lambda: CoxeterGroup(MATRICES["b3"]), 1),
     "d4": (lambda: CoxeterGroup(MATRICES["d4"]), 6),
@@ -243,8 +316,10 @@ def test_image_fixed_set_matches_engine(name):
     assert len(autos) == n_autos
     elements = ball.elements
     for gammas in [[g] for g in autos] + [autos]:
+        nodes = [i for i, w in enumerate(elements) if is_fixed(w, gammas)]
+        assert fixed_nodes(ball, gammas) == nodes
         fixed = fixed_subgroup(ball, gammas)
-        expected = [w for w in elements if is_fixed(w, gammas)]
+        expected = [elements[i] for i in nodes]
         assert [w.word for w in fixed] == [w.word for w in expected]
         assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]
 
@@ -301,7 +376,9 @@ def test_automaton_matches_matrix_engine(name):
     assert len(autos) == n_autos
     elements = [W.reduce(word) for word in ball.words]
     for gammas in [[g] for g in autos] + [autos]:
-        expected = [w for w in elements if is_fixed(w, gammas)]
+        nodes = [i for i, w in enumerate(elements) if is_fixed(w, gammas)]
+        assert fixed_nodes(ball, gammas) == nodes
+        expected = [elements[i] for i in nodes]
         fixed = fixed_subgroup(ball, gammas)
         assert [w.word for w in fixed] == [w.word for w in expected]
         assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]

@@ -82,8 +82,9 @@ def test_ball_matches_permutation_oracle(group_of):
 
 
 def test_e6_runs_build_elements_only_for_kept_words(monkeypatch):
-    # |W(E6)| = 51840 and 1152 elements are fixed: the catalog row and the
-    # suite build elements for the fixed words and a few more, never for W
+    # |W(E6)| = 51840 and 1152 elements are fixed: the catalog row counts
+    # the fixed nodes and builds none of them, only the folding's own few
+    # elements; the suite builds the fixed ones and a few more, never W
     entry = entry_by_name("e6-flip")
     built = []
     init = Element.__init__
@@ -92,15 +93,23 @@ def test_e6_runs_build_elements_only_for_kept_words(monkeypatch):
         built.append(args[1])
         init(self, *args)
 
+    calls = []
+    elements = verify._elements
+
+    def counting_elements(ball, nodes):
+        calls.append(len(nodes))
+        return elements(ball, nodes)
+
     monkeypatch.setattr(Element, "__init__", counting_init)
+    monkeypatch.setattr(verify, "_elements", counting_elements)
     assert run_entry(entry).match
-    assert 1152 <= len(built) < 2000
+    assert calls == [] and len(built) < 100
     built.clear()
     parsed = parse_input(entry.input_text)
     report = property_suite(CoxeterGroup(parsed.matrix),
                             [Automorphism(images) for _, images in parsed.autos])
     assert report.passed
-    assert 1152 <= len(built) < 5000
+    assert calls == [1152] and 1152 <= len(built) < 5000
 
 
 # -- fixed subgroups ---------------------------------------------------------------
