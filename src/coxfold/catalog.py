@@ -4,18 +4,21 @@ Each entry carries its input in the plain file format, the expected folded
 type and weights, and the expected fixed-subgroup size.  Running an entry
 recomputes everything and counts the fixed subgroup by brute-force ball
 enumeration, so a "match" row means the folding construction and the
-oracle agree.  Infinite rows compare radius-bounded balls instead of
-total counts.
+oracle agree.  A finite W is walked up to half its longest length, which
+pairs off the rest of W.  Infinite rows compare radius-bounded balls
+instead of total counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .coxeter import classify_finite, parse_input
+from .coxeter import classify_finite, coxeter_order, parse_input
 from .folding import Automorphism, fold
 from .verify import (
     DEFAULT_INFINITE_RADIUS,
+    Ball,
     VerifyConfig,
     enumerate_ball,
     fixed_nodes,
@@ -121,6 +124,34 @@ class CatalogRow:
         }
 
 
+def finite_fixed_count(group: CoxeterGroup, autos) -> int:
+    """|W^Gamma| for a finite W by brute force over the lengths up to
+    N / 2, N = |Phi+| = l(w0); -1 when the same count of all of W is not
+    the order the classification gives.
+
+    Every gamma preserves length, so gamma(w0) = w0 and w -> w0 w is a
+    Gamma-equivariant bijection from length k onto length N - k
+    (Bjorner and Brenti, GTM 231, section 2.3).  So a fixed node below
+    length N / 2 stands for two fixed elements, and one of length N / 2
+    for one.
+    """
+    labels = classify_finite(group.matrix, group.generators())
+    n = sum(lab.positive_root_count for lab in labels)
+    ball = enumerate_ball(group, n // 2)
+    if (_paired_count(ball, range(len(ball)), n)
+            != coxeter_order(group.matrix, group.generators())):
+        return -1  # the walk disagrees with the classification
+    return _paired_count(ball, fixed_nodes(ball, autos), n)
+
+
+def _paired_count(ball: Ball, nodes, n: int) -> int:
+    """The size of a set closed under w -> w0 w from its nodes, ascending,
+    in the ball of radius n // 2: each counts twice, but those of length
+    n / 2, the last level when n is even, once."""
+    paired = len(ball) if n % 2 else ball.starts[-1]
+    return len(nodes) + bisect_left(nodes, paired)
+
+
 def run_entry(entry: CatalogEntry) -> CatalogRow:
     """Fold the entry and count its fixed subgroup by brute force."""
     parsed = parse_input(entry.input_text)
@@ -134,8 +165,7 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
     finite_w = classify_finite(group.matrix, group.generators()) is not None
     ball_note = ""
     if finite_w:
-        ball = enumerate_ball(group)
-        computed_order = len(fixed_nodes(ball, autos))
+        computed_order = finite_fixed_count(group, autos)
     else:
         folded_finite = (
             classify_finite(folded.folded_matrix,

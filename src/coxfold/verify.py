@@ -105,13 +105,16 @@ class Ball:
     Node 0 is e, and node i spells the word of the earlier node
     ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
     the root indices of w^-1(alpha_t) as bytes, or the ShortLex automaton
-    state its word reaches.  ``words`` and ``elements`` are built when read."""
+    state its word reaches.  ``starts[k]`` is the first node of length k
+    or more, for each length up to the last level the walk reached.
+    ``words`` and ``elements`` are built when read."""
 
     group: CoxeterGroup
     keys: list = field(repr=False)
     complete: bool = False
     parents: array = field(default_factory=lambda: array("i", [0]), repr=False)
     letters: array = field(default_factory=lambda: array("B", [0]), repr=False)
+    starts: array = field(default_factory=lambda: array("i", [0]), repr=False)
 
     def __len__(self):
         return len(self.keys)
@@ -159,11 +162,11 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     Any other W (the matrix engine, over 256 roots, rank 0 or 1) takes the
     ShortLex automaton on the elementary roots, which does no arithmetic.
     """
-    if classify_finite(group.matrix, group.generators()) is None:
+    order = coxeter_order(group.matrix, group.generators())
+    if order is None:
         if radius is None:
             raise ValueError("full enumeration requested on an infinite group")
     elif radius is None:
-        order = coxeter_order(group.matrix, group.generators())
         if order > NODE_CAP:
             raise NodeCapExceeded(
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
@@ -177,20 +180,24 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
 
 def _levels(ball: Ball, radius: int | None):
     """Yield (prev, start) for each level k to extend: level k is the nodes
-    from start on, level k-1 those from prev to start.  Caps the ball, and
-    sets ``complete`` once the walk ends."""
+    from start on, level k-1 those from prev to start.  Records where each
+    level starts, caps the ball, and sets ``complete`` once the walk ends:
+    when a level comes out empty, or the ball holds all of a finite W."""
     prev = start = depth = letters = 0
     while start < len(ball) and (radius is None or depth < radius):
         depth += 1
         end = len(ball)
         yield prev, start
         prev, start = start, end
+        ball.starts.append(end)
         letters += depth * (len(ball) - end)
         if len(ball) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
         if letters > LETTER_CAP:
             raise NodeCapExceeded(f"ball exceeded the letter cap {LETTER_CAP}")
-    ball.complete = start == len(ball)
+    group = ball.group
+    ball.complete = (start == len(ball) or len(ball)
+                     == coxeter_order(group.matrix, group.generators()))
 
 
 def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:

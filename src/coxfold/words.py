@@ -54,7 +54,8 @@ from typing import Iterable, Sequence
 from .coxeter import CoxeterMatrix, classify_finite, parse_number, validate
 from .cyclo import ArithContext, CycloReal, make_context
 
-# safety valve for descent stripping; far beyond desk scale
+# safety valve for descent stripping on the matrix engine; far beyond desk
+# scale.  The root table derives its own bound from |Phi+|.
 _MAX_STRIP_STEPS = 100_000
 
 
@@ -232,10 +233,12 @@ class CoxeterGroup:
         (letters peeled, inverse action after).  s * w has inverse action
         w^-1 * s, so for w = u * x with x a minimal coset representative of
         W_I, the letters are a reduced word of u and the action is that of
-        x^-1."""
-        negative, rmul = self._engine.negative, self._engine.rmul
+        x^-1.  Each peel shortens w by one, so the strip ends within the
+        engine's ``strip_rounds``."""
+        engine = self._engine
+        negative, rmul, rounds = engine.negative, engine.rmul, engine.strip_rounds
         letters = []
-        for _ in range(_MAX_STRIP_STEPS):
+        for _ in range(rounds):
             for s in subset:
                 if negative(inv_cols, s):
                     break
@@ -245,7 +248,7 @@ class CoxeterGroup:
             inv_cols = rmul(inv_cols, s)
         raise EngineInvariantError(
             "descent stripping did not terminate",
-            self._witness(subset=list(subset), steps=_MAX_STRIP_STEPS))
+            self._witness(subset=list(subset), steps=rounds))
 
     def _grow(self, subset, steps: int) -> tuple[int, ...] | None:
         """Walk up from the identity: left-multiply by the smallest s in
@@ -453,6 +456,8 @@ class _MatrixEngine:
     """Exact matrices on the span of the simple roots, for any W:
     cols[j] is the image of alpha_{j+1} in simple-root coordinates."""
 
+    strip_rounds = _MAX_STRIP_STEPS
+
     def __init__(self, group: CoxeterGroup):
         self.group = group
         self.identity = group._unit_cols
@@ -521,6 +526,8 @@ class _RootTable:
         group._check_finite(group.generators(), table.roots, table.step)
         P = len(table.roots)
         self.npos = P
+        # l(w) <= |Phi+| peels, then one round that finds no descent
+        self.strip_rounds = P + 1
         self.identity = tuple(range(2 * P))
         self._roots = table.roots
         self._perms = [()]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coxfold.coxeter import CoxeterMatrix
@@ -61,6 +63,14 @@ def matrix_engine_group(matrix):
     W = CoxeterGroup(matrix)
     W._engine = _MatrixEngine(W)
     return W
+
+
+def diagram_automorphisms(matrix):
+    """Every permutation of the generators that preserves the matrix."""
+    gens = matrix.generators()
+    return [Automorphism(p) for p in itertools.permutations(gens)
+            if all(matrix.m(i, j) == matrix.m(p[i - 1], p[j - 1])
+                   for i in gens for j in gens)]
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from coxfold.coxeter import CoxeterMatrix, coxeter_order
 from coxfold.folding import Automorphism, is_fixed, orbits
 from coxfold.verify import enumerate_ball
-from coxfold.words import CoxeterGroup, _RootTable
+from coxfold.words import (
+    _MAX_STRIP_STEPS,
+    CoxeterGroup,
+    EngineInvariantError,
+    _MatrixEngine,
+    _RootTable,
+)
 
 from conftest import FLIPS, MATRICES, matrix_engine_group
 
@@ -102,3 +108,33 @@ def test_balls_agree_between_engines(name):
     T, M = engines(name)
     assert ([w.word for w in enumerate_ball(T).elements]
             == [w.word for w in enumerate_ball(M).elements])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_strip_on_root_table_is_bounded_by_positive_roots(name, monkeypatch):
+    # w0 takes all |Phi+| peels and one more round that finds no descent
+    T, _ = engines(name)
+    table = T._engine
+    gens = T.generators()
+    w0 = T.longest_element(gens)
+    letters, rest = T._strip(w0.inv_cols, gens)
+    assert len(letters) == table.npos and rest == table.identity
+    assert table.strip_rounds == table.npos + 1
+    # an engine that always finds a descent is stopped at that bound
+    rounds = []
+
+    def negative(cols, s):
+        rounds.append(s)
+        return True
+
+    monkeypatch.setattr(table, "negative", negative)
+    with pytest.raises(EngineInvariantError) as raised:
+        T._strip(table.identity, gens)
+    assert len(rounds) == table.npos + 1
+    assert raised.value.witness["steps"] == table.npos + 1
+
+
+def test_strip_on_matrix_engine_keeps_the_fixed_bound():
+    _, M = engines("b3")
+    assert isinstance(M._engine, _MatrixEngine)
+    assert M._engine.strip_rounds == _MAX_STRIP_STEPS

@@ -48,7 +48,12 @@ from coxfold.folding import Automorphism, is_fixed
 from coxfold.verify import enumerate_ball, fixed_nodes, fixed_subgroup
 from coxfold.words import CoxeterGroup, _MatrixEngine, _RootTable
 
-from conftest import FLIPS, MATRICES, matrix_engine_group
+from conftest import (
+    FLIPS,
+    MATRICES,
+    diagram_automorphisms,
+    matrix_engine_group,
+)
 
 import oracles
 
@@ -352,13 +357,6 @@ AUTOMATON_CASES = {
                   10, 12, 1),
     "i2inf": (MATRICES["dinf"], 10, 2, 2),
 }
-
-
-def diagram_automorphisms(matrix):
-    gens = range(1, matrix.rank + 1)
-    return [Automorphism(p) for p in itertools.permutations(gens)
-            if all(matrix.m(i, j) == matrix.m(p[i - 1], p[j - 1])
-                   for i in gens for j in gens)]
 
 
 @pytest.mark.parametrize("name", sorted(AUTOMATON_CASES))
