@@ -3,11 +3,13 @@
 
     python scripts/verify_all.py [--slow] [--seed N]
 
-Prints one summary line per instance and a per-check table for failures.
+Prints one summary line per instance, and for each failing check its
+witness as JSON, with sorted keys as `coxfold verify` prints it.
 Exit status 0 only if every check of every instance passes.
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -42,7 +44,8 @@ def main() -> int:
             all_ok = False
             for c in report.checks:
                 if c.status == "fail":
-                    print(f"  [fail] {c.name}: {c.witness}")
+                    witness = json.dumps(c.witness, sort_keys=True)
+                    print(f"  [fail] {c.name}: {witness}")
     return 0 if all_ok else 1
 
 

@@ -54,6 +54,11 @@ FLIPS = {
     "dinf": Automorphism((2, 1)),
 }
 
+# E7 on 1..7 beside an I2(inf) on 8, 9, with 8 and 9 swapped: W is infinite,
+# so its ball is bounded, but the folded group is E7, with 2903040 elements
+E7_BESIDE_I2INF = ("rank 9\nm 1 3 3\nm 3 4 3\nm 2 4 3\nm 4 5 3\nm 5 6 3\n"
+                   "m 6 7 3\nm 8 9 inf\nauto swap 8>9 9>8\n")
+
 _groups: dict[str, CoxeterGroup] = {}
 
 

@@ -9,7 +9,7 @@ import pytest
 from coxfold import cli, verify
 from coxfold.catalog import CatalogRow
 
-from conftest import BAD_NUMBERS, NUMBER_POSITIONS
+from conftest import BAD_NUMBERS, E7_BESIDE_I2INF, NUMBER_POSITIONS
 
 A3_FLIP = "rank 3\nm 1 2 3\nm 2 3 3\nauto flip 1>3 3>1\n"
 A2 = "rank 2\nm 1 2 3\nauto id\n"
@@ -174,6 +174,18 @@ def test_verify_over_node_cap_exits_2(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert err == "the group has 362880 elements, over the node cap 200000\n"
+
+
+def test_verify_folded_group_over_node_cap_exits_2(capsys, tmp_path):
+    # refused before any ball is walked: the generated ball of a finite
+    # folded group is all of it
+    p = tmp_path / "e7-i2inf.cox"
+    p.write_text(E7_BESIDE_I2INF)
+    rc, out, err = run_cli(capsys, "verify", str(p))
+    assert rc == 2
+    assert out == ""
+    assert err == ("the folded group has 2903040 elements, "
+                   "over the node cap 200000\n")
 
 
 def test_verify_infinite_ball_over_node_cap_exits_2(capsys, tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from coxfold.verify import (
     property_suite,
 )
 
-from conftest import FLIPS
+from conftest import E7_BESIDE_I2INF, FLIPS
 
 import oracles
 
@@ -245,6 +245,29 @@ def test_suite_reports_broken_system_as_failures(group_of, monkeypatch):
     assert statuses["minimal-words-length-additive"] == "fail"
     witnesses = [c.witness for c in rep.checks if c.status == "fail"]
     assert all(w for w in witnesses)
+
+
+def test_direct_check_reports_broken_system_as_failure(group_of):
+    # outside the suite too, a check turns an InvariantViolation from a
+    # broken folded system into a failing result with its witness
+    W = group_of("a3")
+    real = fold(W, [FLIPS["a3"]])
+    broken = dataclasses.replace(
+        real, weight={**real.weight, frozenset({1, 3}): 1}
+    )
+    res = verify.check_minimal_additivity(broken, VerifyConfig())
+    assert (res.name, res.status, res.statistics) == (
+        "minimal-words-length-additive", "fail", {})
+    assert res.witness["check"] == "factorize"
+
+
+def test_suite_refuses_folded_group_over_node_cap():
+    parsed = parse_input(E7_BESIDE_I2INF)
+    W = CoxeterGroup(parsed.matrix)
+    autos = [Automorphism(images) for _, images in parsed.autos]
+    assert coxeter_order(W.matrix, W.generators()) is None
+    with pytest.raises(NodeCapExceeded, match="folded group has 2903040 "):
+        property_suite(W, autos)
 
 
 def test_suite_invalid_automorphism_skips(group_of):
