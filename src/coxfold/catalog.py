@@ -2,23 +2,23 @@
 
 Each entry carries its input in the plain file format, the expected folded
 type and weights, and the expected fixed-subgroup size.  Running an entry
-recomputes everything and counts the fixed subgroup by brute-force ball
-enumeration, so a "match" row means the folding construction and the
-oracle agree.  A finite W is walked up to half its longest length, which
-pairs off the rest of W.  Infinite rows compare radius-bounded balls
-instead of total counts.
+recomputes everything and counts the fixed subgroup by brute force, so a
+"match" row means the folding construction and the oracle agree.  A finite
+W is counted over a chain of parabolics stable under the automorphisms:
+each w in W_K is uniquely u x with u in W_J and x a minimal coset
+representative (Bjorner and Brenti, GTM 231, Prop. 2.4.4), and a walk of
+those representatives must reach the index the classification gives.
+Infinite rows compare radius-bounded balls instead of total counts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .coxeter import classify_finite, coxeter_order, parse_input
 from .folding import Automorphism, fold
 from .verify import (
     DEFAULT_INFINITE_RADIUS,
-    Ball,
     VerifyConfig,
     enumerate_ball,
     fixed_nodes,
@@ -125,31 +125,79 @@ class CatalogRow:
 
 
 def finite_fixed_count(group: CoxeterGroup, autos) -> int:
-    """|W^Gamma| for a finite W by brute force over the lengths up to
-    N / 2, N = |Phi+| = l(w0); -1 when the same count of all of W is not
-    the order the classification gives.
+    """|W^Gamma| for a finite W by brute force over minimal coset
+    representatives; -1 when a walk disagrees with the classification.
 
-    Every gamma preserves length, so gamma(w0) = w0 and w -> w0 w is a
-    Gamma-equivariant bijection from length k onto length N - k
-    (Bjorner and Brenti, GTM 231, section 2.3).  So a fixed node below
-    length N / 2 stands for two fixed elements, and one of length N / 2
-    for one.
+    For J a subset of K, every w in W_K is uniquely u x with u in W_J and
+    x in ^J W_K, the x in W_K with no left descent in J (Bjorner and
+    Brenti, GTM 231, Prop. 2.4.4).  Every gamma preserves length, so for
+    Gamma-stable J and K it maps W_J and ^J W_K onto themselves, and by
+    uniqueness it fixes w exactly when it fixes u and x.  So over a chain
+    of Gamma-stable parabolics from the empty set up to S, |W^Gamma| is the
+    product of each step's fixed representatives.  Each step's walk must
+    find exactly the index |W_K| / |W_J| the classification gives.
     """
-    labels = classify_finite(group.matrix, group.generators())
-    n = sum(lab.positive_root_count for lab in labels)
-    ball = enumerate_ball(group, n // 2)
-    if (_paired_count(ball, range(len(ball)), n)
-            != coxeter_order(group.matrix, group.generators())):
-        return -1  # the walk disagrees with the classification
-    return _paired_count(ball, fixed_nodes(ball, autos), n)
+    count = 1
+    for J, K, index in _coset_chain(group.matrix, autos):
+        reps = _min_coset_reps(group, J, K, index)
+        if len(reps) != index:
+            return -1  # the walk disagrees with the classification
+        fixes = group._engine.fixes
+        count *= sum(all(fixes(gamma.images, key) for gamma in autos)
+                     for key in reps)
+    return count
 
 
-def _paired_count(ball: Ball, nodes, n: int) -> int:
-    """The size of a set closed under w -> w0 w from its nodes, ascending,
-    in the ball of radius n // 2: each counts twice, but those of length
-    n / 2, the last level when n is even, once."""
-    paired = len(ball) if n % 2 else ball.starts[-1]
-    return len(nodes) + bisect_left(nodes, paired)
+def _coset_chain(matrix, autos):
+    """(J, K, |W_K| / |W_J|) for a chain of unions of Gamma-orbits from the
+    empty set up to S, bottom step first.  It is built from the top, each
+    step dropping the orbit that leaves the largest parabolic, so that the
+    index to walk is the least on offer."""
+    orbits = []
+    for s in matrix.generators():
+        if all(s not in orbit for orbit in orbits):
+            orbit, size = {s}, 0
+            while size < len(orbit):
+                size = len(orbit)
+                orbit |= {gamma.images[t - 1] for gamma in autos for t in orbit}
+            orbits.append(orbit)
+    K = set(matrix.generators())
+    order_k = coxeter_order(matrix, K)
+    steps = []
+    while orbits:
+        orders = [coxeter_order(matrix, K - orbit) for orbit in orbits]
+        drop = orders.index(max(orders))
+        J = K - orbits.pop(drop)
+        steps.append((J, K, order_k // orders[drop]))
+        K, order_k = J, orders[drop]
+    return reversed(steps)
+
+
+def _min_coset_reps(group: CoxeterGroup, J, K, index: int) -> list:
+    """Keys of ^J W_K on the root table, at most index + 1 of them: the
+    images w^-1(alpha_t), t in S, which determine w.
+
+    The walk starts at e and right-multiplies by the letters of K, since
+    (w s)^-1(alpha_t) = s(w^-1(alpha_t)).  It drops every node with a left
+    descent s in J, a negative w^-1(alpha_s): a prefix of a minimal
+    representative is minimal, so every one is reached through minimal
+    nodes only."""
+    table = group._engine
+    npos = table.npos
+    perms = [table._perms[s] for s in sorted(K)]
+    descents = [s - 1 for s in J]
+    reps = [tuple(range(group.rank))]       # alpha_t is root t-1
+    seen = set(reps)
+    for key in reps:
+        for perm in perms:
+            y = tuple(map(perm.__getitem__, key))
+            if y not in seen:
+                seen.add(y)
+                if all(y[j] < npos for j in descents):
+                    reps.append(y)
+                    if len(reps) > index:
+                        return reps
+    return reps
 
 
 def run_entry(entry: CatalogEntry) -> CatalogRow:
@@ -212,10 +260,3 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
 
 def run_catalog(slow: bool = False) -> list[CatalogRow]:
     return [run_entry(e) for e in CATALOG if slow or not e.slow]
-
-
-def entry_by_name(name: str) -> CatalogEntry:
-    for e in CATALOG:
-        if e.name == name:
-            return e
-    raise KeyError(name)

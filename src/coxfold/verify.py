@@ -109,16 +109,14 @@ class Ball:
     Node 0 is e, and node i spells the word of the earlier node
     ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
     the root indices of w^-1(alpha_t) as bytes, or the ShortLex automaton
-    state its word reaches.  ``starts[k]`` is the first node of length k
-    or more, for each length up to the last level the walk reached.
-    ``words`` and ``elements`` are built when read."""
+    state its word reaches.  ``words`` and ``elements`` are built when
+    read."""
 
     group: CoxeterGroup
     keys: list = field(repr=False)
     complete: bool = False
     parents: array = field(default_factory=lambda: array("i", [0]), repr=False)
     letters: array = field(default_factory=lambda: array("B", [0]), repr=False)
-    starts: array = field(default_factory=lambda: array("i", [0]), repr=False)
 
     def __len__(self):
         return len(self.keys)
@@ -184,16 +182,15 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
 
 def _levels(ball: Ball, radius: int | None):
     """Yield (prev, start) for each level k to extend: level k is the nodes
-    from start on, level k-1 those from prev to start.  Records where each
-    level starts, caps the ball, and sets ``complete`` once the walk ends:
-    when a level comes out empty, or the ball holds all of a finite W."""
+    from start on, level k-1 those from prev to start.  Caps the ball, and
+    sets ``complete`` once the walk ends: when a level comes out empty, or
+    the ball holds all of a finite W."""
     prev = start = depth = letters = 0
     while start < len(ball) and (radius is None or depth < radius):
         depth += 1
         end = len(ball)
         yield prev, start
         prev, start = start, end
-        ball.starts.append(end)
         letters += depth * (len(ball) - end)
         if len(ball) > NODE_CAP:
             raise NodeCapExceeded(f"ball exceeded the node cap {NODE_CAP}")
@@ -342,7 +339,11 @@ class GeneratedBall:
 
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
-                   radius: int | None) -> GeneratedBall:
+                   radius: int | None,
+                   order: int | None = None) -> GeneratedBall:
+    """The span of gens up to the radius, and at most `order` elements: a
+    span that a folded matrix claims has that order, but is larger, stops
+    there truncated rather than walking on towards the node cap."""
     gens = tuple(gens)
     compose = group._engine.compose
     identity = group._engine.identity
@@ -362,7 +363,8 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
             y_inv = compose(g.inv_cols, inv_cols)
             idx = key_index.get(y_inv)
             if idx is None:
-                if radius is not None and lvl + 1 > radius:
+                if (len(actions) == order
+                        or radius is not None and lvl + 1 > radius):
                     truncated = True
                     out.append(None)
                     continue
@@ -888,7 +890,8 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
     ball = enumerate_ball(group, None if finite_w else radius)
     fixed = fixed_subgroup(ball, autos)
     gen_ball = generated_ball(group, [folded.longest[J] for J in folded.bar_s],
-                              radius if folded_order is None else None)
+                              radius if folded_order is None else None,
+                              folded_order)
 
     checks = [  # in CHECK_NAMES order
         validation,

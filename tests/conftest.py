@@ -2,10 +2,19 @@ import itertools
 
 import pytest
 
+from coxfold.catalog import CATALOG
 from coxfold.coxeter import CoxeterMatrix
 from coxfold.cyclo import INF
 from coxfold.folding import Automorphism
 from coxfold.words import CoxeterGroup, _MatrixEngine
+
+
+def entry_by_name(name):
+    """The catalog entry of that name."""
+    for entry in CATALOG:
+        if entry.name == name:
+            return entry
+    raise KeyError(name)
 
 
 def a_matrix(n):

@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from coxfold.catalog import entry_by_name, run_catalog, run_entry
+from coxfold.catalog import run_catalog, run_entry
 from coxfold.coxeter import classify_finite
 from coxfold.folding import fold
 from coxfold.verify import (
@@ -22,7 +22,7 @@ from coxfold.verify import (
     generated_ball,
     presentation_check,
 )
-from conftest import FLIPS
+from conftest import FLIPS, entry_by_name
 from oracles import reference_factorize
 
 

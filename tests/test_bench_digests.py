@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from coxfold import cli
-from coxfold.catalog import entry_by_name
+
+from conftest import entry_by_name
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -18,7 +18,6 @@ import sys
 import pytest
 
 from coxfold import verify
-from coxfold.catalog import entry_by_name
 from coxfold.coxeter import classify_finite, parse_input
 from coxfold.folding import Automorphism, InvariantViolation, fold
 from coxfold.verify import (
@@ -34,6 +33,7 @@ from coxfold.verify import (
 )
 from coxfold.words import CoxeterGroup
 
+from conftest import entry_by_name
 from oracles import reference_factorize
 
 RADIUS = 16

@@ -19,12 +19,12 @@ import random
 import pytest
 
 from coxfold import folding
-from coxfold.catalog import entry_by_name
 from coxfold.coxeter import parse_input
 from coxfold.folding import Automorphism, InvariantViolation, fold
 from coxfold.verify import enumerate_ball, fixed_subgroup
 from coxfold.words import CoxeterGroup
 
+from conftest import entry_by_name
 from oracles import reference_factorize
 
 INSTANCES = {

@@ -8,18 +8,20 @@ way at a time:
 * swap: the first two folded generators trade longest elements;
 * label: the first folded label, m(1, 2), is one larger in the folded
   matrix and in its derivation;
+* finite: that label is 3 where it is infinite, so the folded matrix
+  claims a finite group while the generators span an infinite one, and
+  the generated ball stops at the claimed order;
 * greedy: `GREEDY_CAP = 2`, so the greedy probe finds every parabolic of
   rank 2 or more infinite.
 
 A breakage that has nothing to break is left out: weight with no folded
-generator, swap with fewer than two, label below folded rank 2.  So is
-label on an infinite folded group, where the larger label can make the
-folded matrix finite and the generated ball then walks the real infinite
-subgroup towards the node cap.  I2(inf) under its flip passes greedy,
-since its only finite parabolics have rank at most 1.  The B3 input whose
-automorphism does not preserve the matrix fails validation unbroken.
-Every pinned report fails, and together they fail each check at least
-once.
+generator, swap with fewer than two, label below folded rank 2, and label
+on the infinite folded groups, whose first label is inf = inf + 1.  finite
+is pinned on the (4,4,3) triangle only.  I2(inf) under its flip passes
+greedy, since its only finite parabolics have rank at most 1.  The B3
+input whose automorphism does not preserve the matrix fails validation
+unbroken.  Every pinned report fails, and together they fail each check
+at least once.
 """
 
 import dataclasses
@@ -52,16 +54,17 @@ def swapped(folded):
     return dataclasses.replace(folded, longest=longest)
 
 
-def relabeled(folded):
+def relabeled(folded, label=None):
     entries = [list(row) for row in folded.folded_matrix.entries]
-    m = entries[0][1] = entries[1][0] = entries[0][1] + 1
+    m = entries[0][1] = entries[1][0] = label or entries[0][1] + 1
     first, *rest = folded.details
     return dataclasses.replace(
         folded, folded_matrix=CoxeterMatrix(tuple(map(tuple, entries))),
         details=(dataclasses.replace(first, label=m), *rest))
 
 
-BREAK = {"weight": heavier, "swap": swapped, "label": relabeled}
+BREAK = {"weight": heavier, "swap": swapped, "label": relabeled,
+         "finite": lambda folded: relabeled(folded, 3)}
 
 GOLDEN = {
     ("a2-flip", "weight"): "2efae3c9631ef357bb202a7d04904ca72bdf2f6958f118cd7d2ce340c34c496b",
@@ -96,6 +99,7 @@ GOLDEN = {
     ("h3-id", "greedy"): "1cce764a4cfae812d36d082d629e9bc509ef5f4d127b971aff50a856e8a70ccc",
     ("tri443-swap", "weight"): "3ea43250d5bcc54b1857cb625f3a63c9522e9e55c32c2c39efc3c7ce71aeb27b",
     ("tri443-swap", "swap"): "d6784b85eac44dc8c6c93d82564bd32a99436dd6c04e7ce9862da35fda0e1576",
+    ("tri443-swap", "finite"): "e2ab2210e5bbc0e9d3ebb5718977625bda829839613aba9ecc720f334c245889",
     ("tri443-swap", "greedy"): "f4f5f85baa832db834f566ffbe613240c0ffc2d8adbf8a9e3839f3c9d27bdd15",
 }
 

@@ -1,13 +1,14 @@
-"""The catalog's fixed count of a finite W over half of W.
+"""The catalog's fixed count of a finite W over chains of coset walks.
 
-Every diagram automorphism preserves length, so it fixes w0, and
-w -> w0 w pairs the fixed elements of length k with those of length
-N - k, N = l(w0).  finite_fixed_count walks the ball of radius N // 2
-only, and must count what the full walk counts, for every diagram
-automorphism of groups with odd and even N, reducible ones, rank 0 and 1,
-and a group over 256 roots that takes the automaton walk.  The same
-pairing over the whole ball must give |W|, so a broken walk makes the
-catalog row mismatch.
+For Gamma-stable J in K, each w in W_K is uniquely u x with u in W_J and
+x a minimal representative of W_J x, and gamma fixes w exactly when it
+fixes u and x.  finite_fixed_count multiplies the fixed representatives
+of each step of a chain of Gamma-stable parabolics, and must count what
+the full walk counts, for every diagram automorphism of groups with odd
+and even l(w0), reducible ones, rank 0 and 1, and a group over 256 roots.
+Each walk must find the index the classification gives, so a broken walk
+makes the catalog row mismatch.  (The name is from the count's first
+form, which walked half of W and paired it by w -> w0 w.)
 """
 
 import itertools
@@ -15,12 +16,13 @@ import itertools
 import pytest
 
 from coxfold import catalog
-from coxfold.catalog import entry_by_name, finite_fixed_count, run_entry
+from coxfold.catalog import _min_coset_reps, finite_fixed_count, run_entry
 from coxfold.coxeter import CoxeterMatrix, classify_finite, coxeter_order
-from coxfold.verify import enumerate_ball, fixed_nodes
+from coxfold.folding import Automorphism
+from coxfold.verify import NODE_CAP, enumerate_ball, fixed_nodes
 from coxfold.words import CoxeterGroup
 
-from conftest import diagram_automorphisms
+from conftest import diagram_automorphisms, entry_by_name
 
 
 def path(rank, heavy=3):
@@ -89,7 +91,8 @@ def test_half_count_matches_full_walk(name):
 
 
 def test_automaton_walk_is_covered():
-    # over 256 roots, so the half walk keys nodes by automaton states
+    # over 256 roots, so the full walk the count is compared with keys
+    # nodes by automaton states, and root indices need more than a byte
     W = CoxeterGroup(GROUPS["i2-120xi2-10"][0])
     assert 2 * W._engine.npos == 260
     assert not isinstance(enumerate_ball(W, 1).keys[0], bytes)
@@ -111,53 +114,42 @@ def test_ball_holding_all_of_w_is_complete(matrix, radius, size, complete):
     assert len(ball) == size and ball.complete == complete
 
 
-def test_ball_records_where_levels_start():
-    ball = enumerate_ball(CoxeterGroup(path(3)))
-    lengths = [len(word) for word in ball.words]
-    # A3 has 1, 3, 5, 6, 5, 3, 1 elements of lengths 0 to 6, then none
-    assert list(ball.starts) == [0, 1, 4, 9, 15, 20, 23, 24]
-    assert all(lengths.index(k) == start
-               for k, start in enumerate(ball.starts[:-1]))
-    half = enumerate_ball(CoxeterGroup(path(3)), 3)
-    assert list(half.starts) == [0, 1, 4, 9] and len(half) == 15
-
-
-# -- the E6 catalog row -----------------------------------------------------------
+# -- the coset walks ------------------------------------------------------------
 
 
 def traced_walks(monkeypatch, before=None, after=None):
-    """Record catalog.enumerate_ball's (radius, nodes); `before` may alter
-    the group before the walk, and `after` the ball after it."""
+    """Record each coset walk's (nodes, index); `before` may alter the
+    group before the walk, and `after` the keys after it."""
     walks = []
-    walk = catalog.enumerate_ball
 
-    def traced(group, radius=None):
+    def traced(group, J, K, index):
         if before:
             before(group)
-        ball = walk(group, radius)
+        reps = _min_coset_reps(group, J, K, index)
         if after:
-            after(ball)
-        walks.append((radius, len(ball)))
-        return ball
+            after(reps)
+        walks.append((len(reps), index))
+        return reps
 
-    monkeypatch.setattr(catalog, "enumerate_ball", traced)
+    monkeypatch.setattr(catalog, "_min_coset_reps", traced)
     return walks
 
 
-def test_e6_row_walks_half_of_w_once(monkeypatch):
+def test_e6_row_walk_sizes(monkeypatch):
+    # the flip's orbits are {1,6}, {3,5}, {2} and {4}, and the chain is
+    # {} < {3,5} < {1,3,5,6} < {1,3,4,5,6} < S: A1^2, A2^2, A5 and E6
     walks = traced_walks(monkeypatch)
     row = run_entry(entry_by_name("e6-flip"))
     assert row.match and row.computed_order == 1152
-    assert walks == [(18, 27751)]
+    assert walks == [(4, 4), (9, 9), (20, 20), (72, 72)]
 
 
-def drop_last_node(ball):
-    for column in (ball.keys, ball.parents, ball.letters):
-        column.pop()
+def drop_last_node(reps):
+    reps.pop()
 
 
 def corrupt_translate_table(group):
-    # s_1 moves no root, so the walk never takes it and stays in W_{2..6}
+    # s_1 moves no root, so the walks through W_{1,3,5,6} fall short
     group._engine._perms[1] = group._engine.identity
 
 
@@ -168,5 +160,28 @@ def corrupt_translate_table(group):
 def test_broken_walk_makes_the_row_mismatch(monkeypatch, hooks):
     walks = traced_walks(monkeypatch, **hooks)
     row = run_entry(entry_by_name("e6-flip"))
-    assert [radius for radius, _ in walks] == [18]
+    assert walks and walks[-1][0] != walks[-1][1]
     assert row.computed_order == -1 and not row.match
+
+
+def e_matrix(rank):
+    """E_rank: the path 1 - 3 - 4 - ... - rank, and 2 joined to 4."""
+    labels = {(1, 3): 3, (2, 4): 3}
+    labels.update({(i, i + 1): 3 for i in range(3, rank)})
+    return CoxeterMatrix.from_labels(rank, labels)
+
+
+@pytest.mark.parametrize("rank,order", [(7, 2_903_040), (8, 696_729_600)])
+def test_identity_counts_groups_over_the_node_cap(monkeypatch, rank, order):
+    walks = traced_walks(monkeypatch)
+    matrix = e_matrix(rank)
+    assert coxeter_order(matrix, matrix.generators()) == order > NODE_CAP
+    identity = Automorphism(tuple(matrix.generators()))
+    assert finite_fixed_count(CoxeterGroup(matrix), [identity]) == order
+    assert len(walks) == rank and all(n == index for n, index in walks)
+
+
+def test_walk_stops_one_node_past_its_index():
+    W = CoxeterGroup(E6)
+    assert len(_min_coset_reps(W, set(), {1, 3}, 3)) == 4
+    assert len(_min_coset_reps(W, {1}, {1, 3}, 3)) == 3

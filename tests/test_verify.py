@@ -5,7 +5,7 @@ import math
 import pytest
 
 from coxfold import verify
-from coxfold.catalog import entry_by_name, run_entry
+from coxfold.catalog import run_entry
 from coxfold.cyclo import degree_problem
 from coxfold.coxeter import (
     CoxeterMatrix,
@@ -29,7 +29,7 @@ from coxfold.verify import (
     property_suite,
 )
 
-from conftest import E7_BESIDE_I2INF, FLIPS
+from conftest import E7_BESIDE_I2INF, FLIPS, entry_by_name
 
 import oracles
 
