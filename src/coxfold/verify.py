@@ -8,8 +8,8 @@ other W it comes from the ShortLex automaton on the elementary roots, and
 fixedness is tested by the exchange walk on words.  Either way only the
 fixed nodes are spelled and built as elements, and counting them builds
 none.  The generated fixed subgroup is explored by plain right
-multiplication with dedup on the exact action of w^-1, and dihedral orders
-are observed by iterating products.
+multiplication with dedup on the exact action of w^-1, and that walk is
+the product table of the checks that multiply fixed elements (_Products).
 The folding side meets the oracle side only in the comparisons, so a
 passing report actually certifies something.
 
@@ -30,8 +30,8 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
-from itertools import accumulate
+from functools import cached_property, reduce, wraps
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -337,6 +337,17 @@ class GeneratedBall:
                 return None
         return i
 
+    def row(self, i: int) -> list[int | None]:
+        """product(i, j) for every j, in one pass in BFS order: x_j is
+        x_p g_k for its discovering edge (p, k), so x_i x_j is the k-edge of
+        x_i x_p."""
+        edges = self.edges
+        out = [i]
+        for p, k in islice(self.parents, 1, None):
+            h = out[p]
+            out.append(None if h is None else edges[h][k])
+        return out
+
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                    radius: int | None,
@@ -383,6 +394,61 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
     return GeneratedBall(gens=gens, actions=actions, levels=levels,
                          edges=edges, parents=parents, key_index=key_index,
                          complete=not truncated, radius=radius)
+
+
+class _Products:
+    """The checks' product table: products in W^Gamma read off the
+    generated ball of the folded generators (in bar_s order).
+
+    A factor is (ball node or None, inverse action), its node found by
+    exact action lookup.  The edges are exact products deduplicated on the
+    exact action, so a walk on them gives the action compose gives, even
+    for a broken folded system.  compose runs only for a factor off the
+    ball or past a truncated edge (past the radius, or the order a folded
+    matrix claims), and for every product when there is no ball.
+    """
+
+    def __init__(self, folded: FoldedSystem, ball: GeneratedBall | None = None):
+        self.folded, self.ball = folded, ball
+        self.compose = folded.group._engine.compose
+        self.gens = {J: (k, folded.longest[J].inv_cols)
+                     for k, J in enumerate(folded.bar_s)}
+        self.identity = self.at(folded.group._engine.identity)
+        self._rows: dict[int, list] = {}
+        self._walks: dict[int, tuple] = {}
+
+    def at(self, inv_cols) -> tuple:
+        """The factor of the element with this inverse action."""
+        node = None if self.ball is None else self.ball.key_index.get(inv_cols)
+        return node, inv_cols
+
+    def times(self, x: tuple, J: frozenset) -> tuple:
+        """x w_J: one edge, else one compose."""
+        k, gen = self.gens[J]
+        if x[0] is not None and (y := self.ball.edges[x[0]][k]) is not None:
+            return y, self.ball.actions[y]
+        return None, self.compose(gen, x[1])    # (x w_J)^-1 = w_J^-1 x^-1
+
+    def product(self, x: tuple, y: tuple) -> tuple:
+        """x y: a lookup in the memoized row of x, else one compose."""
+        if x[0] is not None and y[0] is not None:
+            row = self._rows.get(x[0]) or self._rows.setdefault(
+                x[0], self.ball.row(x[0]))
+            if (z := row[y[0]]) is not None:
+                return z, self.ball.actions[z]
+        return None, self.compose(y[1], x[1])
+
+    def walk(self, x: tuple) -> tuple:
+        """(orbits, letters) of the folded walk of x, memoized per node."""
+        if x[0] is None:
+            return self.folded._factorize_inv(x[1])
+        if x[0] not in self._walks:
+            self._walks[x[0]] = self.folded._factorize_inv(x[1])
+        return self._walks[x[0]]
+
+    def of_word(self, orbit_word: Sequence[frozenset]):
+        """Inverse action of the product of an orbit word."""
+        return reduce(self.times, orbit_word, self.identity)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +613,21 @@ def check_choice_independence(folded: FoldedSystem,
 
 
 @_check("minimal-words-length-additive")
-def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig) -> dict:
+def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
+                             products: _Products | None = None) -> dict:
     """Random orbit words whose length is already minimal must have
-    weights summing exactly to the length of their product."""
+    weights summing exactly to the length of their product, an edge walk
+    from e on the product table."""
     if not folded.bar_s:
         return {"trials": 0, "minimal_hits": 0}
+    products = products or _Products(folded)
     rng = _rng(config, "minimal-additivity")
     hits = 0
     for _ in range(TRIALS):
         k = rng.randint(0, 6)
         word = [folded.bar_s[rng.randrange(len(folded.bar_s))] for _ in range(k)]
-        seq, length = folded.factorize_product(word)
+        seq, length = folded._factorize_inv(
+            products.of_word(word), source=[sorted(J) for J in word])
         if len(seq) != k:
             continue
         hits += 1
@@ -572,16 +642,20 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig) -> dict
 
 
 @_check("dihedral-pairs")
-def check_dihedral_pairs(folded: FoldedSystem) -> dict:
+def check_dihedral_pairs(folded: FoldedSystem,
+                         products: _Products | None = None) -> dict:
     """Observed structure of each folded generator pair.
 
     Finite pairs: alternating products from both starts agree exactly at m
     factors and nowhere earlier, the group they span has 2m distinct
     elements, none longer than (m/2)(L_I + L_J), and the longest element of
     the union parabolic is that extreme product.  Infinite pairs: the first
-    few alternating products stay distinct.
+    few alternating products stay distinct.  The products are edge walks on
+    the product table, compared by exact action; Elements are built only
+    for the span's lengths.
     """
     group = folded.group
+    products = products or _Products(folded)
     finite_pairs = 0
     infinite_pairs = 0
 
@@ -590,24 +664,24 @@ def check_dihedral_pairs(folded: FoldedSystem) -> dict:
                           {"orbits": [sorted(a), sorted(b)], "label": label,
                            **extra})
 
+    def alternating(first, second, count):  # e, w_first, w_first w_second, ...
+        out = [products.identity]
+        for k in range(count):
+            out.append(products.times(out[-1], second if k % 2 else first))
+        return [x[1] for x in out]
+
     for det in folded.details:
         a, b = det.orbit_a, det.orbit_b
-        wa, wb = folded.longest[a], folded.longest[b]
         if det.label == INF:
             infinite_pairs += 1
             label = "inf"
-            x = y = group.identity
-            for k in range(1, 9):
-                x = x * (wa if k % 2 else wb)
-                y = y * (wb if k % 2 else wa)
-                if x == y:
+            for k, (x, y) in enumerate(zip(alternating(a, b, 8),
+                                           alternating(b, a, 8))):
+                if k and x == y:
                     fail(agree_at=k)
             continue
         m = label = int(det.label)
-        alt_a, alt_b = [group.identity], [group.identity]
-        for k in range(1, m + 1):
-            alt_a.append(alt_a[-1] * (wa if k % 2 else wb))
-            alt_b.append(alt_b[-1] * (wb if k % 2 else wa))
+        alt_a, alt_b = alternating(a, b, m), alternating(b, a, m)
         if alt_a[m] != alt_b[m]:
             fail(problem="alternating products differ at m factors")
         for k in range(1, m):
@@ -615,11 +689,12 @@ def check_dihedral_pairs(folded: FoldedSystem) -> dict:
                 fail(problem=f"alternating products agree early, at {k} factors")
         w_k = group.longest_element(a | b)
         bound = m * (det.weight_a + det.weight_b)
-        if alt_a[m] != w_k:
+        if alt_a[m] != w_k.inv_cols:
             fail(problem="extreme product is not the longest element of the union")
         if 2 * w_k.length != bound:
             fail(problem="longest length does not match the label derivation")
-        span = set(alt_a) | set(alt_b)
+        span = (set(map(group._element_from_inv, alt_a))
+                | set(map(group._element_from_inv, alt_b)))
         if len(span) != 2 * m:
             fail(problem=f"pair spans {len(span)} elements, expected {2 * m}")
         for y in span:
@@ -632,7 +707,13 @@ def check_dihedral_pairs(folded: FoldedSystem) -> dict:
 
 @_check("length-additivity-transfer")
 def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
-                              config: VerifyConfig) -> dict:
+                              config: VerifyConfig,
+                              products: _Products | None = None) -> dict:
+    """l restricts to a weight function on W^Gamma: for fixed w and w',
+    l(w w') = l(w) + l(w') exactly when lambda(w w') = lambda(w) +
+    lambda(w').  Every pair up to PAIR_CAP, else SAMPLE_PAIRS seeded draws;
+    each product comes from the product table, its l and lambda from the
+    memoized folded walk."""
     n = len(fixed)
     if n * n <= PAIR_CAP:
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -643,12 +724,13 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                  for _ in range(SAMPLE_PAIRS)]
         exhaustive = False
     stats = {"pairs": len(pairs), "exhaustive": exhaustive}
+    products = products or _Products(folded)
     lam = [folded.lambda_length(w) for w in fixed]
+    factors = [products.at(w.inv_cols) for w in fixed]
     for i, j in pairs:
-        l_add, lam_add = folded.weight_additivity(
-            fixed[i], fixed[j], lam_w=lam[i], lam_wp=lam[j]
-        )
-        if l_add != lam_add:
+        seq, letters = products.walk(products.product(factors[i], factors[j]))
+        l_add = letters == fixed[i].length + fixed[j].length
+        if l_add != (lam_add := len(seq) == lam[i] + lam[j]):
             raise CheckFailed(
                 stats,
                 {"left": list(fixed[i].word), "right": list(fixed[j].word),
@@ -658,19 +740,25 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
 
 
 @_check("folded-exchange-condition")
-def check_folded_exchange(folded: FoldedSystem,
-                          fixed: Sequence[Element]) -> dict:
+def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
+                          products: _Products | None = None) -> dict:
+    """FoldedSystem.folded_exchange at every folded descent w_I of every
+    fixed element w with lambda(w) <= EXCHANGE_LAMBDA_CAP.  The
+    lambda(w_I w) probe and the products inside folded_exchange are walks
+    on the product table."""
+    products = products or _Products(folded)
     verified = 0
     try:
         for w in fixed:
             word = folded.greedy_factorize(w)
             if len(word) > EXCHANGE_LAMBDA_CAP:
                 continue
-            lam = len(word)
+            x = products.at(w.inv_cols)
             for orbit in folded.bar_s:
-                if folded.lambda_of_product(folded.longest[orbit], w) > lam:
+                w_i = products.times(products.identity, orbit)
+                if len(products.walk(products.product(w_i, x))[0]) > len(word):
                     continue
-                folded.folded_exchange(word, orbit)
+                folded.folded_exchange(word, orbit, products.of_word)
                 verified += 1
     except (InvariantViolation, ValueError) as err:
         witness = getattr(err, "witness", {"error": str(err)})
@@ -892,16 +980,17 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
     gen_ball = generated_ball(group, [folded.longest[J] for J in folded.bar_s],
                               radius if folded_order is None else None,
                               folded_order)
+    products = _Products(folded, gen_ball)
 
     checks = [  # in CHECK_NAMES order
         validation,
         check_finiteness_vs_greedy(group, config),
         check_factorize_fixed(folded, fixed),
         check_choice_independence(folded, fixed),
-        check_minimal_additivity(folded, config),
-        check_dihedral_pairs(folded),
-        check_additivity_transfer(folded, fixed, config),
-        check_folded_exchange(folded, fixed),
+        check_minimal_additivity(folded, config, products),
+        check_dihedral_pairs(folded, products),
+        check_additivity_transfer(folded, fixed, config, products),
+        check_folded_exchange(folded, fixed, products),
         check_generated_matches_fixed(folded, gen_ball, fixed, ball),
         presentation_check(folded, gen_ball, config, fixed),
     ]

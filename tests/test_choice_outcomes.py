@@ -134,7 +134,8 @@ def tampered_weight(folded):
 
 def tampered_peel_count(folded, fixed):
     """A copy whose memo peels the longest fixed element's first orbit
-    with one letter too many."""
+    with one letter too many.  The walk outcomes stored before the tamper
+    went through the true peel, so they are dropped with it."""
     system = fresh(folded)
     w = max(fixed, key=lambda e: e.length)
     system.greedy_factorize(w)
@@ -142,6 +143,7 @@ def tampered_peel_count(folded, fixed):
     orbit = system.orbit_of(descents[0])
     count, after = peels[orbit]
     peels[orbit] = (count + 1, after)
+    system._greedy.clear()
     return system
 
 

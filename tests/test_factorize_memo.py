@@ -1,12 +1,12 @@
 """Differential tests for the memoized factorization of FoldedSystem.
 
-`_factorize_inv` memoizes the descents of each inverse action it reaches
-and each orbit peel that passed its checks, and `_product_inv` the inverse
-action of each orbit-word prefix.  The references (oracles.py's
-reference_factorize and the product below) peel and multiply without any
-memo, exactly as the factorization is defined, and must agree with
-`greedy_factorize` and `factorize_product` on every fixed element and on
-random orbit words: same orbit sequence and same letter count.
+`_factorize_inv` memoizes the descents of each inverse action it reaches,
+each orbit peel that passed its checks, and the outcome of each walk that
+succeeded.  The references (oracles.py's reference_factorize and
+product_inv) peel and multiply without any memo, exactly as the
+factorization is defined, and must agree with `greedy_factorize` and
+`factorize_product` on every fixed element and on random orbit words:
+same orbit sequence and same letter count.
 
 `is_fixed` memoizes its verdict per element: each element is tested
 once, a non-fixed one still raises on every call, and a replaced copy
@@ -25,7 +25,7 @@ from coxfold.verify import enumerate_ball, fixed_subgroup
 from coxfold.words import CoxeterGroup
 
 from conftest import entry_by_name
-from oracles import reference_factorize
+from oracles import product_inv, reference_factorize
 
 INSTANCES = {
     # name: (input, ball radius; None enumerates all of W)
@@ -50,14 +50,6 @@ def instance(name):
     return _cache[name]
 
 
-def reference_product_inv(folded, orbit_word):
-    engine = folded.group._engine
-    inv_cols = engine.identity
-    for J in orbit_word:
-        inv_cols = engine.compose(folded.longest[J].inv_cols, inv_cols)
-    return inv_cols
-
-
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_memoized_peel_matches_reference(name):
     folded, fixed = instance(name)
@@ -78,7 +70,7 @@ def test_factorize_product_matches_reference(name):
     for _ in range(100):
         word = [rng.choice(folded.bar_s) for _ in range(rng.randint(0, 6))]
         expected = reference_factorize(
-            folded, reference_product_inv(folded, word))
+            folded, product_inv(folded, word))
         assert folded.factorize_product(word) == expected
 
 
@@ -105,10 +97,10 @@ def test_replaced_copy_starts_with_empty_memo():
         folded.greedy_factorize(w)
     folded.factorize_product(folded.bar_s * 2)
     folded.choice_outcomes(fixed[-1].inv_cols)
-    assert (folded._steps and folded._products and folded._fixed
+    assert (folded._steps and folded._greedy and folded._fixed
             and folded._outcomes)
     copy = dataclasses.replace(folded)
-    for memo in ("_steps", "_products", "_fixed", "_outcomes"):
+    for memo in ("_steps", "_greedy", "_fixed", "_outcomes"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
     assert copy == folded  # the memos take no part in equality
@@ -141,3 +133,18 @@ def test_non_fixed_element_raises_on_every_call(name):
             folded.weight_additivity(w, fixed[0])
         with pytest.raises(ValueError, match="must be fixed"):
             folded.weight_additivity(fixed[0], w)
+
+
+def test_repeated_walk_is_one_lookup(monkeypatch):
+    folded, fixed = instance("tri443-swap")
+    folded = dataclasses.replace(folded)
+    w = max(fixed, key=lambda e: e.length)
+    seq = folded.greedy_factorize(w)
+    seq.append(None)            # the caller owns the list it gets
+
+    def walked(s):
+        raise AssertionError("a stored walk was walked again")
+
+    monkeypatch.setattr(folded, "orbit_of", walked)
+    assert folded.greedy_factorize(w) == seq[:-1]
+    assert folded._factorize_inv(w.inv_cols) == (seq[:-1], w.length)
