@@ -15,11 +15,7 @@ of returning a wrong answer.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate, chain
-from operator import mul
 from typing import Sequence
 
 from .coxeter import (
@@ -162,10 +158,9 @@ class FoldedSystem:
     # see _factorize_inv.
     _steps: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
-    # id of a memo state -> (orbits, letters) of its greedy walk; see
-    # _factorize_inv.
-    _greedy: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
+    # orbit word -> inverse action of its product; see _product_inv.
+    _products: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
     # element -> whether every automorphism fixes it; see is_fixed.
     _fixed: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
@@ -196,6 +191,12 @@ class FoldedSystem:
             fixed = self._fixed[w] = is_fixed(w, self.autos)
         return fixed
 
+    def product_of(self, orbit_word: Sequence[frozenset]) -> Element:
+        out = self.group.identity
+        for orbit in orbit_word:
+            out = out * self.longest[orbit]
+        return out
+
     def _witness(self, **extra) -> dict:
         return self.group._witness(
             automorphisms=[list(g.images) for g in self.autos], **extra)
@@ -217,18 +218,13 @@ class FoldedSystem:
         Both steps are pure functions of the inverse action, so the system
         memoizes them: the descents of each action reached, and each peel
         that passed its checks, linked to the state it leads to, so a
-        repeated walk hashes no action.  The outcome of each walk that
-        succeeds is stored on its first state, so a repeated factorization
-        is one lookup.  The factorizations of one run, and choice_outcomes,
-        share their steps; a failing peel is never stored and raises on
-        every call.
+        repeated walk hashes no action.  The factorizations of one run,
+        and choice_outcomes, share their steps; a failing peel is never
+        stored and raises on every call.
         """
         seq: list[frozenset] = []
         letters = 0
-        state = root = self._state(inv_cols)
-        done = self._greedy.get(id(root))
-        if done is not None:
-            return list(done[0]), done[1]
+        state = self._state(inv_cols)
         while True:
             inv_cols, descents, peels = state
             if not descents:
@@ -246,7 +242,6 @@ class FoldedSystem:
                 self._witness(source=source,
                               factors=[sorted(J) for J in seq]),
             )
-        self._greedy[id(root)] = (tuple(seq), letters)
         return seq, letters
 
     def choice_outcomes(self, inv_cols, source=None) -> frozenset:
@@ -369,58 +364,72 @@ class FoldedSystem:
         """Word length of a fixed element over the folded generators."""
         return len(self.greedy_factorize(w))
 
-    # -- products by compose ----------------------------------------------------
-    # One exact product per call, with no table: the property suite reads its
-    # products off the generated ball, and the tests hold it to these.
-
-    def product_of(self, orbit_word: Sequence[frozenset]) -> Element:
-        return reduce(mul, (self.longest[J] for J in orbit_word),
-                      self.group.identity)
+    def _product_inv(self, orbit_word: Sequence[frozenset]):
+        """Inverse action of a product of folded generators, memoized by
+        prefix: each orbit word not seen before costs one compose per
+        letter past its longest known prefix."""
+        products = self._products
+        word = tuple(orbit_word)
+        k = len(word)
+        while k and word[:k] not in products:
+            k -= 1
+        inv_cols = products.get(word[:k], self.group._engine.identity)
+        compose = self.group._engine.compose
+        # (u w_J)^-1 = w_J^-1 u^-1
+        for j in range(k, len(word)):
+            inv_cols = products[word[:j + 1]] = compose(
+                self.longest[word[j]].inv_cols, inv_cols)
+        return inv_cols
 
     def factorize_product(self, orbit_word: Sequence[frozenset]):
         """(greedy factor sequence, length) of a product of folded
-        generators."""
-        return self._factorize_inv(self.product_of(orbit_word).inv_cols,
-                                   source=[sorted(J) for J in orbit_word])
+        generators, computed without materializing the product."""
+        return self._factorize_inv(
+            self._product_inv(orbit_word),
+            source=[sorted(J) for J in orbit_word],
+        )
 
     def lambda_of_product(self, a: Element, b: Element) -> int:
-        compose = self.group._engine.compose
-        return len(self._factorize_inv(compose(b.inv_cols, a.inv_cols))[0])
-
-    def weight_additivity(self, w: Element, wp: Element) -> tuple[bool, bool]:
-        """(lengths add, folded lengths add) for a pair of fixed elements."""
-        if not (self.is_fixed(w) and self.is_fixed(wp)):
-            raise ValueError("both elements must be fixed")
-        compose = self.group._engine.compose
-        seq, letters = self._factorize_inv(compose(wp.inv_cols, w.inv_cols))
-        return (letters == w.length + wp.length,
-                len(seq) == self.lambda_length(w) + self.lambda_length(wp))
+        inv_cols = self.group._engine.compose(b.inv_cols, a.inv_cols)
+        seq, _ = self._factorize_inv(inv_cols)
+        return len(seq)
 
     # -- folded-level predicates ------------------------------------------------
 
+    def weight_additivity(self, w: Element, wp: Element,
+                          lam_w: int | None = None,
+                          lam_wp: int | None = None) -> tuple[bool, bool]:
+        """(lengths add, folded lengths add) for a pair of fixed elements."""
+        if not (self.is_fixed(w) and self.is_fixed(wp)):
+            raise ValueError("both elements must be fixed")
+        inv_cols = self.group._engine.compose(wp.inv_cols, w.inv_cols)
+        seq, letters = self._factorize_inv(inv_cols)
+        if lam_w is None:
+            lam_w = self.lambda_length(w)
+        if lam_wp is None:
+            lam_wp = self.lambda_length(wp)
+        l_add = letters == w.length + wp.length
+        lam_add = len(seq) == lam_w + lam_wp
+        return l_add, lam_add
+
     def folded_exchange(self, orbit_word: Sequence[frozenset], orbit: frozenset,
-                        product=None) -> int:
+                        product) -> int:
         """Folded exchange property.
 
         For a minimal orbit word [J_1..J_p] of w and a folded generator w_I
         with lambda(w_I * w) <= lambda(w), returns an index i such that
         dropping block i yields w_I * w.  The block is located through the
         plain exchange property inside the concatenated reduced word, and
-        both the prefix conjugation z^-1 w_I z = w_{J_i}, as w_I z =
-        z w_{J_i}, and the dropped product are verified exactly.
+        both the prefix conjugation z^-1 w_I z = w_{J_i}, tested as
+        w_I z = z w_{J_i}, and the dropped product are verified exactly.
 
-        ``product`` maps an orbit word to the inverse action of its
-        product; by default product_of multiplies it out.  The property
-        suite passes a walk on its generated ball, which gives the same
-        exact action.
+        ``product`` maps an orbit word to the exact inverse action of its
+        product; the property suite passes a walk on its generated ball.
         """
         orbit_word = list(orbit_word)
         for J in orbit_word + [orbit]:
             if J not in self.longest:
                 raise ValueError(f"{_orbit_str(J)} is not a folded generator")
-        if product is None:
-            def product(word):
-                return self.product_of(word).inv_cols
         group = self.group
         w = group._element_from_inv(product(orbit_word))
         p = len(orbit_word)
@@ -431,15 +440,18 @@ class FoldedSystem:
         if len(self._factorize_inv(w_i_w)[0]) > p:
             raise ValueError("not a folded descent")
 
-        s = next((t for t in sorted(orbit) if group.is_left_descent(t, w)), None)
-        if s is None:
+        descent_letters = [t for t in sorted(orbit) if group.is_left_descent(t, w)]
+        if not descent_letters:
             raise InvariantViolation(
                 "folded-exchange", "folded descent without a letter descent",
                 self._witness(orbit=sorted(orbit), word=list(w.word)),
             )
+        s = descent_letters[0]
 
         blocks = [self.longest[J] for J in orbit_word]
-        concat = tuple(chain.from_iterable(b.word for b in blocks))
+        concat: tuple[int, ...] = ()
+        for b in blocks:
+            concat += b.word
         if len(concat) != w.length:
             raise InvariantViolation(
                 "folded-exchange", "concatenated minimal word is not reduced",
@@ -447,10 +459,16 @@ class FoldedSystem:
                               factors=[sorted(J) for J in orbit_word]),
             )
         letter_index = group.exchange(concat, s)  # 1-based
-        # the block containing the dropped letter
-        block_index = bisect_left(list(accumulate(b.length for b in blocks)),
-                                  letter_index) + 1
-        if block_index > p:
+
+        # locate the block containing the dropped letter
+        upto = 0
+        block_index = None
+        for i, b in enumerate(blocks, start=1):
+            if letter_index <= upto + b.length:
+                block_index = i
+                break
+            upto += b.length
+        if block_index is None:
             raise InvariantViolation(
                 "folded-exchange", "exchanged letter lies past the minimal word",
                 self._witness(orbit=sorted(orbit), word=list(concat),

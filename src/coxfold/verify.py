@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -337,17 +337,6 @@ class GeneratedBall:
                 return None
         return i
 
-    def row(self, i: int) -> list[int | None]:
-        """product(i, j) for every j, in one pass in BFS order: x_j is
-        x_p g_k for its discovering edge (p, k), so x_i x_j is the k-edge of
-        x_i x_p."""
-        edges = self.edges
-        out = [i]
-        for p, k in islice(self.parents, 1, None):
-            h = out[p]
-            out.append(None if h is None else edges[h][k])
-        return out
-
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                    radius: int | None,
@@ -405,22 +394,20 @@ class _Products:
     exact action, so a walk on them gives the action compose gives, even
     for a broken folded system.  compose runs only for a factor off the
     ball or past a truncated edge (past the radius, or the order a folded
-    matrix claims), and for every product when there is no ball.
+    matrix claims).
     """
 
-    def __init__(self, folded: FoldedSystem, ball: GeneratedBall | None = None):
+    def __init__(self, folded: FoldedSystem, ball: GeneratedBall):
         self.folded, self.ball = folded, ball
         self.compose = folded.group._engine.compose
         self.gens = {J: (k, folded.longest[J].inv_cols)
                      for k, J in enumerate(folded.bar_s)}
         self.identity = self.at(folded.group._engine.identity)
-        self._rows: dict[int, list] = {}
         self._walks: dict[int, tuple] = {}
 
     def at(self, inv_cols) -> tuple:
         """The factor of the element with this inverse action."""
-        node = None if self.ball is None else self.ball.key_index.get(inv_cols)
-        return node, inv_cols
+        return self.ball.key_index.get(inv_cols), inv_cols
 
     def times(self, x: tuple, J: frozenset) -> tuple:
         """x w_J: one edge, else one compose."""
@@ -430,11 +417,9 @@ class _Products:
         return None, self.compose(gen, x[1])    # (x w_J)^-1 = w_J^-1 x^-1
 
     def product(self, x: tuple, y: tuple) -> tuple:
-        """x y: a lookup in the memoized row of x, else one compose."""
+        """x y: an edge walk from x along the word of y, else one compose."""
         if x[0] is not None and y[0] is not None:
-            row = self._rows.get(x[0]) or self._rows.setdefault(
-                x[0], self.ball.row(x[0]))
-            if (z := row[y[0]]) is not None:
+            if (z := self.ball.product(x[0], y[0])) is not None:
                 return z, self.ball.actions[z]
         return None, self.compose(y[1], x[1])
 
@@ -614,13 +599,12 @@ def check_choice_independence(folded: FoldedSystem,
 
 @_check("minimal-words-length-additive")
 def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
-                             products: _Products | None = None) -> dict:
+                             products: _Products) -> dict:
     """Random orbit words whose length is already minimal must have
     weights summing exactly to the length of their product, an edge walk
     from e on the product table."""
     if not folded.bar_s:
         return {"trials": 0, "minimal_hits": 0}
-    products = products or _Products(folded)
     rng = _rng(config, "minimal-additivity")
     hits = 0
     for _ in range(TRIALS):
@@ -642,8 +626,7 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
 
 
 @_check("dihedral-pairs")
-def check_dihedral_pairs(folded: FoldedSystem,
-                         products: _Products | None = None) -> dict:
+def check_dihedral_pairs(folded: FoldedSystem, products: _Products) -> dict:
     """Observed structure of each folded generator pair.
 
     Finite pairs: alternating products from both starts agree exactly at m
@@ -655,7 +638,6 @@ def check_dihedral_pairs(folded: FoldedSystem,
     for the span's lengths.
     """
     group = folded.group
-    products = products or _Products(folded)
     finite_pairs = 0
     infinite_pairs = 0
 
@@ -707,8 +689,7 @@ def check_dihedral_pairs(folded: FoldedSystem,
 
 @_check("length-additivity-transfer")
 def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
-                              config: VerifyConfig,
-                              products: _Products | None = None) -> dict:
+                              config: VerifyConfig, products: _Products) -> dict:
     """l restricts to a weight function on W^Gamma: for fixed w and w',
     l(w w') = l(w) + l(w') exactly when lambda(w w') = lambda(w) +
     lambda(w').  Every pair up to PAIR_CAP, else SAMPLE_PAIRS seeded draws;
@@ -724,7 +705,6 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                  for _ in range(SAMPLE_PAIRS)]
         exhaustive = False
     stats = {"pairs": len(pairs), "exhaustive": exhaustive}
-    products = products or _Products(folded)
     lam = [folded.lambda_length(w) for w in fixed]
     factors = [products.at(w.inv_cols) for w in fixed]
     for i, j in pairs:
@@ -741,12 +721,11 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
 
 @_check("folded-exchange-condition")
 def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
-                          products: _Products | None = None) -> dict:
+                          products: _Products) -> dict:
     """FoldedSystem.folded_exchange at every folded descent w_I of every
     fixed element w with lambda(w) <= EXCHANGE_LAMBDA_CAP.  The
     lambda(w_I w) probe and the products inside folded_exchange are walks
     on the product table."""
-    products = products or _Products(folded)
     verified = 0
     try:
         for w in fixed:

@@ -6,13 +6,13 @@ the Cayley graph or from inversion counting, and group elements are bare
 tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
 
-The exceptions are reference_factorize, the exact-compose products and
+The exceptions are reference_factorize, product_inv and
 reference_image_ball.  The first peels a fixed element with the engine's
 descent test and right multiplication, as the folded factorization is
-defined, but without any of FoldedSystem's memos.  product_inv and
-weight_additivity multiply with the engine's compose, one product at a
-time, where the property suite reads its products off the generated
-ball.  reference_image_ball is the bytes-keyed ball walk of
+defined, but without any of FoldedSystem's memos.  product_inv multiplies
+an orbit word with the engine's compose, one letter at a time, where the
+property suite reads its products off the generated ball.
+reference_image_ball is the bytes-keyed ball walk of
 coxfold.verify before its last-letter rule: every node tries every
 generator, and the dedup set alone rejects what is not new.
 
@@ -175,16 +175,6 @@ def product_inv(folded, orbit_word):
     for J in orbit_word:
         inv_cols = engine.compose(folded.longest[J].inv_cols, inv_cols)
     return inv_cols
-
-
-def weight_additivity(folded, w, wp):
-    """(lengths add, folded lengths add) for fixed elements w and w': their
-    product composed, and each of the three peeled by reference_factorize."""
-    product = folded.group._engine.compose(wp.inv_cols, w.inv_cols)
-    seq, letters = reference_factorize(folded, product)
-    lam_w = len(reference_factorize(folded, w.inv_cols)[0])
-    lam_wp = len(reference_factorize(folded, wp.inv_cols)[0])
-    return letters == w.length + wp.length, len(seq) == lam_w + lam_wp
 
 
 # -- the bytes-keyed ball walk without the last-letter rule -----------------------

@@ -23,7 +23,7 @@ from coxfold.verify import (
     presentation_check,
 )
 from conftest import FLIPS, entry_by_name
-from oracles import reference_factorize
+from oracles import product_inv, reference_factorize
 
 
 @contextmanager
@@ -120,10 +120,13 @@ def test_criterion_3_additivity_biconditional(group_of):
         for name, auto in (("a3", "a3"), ("a4", "a4"), ("d4", "d4_triality")):
             folded = fold_of(group_of, name, auto)
             fixed = fixed_of(group_of, name, auto)
+            lam = [folded.lambda_length(w) for w in fixed]
             pairs = 0
-            for w in fixed:
-                for wp in fixed:
-                    l_add, lam_add = folded.weight_additivity(w, wp)
+            for i, w in enumerate(fixed):
+                for j, wp in enumerate(fixed):
+                    l_add, lam_add = folded.weight_additivity(
+                        w, wp, lam_w=lam[i], lam_wp=lam[j]
+                    )
                     assert l_add == lam_add, (name, w.word, wp.word)
                     pairs += 1
             assert pairs == expected_pairs[name]
@@ -151,7 +154,8 @@ def test_criterion_4_folded_exchange(group_of):
                     w_i = folded.longest[orbit]
                     if folded.lambda_of_product(w_i, w) > len(word):
                         continue
-                    i = folded.folded_exchange(word, orbit)
+                    i = folded.folded_exchange(
+                        word, orbit, lambda u: product_inv(folded, u))
                     assert 1 <= i <= len(word)
                     checked += 1
             assert checked == expected_count, (name, auto, checked)

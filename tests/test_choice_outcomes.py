@@ -134,8 +134,7 @@ def tampered_weight(folded):
 
 def tampered_peel_count(folded, fixed):
     """A copy whose memo peels the longest fixed element's first orbit
-    with one letter too many.  The walk outcomes stored before the tamper
-    went through the true peel, so they are dropped with it."""
+    with one letter too many."""
     system = fresh(folded)
     w = max(fixed, key=lambda e: e.length)
     system.greedy_factorize(w)
@@ -143,7 +142,6 @@ def tampered_peel_count(folded, fixed):
     orbit = system.orbit_of(descents[0])
     count, after = peels[orbit]
     peels[orbit] = (count + 1, after)
-    system._greedy.clear()
     return system
 
 

@@ -1,12 +1,12 @@
 """Differential tests for the memoized factorization of FoldedSystem.
 
-`_factorize_inv` memoizes the descents of each inverse action it reaches,
-each orbit peel that passed its checks, and the outcome of each walk that
-succeeded.  The references (oracles.py's reference_factorize and
-product_inv) peel and multiply without any memo, exactly as the
-factorization is defined, and must agree with `greedy_factorize` and
-`factorize_product` on every fixed element and on random orbit words:
-same orbit sequence and same letter count.
+`_factorize_inv` memoizes the descents of each inverse action it reaches
+and each orbit peel that passed its checks, and `_product_inv` the inverse
+action of each orbit-word prefix.  The references (oracles.py's
+reference_factorize and product_inv) peel and multiply without any memo,
+exactly as the factorization is defined, and must agree with
+`greedy_factorize` and `factorize_product` on every fixed element and on
+random orbit words: same orbit sequence and same letter count.
 
 `is_fixed` memoizes its verdict per element: each element is tested
 once, a non-fixed one still raises on every call, and a replaced copy
@@ -97,10 +97,10 @@ def test_replaced_copy_starts_with_empty_memo():
         folded.greedy_factorize(w)
     folded.factorize_product(folded.bar_s * 2)
     folded.choice_outcomes(fixed[-1].inv_cols)
-    assert (folded._steps and folded._greedy and folded._fixed
+    assert (folded._steps and folded._products and folded._fixed
             and folded._outcomes)
     copy = dataclasses.replace(folded)
-    for memo in ("_steps", "_greedy", "_fixed", "_outcomes"):
+    for memo in ("_steps", "_products", "_fixed", "_outcomes"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
     assert copy == folded  # the memos take no part in equality
@@ -134,17 +134,3 @@ def test_non_fixed_element_raises_on_every_call(name):
         with pytest.raises(ValueError, match="must be fixed"):
             folded.weight_additivity(fixed[0], w)
 
-
-def test_repeated_walk_is_one_lookup(monkeypatch):
-    folded, fixed = instance("tri443-swap")
-    folded = dataclasses.replace(folded)
-    w = max(fixed, key=lambda e: e.length)
-    seq = folded.greedy_factorize(w)
-    seq.append(None)            # the caller owns the list it gets
-
-    def walked(s):
-        raise AssertionError("a stored walk was walked again")
-
-    monkeypatch.setattr(folded, "orbit_of", walked)
-    assert folded.greedy_factorize(w) == seq[:-1]
-    assert folded._factorize_inv(w.inv_cols) == (seq[:-1], w.length)

@@ -18,6 +18,7 @@ from coxfold.words import CoxeterGroup, Element
 from coxfold.verify import (
     NodeCapExceeded,
     VerifyConfig,
+    _Products,
     _presentation_pairs,
     _rng,
     check_dihedral_pairs,
@@ -200,6 +201,13 @@ def test_presentation_catches_wrong_matrix(group_of):
     assert res.witness["problem"] == "sizes differ"
 
 
+def product_table(folded):
+    """The checks' product table on the whole group the folded generators
+    span (finite here)."""
+    return _Products(folded, generated_ball(
+        folded.group, [folded.longest[J] for J in folded.bar_s], None))
+
+
 def test_dihedral_check_catches_wrong_label(group_of):
     W = group_of("a3")
     folded = fold(W, [FLIPS["a3"]])
@@ -207,7 +215,7 @@ def test_dihedral_check_catches_wrong_label(group_of):
     wrong = dataclasses.replace(
         folded, details=(dataclasses.replace(detail, label=3),)
     )
-    res = check_dihedral_pairs(wrong)
+    res = check_dihedral_pairs(wrong, product_table(wrong))
     assert res.status == "fail"
 
 
@@ -255,7 +263,8 @@ def test_direct_check_reports_broken_system_as_failure(group_of):
     broken = dataclasses.replace(
         real, weight={**real.weight, frozenset({1, 3}): 1}
     )
-    res = verify.check_minimal_additivity(broken, VerifyConfig())
+    res = verify.check_minimal_additivity(broken, VerifyConfig(),
+                                          product_table(broken))
     assert (res.name, res.status, res.statistics) == (
         "minimal-words-length-additive", "fail", {})
     assert res.witness["check"] == "factorize"
