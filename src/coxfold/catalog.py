@@ -13,7 +13,7 @@ Infinite rows compare radius-bounded balls instead of total counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coxeter import classify_finite, coxeter_order, parse_input
 from .folding import Automorphism, fold
@@ -28,8 +28,7 @@ from .verify import (
 from .words import CoxeterGroup
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     input_text: str
     folded_type: str
@@ -94,8 +93,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
-@dataclass
-class CatalogRow:
+class CatalogRow(NamedTuple):
     name: str
     expected_type: str
     expected_weights: tuple[int, ...]

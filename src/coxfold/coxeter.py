@@ -15,18 +15,28 @@ finitely many shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import INF, degree_problem, label_lcm
 
 RANK_CAP = 16
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric label table; entries[i][j] is m(i+1, j+1), INF allowed."""
 
-    entries: tuple[tuple[float, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[float, ...], ...]):
+        self.entries = entries
+
+    def __eq__(self, other):
+        if not isinstance(other, CoxeterMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def rank(self) -> int:
@@ -155,8 +165,7 @@ _EXCEPTIONAL_DEGREES = {
 }
 
 
-@dataclass(frozen=True)
-class FiniteTypeLabel:
+class FiniteTypeLabel(NamedTuple):
     """One irreducible finite type: family in {A,B,D,E,F,H,I2} plus parameter."""
 
     family: str
@@ -317,8 +326,7 @@ class ParseError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class InputSystem:
+class InputSystem(NamedTuple):
     """Parsed input: a matrix plus named automorphism generators."""
 
     matrix: CoxeterMatrix

@@ -15,8 +15,7 @@ of returning a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coxeter import (
     CoxeterMatrix,
@@ -45,38 +44,28 @@ class InvariantViolation(RuntimeError):
         super().__init__(f"{check}: {message}")
 
 
-@dataclass(frozen=True)
 class Automorphism:
     """A permutation of the generators; images[i-1] = image of generator i."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        self.images = images
 
     def __call__(self, s: int) -> int:
         return self.images[s - 1]
 
+    def __eq__(self, other):
+        if not isinstance(other, Automorphism):
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
     @property
     def rank(self) -> int:
         return len(self.images)
-
-    def is_identity(self) -> bool:
-        return all(self(s) == s for s in range(1, self.rank + 1))
-
-    def apply_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self(s) for s in word)
-
-    def apply_element(self, w: Element) -> Element:
-        out = w.group.reduce(self.apply_word(w.word))
-        if out.length != w.length:
-            raise InvariantViolation(
-                "automorphism", "image of an element has a different length",
-                w.group._witness(automorphisms=[list(self.images)],
-                                 word=list(w.word), image=list(out.word)),
-            )
-        return out
-
-    @staticmethod
-    def identity_of(rank: int) -> "Automorphism":
-        return Automorphism(tuple(range(1, rank + 1)))
 
     def __str__(self):
         moved = [f"{s}>{self(s)}" for s in range(1, self.rank + 1) if self(s) != s]
@@ -125,8 +114,7 @@ def _orbit_str(orbit) -> str:
     return "{" + ",".join(map(str, sorted(orbit))) + "}"
 
 
-@dataclass(frozen=True)
-class DihedralDetail:
+class DihedralDetail(NamedTuple):
     """Derivation record for one folded matrix entry."""
 
     orbit_a: frozenset
@@ -137,51 +125,56 @@ class DihedralDetail:
     weight_b: int
 
 
-@dataclass
 class FoldedSystem:
     """Folded generators and matrix of one (matrix, automorphisms) input."""
 
-    group: CoxeterGroup
-    autos: tuple[Automorphism, ...]
-    orbit_partition: tuple[frozenset, ...]
-    bar_s: tuple[frozenset, ...]          # finite-parabolic orbits, by min member
-    dropped: tuple[frozenset, ...]        # infinite-parabolic orbits
-    longest: dict[frozenset, Element]
-    weight: dict[frozenset, int]
-    folded_matrix: CoxeterMatrix
-    details: tuple[DihedralDetail, ...]
-    # None of these is an init field, so a dataclasses.replace copy builds
-    # its own.
-    _orbit_of: dict[int, frozenset] = field(default_factory=dict, init=False,
-                                            compare=False, repr=False)
-    # inverse action -> its state (action, left descents, {orbit: peel});
-    # see _factorize_inv.
-    _steps: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
-    # orbit word -> inverse action of its product; see _product_inv.
-    _products: dict = field(default_factory=dict, init=False, compare=False,
-                            repr=False)
-    # element -> whether every automorphism fixes it; see is_fixed.
-    _fixed: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
-    # id of a memo state -> its outcomes over every choice; see
-    # choice_outcomes.  States stay in _steps, so their ids stay theirs.
-    _outcomes: dict = field(default_factory=dict, init=False, compare=False,
-                            repr=False)
+    def __init__(self, group: CoxeterGroup, autos: tuple[Automorphism, ...],
+                 orbit_partition: tuple[frozenset, ...],
+                 bar_s: tuple[frozenset, ...],
+                 dropped: tuple[frozenset, ...],
+                 longest: dict[frozenset, Element],
+                 weight: dict[frozenset, int],
+                 folded_matrix: CoxeterMatrix,
+                 details: tuple[DihedralDetail, ...]):
+        self.group = group
+        self.autos = autos
+        self.orbit_partition = orbit_partition
+        self.bar_s = bar_s          # finite-parabolic orbits, by min member
+        self.dropped = dropped      # infinite-parabolic orbits
+        self.longest = longest
+        self.weight = weight
+        self.folded_matrix = folded_matrix
+        self.details = details
+        # The memos below are built here, not passed in, so a copy made
+        # through the constructor starts with its own, empty.
+        self._orbit_of: dict[int, frozenset] = {
+            s: orbit for orbit in orbit_partition for s in orbit}
+        # inverse action -> its state (action, left descents, {orbit: peel});
+        # see _factorize_inv.
+        self._steps: dict = {}
+        # orbit word -> inverse action of its product; see _product_inv.
+        self._products: dict = {}
+        # element -> whether every automorphism fixes it; see is_fixed.
+        self._fixed: dict = {}
+        # id of a memo state -> its outcomes over every choice; see
+        # choice_outcomes.  States stay in _steps, so their ids stay theirs.
+        self._outcomes: dict = {}
 
-    def __post_init__(self):
-        for orbit in self.orbit_partition:
-            for s in orbit:
-                self._orbit_of[s] = orbit
+    def __eq__(self, other):
+        """Equal inputs and results; the memos take no part."""
+        if not isinstance(other, FoldedSystem):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return (self.group, self.autos, self.orbit_partition, self.bar_s,
+                self.dropped, self.longest, self.weight, self.folded_matrix,
+                self.details)
 
     # -- structure -----------------------------------------------------------
 
     def orbit_of(self, s: int) -> frozenset:
         return self._orbit_of[s]
-
-    def generator_index(self, orbit: frozenset) -> int:
-        """1-based index of a folded generator in the folded matrix."""
-        return self.bar_s.index(orbit) + 1
 
     def is_fixed(self, w: Element) -> bool:
         """Memoized per element, that is per canonical word: the pair
@@ -413,7 +406,7 @@ class FoldedSystem:
         return l_add, lam_add
 
     def folded_exchange(self, orbit_word: Sequence[frozenset], orbit: frozenset,
-                        product) -> int:
+                        product, w: Element | None = None) -> int:
         """Folded exchange property.
 
         For a minimal orbit word [J_1..J_p] of w and a folded generator w_I
@@ -425,13 +418,19 @@ class FoldedSystem:
 
         ``product`` maps an orbit word to the exact inverse action of its
         product; the property suite passes a walk on its generated ball.
+        ``w``, if given, is the caller's element for the orbit word, used
+        when its action is the product's; otherwise (no ``w``, or a broken
+        folded system's word spells another element) the product's element
+        is extracted.
         """
         orbit_word = list(orbit_word)
         for J in orbit_word + [orbit]:
             if J not in self.longest:
                 raise ValueError(f"{_orbit_str(J)} is not a folded generator")
         group = self.group
-        w = group._element_from_inv(product(orbit_word))
+        inv_cols = product(orbit_word)
+        if w is None or w.inv_cols != inv_cols:
+            w = group._element_from_inv(inv_cols)
         p = len(orbit_word)
         if self.lambda_length(w) != p:
             raise ValueError("orbit word is not minimal for its product")

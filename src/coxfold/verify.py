@@ -29,7 +29,6 @@ import json
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import accumulate
 from operator import itemgetter
@@ -80,16 +79,16 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
 class VerifyConfig:
     """The property suite's inputs besides the instance."""
 
-    seed: int = 0
-    radius: int | None = None     # None: full when W is finite, else 8
+    __slots__ = ("seed", "radius")
 
-    def __post_init__(self):
-        if self.radius is not None and self.radius < 1:
-            raise ValueError(f"radius must be at least 1, not {self.radius}")
+    def __init__(self, seed: int = 0, radius: int | None = None):
+        self.seed = seed
+        self.radius = radius        # None: full when W is finite, else 8
+        if radius is not None and radius < 1:
+            raise ValueError(f"radius must be at least 1, not {radius}")
 
 
 class NodeCapExceeded(ValueError):
@@ -101,7 +100,6 @@ class NodeCapExceeded(ValueError):
 # balls in W
 
 
-@dataclass
 class Ball:
     """Ball of W around e: a prefix tree of canonical words in (length,
     word) order; complete when it holds the whole group.
@@ -112,11 +110,12 @@ class Ball:
     state its word reaches.  ``words`` and ``elements`` are built when
     read."""
 
-    group: CoxeterGroup
-    keys: list = field(repr=False)
-    complete: bool = False
-    parents: array = field(default_factory=lambda: array("i", [0]), repr=False)
-    letters: array = field(default_factory=lambda: array("B", [0]), repr=False)
+    def __init__(self, group: CoxeterGroup, keys: list):
+        self.group = group
+        self.keys = keys                    # [key of e]; walks append
+        self.complete = False
+        self.parents = array("i", [0])
+        self.letters = array("B", [0])
 
     def __len__(self):
         return len(self.keys)
@@ -299,7 +298,6 @@ def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, 
 # the subgroup generated by the folded generators, enumerated independently
 
 
-@dataclass
 class GeneratedBall:
     """BFS over right multiplication by generators: the folded generators,
     or the simple reflections of the abstract folded group.
@@ -311,14 +309,18 @@ class GeneratedBall:
     independent of the greedy factorization it is later compared against.
     """
 
-    gens: tuple[Element, ...]
-    actions: list
-    levels: list[int]
-    edges: list[list[int | None]]
-    parents: list[tuple[int, int] | None]
-    key_index: dict
-    complete: bool
-    radius: int | None
+    def __init__(self, gens: tuple[Element, ...], actions: list,
+                 levels: list[int], edges: list[list[int | None]],
+                 parents: list[tuple[int, int] | None], key_index: dict,
+                 complete: bool, radius: int | None):
+        self.gens = gens
+        self.actions = actions
+        self.levels = levels
+        self.edges = edges
+        self.parents = parents
+        self.key_index = key_index
+        self.complete = complete
+        self.radius = radius
 
     def __len__(self):
         return len(self.actions)
@@ -440,12 +442,19 @@ class _Products:
 # check plumbing
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str                   # pass | fail | skipped
-    statistics: dict
-    witness: dict | None = None
+    def __init__(self, name: str, status: str, statistics: dict,
+                 witness: dict | None = None):
+        self.name = name
+        self.status = status            # pass | fail | skipped
+        self.statistics = statistics
+        self.witness = witness
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return ((self.name, self.status, self.statistics, self.witness)
+                == (other.name, other.status, other.statistics, other.witness))
 
     def to_dict(self):
         out = {"name": self.name, "status": self.status,
@@ -477,12 +486,13 @@ def _check(name: str):
     return decorate
 
 
-@dataclass
 class Report:
-    input_digest: str
-    orbit_summary: dict
-    folded_summary: dict
-    checks: list[CheckResult]
+    def __init__(self, input_digest: str, orbit_summary: dict,
+                 folded_summary: dict, checks: list[CheckResult]):
+        self.input_digest = input_digest
+        self.orbit_summary = orbit_summary
+        self.folded_summary = folded_summary
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -737,7 +747,7 @@ def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
                 w_i = products.times(products.identity, orbit)
                 if len(products.walk(products.product(w_i, x))[0]) > len(word):
                     continue
-                folded.folded_exchange(word, orbit, products.of_word)
+                folded.folded_exchange(word, orbit, products.of_word, w)
                 verified += 1
     except (InvariantViolation, ValueError) as err:
         witness = getattr(err, "witness", {"error": str(err)})

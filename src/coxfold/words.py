@@ -4,8 +4,8 @@ A group element is its canonical word plus the action of w^-1 on roots
 (``inv_cols``); the action of w (``cols``) is derived from the word when
 a caller asks for it.  The inverse action alone gives the left descents,
 hence the normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1.
-Two engines compute with actions behind seven primitives (identity, lmul,
-rmul, compose, negative, fixes, inversions):
+Two engines compute with actions behind six primitives (identity, lmul,
+rmul, compose, negative, fixes):
 
 * Finite W, as decided by classify_finite, uses a root-index table.  Its
   positive roots are the elementary roots below, checked against the
@@ -17,9 +17,9 @@ rmul, compose, negative, fixes, inversions):
   no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
-  coordinates are.  lmul and rmul are exact reflections; compose and
-  inversions are matrix products, each one call of the fused kernel
-  ``ArithContext.matmul``, which builds no scalar object per product.
+  coordinates are.  lmul and rmul are exact reflections; compose is a
+  matrix product, one call of the fused kernel ``ArithContext.matmul``,
+  which builds no scalar object per product.
 
 Either way a descent query is a sign test: s is a left descent of w exactly
 when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
@@ -440,7 +440,7 @@ class CoxeterGroup:
 
 # -- the two engines -------------------------------------------------------------
 #
-# Both compute with the action of one element at a time, through seven
+# Both compute with the action of one element at a time, through six
 # primitives:
 #   identity          the action of e
 #   lmul(s, a)        the action of s * w, from that a of w
@@ -449,7 +449,6 @@ class CoxeterGroup:
 #                     matrices, one call of the fused ArithContext.matmul)
 #   negative(a, s)    whether the image of alpha_s is a negative root
 #   fixes(g, a)       whether gamma(w) = w, gamma given by its images g
-#   inversions(a)     the number of positive roots sent negative (finite W)
 
 
 class _MatrixEngine:
@@ -489,10 +488,6 @@ class _MatrixEngine:
         # of w to (gamma i, gamma j)
         return all(cols[images[j] - 1][images[i] - 1] == c
                    for j, col in enumerate(cols) for i, c in enumerate(col))
-
-    def inversions(self, cols):
-        images = self.compose(cols, tuple(self.group.positive_roots()))
-        return sum(1 for r in images if root_sign(r) < 0)
 
 
 def _permute_roots(roots, images) -> list[int]:
@@ -568,10 +563,6 @@ class _RootTable:
         # gamma w = w gamma on the simple roots, which determine both sides
         g = self._gamma_perm(images)
         return all(g[cols[i]] == cols[t - 1] for i, t in enumerate(images))
-
-    def inversions(self, cols):
-        P = self.npos
-        return sum(1 for j in cols[:P] if j >= P)
 
 
 # -- elementary roots ------------------------------------------------------------
@@ -749,14 +740,6 @@ class Element:
 
     def __str__(self):
         return " ".join(map(str, self.word)) if self.word else "e"
-
-    def inversion_count(self) -> int:
-        """Number of positive roots of W sent negative by w^-1, which is
-        l(w^-1) = l(w) (finite W only).
-
-        Independent of the stored word; used to cross-check lengths.
-        """
-        return self.group._engine.inversions(self.inv_cols)
 
 
 def word_str(word: Sequence[int]) -> str:

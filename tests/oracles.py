@@ -22,12 +22,75 @@ coxfold.coxeter replaced, kept to compare against.
 
 The cyclotomic views at the end read a CycloReal's coefficients only: a
 float evaluation and the Galois conjugation zeta -> zeta^(-1).
+
+The test-only API comes first: helpers that only tests call, so the
+package does not carry them.  Two of them use the engine: apply_element
+reduces the image word, and inversion_count counts on the engine's action
+of w^-1.  replace copies a package record through its constructor.
 """
 
+import inspect
 import math
 from collections import deque
 
+from coxfold.folding import Automorphism, InvariantViolation
 from coxfold.verify import Ball, _levels
+from coxfold.words import _RootTable, root_sign
+
+
+# -- test-only API -----------------------------------------------------------
+
+
+def replace(obj, **changes):
+    """A new obj built through its class's constructor, from obj's own
+    attributes of the same names and the given changes, as
+    dataclasses.replace does.  What the constructor builds itself, such
+    as FoldedSystem's memos, starts afresh."""
+    params = inspect.signature(type(obj)).parameters
+    args = {name: getattr(obj, name) for name in params if name not in changes}
+    return type(obj)(**args, **changes)
+
+
+def identity_of(rank):
+    return Automorphism(tuple(range(1, rank + 1)))
+
+
+def is_identity(gamma):
+    return all(gamma(s) == s for s in range(1, gamma.rank + 1))
+
+
+def apply_word(gamma, word):
+    return tuple(gamma(s) for s in word)
+
+
+def apply_element(gamma, w):
+    """gamma(w) from its letters; raises if the image changes length."""
+    out = w.group.reduce(apply_word(gamma, w.word))
+    if out.length != w.length:
+        raise InvariantViolation(
+            "automorphism", "image of an element has a different length",
+            w.group._witness(automorphisms=[list(gamma.images)],
+                             word=list(w.word), image=list(out.word)),
+        )
+    return out
+
+
+def generator_index(folded, orbit):
+    """1-based index of a folded generator in the folded matrix."""
+    return folded.bar_s.index(orbit) + 1
+
+
+def inversion_count(w):
+    """Number of positive roots of W sent negative by w^-1, which is
+    l(w^-1) = l(w) (finite W only); independent of the stored word.
+    Counted on the root table's indices, or on the exact images of the
+    positive roots."""
+    engine, cols = w.group._engine, w.inv_cols
+    if isinstance(engine, _RootTable):
+        P = engine.npos
+        return sum(1 for j in cols[:P] if j >= P)
+    images = engine.compose(cols, tuple(w.group.positive_roots()))
+    return sum(1 for r in images if root_sign(r) < 0)
 
 
 # -- plain permutations (symmetric group, diagram of type A) -----------------

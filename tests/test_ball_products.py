@@ -142,7 +142,7 @@ def test_walks_match_compose(name, radius):
             lam = len(products.walk(w_j_w)[0])
             assert lam == len(reference_factorize(folded, exact)[0])
             if lam <= len(word):
-                assert (folded.folded_exchange(word, J, of_word)
+                assert (folded.folded_exchange(word, J, of_word, w)
                         == folded.folded_exchange(
                             word, J, lambda u: product_inv(folded, u)))
     for word in asked:

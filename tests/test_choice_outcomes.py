@@ -12,7 +12,6 @@ check alone.
 instead of canonical words; they must be the extracted lengths.
 """
 
-import dataclasses
 import sys
 
 import pytest
@@ -34,7 +33,7 @@ from coxfold.verify import (
 from coxfold.words import CoxeterGroup
 
 from conftest import entry_by_name
-from oracles import reference_factorize
+from oracles import reference_factorize, replace
 
 RADIUS = 16
 
@@ -57,7 +56,7 @@ _cache: dict = {}
 
 def instance(name):
     """(folded system, fixed elements) as the suite builds them at radius
-    RADIUS; callers work on dataclasses.replace copies, whose memos start
+    RADIUS; callers work on replace copies, whose memos start
     empty."""
     if name not in _cache:
         parsed = parse_input(INSTANCES[name])
@@ -71,7 +70,7 @@ def instance(name):
 
 
 def fresh(folded, **changes):
-    return dataclasses.replace(folded, **changes)
+    return replace(folded, **changes)
 
 
 def sampled_choice_independence(folded, fixed, config):

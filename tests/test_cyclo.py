@@ -456,7 +456,7 @@ def test_mpmath_is_never_imported(tmp_path):
         "from coxfold import cli\n"
         "W = coxfold.CoxeterGroup(coxfold.parse_input("
         "'rank 3\\nm 1 2 3\\nm 2 3 4\\n').matrix)\n"
-        "coxfold.fold(W, [coxfold.Automorphism.identity_of(3)])\n"
+        "coxfold.fold(W, [coxfold.Automorphism((1, 2, 3))])\n"
         "assert (W.ctx.two_cos_pi_over(4) - 1).sign() == 1\n"
         f"assert cli.main(['verify', {str(path)!r}, '--radius', '4']) == 0\n"
         "assert 'mpmath' not in sys.modules\n"

@@ -13,7 +13,6 @@ once, a non-fixed one still raises on every call, and a replaced copy
 starts with a memo of its own.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -25,7 +24,7 @@ from coxfold.verify import enumerate_ball, fixed_subgroup
 from coxfold.words import CoxeterGroup
 
 from conftest import entry_by_name
-from oracles import product_inv, reference_factorize
+from oracles import product_inv, reference_factorize, replace
 
 INSTANCES = {
     # name: (input, ball radius; None enumerates all of W)
@@ -77,7 +76,7 @@ def test_factorize_product_matches_reference(name):
 def test_failing_peel_raises_on_every_call():
     folded, fixed = instance("a5-flip")
     orbit = folded.bar_s[0]
-    broken = dataclasses.replace(
+    broken = replace(
         folded, weight={**folded.weight, orbit: folded.weight[orbit] + 1})
     w = max(fixed, key=lambda e: e.length)
     witnesses = []
@@ -99,7 +98,7 @@ def test_replaced_copy_starts_with_empty_memo():
     folded.choice_outcomes(fixed[-1].inv_cols)
     assert (folded._steps and folded._products and folded._fixed
             and folded._outcomes)
-    copy = dataclasses.replace(folded)
+    copy = replace(folded)
     for memo in ("_steps", "_products", "_fixed", "_outcomes"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
@@ -108,7 +107,7 @@ def test_replaced_copy_starts_with_empty_memo():
 
 def test_fixedness_is_tested_once_per_element(monkeypatch):
     folded, fixed = instance("tri443-swap")
-    folded = dataclasses.replace(folded)
+    folded = replace(folded)
     calls = []
     real = folding.is_fixed
     monkeypatch.setattr(folding, "is_fixed",

@@ -24,7 +24,6 @@ unbroken.  Every pinned report fails, and together they fail each check
 at least once.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -36,6 +35,7 @@ from coxfold.folding import Automorphism, fold
 from coxfold.verify import CHECK_NAMES, VerifyConfig, property_suite
 from coxfold.words import CoxeterGroup
 
+from oracles import replace
 from test_golden import INPUTS as GOLDEN_INPUTS
 
 INPUTS = {**GOLDEN_INPUTS,
@@ -44,23 +44,22 @@ INPUTS = {**GOLDEN_INPUTS,
 
 def heavier(folded):
     J = folded.bar_s[0]
-    return dataclasses.replace(folded,
-                               weight={**folded.weight, J: folded.weight[J] + 1})
+    return replace(folded, weight={**folded.weight, J: folded.weight[J] + 1})
 
 
 def swapped(folded):
     a, b = folded.bar_s[:2]
     longest = {**folded.longest, a: folded.longest[b], b: folded.longest[a]}
-    return dataclasses.replace(folded, longest=longest)
+    return replace(folded, longest=longest)
 
 
 def relabeled(folded, label=None):
     entries = [list(row) for row in folded.folded_matrix.entries]
     m = entries[0][1] = entries[1][0] = label or entries[0][1] + 1
     first, *rest = folded.details
-    return dataclasses.replace(
+    return replace(
         folded, folded_matrix=CoxeterMatrix(tuple(map(tuple, entries))),
-        details=(dataclasses.replace(first, label=m), *rest))
+        details=(replace(first, label=m), *rest))
 
 
 BREAK = {"weight": heavier, "swap": swapped, "label": relabeled,

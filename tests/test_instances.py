@@ -6,6 +6,7 @@ from coxfold.verify import VerifyConfig, enumerate_ball, fixed_subgroup, propert
 from coxfold.words import CoxeterGroup
 
 from conftest import FLIPS, MATRICES
+from oracles import identity_of
 
 
 def run(matrix, autos, **kw):
@@ -21,7 +22,7 @@ def test_h3_trivial_automorphism():
     h3 = CoxeterMatrix.from_labels(3, {(1, 2): 5, (2, 3): 3})
     group = CoxeterGroup(h3)
     assert (group.ctx.N, group.ctx.degree) == (30, 16)
-    report = run(h3, [Automorphism.identity_of(3)])
+    report = run(h3, [identity_of(3)])
     assert report.folded_summary["type"] == "H3"
     assert report.folded_summary["fixed_subgroup_order"] == 120
 

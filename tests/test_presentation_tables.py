@@ -15,7 +15,6 @@ None, or two rows swapped.
 in the edge table.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -27,6 +26,8 @@ from coxfold.folding import Automorphism, fold
 from coxfold.verify import (DEFAULT_INFINITE_RADIUS, VerifyConfig,
                             generated_ball, presentation_check)
 from coxfold.words import CoxeterGroup
+
+from oracles import replace
 
 # the verify instances of the benchmark, run at radius 16
 BENCHMARK = {
@@ -153,7 +154,7 @@ def tampered(ball, rng):
     else:
         a, b = rng.sample(range(n), 2)
         edges[a], edges[b] = edges[b], edges[a]
-    return dataclasses.replace(ball, edges=edges)
+    return replace(ball, edges=edges)
 
 
 # the cases whose abstract ball is built apart from the generated ball

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -118,7 +117,7 @@ def test_e6_runs_build_elements_only_for_kept_words(monkeypatch):
 
 def test_fixed_subgroup_trivial_gamma(group_of):
     ball = enumerate_ball(group_of("a3"))
-    assert len(fixed_subgroup(ball, [Automorphism.identity_of(3)])) == 24
+    assert len(fixed_subgroup(ball, [oracles.identity_of(3)])) == 24
 
 
 @pytest.mark.parametrize(
@@ -191,7 +190,7 @@ def test_presentation_catches_wrong_matrix(group_of):
     # feed the checker a deliberately wrong folded matrix: must fail
     W = group_of("a3")
     folded = fold(W, [FLIPS["a3"]])
-    wrong = dataclasses.replace(
+    wrong = oracles.replace(
         folded,
         folded_matrix=CoxeterMatrix.from_labels(2, {(1, 2): 3}),
     )
@@ -212,8 +211,8 @@ def test_dihedral_check_catches_wrong_label(group_of):
     W = group_of("a3")
     folded = fold(W, [FLIPS["a3"]])
     (detail,) = folded.details
-    wrong = dataclasses.replace(
-        folded, details=(dataclasses.replace(detail, label=3),)
+    wrong = oracles.replace(
+        folded, details=(oracles.replace(detail, label=3),)
     )
     res = check_dihedral_pairs(wrong, product_table(wrong))
     assert res.status == "fail"
@@ -242,7 +241,7 @@ def test_suite_reports_broken_system_as_failures(group_of, monkeypatch):
 
     W = group_of("a3")
     real = fold(W, [FLIPS["a3"]])
-    broken = dataclasses.replace(
+    broken = oracles.replace(
         real, weight={**real.weight, frozenset({1, 3}): 1}
     )
     monkeypatch.setattr(verify_module, "fold", lambda g, a: broken)
@@ -260,7 +259,7 @@ def test_direct_check_reports_broken_system_as_failure(group_of):
     # broken folded system into a failing result with its witness
     W = group_of("a3")
     real = fold(W, [FLIPS["a3"]])
-    broken = dataclasses.replace(
+    broken = oracles.replace(
         real, weight={**real.weight, frozenset({1, 3}): 1}
     )
     res = verify.check_minimal_additivity(broken, VerifyConfig(),
@@ -289,7 +288,7 @@ def test_suite_invalid_automorphism_skips(group_of):
 
 
 def test_suite_trivial_gamma_b3(group_of):
-    rep = property_suite(group_of("b3"), [Automorphism.identity_of(3)])
+    rep = property_suite(group_of("b3"), [oracles.identity_of(3)])
     assert rep.passed
     assert rep.folded_summary["type"] == "B3"
     assert rep.folded_summary["weights"] == [1, 1, 1]
@@ -407,7 +406,7 @@ def test_presentation_check_h4_identity():
     # |W| = 14400: 207M candidate pairs, which used to be listed in full
     h4 = CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
     W = CoxeterGroup(h4)
-    folded = fold(W, [Automorphism.identity_of(4)])
+    folded = fold(W, [oracles.identity_of(4)])
     gen = generated_ball(W, [folded.longest[J] for J in folded.bar_s], None)
     res = presentation_check(folded, gen, VerifyConfig())
     assert res.status == "pass", res.witness
