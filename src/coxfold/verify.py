@@ -29,7 +29,7 @@ import json
 import random
 from array import array
 from bisect import bisect_right
-from functools import cached_property, reduce, wraps
+from functools import reduce, wraps
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -57,9 +57,9 @@ SUBSET_CAP = 4096           # exhaustive subset checks up to this many
 # on bytes keys (E6, 51,840 elements) and 14 on automaton states (the
 # (4,4,3) triangle group at radius 16 and 18), by tracemalloc.
 NODE_CAP = 200_000
-# A ball holds no words, but Ball.words and the fixed elements spell them,
-# 8 bytes a letter, and I2(inf) under `auto id` fixes every element, so a
-# ball is capped in letters too.  A finite W spells |W| l(w_0) / 2 letters
+# A ball holds no words, but the fixed elements spell them, 8 bytes a
+# letter, and I2(inf) under `auto id` fixes every element, so a ball is
+# capped in letters too.  A finite W spells |W| l(w_0) / 2 letters
 # (lengths are symmetric about l(w_0)/2).  Over the W the node cap admits
 # (|W| <= NODE_CAP, phi(2N) <= DEGREE_CAP) that is largest for A2 x I2(90)
 # x I2(90): 194,400 * 183 / 2 = 17,787,600.  The least multiple of NODE_CAP
@@ -107,8 +107,7 @@ class Ball:
     Node 0 is e, and node i spells the word of the earlier node
     ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
     the root indices of w^-1(alpha_t) as bytes, or the ShortLex automaton
-    state its word reaches.  ``words`` and ``elements`` are built when
-    read."""
+    state its word reaches."""
 
     def __init__(self, group: CoxeterGroup, keys: list):
         self.group = group
@@ -126,14 +125,6 @@ class Ball:
             word.append(self.letters[i])
             i = self.parents[i]
         return tuple(reversed(word))
-
-    @cached_property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self.spell, range(len(self))))
-
-    @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        return _elements(self, range(len(self)))
 
 
 def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
@@ -620,8 +611,12 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
     for _ in range(TRIALS):
         k = rng.randint(0, 6)
         word = [folded.bar_s[rng.randrange(len(folded.bar_s))] for _ in range(k)]
-        seq, length = folded._factorize_inv(
-            products.of_word(word), source=[sorted(J) for J in word])
+        try:
+            seq, length = folded._factorize_inv(
+                products.of_word(word), source=[sorted(J) for J in word])
+        except InvariantViolation as err:
+            raise CheckFailed({"trials": TRIALS, "minimal_hits": hits},
+                              err.witness) from err
         if len(seq) != k:
             continue
         hits += 1
@@ -715,7 +710,10 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                  for _ in range(SAMPLE_PAIRS)]
         exhaustive = False
     stats = {"pairs": len(pairs), "exhaustive": exhaustive}
-    lam = [folded.lambda_length(w) for w in fixed]
+    try:
+        lam = [folded.lambda_length(w) for w in fixed]
+    except InvariantViolation as err:
+        raise CheckFailed(stats, err.witness) from err
     factors = [products.at(w.inv_cols) for w in fixed]
     for i, j in pairs:
         seq, letters = products.walk(products.product(factors[i], factors[j]))
@@ -781,7 +779,10 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
                               {"problem": "generated element is not fixed"})
     radius = gen_ball.radius
     for w in fixed:
-        lam = folded.lambda_length(w)
+        try:
+            lam = folded.lambda_length(w)
+        except InvariantViolation as err:
+            raise CheckFailed(sizes, err.witness) from err
         if radius is not None and lam > radius:
             continue
         if w.inv_cols not in gen_ball.key_index:

@@ -27,13 +27,14 @@ is.
 
 Next to the engine, built on first use, is the table of the finitely many
 elementary roots (Brink and Howlett): the simple roots closed under the
-exact ``reflect``, the one place where roots are closed.  It walks reduced
-words without arithmetic: it drives the ShortLex automaton that lists the
-balls of an infinite W (and of a finite W of rank 1 or over 256 roots),
-the exchange walk that tests fixedness on words, and, for every W, the
-exchange property (``exchange``) and the greedy walk up by non-descents
-(``_grow``) that builds longest elements and probes finiteness.  The
-root table of a finite W is read off it: every positive root is elementary.
+simple reflections on plain integer coefficients (``_root_closure``), the
+one place where roots are closed.  It walks reduced words without
+arithmetic: it drives the ShortLex automaton that lists the balls of an
+infinite W (and of a finite W of rank 1 or over 256 roots), the exchange
+walk that tests fixedness on words, and, for every W, the exchange
+property (``exchange``) and the greedy walk up by non-descents (``_grow``)
+that builds longest elements and probes finiteness.  The root table of a
+finite W is read off it: every positive root is elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent
@@ -176,12 +177,25 @@ class CoxeterGroup:
         when s(beta_i) dominates alpha_s, and otherwise the index of
         s(beta_i); the entries of the other generators are None.
 
-        This is the one closure under the exact reflect.  An image is looked
-        up first; a listed root is elementary, so its step is never BIG, and
-        only an image not listed yet needs a sign test.
+        The one closure of roots, on the integer coefficients of the
+        coordinates: s sets coordinate s to -beta_s + sum_t c_st beta_t,
+        where a rational c_st (labels 3 and inf) is an int and any other
+        costs one convolution.  A listed image is elementary, so its step
+        is never BIG; only a new one needs a sign test, read off the integer
+        when the value is rational.  Roots become CycloReal at the end.
         """
         subset = sorted(set(subset))
-        roots = [self.simple_root(s) for s in subset]
+        ctx = self.ctx
+        zero, size = ctx.zero.coeffs, 2 * ctx.degree - 1
+        # (t - 1, c_st as an int, or as its nonzero (power, coefficient) pairs)
+        terms = [None] * (self.rank + 1)
+        for s in subset:
+            terms[s] = []
+            for t in self._nbrs[s]:
+                c = self._coeff[s][t].coeffs
+                terms[s].append((t - 1, [(p, a) for p, a in enumerate(c) if a]
+                                 if any(c[1:]) else c[0]))
+        roots = [tuple(x.coeffs for x in self.simple_root(s)) for s in subset]
         index = {r: i for i, r in enumerate(roots)}
         step = []
         for i, beta in enumerate(roots):  # grows while it is read
@@ -190,17 +204,37 @@ class CoxeterGroup:
                 if i == k:
                     row[s] = NEG
                     continue
-                img = self.reflect(s, beta)
+                old = beta[s - 1]
+                new, wide = [-a for a in old], None
+                for t, c in terms[s]:
+                    b = beta[t]
+                    if b == zero:
+                        continue
+                    if c.__class__ is int:
+                        new = [a + c * x for a, x in zip(new, b)]
+                        continue
+                    wide = wide or [0] * size
+                    for p, a in c:
+                        for q, x in enumerate(b, p):
+                            wide[q] += a * x
+                if wide:
+                    new = [a + x for a, x in zip(new, ctx._reduce(wide))]
+                img = (*beta[:s - 1], tuple(new), *beta[s:])
                 j = index.get(img)
                 if j is None:
-                    # s(beta) = beta - 2B(beta, alpha_s) alpha_s
-                    if (beta[s - 1] - img[s - 1] + 2).sign() <= 0:
+                    # s(beta) = beta - 2B(beta, alpha_s) alpha_s, and the
+                    # step is BIG when 2 + 2B(beta, alpha_s) <= 0
+                    two = [a - x for a, x in zip(old, new)]
+                    two[0] += 2
+                    if (CycloReal(ctx, tuple(two)).sign() if any(two[1:])
+                            else two[0]) <= 0:
                         j = BIG
                     else:
                         j = index[img] = len(roots)
                         roots.append(img)
                 row[s] = j
             step.append(tuple(row))
+        roots = [tuple(CycloReal(ctx, c) for c in r) for r in roots]
         return roots, step
 
     def _check_finite(self, subset, roots, step) -> None:

@@ -34,7 +34,7 @@ import math
 from collections import deque
 
 from coxfold.folding import Automorphism, InvariantViolation
-from coxfold.verify import Ball, _levels
+from coxfold.verify import Ball, _elements, _levels
 from coxfold.words import _RootTable, root_sign
 
 
@@ -49,6 +49,16 @@ def replace(obj, **changes):
     params = inspect.signature(type(obj)).parameters
     args = {name: getattr(obj, name) for name in params if name not in changes}
     return type(obj)(**args, **changes)
+
+
+def ball_words(ball):
+    """The canonical word of every node of a ball, in node order."""
+    return tuple(map(ball.spell, range(len(ball))))
+
+
+def ball_elements(ball):
+    """The element of every node of a ball, in node order."""
+    return _elements(ball, range(len(ball)))
 
 
 def identity_of(rank):

@@ -23,7 +23,8 @@ from coxfold.verify import (
     presentation_check,
 )
 from conftest import FLIPS, entry_by_name
-from oracles import inversion_count, product_inv, reference_factorize
+from oracles import (ball_elements, inversion_count, product_inv,
+                     reference_factorize)
 
 
 @contextmanager
@@ -193,7 +194,7 @@ def test_criterion_6_word_engine(group_of):
         # length equals inversion count, exhaustively
         for name in ("a3", "b3"):
             W = group_of(name)
-            for w in enumerate_ball(W).elements:
+            for w in ball_elements(enumerate_ball(W)):
                 assert w.length == inversion_count(w)
 
         # exchange condition, exhaustively on groups of order <= 48
@@ -202,7 +203,7 @@ def test_criterion_6_word_engine(group_of):
             W = group_of(name)
             ball = enumerate_ball(W)
             assert len(ball) <= 48
-            for w in ball.elements:
+            for w in ball_elements(ball):
                 for s in W.left_descents(w):
                     i = W.exchange(w.word, s)
                     dropped = w.word[:i - 1] + w.word[i:]

@@ -412,7 +412,7 @@ def test_matmul_matches_scalar_products(name):
     build, radius = KERNEL_GROUPS[name]
     W = build()
     ctx = W.ctx
-    actions = [w.inv_cols for w in enumerate_ball(W, radius).elements]
+    actions = [w.inv_cols for w in oracles.ball_elements(enumerate_ball(W, radius))]
     if name == "tri237":
         assert ctx.degree == 24
     rng = random.Random(name)

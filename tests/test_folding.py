@@ -20,6 +20,7 @@ from coxfold.words import CoxeterGroup
 from conftest import FLIPS, MATRICES
 from oracles import (
     apply_element,
+    ball_elements,
     apply_word,
     generator_index,
     identity_of,
@@ -171,7 +172,7 @@ def test_is_fixed_agrees_with_letterwise_application(group_of):
     # the action-permutation shortcut must agree with mapping the word
     W = group_of("a3")
     gamma = FLIPS["a3"]
-    for w in enumerate_ball(W).elements:
+    for w in ball_elements(enumerate_ball(W)):
         direct = apply_element(gamma, w) == w
         assert is_fixed(w, [gamma]) == direct
 
@@ -218,7 +219,7 @@ def test_factorize_random_choice_same_count(group_of, a3_fold):
     W = group_of("a3")
     fs = a3_fold
     rng = random.Random(17)
-    for w in enumerate_ball(W).elements:
+    for w in ball_elements(enumerate_ball(W)):
         if not fs.is_fixed(w):
             continue
         base = len(fs.greedy_factorize(w))

@@ -7,19 +7,25 @@ reference below is the walk on the engine itself: left descents from
 same letters on every subset, and give up (None) at the same step bound;
 finite groups run on the root table, infinite ones on exact matrices.
 
-The elementary-root table is the one closure under the exact
-reflections; it looks each image up before it tests a sign.  The
-reference closure below tests a sign on every root and generator that
-do not commute; both must give the same roots, in the same order, with
-the same table.  For a finite W the root table is read off that table,
-since every positive root is elementary; its permutations must be those
-of the reflections on the reference roots and their negatives.
+The elementary-root table is the one closure of roots.  It runs on the
+integer coefficients of the coordinates and looks each image up before
+it tests a sign.  The reference closure below runs on CycloReal
+coordinates under the matrix engine's `reflect` and tests a sign on
+every root and generator that do not commute; both must give the same
+roots, in the same order, with the same table, on named groups (among
+them H4 and the six benchmark verify instances) and on seeded random
+matrices.  For a finite W the root table is read off that table, since
+every positive root is elementary; its permutations must be those of the
+reflections on the reference roots and their negatives.
 """
+
+import random
 
 import pytest
 
+from coxfold import cyclo
 from coxfold.coxeter import CoxeterMatrix, classify_finite
-from coxfold.cyclo import INF
+from coxfold.cyclo import INF, CycloReal, degree_problem, label_lcm
 from coxfold.verify import GREEDY_CAP, _greedy_probe
 from coxfold.words import BIG, NEG, CoxeterGroup
 
@@ -76,6 +82,22 @@ def test_grow_matches_engine_walk(name):
     assert infinite_seen == (classify_finite(W.matrix, W.generators()) is None)
 
 
+def random_matrices(count, seed=0):
+    """Seeded matrices of rank 2 to 5 over the labels 2, 3, 4, 5, 6, 7, 8,
+    12 and inf, those whose field fits the degree cap."""
+    rng = random.Random(seed)
+    labels = (2, 3, 4, 5, 6, 7, 8, 12, INF)
+    out = {}
+    while len(out) < count:
+        rank = rng.randint(2, 5)
+        matrix = CoxeterMatrix.from_labels(rank, {
+            (i, j): rng.choice(labels)
+            for i in range(1, rank + 1) for j in range(i + 1, rank + 1)})
+        if degree_problem(label_lcm(matrix)) is None:
+            out[f"random-{len(out)}"] = matrix
+    return out
+
+
 CLOSURE_GROUPS = {
     **GROUPS,
     "e6": CoxeterMatrix.from_labels(
@@ -84,6 +106,7 @@ CLOSURE_GROUPS = {
     "534": CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 4}),
     "hyperbolic4": CoxeterMatrix.from_labels(4, {
         (1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 3): 6, (2, 4): INF, (3, 4): 5}),
+    **random_matrices(40),
 }
 
 
@@ -132,3 +155,25 @@ def test_elementary_table_matches_reference_closure(name):
     index = {r: i for i, r in enumerate(phi)}
     assert W._engine._perms == [()] + [
         tuple(index[W.reflect(s, r)] for r in phi) for s in W.generators()]
+
+
+@pytest.mark.parametrize("name", ["h4", "tri237", "hyperbolic4", "e6"])
+def test_closure_does_not_reflect(monkeypatch, name):
+    def reflect(*args):
+        raise AssertionError("the closure called reflect")
+
+    monkeypatch.setattr(CoxeterGroup, "reflect", reflect)
+    W = CoxeterGroup(CLOSURE_GROUPS[name])
+    assert len(W._elementary.roots) >= W.rank
+
+
+def test_simply_laced_closure_needs_no_enclosure(monkeypatch):
+    # every value on E6 is rational, so no sign goes to an enclosure; an
+    # empty sign memo keeps a cached sign from hiding one
+    def enclosure(self, *, prec):
+        raise AssertionError("the closure evaluated an enclosure")
+
+    monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
+    monkeypatch.setattr(CycloReal, "_interval_value", enclosure)
+    W = CoxeterGroup(CLOSURE_GROUPS["e6"])
+    assert len(W._elementary.roots) == 36

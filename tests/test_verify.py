@@ -41,7 +41,7 @@ def test_ball_counts_full(group_of):
     assert len(enumerate_ball(group_of("a2"))) == 6
     ball = enumerate_ball(group_of("a3"))
     assert len(ball) == 24 and ball.complete
-    assert ball.elements[-1].length == 6
+    assert oracles.ball_elements(ball)[-1].length == 6
     assert len(enumerate_ball(group_of("b2"))) == 8
     assert len(enumerate_ball(group_of("d4"))) == 192
 
@@ -66,18 +66,18 @@ def test_ball_radius_on_finite_group_completes_early(group_of):
 
 def test_ball_order_and_uniqueness(group_of):
     ball = enumerate_ball(group_of("b3"))
-    words = [w.word for w in ball.elements]
+    words = [w.word for w in oracles.ball_elements(ball)]
     assert words == sorted(words, key=lambda u: (len(u), u))
     assert len(set(words)) == len(words)
     # closed under inverse when complete
-    keys = {w.inv_cols for w in ball.elements}
-    for w in ball.elements:
+    keys = {w.inv_cols for w in oracles.ball_elements(ball)}
+    for w in oracles.ball_elements(ball):
         assert w.cols in keys  # the key of w^-1
 
 
 def test_ball_matches_permutation_oracle(group_of):
     ball = enumerate_ball(group_of("a3"))
-    perms = {oracles.word_to_perm(4, w.word) for w in ball.elements}
+    perms = {oracles.word_to_perm(4, w.word) for w in oracles.ball_elements(ball)}
     assert len(perms) == 24
 
 
@@ -177,7 +177,7 @@ def test_generated_ball_level_profile(group_of):
         assert len(gen) == len(ball)
         assert ({W._extract_word(a): level
                  for a, level in zip(gen.actions, gen.levels)}
-                == {word: len(word) for word in ball.words})
+                == {word: len(word) for word in oracles.ball_words(ball)})
 
 
 def test_presentation_affine_radius6(group_of):
@@ -256,7 +256,8 @@ def test_suite_reports_broken_system_as_failures(group_of, monkeypatch):
 
 def test_direct_check_reports_broken_system_as_failure(group_of):
     # outside the suite too, a check turns an InvariantViolation from a
-    # broken folded system into a failing result with its witness
+    # broken folded system into a failing result with its witness and the
+    # statistics it had gathered
     W = group_of("a3")
     real = fold(W, [FLIPS["a3"]])
     broken = oracles.replace(
@@ -265,7 +266,8 @@ def test_direct_check_reports_broken_system_as_failure(group_of):
     res = verify.check_minimal_additivity(broken, VerifyConfig(),
                                           product_table(broken))
     assert (res.name, res.status, res.statistics) == (
-        "minimal-words-length-additive", "fail", {})
+        "minimal-words-length-additive", "fail",
+        {"trials": verify.TRIALS, "minimal_hits": 1})
     assert res.witness["check"] == "factorize"
 
 
