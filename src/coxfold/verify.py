@@ -2,14 +2,16 @@
 
 The enumeration side never consults the folding machinery.  A ball is a
 prefix tree of canonical ShortLex words.  On the root table of a finite W
-with at most 256 roots it comes from a breadth-first search keyed by the
-bytes of w^-1(alpha_t), and fixedness is tested on those keys; on any
-other W it comes from the ShortLex automaton on the elementary roots, and
-fixedness is tested by the exchange walk on words.  Either way only the
-fixed nodes are spelled and built as elements, and counting them builds
-none.  The generated fixed subgroup is explored by plain right
-multiplication with dedup on the exact action of w^-1, and that walk is
-the product table of the checks that multiply fixed elements (_Products).
+of rank 2 or more it comes from a breadth-first search keyed by the root
+indices of w^-1(alpha_t), as bytes when there are at most 256 roots and
+as str otherwise, and fixedness is tested on those keys; on an infinite W,
+or one of rank 0 or 1, it comes from the ShortLex automaton on the
+elementary roots, and fixedness is tested by the exchange walk on words.
+Either way only the fixed nodes are spelled and built as elements, and
+counting them builds none.  The generated fixed subgroup is explored by
+plain right multiplication with dedup on the exact action of w^-1, and
+that walk is the product table of the checks that multiply fixed elements
+(_Products); an exhaustive pair check reads it one row per left factor.
 The folding side meets the oracle side only in the comparisons, so a
 passing report actually certifies something.
 
@@ -30,7 +32,7 @@ import random
 from array import array
 from bisect import bisect_right
 from functools import reduce, wraps
-from itertools import accumulate
+from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -106,8 +108,9 @@ class Ball:
 
     Node 0 is e, and node i spells the word of the earlier node
     ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
-    the root indices of w^-1(alpha_t) as bytes, or the ShortLex automaton
-    state its word reaches."""
+    the root indices of w^-1(alpha_t), one byte each when there are at
+    most 256 roots and one str character each otherwise, or the ShortLex
+    automaton state its word reaches."""
 
     def __init__(self, group: CoxeterGroup, keys: list):
         self.group = group
@@ -136,12 +139,15 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     increasing order, and append w s when it is a new normal form, so
     level k+1 comes out in ShortLex order.
 
-    Root table of rank 2 or more with at most 256 roots: the key of w s is
-    one bytes.translate of the key of w by the permutation of s, since
-    (w s)^-1 = s w^-1.  w s lies in level k-1 or k+1, and is new when its
-    key is in neither level k-1 nor the part of level k+1 found so far.
-    So y of length k+1 is first reached from the least pair (NF(y s), s)
-    over its right descents s, and NF(y s) s is its ShortLex normal form.
+    Root table of rank 2 or more: the key of w s is one translate of the
+    key of w by the permutation of s, since (w s)^-1 = s w^-1.  Keys are
+    bytes when every root index fits in one byte, and str past 256 roots,
+    one code point per root index: where both fit, bytes walk the E6 ball
+    about 1.6 times as fast.  w s lies in level k-1 or k+1, and is new
+    when its key is in neither level k-1 nor the part of level k+1 found
+    so far.  So y of length k+1 is first reached from the least pair
+    (NF(y s), s) over its right descents s, and NF(y s) s is its ShortLex
+    normal form.
 
     A node w = u t, t its last letter, skips s = t and every s < t with
     m(s, t) = 2, and no skipped w s is new, by induction along the walk:
@@ -151,8 +157,8 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     found or skipped.  So the walk appends what the unpruned walk appends,
     in the same order, and the dedup set still rejects the rest.
 
-    Any other W (the matrix engine, over 256 roots, rank 0 or 1) takes the
-    ShortLex automaton on the elementary roots, which does no arithmetic.
+    Any other W (the matrix engine, rank 0 or 1) takes the ShortLex
+    automaton on the elementary roots, which does no arithmetic.
     """
     order = coxeter_order(group.matrix, group.generators())
     if order is None:
@@ -163,9 +169,7 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
             raise NodeCapExceeded(
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
             )
-    engine = group._engine
-    if (isinstance(engine, _RootTable) and group.rank > 1
-            and 2 * engine.npos <= 256):
+    if isinstance(group._engine, _RootTable) and group.rank > 1:
         return _image_ball(group, radius)
     return _shortlex_ball(group, radius)
 
@@ -191,14 +195,25 @@ def _levels(ball: Ball, radius: int | None):
                      == coxeter_order(group.matrix, group.generators()))
 
 
+def _translation(perm: Sequence[int], key):
+    """The translate table of a root permutation for keys of this key's
+    type: 256 bytes for bytes keys, and for str keys one character per
+    root, since str.translate takes any sequence indexed by code point."""
+    if isinstance(key, bytes):
+        return bytes(perm).ljust(256, b"\0")
+    return [chr(p) for p in perm]
+
+
 def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
-    tables = [bytes(perm).ljust(256, b"\0")        # bytes.translate tables
-              for perm in group._engine._perms]
+    first = bytes(range(group.rank))                # alpha_t is root t-1
+    if 2 * group._engine.npos > 256:
+        first = first.decode()
+    tables = [_translation(perm, first) for perm in group._engine._perms]
     m = group.matrix.m
     steps = [[(s, tables[s]) for s in group.generators()   # by last letter
               if s != t and not (s < t and m(s, t) == 2)]
              for t in range(group.rank + 1)]
-    ball = Ball(group, [bytes(range(group.rank))])   # alpha_t is root t-1
+    ball = Ball(group, [first])
     parents, letters, keys = ball.parents, ball.letters, ball.keys
     for prev, start in _levels(ball, radius):
         seen = set(keys[prev:start])
@@ -215,16 +230,23 @@ def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
 
 
 def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
+    """The ball walked on the ShortLex automaton: a node's successors are
+    the (letter, state) pairs of its state, listed once per state reached,
+    so a node costs one lookup plus one append per successor."""
     row = group._elementary.shortlex_row
+    succ: dict[int, list] = {}      # state -> its (letter, successor) pairs
     ball = Ball(group, [0])
     parents, letters, keys = ball.parents, ball.letters, ball.keys
     for _, start in _levels(ball, radius):
         for i in range(start, len(keys)):
-            for s, q in enumerate(row(keys[i])):
-                if q is not None:
-                    parents.append(i)
-                    letters.append(s)
-                    keys.append(q)
+            steps = succ.get(q := keys[i])
+            if steps is None:
+                steps = succ[q] = [(s, r) for s, r in enumerate(row(q))
+                                   if r is not None]
+            for s, r in steps:
+                parents.append(i)
+                letters.append(s)
+                keys.append(r)
     return ball
 
 
@@ -248,34 +270,39 @@ def _elements(ball: Ball, nodes) -> tuple[Element, ...]:
 
 def fixed_nodes(ball: Ball, autos: Sequence[Automorphism]) -> list[int]:
     """Indices of the ball's nodes fixed by every automorphism generator,
-    tested one automorphism at a time.  Nothing is spelled on bytes keys.
+    tested one automorphism at a time.  Nothing is spelled on root keys.
 
-    gamma fixes w exactly when it fixes w^-1.  Bytes keys test
-    g[w^-1(alpha_t)] = w^-1(alpha_gamma(t)) for every t, with g the
+    gamma fixes w exactly when it fixes w^-1.  Root keys (bytes or str)
+    test g[w^-1(alpha_t)] = w^-1(alpha_gamma(t)) for every t, with g the
     permutation of gamma on the roots.  The equation at t = 1 compares one
-    byte with one byte and runs first: it is one of the equations, so a
-    node that fails it is not fixed, and the full test decides every node
-    that passes it.  Automaton states test a node's word with the exchange
-    walk on the elementary roots, but only when gamma leaves its state
-    stable, as every fixed word's state is.
+    root index with one (a byte, or a character through ord) and runs
+    first: it is one of the equations, so a node that fails it is not
+    fixed, and the full test decides every node that passes it.  Automaton
+    states test a node's word with the exchange walk on the elementary
+    roots, but only when gamma leaves its state stable, as every fixed
+    word's state is.
     """
     group, keys = ball.group, ball.keys
     nodes = range(len(ball))
     for gamma in autos:
-        if isinstance(keys[0], bytes):
-            # rank >= 2, so moved gives a tuple
-            perm = group._engine._gamma_perm(gamma.images)
-            g = bytes(perm).ljust(256, b"\0")
-            moved = itemgetter(*(t - 1 for t in gamma.images))
-            c = gamma.images[0] - 1
-            nodes = [i for i in nodes
-                     if g[(key := keys[i])[0]] == key[c]
-                     and key.translate(g) == bytes(moved(key))]
-        else:
+        if isinstance(keys[0], int):
             table, g = group._elementary, gamma.images
             stable = table.stable_states(g)
             nodes = [i for i in nodes
                      if keys[i] in stable and table.fixes(g, ball.spell(i))]
+            continue
+        g = _translation(group._engine._gamma_perm(gamma.images), keys[0])
+        # rank >= 2, so moved gives a tuple
+        moved = itemgetter(*(t - 1 for t in gamma.images))
+        c = gamma.images[0] - 1
+        if isinstance(keys[0], bytes):
+            nodes = [i for i in nodes
+                     if g[(key := keys[i])[0]] == key[c]
+                     and key.translate(g) == bytes(moved(key))]
+        else:
+            nodes = [i for i in nodes
+                     if g[ord((key := keys[i])[0])] == key[c]
+                     and key.translate(g) == "".join(moved(key))]
     return list(nodes)
 
 
@@ -329,6 +356,33 @@ class GeneratedBall:
             if i is None:
                 return None
         return i
+
+    def closure(self, nodes) -> tuple[dict, list]:
+        """The ancestor closure of some nodes, in index order, for row:
+        (position of each node in it, (parent position, generator) of each
+        node after the identity)."""
+        parents = self.parents
+        closed = {0}
+        for b in nodes:
+            while b not in closed:
+                closed.add(b)
+                b = parents[b][0]
+        order = sorted(closed)
+        pos = {b: q for q, b in enumerate(order)}
+        return pos, [(pos[parents[b][0]], parents[b][1]) for b in order[1:]]
+
+    def row(self, i: int, steps) -> list:
+        """Indices of x_i * x_b over an ancestor-closed set of nodes b in
+        index order, one edge per node: the b after the identity are given
+        by steps, (position of b's parent in the set, generator).  A prefix
+        of the ball is such a set, and its steps are its parents.  An entry
+        is None where product(i, b) meets a truncated edge."""
+        edges = self.edges
+        row = [i]
+        for p, k in steps:
+            r = row[p]
+            row.append(None if r is None else edges[r][k])
+        return row
 
 
 def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
@@ -416,6 +470,24 @@ class _Products:
                 return z, self.ball.actions[z]
         return None, self.compose(y[1], x[1])
 
+    def rows(self, factors: Sequence[tuple]):
+        """The rows x y of every pair of factors, x-major, as product gives
+        them.  Each row with x on the ball is one edge per node of the
+        ancestor closure of the y on the ball (no more than the walks of
+        product), and is dropped once the next row starts."""
+        ball, actions = self.ball, self.ball.actions
+        pos, steps = ball.closure(y[0] for y in factors if y[0] is not None)
+        at = [None if y[0] is None else pos[y[0]] for y in factors]
+        for x in factors:
+            if x[0] is None:
+                yield [self.product(x, y) for y in factors]
+                continue
+            row = ball.row(x[0], steps)
+            yield [(z, actions[z]) if q is not None
+                   and (z := row[q]) is not None
+                   else (None, self.compose(y[1], x[1]))
+                   for q, y in zip(at, factors)]
+
     def walk(self, x: tuple) -> tuple:
         """(orbits, letters) of the folded walk of x, memoized per node."""
         if x[0] is None:
@@ -426,7 +498,11 @@ class _Products:
 
     def of_word(self, orbit_word: Sequence[frozenset]):
         """Inverse action of the product of an orbit word."""
-        return reduce(self.times, orbit_word, self.identity)[1]
+        return self.word(orbit_word)[1]
+
+    def word(self, orbit_word: Sequence[frozenset]) -> tuple:
+        """The factor of the product of an orbit word."""
+        return reduce(self.times, orbit_word, self.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +679,9 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
                              products: _Products) -> dict:
     """Random orbit words whose length is already minimal must have
     weights summing exactly to the length of their product, an edge walk
-    from e on the product table."""
+    from e on the product table, factorized by its memoized folded walk.
+    A walk that raises runs again with the orbit word as its source, for
+    the witness."""
     if not folded.bar_s:
         return {"trials": 0, "minimal_hits": 0}
     rng = _rng(config, "minimal-additivity")
@@ -611,9 +689,13 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
     for _ in range(TRIALS):
         k = rng.randint(0, 6)
         word = [folded.bar_s[rng.randrange(len(folded.bar_s))] for _ in range(k)]
+        x = products.word(word)
         try:
-            seq, length = folded._factorize_inv(
-                products.of_word(word), source=[sorted(J) for J in word])
+            try:
+                seq, length = products.walk(x)
+            except InvariantViolation:
+                seq, length = folded._factorize_inv(
+                    x[1], source=[sorted(J) for J in word])
         except InvariantViolation as err:
             raise CheckFailed({"trials": TRIALS, "minimal_hits": hits},
                               err.witness) from err
@@ -697,9 +779,9 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                               config: VerifyConfig, products: _Products) -> dict:
     """l restricts to a weight function on W^Gamma: for fixed w and w',
     l(w w') = l(w) + l(w') exactly when lambda(w w') = lambda(w) +
-    lambda(w').  Every pair up to PAIR_CAP, else SAMPLE_PAIRS seeded draws;
-    each product comes from the product table, its l and lambda from the
-    memoized folded walk."""
+    lambda(w').  Every pair up to PAIR_CAP, one row of the product table
+    per left factor, else SAMPLE_PAIRS seeded draws; each product's l and
+    lambda come from its memoized folded walk."""
     n = len(fixed)
     if n * n <= PAIR_CAP:
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -715,9 +797,14 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
     except InvariantViolation as err:
         raise CheckFailed(stats, err.witness) from err
     factors = [products.at(w.inv_cols) for w in fixed]
-    for i, j in pairs:
-        seq, letters = products.walk(products.product(factors[i], factors[j]))
-        l_add = letters == fixed[i].length + fixed[j].length
+    length = [w.length for w in fixed]
+    if exhaustive:
+        zs = (z for row in products.rows(factors) for z in row)
+    else:
+        zs = (products.product(factors[i], factors[j]) for i, j in pairs)
+    for (i, j), z in zip(pairs, zs):
+        seq, letters = products.walk(z)
+        l_add = letters == length[i] + length[j]
         if l_add != (lam_add := len(seq) == lam[i] + lam[j]):
             raise CheckFailed(
                 stats,
@@ -843,8 +930,10 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     their BFS edge tables, plus the length-transfer biconditional on
     element pairs.
 
-    Pair products come from GeneratedBall.product: a candidate pair has
-    levels[i] + levels[j] <= radius, so its walk never leaves the ball.
+    Pair products come from GeneratedBall.row over the candidates of each
+    i when they are all tested, else from GeneratedBall.product: a
+    candidate pair has levels[i] + levels[j] <= radius, so its walk never
+    leaves the ball.
     Lengths come from `fixed` or from the memoized folded walk (_length);
     canonical words are built only for a failure witness."""
     group = folded.group
@@ -905,8 +994,13 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
     stats["pairs"] = len(candidates)
     stats["pairs_exhaustive"] = exhaustive
-    for i, j in candidates:
-        lam_z = gen_ball.product(i, j)
+    if exhaustive:      # the j of each i are a prefix: one row over it
+        lam_zs = (z for i, js in groupby(candidates, itemgetter(0))
+                  for z in gen_ball.row(i, islice(gen_ball.parents, 1,
+                                                  sum(1 for _ in js))))
+    else:
+        lam_zs = (gen_ball.product(i, j) for i, j in candidates)
+    for (i, j), lam_z in zip(candidates, lam_zs):
         if lam_z is None:
             raise CheckFailed(stats,
                               {"problem": "product left the generated ball"})

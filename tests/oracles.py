@@ -6,8 +6,8 @@ the Cayley graph or from inversion counting, and group elements are bare
 tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
 
-The exceptions are reference_factorize, product_inv and
-reference_image_ball.  The first peels a fixed element with the engine's
+The exceptions are reference_factorize, product_inv and the two
+reference ball walks.  The first peels a fixed element with the engine's
 descent test and right multiplication, as the folded factorization is
 defined, but without any of FoldedSystem's memos.  product_inv multiplies
 an orbit word with the engine's compose, one letter at a time, where the
@@ -15,6 +15,9 @@ property suite reads its products off the generated ball.
 reference_image_ball is the bytes-keyed ball walk of
 coxfold.verify before its last-letter rule: every node tries every
 generator, and the dedup set alone rejects what is not new.
+reference_shortlex_ball is the automaton walk of coxfold.verify before its
+successor lists: every node scans its state's whole row of the ShortLex
+automaton.
 
 The diagram references read a matrix only through m(s, t) and rank; they
 are the hand-written walks that the shared neighbour-list routines of
@@ -273,6 +276,22 @@ def reference_image_ball(group, radius=None):
                     parents.append(i)
                     letters.append(s)
                     keys.append(y)
+    return ball
+
+
+def reference_shortlex_ball(group, radius=None):
+    """The ball walked on the ShortLex automaton of the elementary roots,
+    each node appending every successor its state's row lists."""
+    row = group._elementary.shortlex_row
+    ball = Ball(group, [0])
+    parents, letters, keys = ball.parents, ball.letters, ball.keys
+    for _, start in _levels(ball, radius):
+        for i in range(start, len(keys)):
+            for s, q in enumerate(row(keys[i])):
+                if q is not None:
+                    parents.append(i)
+                    letters.append(s)
+                    keys.append(q)
     return ball
 
 

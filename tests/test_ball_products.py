@@ -10,6 +10,15 @@ pair of the length-additivity check must be the oracle's, on every golden
 input at radius 5 (bounded balls that many products leave) and on the six
 benchmark verify instances at radius 16.
 
+The exhaustive pair checks read their products from one transient row
+per left factor: GeneratedBall.row over a prefix of the ball (the
+presentation check) or over the ancestor closure of the right factors'
+nodes (the additivity check, through _Products.rows).  Every row entry
+must be GeneratedBall.product, None on a truncated edge included, on the
+same inputs and on the rank-4 hyperbolic input under `auto id` at radius
+3, where most fixed pairs leave the ball.  And a row must take no more
+edge steps than the walks it replaces.
+
 Two more pins: the additivity and minimal-word checks make no compose at
 all on the affine A2 flip at radius 16, where every product they take lies
 in the ball; and three reports whose products often leave the ball keep
@@ -70,6 +79,8 @@ def suite_parts(text, radius):
 def case_text(name):
     if name.startswith("bench:"):
         return BENCH_INSTANCES[name[len("bench:"):]]
+    if name == "hyperbolic-id":
+        return HYPERBOLIC_ID
     return GOLDEN_INPUTS[name]
 
 
@@ -147,6 +158,77 @@ def test_walks_match_compose(name, radius):
                             word, J, lambda u: product_inv(folded, u)))
     for word in asked:
         assert products.of_word(word) == product_inv(folded, word)
+
+
+@pytest.mark.parametrize("name,radius", CASES + [("hyperbolic-id", 3)])
+def test_rows_match_product(name, radius):
+    folded, fixed, gen_ball = suite_parts(case_text(name), radius)
+    n = len(gen_ball)
+    # over the whole ball, a prefix as the presentation check reads it
+    for i in range(n):
+        assert (gen_ball.row(i, gen_ball.parents[1:])
+                == [gen_ball.product(i, j) for j in range(n)]), i
+    # over the ancestor closure of the fixed elements' nodes
+    products = _Products(folded, gen_ball)
+    factors = [products.at(w.inv_cols) for w in fixed]
+    nodes = [x[0] for x in factors if x[0] is not None]
+    pos, steps = gen_ball.closure(nodes)
+    # in index order, and ancestor-closed
+    assert list(pos) == sorted(pos) and set(nodes) <= set(pos)
+    assert all(gen_ball.parents[b][0] in pos for b in pos if b)
+    for i in range(n):
+        row = gen_ball.row(i, steps)
+        assert ([row[pos[b]] for b in nodes]
+                == [gen_ball.product(i, b) for b in nodes]), i
+    # the rows of the additivity check, factors off the ball included
+    left = 0
+    for x, row in zip(factors, products.rows(factors), strict=True):
+        assert row == [products.product(x, y) for y in factors], x
+        left += sum(z[0] is None for z in row)
+    if name == "hyperbolic-id":
+        assert (left, len(fixed) ** 2) == (2052, 2704)
+
+
+def count_edge_steps(gen_ball):
+    """Make gen_ball count the edges it reads: steps(call) is the number
+    that call reads."""
+    count = [0]
+
+    class Row(list):
+        def __getitem__(self, k):
+            count[0] += 1
+            return list.__getitem__(self, k)
+
+    def steps(call):
+        count[0] = 0
+        call()
+        return count[0]
+
+    gen_ball.edges = [Row(r) for r in gen_ball.edges]
+    return steps
+
+
+@pytest.mark.parametrize("name,radius", [("bench:tri443-swap", 16),
+                                         ("hyperbolic-id", 4)])
+def test_rows_take_no_more_steps_than_walks(name, radius):
+    # a bounded ball, and right factors on its last two levels, whose
+    # walks share most of their edges; a row takes each of those once
+    _, _, gen_ball = suite_parts(case_text(name), radius)
+    assert not gen_ball.complete
+    steps = count_edge_steps(gen_ball)
+    n, levels = len(gen_ball), gen_ball.levels
+    deep = [b for b in range(n) if levels[b] >= levels[-1] - 1]
+    _, closure = gen_ball.closure(deep)
+    rows = walks = 0
+    for i in range(n):
+        row = steps(lambda: gen_ball.row(i, closure))
+        walk = steps(lambda: [gen_ball.product(i, b) for b in deep])
+        assert row <= walk, i
+        rows, walks = rows + row, walks + walk
+        # the prefix rows of the presentation check
+        assert (steps(lambda: gen_ball.row(i, gen_ball.parents[1:]))
+                <= steps(lambda: [gen_ball.product(i, j) for j in range(n)]))
+    assert rows < walks
 
 
 def test_checks_make_no_compose_inside_the_ball(monkeypatch):

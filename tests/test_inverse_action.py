@@ -8,23 +8,27 @@ the inverse action with mapping the word letterwise.  Both engines are
 covered: table groups a5, d4 and h3, and matrix-engine groups affine A~2,
 the (4,4,3) triangle group, I2(inf), and b3 on the matrix engine.
 
-enumerate_ball walks a root-table W of rank 2 or more with at most 256
-roots on bytes keys, the root indices of w^-1(alpha_t), and takes the
-first discovery of each element; it walks the ShortLex automaton of the
-elementary roots on any other W.  Either way a plain BFS, deduplicated on
-the action and with words from normal-form extraction, must list the same
-words.  The boundary cases I2(120) x I2(8), with exactly 256 roots, and
-I2(120) x I2(10), with 260, take one walk each.  The bytes walk skips the
-successors its last-letter rule shows are not new, and must append the
-same keys, parents and letters as the walk that tries every generator,
-on seeded random finite W, reducible ones included, and on relabelled E6
-and D4, whole and at radius 1 to 3.  fixed_nodes and fixed_subgroup test
-those keys, or the words with the exchange walk, and must keep exactly
-the nodes that the engine's fixedness test keeps over the whole ball,
-for every diagram automorphism and for all of them together: on the root
-table against the table's own test, and on infinite W against the matrix
-engine.  There it walks only the words whose automaton state the
-automorphism leaves stable, and every fixed word's state is stable.
+enumerate_ball walks a root-table W of rank 2 or more on keys that list
+the root indices of w^-1(alpha_t), and takes the first discovery of each
+element; it walks the ShortLex automaton of the elementary roots on any
+other W.  Either way a plain BFS, deduplicated on the action and with
+words from normal-form extraction, must list the same words.  The keys
+are bytes up to 256 roots and str past them: I2(120) x I2(8), with
+exactly 256 roots, keeps bytes, and I2(120) x I2(10) and I2(120) x
+I2(30), with 260 and 300, take str.  The automaton walk lists each
+state's successors once, and must append the same states, parents and
+letters as the walk that scans the state's whole row, at radius 16 on
+two triangle groups and on I2(inf).  The bytes walk skips the successors
+its last-letter rule shows are not new, and must append the same keys,
+parents and letters as the walk that tries every generator, on seeded
+random finite W, reducible ones included, and on relabelled E6 and D4,
+whole and at radius 1 to 3.  fixed_nodes and fixed_subgroup test those
+keys, bytes or str, or the words with the exchange walk, and must keep
+exactly the nodes that the engine's fixedness test keeps over the whole
+ball, for every diagram automorphism and for all of them together: on
+the root table against the table's own test, and on infinite W against
+the matrix engine.  There it walks only the words whose automaton state
+the automorphism leaves stable, and every fixed word's state is stable.
 Groups of rank 0 and 1 take the automaton.
 """
 
@@ -196,16 +200,19 @@ def test_enumerate_ball_matches_plain_bfs(build, radius):
                                 and 2 * W._engine.npos <= 256)
 
 
-@pytest.mark.parametrize("n,roots,order,walk", [
-    (8, 256, 3840, True),
-    (10, 260, 4800, False),
-], ids=["i2-120x8", "i2-120x10"])
-def test_walk_boundary_at_256_roots(n, roots, order, walk):
-    # the bytes walk needs every root index in one byte
+@pytest.mark.parametrize("n,roots,order,key", [
+    (8, 256, 3840, bytes),
+    (10, 260, 4800, str),
+    (30, 300, 14400, str),
+], ids=["i2-120x8", "i2-120x10", "i2-120x30"])
+def test_walk_boundary_at_256_roots(n, roots, order, key):
+    # bytes keys need every root index in one byte, and stay wherever it
+    # fits, since str keys are slower there; past 256 roots the keys are str
     W = CoxeterGroup(i2_product(120, n))
     assert isinstance(W._engine, _RootTable) and 2 * W._engine.npos == roots
     ball = enumerate_ball(W)
-    assert ball.complete and len(ball) == order and bytes_walk(ball) == walk
+    assert ball.complete and len(ball) == order
+    assert type(ball.keys[0]) is key
     fixed = fixed_subgroup(ball, [SWAP])
     expected = [w for w in oracles.ball_elements(ball) if is_fixed(w, [SWAP])]
     assert [w.word for w in fixed] == [w.word for w in expected]
@@ -309,6 +316,8 @@ IMAGE_CASES = {
     "f4": (lambda: CoxeterGroup(F4), 2),
     "h3": (lambda: CoxeterGroup(H3), 1),
     "e6": (_e6, 2),
+    # str keys: the swap of generators 3 and 4 fixes generator 1
+    "i2-120x10": (lambda: CoxeterGroup(i2_product(120, 10)), 4),
 }
 
 
@@ -317,7 +326,8 @@ def test_image_fixed_set_matches_engine(name):
     build, n_autos = IMAGE_CASES[name]
     W = build()
     ball = enumerate_ball(W)
-    assert isinstance(W._engine, _RootTable) and bytes_walk(ball)
+    assert isinstance(W._engine, _RootTable)
+    assert type(ball.keys[0]) is (str if name == "i2-120x10" else bytes)
     assert ball.complete
     autos = diagram_automorphisms(W.matrix)
     assert len(autos) == n_autos
@@ -347,6 +357,24 @@ def test_ranks_below_two_take_the_automaton(matrix, order):
 
 
 # -- the elementary-root automaton against the matrix engine -------------------
+
+
+@pytest.mark.parametrize("matrix,size", [
+    (TRI443, 12357),
+    (MATRICES["triangle"], 409),
+    (MATRICES["dinf"], 33),
+], ids=["tri443", "affine-a2", "i2inf"])
+def test_shortlex_ball_matches_plain_automaton_walk(matrix, size):
+    # each on a group of its own, so the states are numbered as each walk
+    # first reaches them
+    ball = enumerate_ball(CoxeterGroup(matrix), 16)
+    reference = oracles.reference_shortlex_ball(CoxeterGroup(matrix), 16)
+    assert isinstance(ball.keys[0], int) and len(ball) == size
+    assert ball.keys == reference.keys
+    assert ball.parents == reference.parents
+    assert ball.letters == reference.letters
+    assert not ball.complete and not reference.complete
+
 
 AUTOMATON_CASES = {
     # name: (matrix, radius, |E|, number of diagram automorphisms)
