@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coxeter import classify_finite, coxeter_order, parse_input
+from .coxeter import (
+    classify_finite, coxeter_order, graph_components, parse_input)
 from .folding import Automorphism, fold
 from .verify import (
     DEFAULT_INFINITE_RADIUS,
@@ -150,15 +151,10 @@ def _coset_chain(matrix, autos):
     """(J, K, |W_K| / |W_J|) for a chain of unions of Gamma-orbits from the
     empty set up to S, bottom step first.  It is built from the top, each
     step dropping the orbit that leaves the largest parabolic, so that the
-    index to walk is the least on offer."""
-    orbits = []
-    for s in matrix.generators():
-        if all(s not in orbit for orbit in orbits):
-            orbit, size = {s}, 0
-            while size < len(orbit):
-                size = len(orbit)
-                orbit |= {gamma.images[t - 1] for gamma in autos for t in orbit}
-            orbits.append(orbit)
+    index to walk is the least on offer.  Ties go to the orbit with the
+    smallest member."""
+    orbits = [set(c) for c in graph_components(     # as in folding.orbits
+        {s: [gamma(s) for gamma in autos] for s in matrix.generators()})]
     K = set(matrix.generators())
     order_k = coxeter_order(matrix, K)
     steps = []

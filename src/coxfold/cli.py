@@ -26,7 +26,6 @@ from .coxeter import (
     parse_number,
     type_string,
 )
-from .cyclo import INF
 from .folding import Automorphism, _orbit_str, fold
 from .verify import NodeCapExceeded, VerifyConfig, property_suite
 from .words import CoxeterGroup, parse_word, word_str
@@ -104,10 +103,8 @@ def _fold_from(parsed):
 
 
 def cmd_fold(args) -> int:
-    parsed = _load(args.file)
-    folded = _fold_from(parsed)
+    summary = _fold_from(_load(args.file)).to_dict()
     if args.format == "json":
-        summary = folded.to_dict()
         payload = {
             "orbits": summary["orbits"],
             "dropped_infinite": summary["dropped_infinite"],
@@ -119,33 +116,28 @@ def cmd_fold(args) -> int:
         }
         _emit(json.dumps(payload, indent=2))
         return 0
-    lines = []
-    lines.append("orbits: " + " ".join(_orbit_str(o) for o in folded.orbit_partition))
-    lines.append(
+    lines = [
+        "orbits: " + " ".join(map(_orbit_str, summary["orbits"])),
         "dropped (infinite parabolic): "
-        + (" ".join(_orbit_str(o) for o in folded.dropped) or "none")
-    )
-    for k, J in enumerate(folded.bar_s, start=1):
-        w = folded.longest[J]
+        + (" ".join(map(_orbit_str, summary["dropped_infinite"])) or "none"),
+    ]
+    for k, g in enumerate(summary["generators"], start=1):
         lines.append(
-            f"generator g{k} = orbit {_orbit_str(J)}, "
-            f"longest word {word_str(w.word)}, weight {folded.weight[J]}"
+            f"generator g{k} = orbit {_orbit_str(g['orbit'])}, "
+            f"longest word {word_str(g['word'])}, weight {g['weight']}"
         )
     lines.append("folded matrix:")
-    lines.extend("  " + row for row in str(folded.folded_matrix).splitlines())
-    weights = ", ".join(map(str, folded.ordered_weights()))
-    lines.append(f"folded: {folded.folded_type()}, weights [{weights}]")
-    for d in folded.details:
-        a, b = _orbit_str(d.orbit_a), _orbit_str(d.orbit_b)
-        if d.label == INF:
+    lines.extend("  " + " ".join(map(str, row)) for row in summary["matrix"])
+    weights = ", ".join(map(str, summary["weights"]))
+    lines.append(f"folded: {summary['type']}, weights [{weights}]")
+    for p in summary["pairs"]:
+        a, b = map(_orbit_str, p["orbits"])
+        if p["label"] == "inf":
             lines.append(f"pair ({a},{b}): infinite parabolic union, label inf")
         else:
-            m = int(d.label)
-            lines.append(
-                f"pair ({a},{b}): l(w_K) = {d.longest_length}, "
-                f"L = {d.weight_a} + {d.weight_b}, "
-                f"m = 2*{d.longest_length}/({d.weight_a}+{d.weight_b}) = {m}"
-            )
+            lk, (wa, wb) = p["union_longest_length"], p["weights"]
+            lines.append(f"pair ({a},{b}): l(w_K) = {lk}, L = {wa} + {wb}, "
+                         f"m = 2*{lk}/({wa}+{wb}) = {p['label']}")
     _emit("\n".join(lines))
     return 0
 

@@ -152,8 +152,6 @@ class FoldedSystem:
         # inverse action -> its state (action, left descents, {orbit: peel});
         # see _factorize_inv.
         self._steps: dict = {}
-        # orbit word -> inverse action of its product; see _product_inv.
-        self._products: dict = {}
         # element -> whether every automorphism fixes it; see is_fixed.
         self._fixed: dict = {}
         # id of a memo state -> its outcomes over every choice; see
@@ -184,6 +182,7 @@ class FoldedSystem:
             fixed = self._fixed[w] = is_fixed(w, self.autos)
         return fixed
 
+    # folded_exchange's witness calls this; perfbench/tracing.py patches it.
     def product_of(self, orbit_word: Sequence[frozenset]) -> Element:
         out = self.group.identity
         for orbit in orbit_word:
@@ -193,6 +192,12 @@ class FoldedSystem:
     def _witness(self, **extra) -> dict:
         return self.group._witness(
             automorphisms=[list(g.images) for g in self.autos], **extra)
+
+    def _residual(self, source, seq) -> InvariantViolation:
+        """Raised when a walk ends away from the identity after peeling seq."""
+        return InvariantViolation(
+            "factorize", "residual action is not the identity",
+            self._witness(source=source, factors=[sorted(J) for J in seq]))
 
     # -- factorization over the folded generators ------------------------------
 
@@ -230,11 +235,7 @@ class FoldedSystem:
             seq.append(orbit)
             letters += count
         if inv_cols != self.group._engine.identity:
-            raise InvariantViolation(
-                "factorize", "residual action is not the identity",
-                self._witness(source=source,
-                              factors=[sorted(J) for J in seq]),
-            )
+            raise self._residual(source, seq)
         return seq, letters
 
     def choice_outcomes(self, inv_cols, source=None) -> frozenset:
@@ -278,11 +279,7 @@ class FoldedSystem:
                                for orbits, letters in outcomes[id(after)])
                 if not state[1]:
                     if state[0] != self.group._engine.identity:
-                        raise InvariantViolation(
-                            "factorize", "residual action is not the identity",
-                            self._witness(source=source,
-                                          factors=[sorted(J) for J in seq]),
-                        )
+                        raise self._residual(source, seq)
                     out.add((0, 0))
                 outcomes[id(state)] = frozenset(out)
                 stack.pop()
@@ -357,31 +354,18 @@ class FoldedSystem:
         """Word length of a fixed element over the folded generators."""
         return len(self.greedy_factorize(w))
 
-    def _product_inv(self, orbit_word: Sequence[frozenset]):
-        """Inverse action of a product of folded generators, memoized by
-        prefix: each orbit word not seen before costs one compose per
-        letter past its longest known prefix."""
-        products = self._products
-        word = tuple(orbit_word)
-        k = len(word)
-        while k and word[:k] not in products:
-            k -= 1
-        inv_cols = products.get(word[:k], self.group._engine.identity)
-        compose = self.group._engine.compose
-        # (u w_J)^-1 = w_J^-1 u^-1
-        for j in range(k, len(word)):
-            inv_cols = products[word[:j + 1]] = compose(
-                self.longest[word[j]].inv_cols, inv_cols)
-        return inv_cols
-
+    # Kept only because perfbench/tracing.py patches it by name.
     def factorize_product(self, orbit_word: Sequence[frozenset]):
         """(greedy factor sequence, length) of a product of folded
         generators, computed without materializing the product."""
+        engine = self.group._engine
+        inv_cols = engine.identity
+        for J in orbit_word:    # (u w_J)^-1 = w_J^-1 u^-1
+            inv_cols = engine.compose(self.longest[J].inv_cols, inv_cols)
         return self._factorize_inv(
-            self._product_inv(orbit_word),
-            source=[sorted(J) for J in orbit_word],
-        )
+            inv_cols, source=[sorted(J) for J in orbit_word])
 
+    # Kept only because perfbench/tracing.py patches it by name.
     def lambda_of_product(self, a: Element, b: Element) -> int:
         inv_cols = self.group._engine.compose(b.inv_cols, a.inv_cols)
         seq, _ = self._factorize_inv(inv_cols)
@@ -389,6 +373,7 @@ class FoldedSystem:
 
     # -- folded-level predicates ------------------------------------------------
 
+    # Kept only because perfbench/tracing.py patches it by name.
     def weight_additivity(self, w: Element, wp: Element,
                           lam_w: int | None = None,
                           lam_wp: int | None = None) -> tuple[bool, bool]:
@@ -558,20 +543,11 @@ class FoldedSystem:
 
 
 def folded_type_string(matrix: CoxeterMatrix) -> str:
-    """Type of the folded matrix.
-
-    Rank-2 results are described as dihedral groups where the
-    classification would say B2 (label 4) or nothing (infinite label);
-    labels 3 and >= 5 already classify as A2 and I2(m).
-    """
-    if matrix.rank == 0:
-        return "trivial"
-    if matrix.rank == 2:
-        m = matrix.m(1, 2)
-        if m == INF:
-            return "I2(inf)"
-        if m == 4:
-            return "I2(4)"
+    """Type of the folded matrix: type_string's, except that a rank-2
+    label 4 reads as the dihedral group I2(4), where the classification
+    says B2."""
+    if matrix.rank == 2 and matrix.m(1, 2) == 4:
+        return "I2(4)"
     return type_string(matrix)
 
 
@@ -656,22 +632,17 @@ def fold(group: CoxeterGroup, autos: Sequence[Automorphism]) -> FoldedSystem:
 
     bar_s.sort(key=min)
     n = len(bar_s)
-    entries = [[1.0] * n for _ in range(n)]
+    labels = {}
     details = []
-    for i in range(n):
-        entries[i][i] = 1
     for i in range(n):
         for j in range(i + 1, n):
             m, lk = _folded_order(group, longest, weight, bar_s[i], bar_s[j], witness)
-            entries[i][j] = entries[j][i] = m
+            labels[i + 1, j + 1] = m
             details.append(DihedralDetail(
                 orbit_a=bar_s[i], orbit_b=bar_s[j], label=m,
                 longest_length=lk,
                 weight_a=weight[bar_s[i]], weight_b=weight[bar_s[j]],
             ))
-    folded_matrix = CoxeterMatrix(tuple(
-        tuple(INF if v == INF else int(v) for v in row) for row in entries
-    ))
     return FoldedSystem(
         group=group,
         autos=autos,
@@ -680,6 +651,6 @@ def fold(group: CoxeterGroup, autos: Sequence[Automorphism]) -> FoldedSystem:
         dropped=tuple(dropped),
         longest=longest,
         weight=weight,
-        folded_matrix=folded_matrix,
+        folded_matrix=CoxeterMatrix.from_labels(n, labels),
         details=tuple(details),
     )

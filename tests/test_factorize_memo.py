@@ -1,8 +1,7 @@
 """Differential tests for the memoized factorization of FoldedSystem.
 
 `_factorize_inv` memoizes the descents of each inverse action it reaches
-and each orbit peel that passed its checks, and `_product_inv` the inverse
-action of each orbit-word prefix.  The references (oracles.py's
+and each orbit peel that passed its checks.  The references (oracles.py's
 reference_factorize and product_inv) peel and multiply without any memo,
 exactly as the factorization is defined, and must agree with
 `greedy_factorize` and `factorize_product` on every fixed element and on
@@ -96,10 +95,9 @@ def test_replaced_copy_starts_with_empty_memo():
         folded.greedy_factorize(w)
     folded.factorize_product(folded.bar_s * 2)
     folded.choice_outcomes(fixed[-1].inv_cols)
-    assert (folded._steps and folded._products and folded._fixed
-            and folded._outcomes)
+    assert folded._steps and folded._fixed and folded._outcomes
     copy = replace(folded)
-    for memo in ("_steps", "_products", "_fixed", "_outcomes"):
+    for memo in ("_steps", "_fixed", "_outcomes"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
     assert copy == folded  # the memos take no part in equality

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxfold.coxeter import parse_input
+from coxfold.catalog import CATALOG
+from coxfold.coxeter import CoxeterMatrix, parse_input, type_string
 from coxfold.cyclo import INF
 from coxfold.folding import (
     Automorphism,
     InvariantViolation,
     fold,
+    folded_type_string,
     is_fixed,
     orbits,
     validate_automorphism,
@@ -147,6 +149,27 @@ def test_fold_e6_weights(group_of):
               [Automorphism(i) for _, i in parsed.autos])
     assert fs.folded_type() == "F4"
     assert fs.ordered_weights() == (2, 2, 1, 1)
+
+
+def test_folded_type_is_type_string_but_for_label_four():
+    # the one rule the folded namer adds: a rank-2 label 4 is I2(4), not B2
+    dihedral = [CoxeterMatrix(((1, m), (m, 1))) for m in [*range(2, 13), INF]]
+    assert [folded_type_string(m) for m in dihedral[1:4]] == [
+        "A2", "I2(4)", "I2(5)"]
+    assert folded_type_string(dihedral[-1]) == "I2(inf)"
+    assert folded_type_string(CoxeterMatrix(())) == "trivial"
+    folded = []
+    for entry in CATALOG:
+        parsed = parse_input(entry.input_text)
+        fm = fold(CoxeterGroup(parsed.matrix),
+                  [Automorphism(i) for _, i in parsed.autos]).folded_matrix
+        assert folded_type_string(fm) == entry.folded_type
+        folded.append(fm)
+    for m in [CoxeterMatrix(()), CoxeterMatrix(((1,),)), *dihedral, *folded]:
+        if m.rank == 2 and m.m(1, 2) == 4:
+            assert folded_type_string(m) == "I2(4)" != type_string(m) == "B2"
+        else:
+            assert folded_type_string(m) == type_string(m), m.entries
 
 
 def test_fold_rejects_invalid_automorphism(group_of):

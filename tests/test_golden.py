@@ -4,7 +4,9 @@ The digests pin the exact reports of the eight fast catalog rows, of
 H3 with the identity automorphism, whose presentation pairs are sampled
 (120^2 candidate pairs is over the exhaustive cap), and of the (4,4,3)
 triangle group with its swap, whose field has N = 12 and whose balls are
-bounded (`verify --radius 8`).  Any change to a payload, its key order, a
+bounded (`verify --radius 8`).  The `fold` of mixed-dropped prints a
+dropped orbit beside kept generators and a pair, which no catalog row
+does.  Any change to a payload, its key order, a
 statistic or a seeded draw shows up here.
 """
 
@@ -19,6 +21,8 @@ from coxfold.catalog import CATALOG
 INPUTS = {e.name: e.input_text for e in CATALOG if not e.slow}
 INPUTS["h3-id"] = "rank 3\nm 1 2 5\nm 2 3 3\nauto id\n"
 INPUTS["tri443-swap"] = "rank 3\nm 1 2 4\nm 1 3 4\nm 2 3 3\nauto swap 2>3 3>2\n"
+INPUTS["mixed-dropped"] = ("rank 4\nm 1 2 inf\nm 1 3 3\nm 2 3 3\nm 3 4 3\n"
+                           "auto flip 1>2 2>1\nauto id\n")
 
 # arguments after the file, by input and command
 EXTRA = {("tri443-swap", "verify"): ("--radius", "8")}
@@ -64,6 +68,8 @@ GOLDEN = {
     ("tri443-swap", "fold", "json"): "224c414c430b67c53e108b6900e4490c33e2bfab89dbaaad8f4a44dfd09975ec",
     ("tri443-swap", "verify", "text"): "6e66f8b9dc67c23e48489adeffaca6e6cf1179d34c0d0f42b7d7d894a18e5389",
     ("tri443-swap", "verify", "json"): "e741c6e151972b4b8ee821546c8e627205dc3c22d35299bd9c74c1293e1248b3",
+    ("mixed-dropped", "fold", "text"): "0a2dba86cbc83f40641232afc0be7eaa92b7c9a78dac8ca20bfe77ef6e3ac173",
+    ("mixed-dropped", "fold", "json"): "0559d3db055e6374efcc52f31e0706d6435484796b0db76ef5536ef32f34f165",
 }
 
 
