@@ -4,19 +4,19 @@ Each entry carries its input in the plain file format, the expected folded
 type and weights, and the expected fixed-subgroup size.  Running an entry
 recomputes everything and counts the fixed subgroup by brute force, so a
 "match" row means the folding construction and the oracle agree.  A finite
-W is counted over a chain of parabolics stable under the automorphisms:
-each w in W_K is uniquely u x with u in W_J and x a minimal coset
-representative (Bjorner and Brenti, GTM 231, Prop. 2.4.4), and a walk of
-those representatives must reach the index the classification gives.
-Infinite rows compare radius-bounded balls instead of total counts.
+W is counted on the coset chain that `verify` lists W^Gamma on: each w in
+W_K is uniquely u x with u in W_J and x a minimal coset representative
+(Bjorner and Brenti, GTM 231, Prop. 2.4.4), and each walk must reach the
+index the classification gives.  Infinite rows compare radius-bounded
+balls instead of total counts.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coxeter import (
-    classify_finite, coxeter_order, graph_components, parse_input)
+from .coxeter import classify_finite, parse_input
+from .cosets import coset_walks
 from .folding import Automorphism, fold
 from .verify import (
     DEFAULT_INFINITE_RADIUS,
@@ -124,74 +124,15 @@ class CatalogRow(NamedTuple):
 
 
 def finite_fixed_count(group: CoxeterGroup, autos) -> int:
-    """|W^Gamma| for a finite W by brute force over minimal coset
-    representatives; -1 when a walk disagrees with the classification.
-
-    For J a subset of K, every w in W_K is uniquely u x with u in W_J and
-    x in ^J W_K, the x in W_K with no left descent in J (Bjorner and
-    Brenti, GTM 231, Prop. 2.4.4).  Every gamma preserves length, so for
-    Gamma-stable J and K it maps W_J and ^J W_K onto themselves, and by
-    uniqueness it fixes w exactly when it fixes u and x.  So over a chain
-    of Gamma-stable parabolics from the empty set up to S, |W^Gamma| is the
-    product of each step's fixed representatives.  Each step's walk must
-    find exactly the index |W_K| / |W_J| the classification gives.
-    """
+    """|W^Gamma| for a finite W by brute force: the product, over the
+    coset chain, of each step's fixed minimal representatives; -1 when a
+    walk disagrees with the classification."""
     count = 1
-    for J, K, index in _coset_chain(group.matrix, autos):
-        reps = _min_coset_reps(group, J, K, index)
+    for _, _, index, reps in coset_walks(group, autos):
         if len(reps) != index:
             return -1  # the walk disagrees with the classification
-        fixes = group._engine.fixes
-        count *= sum(all(fixes(gamma.images, key) for gamma in autos)
-                     for key in reps)
+        count *= len(fixed_nodes(reps, autos))
     return count
-
-
-def _coset_chain(matrix, autos):
-    """(J, K, |W_K| / |W_J|) for a chain of unions of Gamma-orbits from the
-    empty set up to S, bottom step first.  It is built from the top, each
-    step dropping the orbit that leaves the largest parabolic, so that the
-    index to walk is the least on offer.  Ties go to the orbit with the
-    smallest member."""
-    orbits = [set(c) for c in graph_components(     # as in folding.orbits
-        {s: [gamma(s) for gamma in autos] for s in matrix.generators()})]
-    K = set(matrix.generators())
-    order_k = coxeter_order(matrix, K)
-    steps = []
-    while orbits:
-        orders = [coxeter_order(matrix, K - orbit) for orbit in orbits]
-        drop = orders.index(max(orders))
-        J = K - orbits.pop(drop)
-        steps.append((J, K, order_k // orders[drop]))
-        K, order_k = J, orders[drop]
-    return reversed(steps)
-
-
-def _min_coset_reps(group: CoxeterGroup, J, K, index: int) -> list:
-    """Keys of ^J W_K on the root table, at most index + 1 of them: the
-    images w^-1(alpha_t), t in S, which determine w.
-
-    The walk starts at e and right-multiplies by the letters of K, since
-    (w s)^-1(alpha_t) = s(w^-1(alpha_t)).  It drops every node with a left
-    descent s in J, a negative w^-1(alpha_s): a prefix of a minimal
-    representative is minimal, so every one is reached through minimal
-    nodes only."""
-    table = group._engine
-    npos = table.npos
-    perms = [table._perms[s] for s in sorted(K)]
-    descents = [s - 1 for s in J]
-    reps = [tuple(range(group.rank))]       # alpha_t is root t-1
-    seen = set(reps)
-    for key in reps:
-        for perm in perms:
-            y = tuple(map(perm.__getitem__, key))
-            if y not in seen:
-                seen.add(y)
-                if all(y[j] < npos for j in descents):
-                    reps.append(y)
-                    if len(reps) > index:
-                        return reps
-    return reps
 
 
 def run_entry(entry: CatalogEntry) -> CatalogRow:

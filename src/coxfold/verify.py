@@ -4,14 +4,16 @@ The enumeration side never consults the folding machinery.  A ball is a
 prefix tree of canonical ShortLex words.  On the root table of a finite W
 of rank 2 or more it comes from a breadth-first search keyed by the root
 indices of w^-1(alpha_t), as bytes when there are at most 256 roots and
-as str otherwise, and fixedness is tested on those keys; on an infinite W,
-or one of rank 0 or 1, it comes from the ShortLex automaton on the
-elementary roots, and fixedness is tested by the exchange walk on words.
-Either way only the fixed nodes are spelled and built as elements, and
-counting them builds none.  The generated fixed subgroup is explored by
-plain right multiplication with dedup on the exact action of w^-1, and
-that walk is the product table of the checks that multiply fixed elements
-(_Products); an exhaustive pair check reads it one row per left factor.
+as str otherwise, and fixedness is one engine test per key; on an
+infinite W, or one of rank 0 or 1, it comes from the ShortLex automaton
+on the elementary roots, and fixedness is tested by the exchange walk on
+words.  Either way only the fixed nodes are spelled and built as
+elements, and counting them builds none.  A finite W under a nontrivial
+Gamma takes its fixed set from the coset chain (coxfold.cosets) instead.
+The generated fixed subgroup is explored by plain right multiplication
+with dedup on the exact action of w^-1, and that walk is the product
+table of the checks that multiply fixed elements (_Products); an
+exhaustive pair check reads it one row per left factor.
 The folding side meets the oracle side only in the comparisons, so a
 passing report actually certifies something.
 
@@ -36,6 +38,7 @@ from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from . import cosets
 from .coxeter import CoxeterMatrix, classify_finite, coxeter_order
 from .cyclo import INF
 from .folding import (
@@ -55,9 +58,9 @@ SAMPLE_PAIRS = 300          # sampled pairs beyond the cap
 EXCHANGE_LAMBDA_CAP = 4     # folded exchange tested up to this length
 GREEDY_CAP = 512            # step bound for the greedy finiteness probe
 SUBSET_CAP = 4096           # exhaustive subset checks up to this many
-# hard bound on enumerated nodes.  A ball holds about 53 bytes per element
-# on bytes keys (E6, 51,840 elements) and 14 on automaton states (the
-# (4,4,3) triangle group at radius 16 and 18), by tracemalloc.
+# hard bound on enumerated nodes and coset-chain products.  A ball holds
+# about 53 bytes per element on bytes keys (E6, 51,840 elements) and 14 on
+# automaton states ((4,4,3) triangle group, radius 16 and 18), by tracemalloc.
 NODE_CAP = 200_000
 # A ball holds no words, but the fixed elements spell them, 8 bytes a
 # letter, and I2(inf) under `auto id` fixes every element, so a ball is
@@ -94,8 +97,8 @@ class VerifyConfig:
 
 
 class NodeCapExceeded(ValueError):
-    """An enumeration would hold more than NODE_CAP elements, or a ball
-    more than LETTER_CAP letters."""
+    """An enumeration or the coset chain would hold more than NODE_CAP
+    elements, or a ball more than LETTER_CAP letters."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +198,25 @@ def _levels(ball: Ball, radius: int | None):
                      == coxeter_order(group.matrix, group.generators()))
 
 
-def _translation(perm: Sequence[int], key):
-    """The translate table of a root permutation for keys of this key's
-    type: 256 bytes for bytes keys, and for str keys one character per
-    root, since str.translate takes any sequence indexed by code point."""
-    if isinstance(key, bytes):
-        return bytes(perm).ljust(256, b"\0")
-    return [chr(p) for p in perm]
-
-
-def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
+def _image_ball(group: CoxeterGroup, radius: int | None, K=None, J=(),
+                 cap: float = float("inf")) -> Ball:
+    """The key walk of enumerate_ball by the letters of K (default S),
+    dropping nodes with a left descent in J and stopping past cap nodes.
+    With J in K that is ^J W_K: prefixes of minimal coset representatives
+    are minimal, and a left descent s in J of w is one of every longer w t,
+    since l(s w t) <= l(s w) + 1 < l(w t)."""
     first = bytes(range(group.rank))                # alpha_t is root t-1
-    if 2 * group._engine.npos > 256:
-        first = first.decode()
-    tables = [_translation(perm, first) for perm in group._engine._perms]
+    neg, perms = group._engine.npos, group._engine._perms  # index of -beta_0
+    if 2 * neg > 256:   # str.translate takes a sequence indexed by code point
+        first, neg = first.decode(), chr(neg)
+        tables = [[chr(p) for p in perm] for perm in perms]
+    else:
+        tables = [bytes(perm).ljust(256, b"\0") for perm in perms]
     m = group.matrix.m
-    steps = [[(s, tables[s]) for s in group.generators()   # by last letter
-              if s != t and not (s < t and m(s, t) == 2)]
+    steps = [[(s, tables[s]) for s in sorted(K or group.generators())
+              if s != t and not (s < t and m(s, t) == 2)]  # by last letter
              for t in range(group.rank + 1)]
+    drop = [s - 1 for s in J]
     ball = Ball(group, [first])
     parents, letters, keys = ball.parents, ball.letters, ball.keys
     for prev, start in _levels(ball, radius):
@@ -223,9 +227,13 @@ def _image_ball(group: CoxeterGroup, radius: int | None) -> Ball:
                 y = key.translate(table)
                 if y not in seen:
                     seen.add(y)
+                    if drop and max(y[j] for j in drop) >= neg:
+                        continue
                     parents.append(i)
                     letters.append(s)
                     keys.append(y)
+                    if len(keys) > cap:
+                        return ball
     return ball
 
 
@@ -269,40 +277,25 @@ def _elements(ball: Ball, nodes) -> tuple[Element, ...]:
 
 
 def fixed_nodes(ball: Ball, autos: Sequence[Automorphism]) -> list[int]:
-    """Indices of the ball's nodes fixed by every automorphism generator,
-    tested one automorphism at a time.  Nothing is spelled on root keys.
-
-    gamma fixes w exactly when it fixes w^-1.  Root keys (bytes or str)
-    test g[w^-1(alpha_t)] = w^-1(alpha_gamma(t)) for every t, with g the
-    permutation of gamma on the roots.  The equation at t = 1 compares one
-    root index with one (a byte, or a character through ord) and runs
-    first: it is one of the equations, so a node that fails it is not
-    fixed, and the full test decides every node that passes it.  Automaton
-    states test a node's word with the exchange walk on the elementary
-    roots, but only when gamma leaves its state stable, as every fixed
-    word's state is.
-    """
+    """Indices of the ball's nodes fixed by every automorphism generator
+    other than the identity, tested one at a time.  gamma fixes w exactly
+    when it fixes w^-1: the root table tests a root key (bytes or str) as
+    the action of w^-1, and nothing is spelled.  Automaton states test a
+    node's word with the exchange walk on the elementary roots, but only
+    when gamma leaves its state stable, as every fixed word's state is."""
     group, keys = ball.group, ball.keys
     nodes = range(len(ball))
     for gamma in autos:
+        g = gamma.images
+        if g == tuple(group.generators()):
+            continue
         if isinstance(keys[0], int):
-            table, g = group._elementary, gamma.images
+            table = group._elementary
             stable = table.stable_states(g)
             nodes = [i for i in nodes
                      if keys[i] in stable and table.fixes(g, ball.spell(i))]
-            continue
-        g = _translation(group._engine._gamma_perm(gamma.images), keys[0])
-        # rank >= 2, so moved gives a tuple
-        moved = itemgetter(*(t - 1 for t in gamma.images))
-        c = gamma.images[0] - 1
-        if isinstance(keys[0], bytes):
-            nodes = [i for i in nodes
-                     if g[(key := keys[i])[0]] == key[c]
-                     and key.translate(g) == bytes(moved(key))]
         else:
-            nodes = [i for i in nodes
-                     if g[ord((key := keys[i])[0])] == key[c]
-                     and key.translate(g) == "".join(moved(key))]
+            nodes = [i for i in nodes if group._engine.fixes(g, keys[i])]
     return list(nodes)
 
 
@@ -843,7 +836,7 @@ def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
 @_check("generated-subgroup-matches-fixed-set")
 def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
                                   fixed: Sequence[Element],
-                                  w_ball: Ball) -> dict:
+                                  finite_w: bool) -> dict:
     """The subgroup spanned by the folded generators is the fixed set.
 
     Full balls: exact set equality of action keys.  Bounded balls: every
@@ -853,7 +846,7 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
     fixed_keys = {w.inv_cols for w in fixed}
     gen_keys = set(gen_ball.key_index)
     sizes = {"generated": len(gen_keys), "fixed": len(fixed_keys)}
-    if w_ball.complete and gen_ball.complete:
+    if finite_w and gen_ball.complete:
         if gen_keys != fixed_keys:
             raise CheckFailed(sizes, {"generated_size": len(gen_keys),
                                       "fixed_size": len(fixed_keys)})
@@ -1059,8 +1052,12 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
                               f"over the node cap {NODE_CAP}")
     radius = DEFAULT_INFINITE_RADIUS if config.radius is None else config.radius
     finite_w = classify_finite(group.matrix, group.generators()) is not None
-    ball = enumerate_ball(group, None if finite_w else radius)
-    fixed = fixed_subgroup(ball, autos)
+    identity = Automorphism(tuple(group.generators()))
+    if finite_w and set(autos) - {identity}:
+        fixed = cosets.fixed_elements(group, autos)
+    else:   # a trivial Gamma fixes the whole ball, with no test
+        ball = enumerate_ball(group, None if finite_w else radius)
+        fixed = fixed_subgroup(ball, autos)
     gen_ball = generated_ball(group, [folded.longest[J] for J in folded.bar_s],
                               radius if folded_order is None else None,
                               folded_order)
@@ -1075,7 +1072,7 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
         check_dihedral_pairs(folded, products),
         check_additivity_transfer(folded, fixed, config, products),
         check_folded_exchange(folded, fixed, products),
-        check_generated_matches_fixed(folded, gen_ball, fixed, ball),
+        check_generated_matches_fixed(folded, gen_ball, fixed, finite_w),
         presentation_check(folded, gen_ball, config, fixed),
     ]
     summary = folded.to_dict()

@@ -595,6 +595,8 @@ class _RootTable:
 
     def fixes(self, images, cols):
         # gamma w = w gamma on the simple roots, which determine both sides
+        if isinstance(cols, str):   # a ball's key: root indices as code points
+            cols = [*map(ord, cols)]
         g = self._gamma_perm(images)
         return all(g[cols[i]] == cols[t - 1] for i, t in enumerate(images))
 

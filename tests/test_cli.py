@@ -165,15 +165,31 @@ def test_verify_deterministic_output(capsys, a3_file):
     assert (rc1, out1) == (rc2, out2)
 
 
-def test_verify_over_node_cap_exits_2(capsys, tmp_path):
-    # A8 has 9! = 362880 elements, over the node cap; refused before enumeration
+A8 = "rank 8\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 8))
+
+
+def test_verify_finite_group_over_node_cap_passes_under_its_flip(capsys,
+                                                                 tmp_path):
+    # A8 has 9! = 362880 elements, over the node cap, but its fixed set
+    # B4 has 384, and the coset chain lists them without walking W
     p = tmp_path / "a8.cox"
-    p.write_text("rank 8\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 8))
-                 + "auto flip 1>8 8>1 2>7 7>2 3>6 6>3 4>5 5>4\n")
+    p.write_text(A8 + "auto flip 1>8 8>1 2>7 7>2 3>6 6>3 4>5 5>4\n")
+    rc, out, err = run_cli(capsys, "verify", str(p))
+    assert (rc, err) == (0, "")
+    assert "fixed_elements=384" in out
+    assert out.endswith("result: all checks passed\n")
+
+
+def test_verify_over_node_cap_exits_2(capsys, tmp_path):
+    # under the identity the folded group is A8 itself, over the node cap;
+    # refused before any walk
+    p = tmp_path / "a8-id.cox"
+    p.write_text(A8 + "auto id\n")
     rc, out, err = run_cli(capsys, "verify", str(p))
     assert rc == 2
     assert out == ""
-    assert err == "the group has 362880 elements, over the node cap 200000\n"
+    assert err == ("the folded group has 362880 elements, "
+                   "over the node cap 200000\n")
 
 
 def test_verify_folded_group_over_node_cap_exits_2(capsys, tmp_path):

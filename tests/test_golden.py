@@ -6,7 +6,10 @@ H3 with the identity automorphism, whose presentation pairs are sampled
 triangle group with its swap, whose field has N = 12 and whose balls are
 bounded (`verify --radius 8`).  The `fold` of mixed-dropped prints a
 dropped orbit beside kept generators and a pair, which no catalog row
-does.  Any change to a payload, its key order, a
+does.  The `verify` of the A7 and E6 flips pins the sampled branch of
+length-additivity-transfer on a finite W (384 and 1152 fixed elements);
+they are kept out of INPUTS, which the failure goldens and the
+ball-product tests run too.  Any change to a payload, its key order, a
 statistic or a seeded draw shows up here.
 """
 
@@ -23,6 +26,12 @@ INPUTS["h3-id"] = "rank 3\nm 1 2 5\nm 2 3 3\nauto id\n"
 INPUTS["tri443-swap"] = "rank 3\nm 1 2 4\nm 1 3 4\nm 2 3 3\nauto swap 2>3 3>2\n"
 INPUTS["mixed-dropped"] = ("rank 4\nm 1 2 inf\nm 1 3 3\nm 2 3 3\nm 3 4 3\n"
                            "auto flip 1>2 2>1\nauto id\n")
+
+SAMPLED_INPUTS = {
+    "a7-flip": ("rank 7\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 7))
+                + "auto flip 1>7 7>1 2>6 6>2 3>5 5>3\n"),
+    "e6-flip": next(e.input_text for e in CATALOG if e.name == "e6-flip"),
+}
 
 # arguments after the file, by input and command
 EXTRA = {("tri443-swap", "verify"): ("--radius", "8")}
@@ -70,12 +79,16 @@ GOLDEN = {
     ("tri443-swap", "verify", "json"): "e741c6e151972b4b8ee821546c8e627205dc3c22d35299bd9c74c1293e1248b3",
     ("mixed-dropped", "fold", "text"): "0a2dba86cbc83f40641232afc0be7eaa92b7c9a78dac8ca20bfe77ef6e3ac173",
     ("mixed-dropped", "fold", "json"): "0559d3db055e6374efcc52f31e0706d6435484796b0db76ef5536ef32f34f165",
+    ("a7-flip", "verify", "text"): "1be367998e42fa53a5aaa47e477caff7a72a1e43ae1b6628bc01b817aa28563f",
+    ("a7-flip", "verify", "json"): "f79aa37407325de141e2edbb2948a89bc86e69a2b36b2fc140cfc79b87f6b6ea",
+    ("e6-flip", "verify", "text"): "0bfe9ce3d493a49bd9583e42cbab5b46f40535e3c1fe4778cea4cbdae1ab2e8f",
+    ("e6-flip", "verify", "json"): "c67d7ecce2a5e8f3bd4e3da5a7d360f0a7352578cd991bba02355a32ad2c27e1",
 }
 
 
 def run_cli(capsys, tmp_path, name, *argv):
     path = tmp_path / (name + ".cox")
-    path.write_text(INPUTS[name])
+    path.write_text({**INPUTS, **SAMPLED_INPUTS}[name])
     rc = cli.main([argv[0], str(path), *argv[1:]])
     return rc, capsys.readouterr().out
 
@@ -94,3 +107,13 @@ def test_golden_h3_samples_presentation_pairs(capsys, tmp_path):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     stats = checks["presentation-isomorphism"]["statistics"]
     assert stats["pairs_exhaustive"] is False and stats["pairs"] == 300
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_INPUTS))
+def test_golden_finite_flip_samples_additivity_pairs(capsys, tmp_path, name):
+    # the golden set must cover the sampled pairs of the additivity check
+    # on a finite W, whose fixed set the coset chain lists
+    _, out = run_cli(capsys, tmp_path, name, "verify", "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    stats = checks["length-additivity-transfer"]["statistics"]
+    assert stats == {"pairs": 300, "exhaustive": False}

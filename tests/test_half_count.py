@@ -1,28 +1,41 @@
-"""The catalog's fixed count of a finite W over chains of coset walks.
+"""The fixed points of a finite W over chains of coset walks.
 
 For Gamma-stable J in K, each w in W_K is uniquely u x with u in W_J and
 x a minimal representative of W_J x, and gamma fixes w exactly when it
-fixes u and x.  finite_fixed_count multiplies the fixed representatives
-of each step of a chain of Gamma-stable parabolics, and must count what
-the full walk counts, for every diagram automorphism of groups with odd
-and even l(w0), reducible ones, rank 0 and 1, and a group over 256 roots.
-Each walk must find the index the classification gives, so a broken walk
-makes the catalog row mismatch.  (The name is from the count's first
-form, which walked half of W and paired it by w -> w0 w.)
+fixes u and x.  cosets.coset_walks walks each step of a chain of
+Gamma-stable parabolics once, on verify's key walk; the catalog's
+finite_fixed_count multiplies the fixed representatives' counts, and
+cosets.fixed_elements, the suite's fixed set, multiplies them out.  Both
+must find what the full walk finds, for every diagram automorphism of
+groups with odd and even l(w0), reducible ones, rank 0 and 1, and a
+group over 256 roots.  Each walk must find the index the classification
+gives, so a broken walk makes the catalog row mismatch and the suite
+raise with a witness.  (The name is from the count's first form, which
+walked half of W and paired it by w -> w0 w.)
 """
 
 import itertools
 
 import pytest
 
-from coxfold import catalog
-from coxfold.catalog import _min_coset_reps, finite_fixed_count, run_entry
-from coxfold.coxeter import CoxeterMatrix, classify_finite, coxeter_order
+from coxfold import cosets, verify
+from coxfold.catalog import CATALOG, finite_fixed_count, run_entry
+from coxfold.coxeter import (
+    CoxeterMatrix, classify_finite, coxeter_order, parse_input)
 from coxfold.folding import Automorphism
-from coxfold.verify import NODE_CAP, enumerate_ball, fixed_nodes
-from coxfold.words import CoxeterGroup
+from coxfold.verify import (
+    NODE_CAP,
+    NodeCapExceeded,
+    _image_ball,
+    enumerate_ball,
+    fixed_nodes,
+    fixed_subgroup,
+    property_suite,
+)
+from coxfold.words import CoxeterGroup, EngineInvariantError
 
 from conftest import diagram_automorphisms, entry_by_name
+from test_golden import INPUTS as GOLDEN_INPUTS, SAMPLED_INPUTS
 
 
 def path(rank, heavy=3):
@@ -85,9 +98,84 @@ def test_half_count_matches_full_walk(name):
     assert len(autos) == n_autos
     full = enumerate_ball(W)
     assert len(full) == coxeter_order(matrix, matrix.generators())
-    for gamma in autos:
-        assert finite_fixed_count(W, [gamma]) == len(fixed_nodes(full, [gamma]))
-    assert finite_fixed_count(W, autos) == len(fixed_nodes(full, autos))
+    for gammas in [[gamma] for gamma in autos] + [autos]:
+        assert finite_fixed_count(W, gammas) == len(fixed_nodes(full, gammas))
+        assert_chain_lists_full_walk(W, gammas, full)
+
+
+def assert_chain_lists_full_walk(W, autos, full):
+    """The suite's fixed set from the chain is the full walk's: the same
+    elements with the same words and inverse actions, in the same order."""
+    chain = cosets.fixed_elements(W, autos)
+    walked = fixed_subgroup(full, autos)
+    assert [w.word for w in chain] == [w.word for w in walked]
+    assert [w.inv_cols for w in chain] == [w.inv_cols for w in walked]
+
+
+def finite(text):
+    matrix = parse_input(text).matrix
+    return classify_finite(matrix, matrix.generators()) is not None
+
+
+FINITE_INPUTS = {name: text for name, text in {
+    **GOLDEN_INPUTS, **SAMPLED_INPUTS,
+    **{e.name: e.input_text for e in CATALOG}}.items() if finite(text)}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_INPUTS))
+def test_chain_lists_full_walk_on_golden_and_catalog_inputs(name):
+    parsed = parse_input(FINITE_INPUTS[name])
+    W = CoxeterGroup(parsed.matrix)
+    autos = [Automorphism(images) for _, images in parsed.autos]
+    assert_chain_lists_full_walk(W, autos, enumerate_ball(W))
+
+
+A8_FLIP = ("rank 8\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 8))
+           + "auto flip 1>8 8>1 2>7 7>2 3>6 6>3 4>5 5>4\n")
+
+
+def test_chain_lists_full_walk_on_a8_flip(monkeypatch):
+    # |W| = 9! is over the node cap, which the full walk needs raised;
+    # W^Gamma = B4 has 384 elements
+    monkeypatch.setattr(verify, "NODE_CAP", 400_000)
+    parsed = parse_input(A8_FLIP)
+    W = CoxeterGroup(parsed.matrix)
+    autos = [Automorphism(images) for _, images in parsed.autos]
+    full = enumerate_ball(W)
+    assert len(full) == 362_880 and len(fixed_nodes(full, autos)) == 384
+    assert_chain_lists_full_walk(W, autos, full)
+
+
+def test_trivial_gamma_keeps_the_ball_and_tests_nothing(monkeypatch):
+    # the chain would extract the word of every element of W, which the
+    # ball spells for free, so the suite walks the ball, and fixed_nodes
+    # keeps every node without calling the root table's test
+    parsed = parse_input(GOLDEN_INPUTS["h3-id"])
+    W = CoxeterGroup(parsed.matrix)
+    autos = [Automorphism(images) for _, images in parsed.autos]
+    ball = enumerate_ball(W)
+
+    def untouched(*args):
+        raise AssertionError("called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(W._engine, "fixes", untouched)
+        assert fixed_nodes(ball, autos) == list(range(120))
+    monkeypatch.setattr(cosets, "fixed_elements", untouched)
+    assert property_suite(W, autos).passed
+
+
+def test_chain_products_are_capped(monkeypatch):
+    # the running product list stops at the node cap, so a wrong folded
+    # order cannot make the suite list an unbounded fixed set
+    parsed = parse_input(entry_by_name("a5-flip").input_text)
+    W = CoxeterGroup(parsed.matrix)
+    autos = [Automorphism(images) for _, images in parsed.autos]
+    assert len(cosets.fixed_elements(W, autos)) == 48
+    monkeypatch.setattr(verify, "NODE_CAP", 47)
+    with pytest.raises(NodeCapExceeded,
+                       match="^fixed set exceeded the node cap 47$"):
+        cosets.fixed_elements(W, autos)
 
 
 def test_automaton_walk_is_covered():
@@ -119,19 +207,19 @@ def test_ball_holding_all_of_w_is_complete(matrix, radius, size, complete):
 
 def traced_walks(monkeypatch, before=None, after=None):
     """Record each coset walk's (nodes, index); `before` may alter the
-    group before the walk, and `after` the keys after it."""
+    group before the walk, and `after` the ball after it."""
     walks = []
 
-    def traced(group, J, K, index):
+    def traced(group, radius, K=None, J=(), cap=float("inf")):
         if before:
             before(group)
-        reps = _min_coset_reps(group, J, K, index)
+        reps = _image_ball(group, radius, K, J, cap)
         if after:
             after(reps)
-        walks.append((len(reps), index))
+        walks.append((len(reps), cap))
         return reps
 
-    monkeypatch.setattr(catalog, "_min_coset_reps", traced)
+    monkeypatch.setattr(verify, "_image_ball", traced)
     return walks
 
 
@@ -145,7 +233,7 @@ def test_e6_row_walk_sizes(monkeypatch):
 
 
 def drop_last_node(reps):
-    reps.pop()
+    reps.keys.pop()
 
 
 def corrupt_translate_table(group):
@@ -162,6 +250,19 @@ def test_broken_walk_makes_the_row_mismatch(monkeypatch, hooks):
     row = run_entry(entry_by_name("e6-flip"))
     assert walks and walks[-1][0] != walks[-1][1]
     assert row.computed_order == -1 and not row.match
+
+
+def test_broken_walk_raises_in_the_suite_with_a_witness(monkeypatch):
+    # the chain's first step, {} < {3,5}, walks 4 nodes and keeps 3
+    traced_walks(monkeypatch, after=drop_last_node)
+    parsed = parse_input(entry_by_name("e6-flip").input_text)
+    W = CoxeterGroup(parsed.matrix)
+    with pytest.raises(EngineInvariantError,
+                       match="^coset walk disagrees with the classification"
+                       ) as err:
+        property_suite(W, [Automorphism(images) for _, images in parsed.autos])
+    assert err.value.witness == {"matrix": str(W.matrix).split("\n"),
+                                 "J": [], "K": [3, 5], "index": 4, "found": 3}
 
 
 def e_matrix(rank):
@@ -182,6 +283,7 @@ def test_identity_counts_groups_over_the_node_cap(monkeypatch, rank, order):
 
 
 def test_walk_stops_one_node_past_its_index():
+    # W_{1,3} of E6 is A2, of order 6; the cosets of W_{1} are e, 3 and 3 1
     W = CoxeterGroup(E6)
-    assert len(_min_coset_reps(W, set(), {1, 3}, 3)) == 4
-    assert len(_min_coset_reps(W, {1}, {1, 3}, 3)) == 3
+    assert len(_image_ball(W, None, {1, 3}, set(), 3)) == 4
+    assert len(_image_ball(W, None, {1, 3}, {1}, 3)) == 3

@@ -307,16 +307,16 @@ def test_pruned_walk_matches_reference_relabelled(name):
 # -- image-keyed fixed sets against the root table's fixedness test ------------
 
 IMAGE_CASES = {
-    # name: (group builder, number of diagram automorphisms).  The identity,
-    # and the swap of leaves 3 and 4 of d4, fix generator 1, so the one-byte
-    # pre-test of fixed_nodes compares a byte of a key with itself.
+    # name: (function making the group, number of diagram automorphisms).
+    # fixed_nodes tests the identity on no node, and any other automorphism
+    # with one call of the root table's test per node, on the key
     "a5": (lambda: CoxeterGroup(MATRICES["a5"]), 2),
     "b3": (lambda: CoxeterGroup(MATRICES["b3"]), 1),
     "d4": (lambda: CoxeterGroup(MATRICES["d4"]), 6),
     "f4": (lambda: CoxeterGroup(F4), 2),
     "h3": (lambda: CoxeterGroup(H3), 1),
     "e6": (_e6, 2),
-    # str keys: the swap of generators 3 and 4 fixes generator 1
+    # str keys, which the test reads through ord
     "i2-120x10": (lambda: CoxeterGroup(i2_product(120, 10)), 4),
 }
 

@@ -82,9 +82,10 @@ def test_ball_matches_permutation_oracle(group_of):
 
 
 def test_e6_runs_build_elements_only_for_kept_words(monkeypatch):
-    # |W(E6)| = 51840 and 1152 elements are fixed: the catalog row counts
-    # the fixed nodes and builds none of them, only the folding's own few
-    # elements; the suite builds the fixed ones and a few more, never W
+    # |W(E6)| = 51840 and 1152 elements are fixed: the catalog row and the
+    # suite both walk the four coset steps of the chain, 105 nodes, and
+    # never all of W.  The row builds none of the fixed elements, only the
+    # folding's own few; the suite builds the fixed ones and a few more
     entry = entry_by_name("e6-flip")
     built = []
     init = Element.__init__
@@ -93,23 +94,29 @@ def test_e6_runs_build_elements_only_for_kept_words(monkeypatch):
         built.append(args[1])
         init(self, *args)
 
-    calls = []
-    elements = verify._elements
+    walks = []
+    image_ball = verify._image_ball
 
-    def counting_elements(ball, nodes):
-        calls.append(len(nodes))
-        return elements(ball, nodes)
+    def counting_walk(*args):
+        ball = image_ball(*args)
+        walks.append(len(ball))
+        return ball
+
+    def no_full_walk(*args):
+        raise AssertionError("enumerate_ball walked W")
 
     monkeypatch.setattr(Element, "__init__", counting_init)
-    monkeypatch.setattr(verify, "_elements", counting_elements)
+    monkeypatch.setattr(verify, "_image_ball", counting_walk)
+    monkeypatch.setattr(verify, "enumerate_ball", no_full_walk)
     assert run_entry(entry).match
-    assert calls == [] and len(built) < 100
+    assert walks == [4, 9, 20, 72] and len(built) < 100
     built.clear()
+    walks.clear()
     parsed = parse_input(entry.input_text)
     report = property_suite(CoxeterGroup(parsed.matrix),
                             [Automorphism(images) for _, images in parsed.autos])
     assert report.passed
-    assert calls == [1152] and 1152 <= len(built) < 5000
+    assert walks == [4, 9, 20, 72] and 1152 <= len(built) < 5000
 
 
 # -- fixed subgroups ---------------------------------------------------------------
