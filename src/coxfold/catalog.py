@@ -158,7 +158,7 @@ def run_entry(entry: CatalogEntry) -> CatalogRow:
         if folded_finite:
             gen = generated_ball(group, gens, None)
             computed_order = len(gen)
-            w_ball = enumerate_ball(group, DEFAULT_INFINITE_RADIUS)
+            w_ball = enumerate_ball(group, DEFAULT_INFINITE_RADIUS, autos)
             fixed_count = len(fixed_nodes(w_ball, autos))
             ball_note = (f"radius-{DEFAULT_INFINITE_RADIUS} fixed count "
                          f"{fixed_count}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .catalog import run_catalog
@@ -241,7 +242,10 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and reused by
+    every later one in the process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="coxfold",
         description="Exact folding of Coxeter groups along diagram automorphisms.",

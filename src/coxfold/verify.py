@@ -6,10 +6,13 @@ of rank 2 or more it comes from a breadth-first search keyed by the root
 indices of w^-1(alpha_t), as bytes when there are at most 256 roots and
 as str otherwise, and fixedness is one engine test per key; on an
 infinite W, or one of rank 0 or 1, it comes from the ShortLex automaton
-on the elementary roots, and fixedness is tested by the exchange walk on
-words.  Either way only the fixed nodes are spelled and built as
-elements, and counting them builds none.  A finite W under a nontrivial
-Gamma takes its fixed set from the coset chain (coxfold.cosets) instead.
+on the elementary roots, and under a nontrivial Gamma each node carries
+the exchange walks that decide gamma(w) = w: a walk that fails fails in
+every word with that prefix, so the walk drops the node's subtree, and a
+node whose walks have all deleted is fixed.  Either way only the fixed
+nodes are spelled and built as elements, and counting them builds none.
+A finite W under a nontrivial Gamma takes its fixed set from the coset
+chain (coxfold.cosets) instead.
 The generated fixed subgroup is explored by plain right multiplication
 with dedup on the exact action of w^-1, and that walk is the product
 table of the checks that multiply fixed elements (_Products); an
@@ -61,6 +64,10 @@ SUBSET_CAP = 4096           # exhaustive subset checks up to this many
 # hard bound on enumerated nodes and coset-chain products.  A ball holds
 # about 53 bytes per element on bytes keys (E6, 51,840 elements) and 14 on
 # automaton states ((4,4,3) triangle group, radius 16 and 18), by tracemalloc.
+# A pruned automaton walk bounds the nodes it walks: it holds 18-34 bytes
+# per walked node, and the exchange-walk states of one level raise its peak
+# to 46-110 (the (4,4,3) triangle group and affine A2 under a swap, affine
+# A3 under a rotation and a flip, radius 16 to 100, up to 33,956 nodes).
 NODE_CAP = 200_000
 # A ball holds no words, but the fixed elements spell them, 8 bytes a
 # letter, and I2(inf) under `auto id` fixes every element, so a ball is
@@ -113,7 +120,16 @@ class Ball:
     ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
     the root indices of w^-1(alpha_t), one byte each when there are at
     most 256 roots and one str character each otherwise, or the ShortLex
-    automaton state its word reaches."""
+    automaton state its word reaches.
+
+    An automaton walk under a nontrivial Gamma is pruned: it holds the
+    nodes whose subtrees may hold a fixed word, ``gamma`` holds the images
+    of the automorphisms other than the identity that pruned it, and
+    ``fixed`` the indices of its fixed nodes.  A pruned ball is never
+    complete."""
+
+    gamma: frozenset = frozenset()      # unpruned: every node is listed,
+    fixed: list | None = None           # and fixed by the identity
 
     def __init__(self, group: CoxeterGroup, keys: list):
         self.group = group
@@ -133,8 +149,11 @@ class Ball:
         return tuple(reversed(word))
 
 
-def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
-    """The ball of the given radius, or all of a finite W.
+def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
+                   autos: Sequence[Automorphism] = ()) -> Ball:
+    """The ball of the given radius, or all of a finite W; on the
+    automaton, only the subtrees that may hold a word that every
+    automorphism in autos fixes.
 
     A full enumeration is refused up front on an infinite W, and on a
     finite W whose order is over the node cap.  Both walks extend the
@@ -161,7 +180,9 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
     in the same order, and the dedup set still rejects the rest.
 
     Any other W (the matrix engine, rank 0 or 1) takes the ShortLex
-    automaton on the elementary roots, which does no arithmetic.
+    automaton on the elementary roots, which does no arithmetic.  There a
+    nontrivial Gamma prunes the walk (_shortlex_ball); the root-table walk
+    lists every node, and fixed_nodes tests their keys.
     """
     order = coxeter_order(group.matrix, group.generators())
     if order is None:
@@ -174,7 +195,13 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None) -> Ball:
             )
     if isinstance(group._engine, _RootTable) and group.rank > 1:
         return _image_ball(group, radius)
-    return _shortlex_ball(group, radius)
+    return _shortlex_ball(group, radius, _moved(group, autos))
+
+
+def _moved(group: CoxeterGroup, autos: Sequence[Automorphism]) -> frozenset:
+    """The images of the automorphisms other than the identity."""
+    return (frozenset(tuple(g.images) for g in autos)
+            - {tuple(group.generators())})
 
 
 def _levels(ball: Ball, radius: int | None):
@@ -237,24 +264,57 @@ def _image_ball(group: CoxeterGroup, radius: int | None, K=None, J=(),
     return ball
 
 
-def _shortlex_ball(group: CoxeterGroup, radius: int | None) -> Ball:
+_START = ((), (), None)     # the exchange walks of e: nothing to delete
+
+
+def _all_deleted(states) -> bool:
+    """Is the word fixed: has every walk of every gamma deleted?"""
+    return not any(rest for rest, _, _ in states)
+
+
+def _shortlex_ball(group: CoxeterGroup, radius: int | None,
+                   gamma: frozenset = frozenset()) -> Ball:
     """The ball walked on the ShortLex automaton: a node's successors are
     the (letter, state) pairs of its state, listed once per state reached,
-    so a node costs one lookup plus one append per successor."""
-    row = group._elementary.shortlex_row
+    so a node costs one lookup plus one append per successor.
+
+    Under a nontrivial Gamma each node also carries, for each gamma, the
+    state of the exchange walks that decide gamma(w) = w on its word
+    (_ElementaryRoots.fixing_step): a child takes the parent's state one
+    letter on.  Walk k reads only the prefix that it has walked and the
+    deletions of the walks before it, so once it fails it fails in every
+    extension, and the walk appends neither the node nor its subtree.
+    Every prefix of a fixed ShortLex word is a ShortLex word none of whose
+    walks has failed, so the pruned tree still holds every fixed word of
+    the ball; a node is fixed when all of its l(w) walks have deleted."""
+    table = group._elementary
+    row, fixing_step = table.shortlex_row, table.fixing_step
     succ: dict[int, list] = {}      # state -> its (letter, successor) pairs
     ball = Ball(group, [0])
     parents, letters, keys = ball.parents, ball.letters, ball.keys
+    gammas = sorted(gamma)
+    walks = [[_START] * len(gammas)]    # of the level being extended
+    fixed = [0]
     for _, start in _levels(ball, radius):
+        level, walks = walks, []
         for i in range(start, len(keys)):
             steps = succ.get(q := keys[i])
             if steps is None:
                 steps = succ[q] = [(s, r) for s, r in enumerate(row(q))
                                    if r is not None]
             for s, r in steps:
+                if gammas:
+                    there = fixing_step(gammas, level[i - start], s)
+                    if there is None:
+                        continue
+                    if _all_deleted(there):
+                        fixed.append(len(keys))
+                    walks.append(there)
                 parents.append(i)
                 letters.append(s)
                 keys.append(r)
+    if gammas:
+        ball.gamma, ball.fixed, ball.complete = gamma, fixed, False
     return ball
 
 
@@ -277,25 +337,31 @@ def _elements(ball: Ball, nodes) -> tuple[Element, ...]:
 
 
 def fixed_nodes(ball: Ball, autos: Sequence[Automorphism]) -> list[int]:
-    """Indices of the ball's nodes fixed by every automorphism generator
-    other than the identity, tested one at a time.  gamma fixes w exactly
-    when it fixes w^-1: the root table tests a root key (bytes or str) as
-    the action of w^-1, and nothing is spelled.  Automaton states test a
-    node's word with the exchange walk on the elementary roots, but only
-    when gamma leaves its state stable, as every fixed word's state is."""
+    """Indices of the ball's nodes fixed by every automorphism generator.
+    gamma fixes w exactly when it fixes w^-1: the root table tests a root
+    key (bytes or str) as the action of w^-1, for each automorphism other
+    than the identity.  An automaton ball pruned under the same
+    automorphisms lists its fixed nodes from that walk (_shortlex_ball); on
+    an unpruned one, the same exchange-walk states are carried from each
+    node to its children.  Nothing is spelled."""
     group, keys = ball.group, ball.keys
+    gamma = _moved(group, autos)
+    if isinstance(keys[0], int):
+        if gamma == ball.gamma:
+            return list(range(len(ball)) if ball.fixed is None else ball.fixed)
+        if ball.gamma:
+            raise ValueError("the ball was pruned under other automorphisms")
+        # a full ball: the pruned walk's states, carried along its tree
+        fixing_step, gammas = group._elementary.fixing_step, sorted(gamma)
+        states = [[_START] * len(gammas)]
+        for p, s in zip(ball.parents[1:], ball.letters[1:]):
+            here = states[p]
+            states.append(here and fixing_step(gammas, here, s))
+        return [i for i, there in enumerate(states)
+                if there and _all_deleted(there)]
     nodes = range(len(ball))
-    for gamma in autos:
-        g = gamma.images
-        if g == tuple(group.generators()):
-            continue
-        if isinstance(keys[0], int):
-            table = group._elementary
-            stable = table.stable_states(g)
-            nodes = [i for i in nodes
-                     if keys[i] in stable and table.fixes(g, ball.spell(i))]
-        else:
-            nodes = [i for i in nodes if group._engine.fixes(g, keys[i])]
+    for g in gamma:
+        nodes = [i for i in nodes if group._engine.fixes(g, keys[i])]
     return list(nodes)
 
 
@@ -1055,8 +1121,8 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
     identity = Automorphism(tuple(group.generators()))
     if finite_w and set(autos) - {identity}:
         fixed = cosets.fixed_elements(group, autos)
-    else:   # a trivial Gamma fixes the whole ball, with no test
-        ball = enumerate_ball(group, None if finite_w else radius)
+    else:   # the whole ball under a trivial Gamma, else a pruned walk
+        ball = enumerate_ball(group, None if finite_w else radius, autos)
         fixed = fixed_subgroup(ball, autos)
     gen_ball = generated_ball(group, [folded.longest[J] for J in folded.bar_s],
                               radius if folded_order is None else None,

@@ -30,10 +30,12 @@ elementary roots (Brink and Howlett): the simple roots closed under the
 simple reflections on plain integer coefficients (``_root_closure``), the
 one place where roots are closed.  It walks reduced words without
 arithmetic: it drives the ShortLex automaton that lists the balls of an
-infinite W (and of a finite W of rank 1 or over 256 roots), the exchange
-walk that tests fixedness on words, and, for every W, the exchange
-property (``exchange``) and the greedy walk up by non-descents (``_grow``)
-that builds longest elements and probes finiteness.  The root table of a
+infinite W (and of a W of rank 0 or 1), the exchange walks that decide
+gamma(w) = w one appended letter at a time (``fixing_step``), so that the
+ball walk drops every subtree that holds no fixed word, and, for every W,
+the exchange property (``exchange``) and the greedy walk up by
+non-descents (``_grow``) that builds longest elements and probes
+finiteness.  The root table of a
 finite W is read off it: every positive root is elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
@@ -679,40 +681,46 @@ class _ElementaryRoots:
             row = self._rows[q] = tuple(out)
         return row
 
-    def stable_states(self, images) -> set[int]:
-        """The ShortLex states made so far whose set S gamma, given by its
-        images, maps onto itself.  S is N(w) within E for the words w that
-        reach the state, and gamma permutes E; gamma(w) = w makes gamma map
-        N(w) onto itself, so a word reaching any other state is not fixed."""
-        perm = _permute_roots(self.roots, images)
-        out = set()
-        for q, (S, _) in enumerate(self._states):
-            moved, mask = 0, S
-            while mask:
-                low = mask & -mask
-                moved |= 1 << perm[low.bit_length() - 1]
-                mask ^= low
-            if moved == S:
-                out.add(q)
-        return out
+    def fixing_step(self, gammas, states, s):
+        """The exchange walks that decide gamma(w) = w, for each gamma given
+        by its images, carried from a reduced word w to w * s: the states
+        of w * s, one per gamma, or None when no word with prefix w * s is
+        fixed by all of them.  The empty word's state is ((), (), None).
 
-    def fixes(self, images, word) -> bool:
-        """gamma(w) = w, for gamma given by its images and w by a reduced
-        word: w^-1 * gamma(w) is the identity exactly when right-multiplying
-        the reversed word by each letter of gamma(word) deletes a letter
-        every time: the word then ends empty."""
+        gamma(w) = w exactly when w^-1 * gamma(w) is e: right-multiplying
+        the reversed word by each letter of gamma(w) in turn deletes a
+        letter every time.  Walk k carries alpha_gamma(c), c the k-th
+        letter of w, through the letters not yet deleted, first letter
+        first: it deletes the letter where it reaches NEG and fails at BIG.
+        It starts once walk k-1 has ended, so it reads only a prefix of w
+        and the deletions of walks 1..k-1, and a walk that fails fails in
+        every word with that prefix.  A state is (rest, pending, b): the
+        letters not deleted, the letters whose walks have not started, and
+        the root of the walk that has read all of w without ending, or
+        None.  w is fixed when rest is empty: all l(w) walks deleted."""
         step = self.step
-        u = list(reversed(word))
-        for c in word:
-            b = images[c - 1] - 1       # alpha_gamma(c)
-            for j in range(len(u) - 1, -1, -1):
-                b = step[b][u[j]]
-                if b < 0:
-                    break
-            if b != NEG:
-                return False
-            del u[j]
-        return True
+        out = []
+        for images, (rest, pending, b) in zip(gammas, states):
+            rest += (s,)
+            pending += (s,)
+            if b is not None:       # the running walk takes one more step
+                b = step[b][s]
+                if b == BIG:
+                    return None
+                if b == NEG:
+                    rest, b = rest[:-1], None
+            while b is None and pending:
+                b = images[pending[0] - 1] - 1      # alpha_gamma(c)
+                pending = pending[1:]
+                for j, t in enumerate(rest):
+                    b = step[b][t]
+                    if b == BIG:
+                        return None
+                    if b == NEG:
+                        rest, b = rest[:j] + rest[j + 1:], None
+                        break
+            out.append((rest, pending, b))
+        return out
 
 
 class Element:

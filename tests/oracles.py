@@ -17,7 +17,10 @@ coxfold.verify before its last-letter rule: every node tries every
 generator, and the dedup set alone rejects what is not new.
 reference_shortlex_ball is the automaton walk of coxfold.verify before its
 successor lists: every node scans its state's whole row of the ShortLex
-automaton.
+automaton.  reference_fixed_nodes is the fixedness filter that ran on the
+whole automaton ball before the walk was pruned: the states gamma leaves
+stable (stable_states), then each such word spelled and tested from
+scratch by the exchange walk (exchange_fixes).
 
 The diagram references read a matrix only through m(s, t) and rank; they
 are the hand-written walks that the shared neighbour-list routines of
@@ -38,7 +41,7 @@ from collections import deque
 
 from coxfold.folding import Automorphism, InvariantViolation
 from coxfold.verify import Ball, _elements, _levels
-from coxfold.words import _RootTable, root_sign
+from coxfold.words import NEG, _permute_roots, _RootTable, root_sign
 
 
 # -- test-only API -----------------------------------------------------------
@@ -293,6 +296,62 @@ def reference_shortlex_ball(group, radius=None):
                     letters.append(s)
                     keys.append(q)
     return ball
+
+
+# -- the automaton fixed-set filter before the pruned walk ------------------------
+
+
+def stable_states(table, images):
+    """The ShortLex states made so far whose set S gamma, given by its
+    images, maps onto itself.  S is N(w) within E for the words w that
+    reach the state, and gamma permutes E; gamma(w) = w makes gamma map
+    N(w) onto itself, so a word reaching any other state is not fixed."""
+    perm = _permute_roots(table.roots, images)
+    out = set()
+    for q, (S, _) in enumerate(table._states):
+        moved, mask = 0, S
+        while mask:
+            low = mask & -mask
+            moved |= 1 << perm[low.bit_length() - 1]
+            mask ^= low
+        if moved == S:
+            out.add(q)
+    return out
+
+
+def exchange_fixes(table, images, word):
+    """gamma(w) = w, for gamma given by its images and w by a reduced
+    word: w^-1 * gamma(w) is the identity exactly when right-multiplying
+    the reversed word by each letter of gamma(word) deletes a letter
+    every time: the word then ends empty."""
+    step = table.step
+    u = list(reversed(word))
+    for c in word:
+        b = images[c - 1] - 1       # alpha_gamma(c)
+        for j in range(len(u) - 1, -1, -1):
+            b = step[b][u[j]]
+            if b < 0:
+                break
+        if b != NEG:
+            return False
+        del u[j]
+    return True
+
+
+def reference_fixed_nodes(ball, autos):
+    """Indices of the nodes of an unpruned automaton ball fixed by every
+    automorphism other than the identity: for each, the nodes whose state
+    it leaves stable, spelled and tested by the exchange walk."""
+    table = ball.group._elementary
+    nodes = range(len(ball))
+    for gamma in autos:
+        g = tuple(gamma.images)
+        if g == tuple(ball.group.generators()):
+            continue
+        stable = stable_states(table, g)
+        nodes = [i for i in nodes if ball.keys[i] in stable
+                 and exchange_fixes(table, g, ball.spell(i))]
+    return list(nodes)
 
 
 # -- diagram references -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -380,3 +381,108 @@ def test_catalog_json_is_byte_identical_across_runs(capsys):
     _, out2, _ = run_cli(capsys, "catalog", "--format", "json")
     assert out1 == out2
     assert "seconds" not in json.loads(out1)["rows"][0]
+
+
+# -- one parser per process ----------------------------------------------------
+
+CALLS_SCRIPT = """\
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from coxfold import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exit_:     # an argparse usage error
+            rc = exit_.code
+    out.append([rc, stdout.getvalue(), stderr.getvalue()])
+out.append(cli.build_parser.cache_info().misses)
+print(json.dumps(out))
+"""
+
+
+def run_calls(calls):
+    """[rc, stdout, stderr] of each main call, all in one fresh process,
+    then the number of parsers it built."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", CALLS_SCRIPT.format(src=str(src)),
+         json.dumps(calls)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_main_calls_in_one_process_match_separate_calls(tmp_path, a3_file):
+    tri = tmp_path / "tri.cox"
+    tri.write_text(TRIANGLE)
+    calls = [
+        ["verify", a3_file, "--format", "json"],
+        ["verify", a3_file, "--format", "xml"],     # usage error, exit 2
+        ["verify", a3_file],
+        ["frobnicate"],                             # usage error, exit 2
+        ["reduce", a3_file, "--word", "1 2 1 3"],
+        ["verify", str(tri), "--radius", "5"],
+        ["catalog", "--format", "json"],
+    ]
+    *together, parsers = run_calls(calls)
+    assert parsers == 1
+    assert [rc for rc, _, _ in together] == [0, 2, 0, 2, 0, 0, 0]
+    assert "invalid choice: 'xml'" in together[1][2]
+    for argv, outcome in zip(calls, together):
+        *alone, built = run_calls([argv])
+        assert alone == [outcome] and built == 1
+
+
+def test_import_builds_no_parser():
+    # the parser is built on the first main call, so importing the CLI
+    # costs no argparse set-up
+    assert run_calls([]) == [0]
+
+
+# -- the pruned walk's node cap ------------------------------------------------
+
+TRI443_SWAP = "rank 3\nm 1 2 4\nm 1 3 4\nm 2 3 3\nauto swap 2>3 3>2\n"
+
+
+@pytest.mark.parametrize("radius,fixed", [("24", 25), ("40", 41)])
+def test_verify_pruned_walk_passes_past_the_whole_ball_cap(capsys, tmp_path,
+                                                           radius, fixed):
+    # the radius-24 ball of the (4,4,3) triangle group is over the node
+    # cap, and verify refused it; the pruned walk under the swap appends
+    # 349 nodes at radius 24 and 901 at radius 40, and keeps the fixed words
+    p = tmp_path / "tri443.cox"
+    p.write_text(TRI443_SWAP)
+    rc, out, err = run_cli(capsys, "verify", str(p), "--radius", radius)
+    assert (rc, err) == (0, "")
+    assert f"fixed_elements={fixed} " in out
+    assert out.endswith("result: all checks passed\n")
+
+
+def test_verify_pruned_walk_node_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # the cap bounds the walked tree: 349 nodes at radius 24
+    monkeypatch.setattr(verify, "NODE_CAP", 348)
+    p = tmp_path / "tri443.cox"
+    p.write_text(TRI443_SWAP)
+    rc, out, err = run_cli(capsys, "verify", str(p), "--radius", "24")
+    assert (rc, out) == (2, "")
+    assert err == "ball exceeded the node cap 348\n"
+    monkeypatch.setattr(verify, "NODE_CAP", 349)
+    assert run_cli(capsys, "verify", str(p), "--radius", "24")[0] == 0
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "f82aa5c8e4e61af3f8368d2b71e210d121d6cbdeba886bfbc63047bbecfe4287"),
+    ("text", "519185b4511d856023788e7b3466ed8dadb02da42037c07d7622071ff2130db0"),
+])
+def test_verify_tri443_radius_22_report(capsys, tmp_path, fmt, digest):
+    # the largest radius whose whole ball fits the node cap: the report the
+    # whole-ball walk gave, byte for byte
+    p = tmp_path / "tri443.cox"
+    p.write_text(TRI443_SWAP)
+    rc, out, _ = run_cli(capsys, "verify", str(p), "--radius", "22",
+                         "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

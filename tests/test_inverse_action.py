@@ -23,12 +23,13 @@ its last-letter rule shows are not new, and must append the same keys,
 parents and letters as the walk that tries every generator, on seeded
 random finite W, reducible ones included, and on relabelled E6 and D4,
 whole and at radius 1 to 3.  fixed_nodes and fixed_subgroup test those
-keys, bytes or str, or the words with the exchange walk, and must keep
-exactly the nodes that the engine's fixedness test keeps over the whole
-ball, for every diagram automorphism and for all of them together: on
-the root table against the table's own test, and on infinite W against
-the matrix engine.  There it walks only the words whose automaton state
-the automorphism leaves stable, and every fixed word's state is stable.
+keys, bytes or str, or carry the exchange walks of the pruned automaton
+walk along the tree, and must keep exactly the nodes that the engine's
+fixedness test keeps over the whole ball, for every diagram automorphism
+and for all of them together: on the root table against the table's own
+test, and on infinite W against the matrix engine.  There the walk pruned
+under the same automorphisms must keep the same fixed words, and every
+fixed word's automaton state is one the automorphism leaves stable.
 Groups of rank 0 and 1 take the automaton.
 """
 
@@ -402,21 +403,31 @@ def test_automaton_matches_matrix_engine(name):
     assert not ball.complete and max(map(len, oracles.ball_words(ball))) == radius
     autos = diagram_automorphisms(matrix)
     assert len(autos) == n_autos
-    elements = [W.reduce(word) for word in oracles.ball_words(ball)]
+    words = oracles.ball_words(ball)
+    elements = [W.reduce(word) for word in words]
     for gammas in [[g] for g in autos] + [autos]:
         nodes = [i for i, w in enumerate(elements) if is_fixed(w, gammas)]
-        assert fixed_nodes(ball, gammas) == nodes
         expected = [elements[i] for i in nodes]
-        fixed = fixed_subgroup(ball, gammas)
-        assert [w.word for w in fixed] == [w.word for w in expected]
-        assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]
-    # fixed_subgroup walks only the words whose state gamma leaves stable:
-    # those whose set S, as a set of root vectors, gamma maps onto itself.
-    # Every fixed word's state is stable.
+        # the unpruned ball carries the walk states along its tree
+        assert fixed_nodes(ball, gammas) == nodes
+        # the pruned walk is a subtree of the ball, and keeps the same
+        # fixed words, as words: its node indices are its own
+        pruned = enumerate_ball(W, radius, gammas)
+        assert set(oracles.ball_words(pruned)) <= set(words)
+        assert not pruned.complete
+        for fixed in (fixed_subgroup(pruned, gammas),
+                      fixed_subgroup(ball, gammas)):
+            assert [w.word for w in fixed] == [w.word for w in expected]
+            assert ([w.inv_cols for w in fixed]
+                    == [w.inv_cols for w in expected])
+    # the filter before the pruned walk (tests/oracles.py) tested only the
+    # words whose state gamma leaves stable: those whose set S, as a set of
+    # root vectors, gamma maps onto itself.  Every fixed word's state is
+    # stable.
     table = W._elementary
-    state = dict(zip(oracles.ball_words(ball), ball.keys))
+    state = dict(zip(words, ball.keys))
     for gamma in autos:
-        stable = table.stable_states(gamma.images)
+        stable = oracles.stable_states(table, gamma.images)
         expected = set()
         for q, (S, _) in enumerate(table._states):
             vectors = {r for i, r in enumerate(table.roots) if S >> i & 1}

@@ -3,8 +3,8 @@
 Installing it in a fresh interpreter fails when one of those names is
 gone, so a change that renames or deletes one fails here rather than in
 a traced benchmark run.  A traced radius-4 verify on the (4,4,3) triangle
-group then runs the hooks that read results: the sizes of the ball, of
-the fixed set and of the generated ball.
+group then runs the hooks that read results: the sizes of the pruned
+ball, of the fixed set and of the generated ball.
 """
 
 import json
@@ -49,8 +49,10 @@ def test_traced_infinite_verify(tmp_path):
     out = json.loads(proc.stdout)
     assert out["rc"] == 0
     counts = out["counts"]
-    # 39 words of length <= 4; the swap fixes e, 1, 2 3 2, 1 2 3 2, 2 3 2 1
-    assert counts["verify.enumerate_ball.elements"] == 39
-    assert counts["verify.fixed_subgroup.scanned"] == 39
+    # of the 39 words of length <= 4 the pruned walk appends 19, the
+    # subtrees where a fixed word may lie; the swap fixes e, 1, 2 3 2,
+    # 1 2 3 2, 2 3 2 1
+    assert counts["verify.enumerate_ball.elements"] == 19
+    assert counts["verify.fixed_subgroup.scanned"] == 19
     assert counts["verify.fixed_subgroup.kept"] == 5
     assert counts["verify.generated_ball.elements"] > 0
