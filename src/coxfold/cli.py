@@ -3,7 +3,9 @@
 Subcommands: reduce, fold, verify, classify, catalog.  Input files use the
 line-based format parsed by coxfold.coxeter.parse_input; words are
 space-separated 1-based generator indices.  Output is deterministic for a
-fixed input, seed and radius.
+fixed input, seed and radius.  Each command imports the modules it runs
+when it runs, and argparse loads with the first `main` call: importing
+this module loads only the word engine, and so do `reduce` and `classify`.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (the report
 carries a replayable witness), 2 input or validation error.
@@ -11,15 +13,14 @@ carries a replayable witness), 2 input or validation error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import cache
 from pathlib import Path
 
-from .catalog import run_catalog
 from .coxeter import (
     ParseError,
+    _orbit_str,
     classify_finite,
     components,
     coxeter_order,
@@ -27,8 +28,6 @@ from .coxeter import (
     parse_number,
     type_string,
 )
-from .folding import Automorphism, _orbit_str, fold
-from .verify import NodeCapExceeded, VerifyConfig, property_suite
 from .words import CoxeterGroup, parse_word, word_str
 
 
@@ -87,6 +86,8 @@ def cmd_reduce(args) -> int:
 
 def _instance(parsed):
     """The group and automorphisms of an input that must declare one."""
+    from .folding import Automorphism
+
     if not parsed.autos:
         raise SystemExit2(
             "no automorphism declared; add an `auto` line (`auto id` is allowed)"
@@ -96,6 +97,8 @@ def _instance(parsed):
 
 
 def _fold_from(parsed):
+    from .folding import fold
+
     group, autos = _instance(parsed)
     try:
         return fold(group, autos)
@@ -151,6 +154,8 @@ def _option_number(option: str, token: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import NodeCapExceeded, VerifyConfig, property_suite
+
     seed = _option_number("--seed", args.seed)
     radius = (None if args.radius is None
               else _option_number("--radius", args.radius))
@@ -217,6 +222,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import run_catalog
+
     rows = run_catalog(slow=args.slow)
     if args.format == "json":
         _emit(json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2))
@@ -246,6 +253,8 @@ def cmd_catalog(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first main call and reused by
     every later one in the process: parsing keeps no state in it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coxfold",
         description="Exact folding of Coxeter groups along diagram automorphisms.",

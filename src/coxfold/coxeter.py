@@ -153,6 +153,10 @@ def components(matrix: CoxeterMatrix, subset) -> tuple[tuple[int, ...], ...]:
     return graph_components(neighbours(matrix, subset))
 
 
+def _orbit_str(orbit) -> str:
+    return "{" + ",".join(map(str, sorted(orbit))) + "}"
+
+
 # degrees of the exceptional types (Humphreys, Reflection Groups and Coxeter
 # Groups, section 3.7)
 _EXCEPTIONAL_DEGREES = {

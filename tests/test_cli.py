@@ -354,21 +354,21 @@ def fake_rows(all_match):
 
 
 def test_catalog_text_match(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_catalog", lambda slow: fake_rows(True))
+    monkeypatch.setattr("coxfold.catalog.run_catalog", lambda slow: fake_rows(True))
     rc, out, _ = run_cli(capsys, "catalog")
     assert rc == 0
     assert "1/1 rows match" in out and "match" in out
 
 
 def test_catalog_mismatch_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_catalog", lambda slow: fake_rows(False))
+    monkeypatch.setattr("coxfold.catalog.run_catalog", lambda slow: fake_rows(False))
     rc, out, _ = run_cli(capsys, "catalog")
     assert rc == 1
     assert "MISMATCH" in out
 
 
 def test_catalog_json(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_catalog", lambda slow: fake_rows(True))
+    monkeypatch.setattr("coxfold.catalog.run_catalog", lambda slow: fake_rows(True))
     rc, out, _ = run_cli(capsys, "catalog", "--format", "json")
     assert rc == 0
     data = json.loads(out)

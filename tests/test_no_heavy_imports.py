@@ -1,16 +1,35 @@
-"""No package module imports `dataclasses` or `inspect`.
+"""The package imports no module that the caller's work does not run.
 
-Every CLI call imports the package first.  `import dataclasses` loads
-`inspect`, and with it `ast`, `dis` and `tokenize`, which nothing in the
-package needs, and each `@dataclass` execs its generated methods at import.
-The records are plain classes or named tuples instead.
+No package module imports `dataclasses` or `inspect`.  Every CLI call
+imports the package first.  `import dataclasses` loads `inspect`, and with
+it `ast`, `dis` and `tokenize`, which nothing in the package needs, and each
+`@dataclass` execs its generated methods at import.  The records are plain
+classes or named tuples instead.
+
+`import coxfold` loads only the word engine (cyclo, coxeter, words).  The
+folding and verify names of the package load their module on first use,
+each CLI command imports only the modules it runs, and argparse loads with
+the first `cli.main` call.  Without a bytecode cache every module loaded is
+compiled, so a words-only process would otherwise pay for folding, verify,
+cosets and the catalog.  These probes each run in a fresh interpreter,
+since this one has loaded every module.
 """
 
 import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from test_no_asserts import SOURCES
 
 BANNED = {"dataclasses", "inspect"}
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("coxfold.folding", "coxfold.verify", "coxfold.cosets",
+         "coxfold.catalog")
+A3_FLIP = "rank 3\nm 1 2 3\nm 2 3 3\nauto flip 1>3 3>1\n"
 
 
 def test_no_banned_imports():
@@ -27,3 +46,60 @@ def test_no_banned_imports():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in BANNED]
     assert not found, "banned imports in src/coxfold: " + ", ".join(found)
+
+
+def fresh(code: str):
+    """Run code in a fresh interpreter; the JSON it prints last."""
+    prelude = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code: str, modules=HEAVY) -> list:
+    return fresh(code + f"\nprint(json.dumps([m for m in {modules!r} "
+                        "if m in sys.modules]))")
+
+
+@pytest.mark.parametrize("code", ["import coxfold", "import coxfold.cli"])
+def test_import_loads_only_the_word_engine(code):
+    assert loaded_after(code, HEAVY + ("argparse",)) == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["reduce", "{file}", "--word", "2 1 3 2"], []),
+    (["classify", "{file}"], []),
+    (["fold", "{file}"], ["coxfold.folding"]),
+])
+def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    path = tmp_path / "a3.cox"
+    path.write_text(A3_FLIP)
+    argv = [arg.format(file=path) for arg in argv]
+    assert loaded_after(f"from coxfold import cli\n"
+                        f"if cli.main({argv!r}):\n    sys.exit(1)") == loaded
+
+
+def test_every_public_name_resolves_and_is_listed():
+    names, unbound, unlisted = fresh(
+        "import coxfold\n"
+        "from coxfold import *\n"
+        "names = coxfold.__all__\n"
+        "print(json.dumps([names, [n for n in names if n not in globals()],"
+        " [n for n in names if n not in dir(coxfold)]]))")
+    assert len(names) == 30
+    assert unbound == [] and unlisted == []
+
+
+def test_submodule_import_and_unknown_name():
+    module, error = fresh(
+        "import coxfold\n"
+        "from coxfold import verify\n"
+        "try:\n"
+        "    coxfold.no_such_name\n"
+        "    error = None\n"
+        "except AttributeError as err:\n"
+        "    error = str(err)\n"
+        "print(json.dumps([verify.__name__, error]))")
+    assert module == "coxfold.verify"
+    assert error == "module 'coxfold' has no attribute 'no_such_name'"
