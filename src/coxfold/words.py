@@ -1,9 +1,9 @@
 """The word problem for a Coxeter system, solved geometrically.
 
 A group element is its canonical word plus the action of w^-1 on roots
-(``inv_cols``); the action of w (``cols``) is derived from the word when
-a caller asks for it.  The inverse action alone gives the left descents,
-hence the normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1.
+(``inv_cols``), its one action.  It gives the left descents, hence the
+normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1; the right
+descents and the inverse come from the word.
 Two engines compute with actions behind six primitives (identity, lmul,
 rmul, compose, negative, fixes):
 
@@ -21,9 +21,9 @@ rmul, compose, negative, fixes):
   matrix product, one call of the fused kernel ``ArithContext.matmul``,
   which builds no scalar object per product.
 
-Either way a descent query is a sign test: s is a left descent of w exactly
-when w^-1(alpha_s) is a negative root, and a right descent when w(alpha_s)
-is.
+Either way s is a left descent of w exactly when w^-1(alpha_s) is a
+negative root.  It is a right descent when w(alpha_s) is, which one walk
+of the word on the elementary roots below decides (``inversions``).
 
 Next to the engine, built on first use, is the table of the finitely many
 elementary roots (Brink and Howlett): the simple roots closed under the
@@ -33,9 +33,9 @@ arithmetic: it drives the ShortLex automaton that lists the balls of an
 infinite W (and of a W of rank 0 or 1), the exchange walks that decide
 gamma(w) = w one appended letter at a time (``fixing_step``), so that the
 ball walk drops every subtree that holds no fixed word, and, for every W,
-the exchange property (``exchange``) and the greedy walk up by
-non-descents (``_grow``) that builds longest elements and probes
-finiteness.  The root table of a
+the right descents, the exchange property (``exchange``) and the greedy
+walk up by non-descents (``_grow``) that builds longest elements and
+probes finiteness.  The root table of a
 finite W is read off it: every positive root is elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
@@ -372,22 +372,25 @@ class CoxeterGroup:
         return out
 
     def inverse(self, a: "Element") -> "Element":
-        return self._element_from_inv(a.cols)
+        return self._element_from_word_trusted(a.word[::-1])
 
     # -- descents --------------------------------------------------------------
 
     def is_left_descent(self, s: int, w: "Element") -> bool:
         """True exactly when l(s*w) < l(w)."""
+        if not (isinstance(s, int) and 1 <= s <= self.rank):
+            raise ValueError(f"generator {s!r} out of range 1..{self.rank}")
         return self._engine.negative(w.inv_cols, s)
 
-    def is_right_descent(self, s: int, w: "Element") -> bool:
-        return self._engine.negative(w.cols, s)
-
     def left_descents(self, w: "Element") -> tuple[int, ...]:
-        return tuple(s for s in self.generators() if self.is_left_descent(s, w))
+        negative, inv_cols = self._engine.negative, w.inv_cols
+        return tuple(s for s in self.generators() if negative(inv_cols, s))
 
     def right_descents(self, w: "Element") -> tuple[int, ...]:
-        return tuple(s for s in self.generators() if self.is_right_descent(s, w))
+        """The s with l(w*s) < l(w): w(alpha_s) < 0, and alpha_s is
+        elementary, so one walk of the reduced word decides them all."""
+        mask = self._elementary.inversions(w.word)
+        return tuple(s for s in self.generators() if mask >> (s - 1) & 1)
 
     # -- parabolic machinery -----------------------------------------------------
 
@@ -639,6 +642,15 @@ class _ElementaryRoots:
         self._ids = {(0, 0): 0}
         self._rows: list[tuple | None] = [None]
 
+    def inversions(self, word) -> int:
+        """The elementary roots that a reduced word sends negative, as a bit
+        mask: u * c sends alpha_c and c(S) negative, S those of u."""
+        image = self._image
+        mask = 0
+        for c in word:
+            mask = 1 << (c - 1) | image(mask, c)
+        return mask
+
     def _image(self, mask: int, s: int) -> int:
         """s applied to a set of root indices, keeping the elementary ones."""
         step = self.step
@@ -728,30 +740,17 @@ class Element:
 
     ``inv_cols`` is in the form of the group's engine: the tuple of root
     indices w^-1(Phi) for finite W, exact CycloReal columns (images of the
-    simple roots) otherwise.  ``cols``, the action of w, is built from the
-    word on first use and cached.
+    simple roots) otherwise.  It is the element's one action: right
+    descents and the inverse come from the word.
     """
 
-    __slots__ = ("group", "word", "inv_cols", "_cols", "_hash")
+    __slots__ = ("group", "word", "inv_cols", "_hash")
 
     def __init__(self, group: CoxeterGroup, word: tuple[int, ...], inv_cols):
         self.group = group
         self.word = word
         self.inv_cols = inv_cols
-        self._cols = None
         self._hash = None
-
-    @property
-    def cols(self):
-        """The action of w: the identity times each letter of the word."""
-        cols = self._cols
-        if cols is None:
-            rmul = self.group._engine.rmul
-            cols = self.group._engine.identity
-            for s in self.word:
-                cols = rmul(cols, s)
-            self._cols = cols
-        return cols
 
     @property
     def length(self) -> int:

@@ -6,8 +6,12 @@ the Cayley graph or from inversion counting, and group elements are bare
 tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
 
-The exceptions are reference_factorize, product_inv and the two
-reference ball walks.  The first peels a fixed element with the engine's
+The exceptions are forward_action, reference_right_descents,
+reference_factorize, product_inv and the two reference ball walks.
+forward_action builds the action of w with the engine's rmul, one letter
+at a time, and reference_right_descents reads the right descents off it
+with the engine's sign test, as the package did before it read them off
+the word.  The first peels a fixed element with the engine's
 descent test and right multiplication, as the folded factorization is
 defined, but without any of FoldedSystem's memos.  product_inv multiplies
 an orbit word with the engine's compose, one letter at a time, where the
@@ -209,6 +213,27 @@ def bfs_lengths(identity, generators, compose, limit=None):
 
 def group_order(identity, generators, compose):
     return len(bfs_lengths(identity, generators, compose))
+
+
+# -- the action of w, built letter by letter -----------------------------------
+
+
+def forward_action(group, word):
+    """The action of the product of `word`: the engine's identity times
+    each letter."""
+    engine = group._engine
+    cols = engine.identity
+    for s in word:
+        cols = engine.rmul(cols, s)
+    return cols
+
+
+def reference_right_descents(w):
+    """The s with w(alpha_s) < 0, on the forward action of w."""
+    group = w.group
+    cols = forward_action(group, w.word)
+    return tuple(s for s in group.generators()
+                 if group._engine.negative(cols, s))
 
 
 # -- folded factorization without memos ------------------------------------------

@@ -4,13 +4,21 @@ A finite W runs on the root-index table.  The matrix engine, which infinite
 groups use, is built directly here on the same finite matrices, and every
 answer the two can give is compared on random words: normal forms,
 lengths, descents, products, inverses and fixedness.
+
+Right descents are read off the word by one walk on the elementary roots.
+They are compared with the sign test on the action of w, built letter by
+letter with the engine's rmul (oracles.reference_right_descents), on
+finite and infinite groups, and on E8 on both engines.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxfold.coxeter import CoxeterMatrix, coxeter_order
+from coxfold.cyclo import INF
 from coxfold.folding import Automorphism, is_fixed, orbits
 from coxfold.verify import enumerate_ball
 from coxfold.words import (
@@ -22,7 +30,12 @@ from coxfold.words import (
 )
 
 from conftest import FLIPS, MATRICES, matrix_engine_group
-from oracles import ball_elements, identity_of, inversion_count
+from oracles import (
+    ball_elements,
+    identity_of,
+    inversion_count,
+    reference_right_descents,
+)
 
 F4 = CoxeterMatrix.from_labels(4, {(1, 2): 3, (2, 3): 4, (3, 4): 3})
 
@@ -133,6 +146,39 @@ def test_strip_on_root_table_is_bounded_by_positive_roots(name, monkeypatch):
         T._strip(table.identity, gens)
     assert len(rounds) == table.npos + 1
     assert raised.value.witness["steps"] == table.npos + 1
+
+
+E8 = CoxeterMatrix.from_labels(8, {(1, 3): 3, (3, 4): 3, (2, 4): 3, (4, 5): 3,
+                                     (5, 6): 3, (6, 7): 3, (7, 8): 3})
+
+# name: (matrix, whether the group is forced onto the matrix engine)
+DESCENT_CASES = {
+    "a5": (MATRICES["a5"], False),
+    "f4": (F4, False),
+    "h4": (CASES["h4"][0], False),
+    "a1": (CoxeterMatrix.from_labels(1, {}), False),
+    "e8": (E8, False),
+    "e8-matrix": (E8, True),
+    "affine-a2": (MATRICES["triangle"], False),
+    "tri237": (CoxeterMatrix.from_labels(3, {(1, 2): 3, (2, 3): 7}), False),
+    "i2inf": (MATRICES["dinf"], False),
+    "tri443": (CoxeterMatrix.from_labels(3, {(1, 2): 4, (1, 3): 4,
+                                             (2, 3): 3}), False),
+    "hyperbolic": (CoxeterMatrix.from_labels(4, {
+        (1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 3): 6, (2, 4): INF,
+        (3, 4): 5}), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_CASES))
+def test_right_descents_agree_with_the_forward_action(name):
+    matrix, exact = DESCENT_CASES[name]
+    W = matrix_engine_group(matrix) if exact else CoxeterGroup(matrix)
+    rng = random.Random(name)
+    for _ in range(60):
+        word = [rng.randint(1, W.rank) for _ in range(rng.randint(0, 24))]
+        w = W.reduce(word)
+        assert W.right_descents(w) == reference_right_descents(w), word
 
 
 def test_strip_on_matrix_engine_keeps_the_fixed_bound():

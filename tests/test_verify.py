@@ -72,7 +72,7 @@ def test_ball_order_and_uniqueness(group_of):
     # closed under inverse when complete
     keys = {w.inv_cols for w in oracles.ball_elements(ball)}
     for w in oracles.ball_elements(ball):
-        assert w.cols in keys  # the key of w^-1
+        assert (~w).inv_cols in keys  # the key of w^-1
 
 
 def test_ball_matches_permutation_oracle(group_of):

@@ -55,7 +55,7 @@ def test_root_images_have_uniform_sign():
     # every image of a simple root under an element is positive or negative
     W = matrix_engine_group(MATRICES["b3"])
     for w in oracles.ball_elements(enumerate_ball(W)):
-        for col in w.cols:
+        for col in (~w).inv_cols:
             sign = root_sign(col)
             assert all(c.sign() in (0, sign) for c in col)
 
@@ -362,6 +362,22 @@ def test_exchange_errors(group_of):
         A3.exchange((2, 1), 3)
     with pytest.raises(ValueError, match="not reduced"):
         A3.exchange((1, 1, 2), 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CoxeterGroup(MATRICES["a3"]),
+    lambda: matrix_engine_group(MATRICES["a3"]),
+    lambda: CoxeterGroup(MATRICES["triangle"]),
+], ids=["a3", "a3-matrix", "affine-a2"])
+def test_left_descent_rejects_generators_out_of_range(build):
+    # unchecked, s = 0 would read generator rank through index -1
+    W = build()
+    w = W.simple(W.rank)
+    for s in (-1, 0, W.rank + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            W.is_left_descent(s, w)
+    assert W.is_left_descent(W.rank, w)
+    assert not W.is_left_descent(1, w)
 
 
 # -- property tests ------------------------------------------------------------------
