@@ -3,8 +3,8 @@
 The enumeration side never consults the folding machinery.  A ball is a
 prefix tree of canonical ShortLex words.  On the root table of a finite W
 of rank 2 or more it comes from a breadth-first search keyed by the root
-indices of w^-1(alpha_t), as bytes when there are at most 256 roots and
-as str otherwise, and fixedness is one engine test per key; on an
+indices of w^-1(alpha_t), the first rank entries of the action of w^-1,
+and fixedness is one engine test per key; on an
 infinite W, or one of rank 0 or 1, it comes from the ShortLex automaton
 on the elementary roots, and under a nontrivial Gamma each node carries
 the exchange walks that decide gamma(w) = w: a walk that fails fails in
@@ -118,9 +118,9 @@ class Ball:
 
     Node 0 is e, and node i spells the word of the earlier node
     ``parents[i]`` followed by ``letters[i]``.  ``keys[i]`` determines w:
-    the root indices of w^-1(alpha_t), one byte each when there are at
-    most 256 roots and one str character each otherwise, or the ShortLex
-    automaton state its word reaches.
+    the root indices of w^-1(alpha_t), the first rank entries of the
+    action of w^-1 (bytes or str, as the root table encodes it), or the
+    ShortLex automaton state its word reaches.
 
     An automaton walk under a nontrivial Gamma is pruned: it holds the
     nodes whose subtrees may hold a fixed word, ``gamma`` holds the images
@@ -162,10 +162,8 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
     level k+1 comes out in ShortLex order.
 
     Root table of rank 2 or more: the key of w s is one translate of the
-    key of w by the permutation of s, since (w s)^-1 = s w^-1.  Keys are
-    bytes when every root index fits in one byte, and str past 256 roots,
-    one code point per root index: where both fit, bytes walk the E6 ball
-    about 1.6 times as fast.  w s lies in level k-1 or k+1, and is new
+    key of w by the table of s, the root table's lmul, since (w s)^-1 =
+    s w^-1.  w s lies in level k-1 or k+1, and is new
     when its key is in neither level k-1 nor the part of level k+1 found
     so far.  So y of length k+1 is first reached from the least pair
     (NF(y s), s) over its right descents s, and NF(y s) s is its ShortLex
@@ -232,13 +230,9 @@ def _image_ball(group: CoxeterGroup, radius: int | None, K=None, J=(),
     With J in K that is ^J W_K: prefixes of minimal coset representatives
     are minimal, and a left descent s in J of w is one of every longer w t,
     since l(s w t) <= l(s w) + 1 < l(w t)."""
-    first = bytes(range(group.rank))                # alpha_t is root t-1
-    neg, perms = group._engine.npos, group._engine._perms  # index of -beta_0
-    if 2 * neg > 256:   # str.translate takes a sequence indexed by code point
-        first, neg = first.decode(), chr(neg)
-        tables = [[chr(p) for p in perm] for perm in perms]
-    else:
-        tables = [bytes(perm).ljust(256, b"\0") for perm in perms]
+    engine = group._engine
+    first = engine.identity[:group.rank]            # alpha_t is root t-1
+    neg, tables = engine.neg, engine.tables         # index of -beta_0
     m = group.matrix.m
     steps = [[(s, tables[s]) for s in sorted(K or group.generators())
               if s != t and not (s < t and m(s, t) == 2)]  # by last letter
@@ -338,9 +332,9 @@ def _elements(ball: Ball, nodes) -> tuple[Element, ...]:
 
 def fixed_nodes(ball: Ball, autos: Sequence[Automorphism]) -> list[int]:
     """Indices of the ball's nodes fixed by every automorphism generator.
-    gamma fixes w exactly when it fixes w^-1: the root table tests a root
-    key (bytes or str) as the action of w^-1, for each automorphism other
-    than the identity.  An automaton ball pruned under the same
+    gamma fixes w exactly when it fixes w^-1: the root table tests a key
+    as it tests the whole action of w^-1, for each automorphism other than
+    the identity.  An automaton ball pruned under the same
     automorphisms lists its fixed nodes from that walk (_shortlex_ball); on
     an unpruned one, the same exchange-walk states are carried from each
     node to its children.  Nothing is spelled."""

@@ -10,11 +10,11 @@ rmul, compose, negative, fixes):
 * Finite W, as decided by classify_finite, uses a root-index table.  Its
   positive roots are the elementary roots below, checked against the
   classification; each root gets an index, positive roots first, and each
-  simple reflection becomes an integer permutation of Phi.  An action is
-  the tuple of root indices w(Phi), products are tuple indexing, and a
-  root is negative exactly when its index is at least |Phi+|.  The table
-  is built on the first element operation, so constructing a group costs
-  no more than the matrix setup.
+  simple reflection becomes a permutation of Phi.  An action is the string
+  of root indices w(Phi), bytes up to 256 roots and str past them, every
+  product is one translate, and a root is negative exactly when its index
+  is at least |Phi+|.  The table is built on the first element operation,
+  so constructing a group costs no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
   coordinates are.  lmul and rmul are exact reflections; compose is a
@@ -51,7 +51,7 @@ coordinates.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
+from operator import methodcaller
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterMatrix, classify_finite, parse_number, validate
@@ -546,10 +546,13 @@ def _permute_roots(roots, images) -> list[int]:
 
 
 class _RootTable:
-    """Integer permutations of the root system of a finite W:
-    cols[i] is the index of the image of root i.  Roots 0..P-1 are the
-    positive roots (the first rank of them simple) and -beta_i has index
-    i + P.
+    """Permutations of the root system of a finite W, as strings of root
+    indices: a[i] is the index of the image of root i.  Roots 0..P-1 are
+    the positive roots (the first rank of them simple) and -beta_i has
+    index i + P.  An index is one byte when there are at most 256 roots,
+    and one str code point otherwise, where bytes cannot hold it (bytes
+    walk the E6 ball about 1.6 times as fast).  This is the one place that
+    decides it: a ball key is the first rank entries of an action.
 
     Every positive root of a finite W is elementary, so the roots and the
     permutations are read off the elementary-root table: NEG sends beta_i
@@ -562,48 +565,50 @@ class _RootTable:
         self.npos = P
         # l(w) <= |Phi+| peels, then one round that finds no descent
         self.strip_rounds = P + 1
-        self.identity = tuple(range(2 * P))
+        if 2 * P <= 256:
+            self._code, self.neg = bytes, P
+            # bytes.translate takes a table of exactly 256 entries
+            self._pad = methodcaller("ljust", 256, b"\0")
+        else:
+            self._code, self.neg = lambda idx: "".join(map(chr, idx)), chr(P)
+            self._pad = str     # a str table of any length will do: a itself
+        self.identity = self._code(range(2 * P))
         self._roots = table.roots
-        self._perms = [()]
-        for s in group.generators():
-            half = [P + i if row[s] == NEG else row[s]
-                    for i, row in enumerate(table.step)]
-            self._perms.append(self._extend(half))
-        # w * s reads w's images at s's indices; itemgetter does it in C
-        self._rmul_getters = [None] + [itemgetter(*p) for p in self._perms[1:]]
-        self._gamma_perms: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # s as an action (entry 0 unused): w * s reads w at its entries
+        self._perms = [self.identity] + [
+            self._action([P + i if row[s] == NEG else row[s]
+                          for i, row in enumerate(table.step)])
+            for s in group.generators()]
+        # s * w sends each entry of w through the translate table of s
+        self.tables = [*map(self._pad, self._perms)]
+        self._gammas: dict[tuple[int, ...], tuple] = {}
 
-    def _extend(self, half):
-        """A permutation of Phi from its values on Phi+, since g(-b) = -g(b)."""
+    def _action(self, half):
+        """An action from its values on Phi+, since g(-b) = -g(b)."""
         P = self.npos
-        return tuple(half + [j + P if j < P else j - P for j in half])
+        return self._code(half + [j + P if j < P else j - P for j in half])
 
-    def lmul(self, s, cols):
-        return itemgetter(*cols)(self._perms[s])
+    def lmul(self, s, a):
+        return a.translate(self.tables[s])
 
-    def rmul(self, cols, s):
-        return self._rmul_getters[s](cols)
+    def rmul(self, a, s):
+        return self._perms[s].translate(self._pad(a))
 
     def compose(self, outer, inner):
-        return itemgetter(*inner)(outer)
+        return inner.translate(self._pad(outer))
 
-    def negative(self, cols, s):
-        return cols[s - 1] >= self.npos
+    def negative(self, a, s):
+        return a[s - 1] >= self.neg
 
-    def _gamma_perm(self, images):
-        """gamma on Phi: it permutes root coordinates like the generators."""
-        g = self._gamma_perms.get(images)
+    def fixes(self, images, a):
+        # gamma w = w gamma on the simple roots, which determine both sides:
+        # gamma(a[i]) == a[images[i] - 1], on an action or on a ball key
+        g = self._gammas.get(images)
         if g is None:
-            half = _permute_roots(self._roots, images)
-            g = self._gamma_perms[images] = self._extend(half)
-        return g
-
-    def fixes(self, images, cols):
-        # gamma w = w gamma on the simple roots, which determine both sides
-        if isinstance(cols, str):   # a ball's key: root indices as code points
-            cols = [*map(ord, cols)]
-        g = self._gamma_perm(images)
-        return all(g[cols[i]] == cols[t - 1] for i, t in enumerate(images))
+            g = self._gammas[images] = (
+                self._pad(self._action(_permute_roots(self._roots, images))),
+                self._code([t - 1 for t in images]))
+        return a[:len(images)].translate(g[0]) == g[1].translate(self._pad(a))
 
 
 # -- elementary roots ------------------------------------------------------------
@@ -738,9 +743,9 @@ class _ElementaryRoots:
 class Element:
     """Group element: canonical reduced word plus the action of w^-1.
 
-    ``inv_cols`` is in the form of the group's engine: the tuple of root
-    indices w^-1(Phi) for finite W, exact CycloReal columns (images of the
-    simple roots) otherwise.  It is the element's one action: right
+    ``inv_cols`` is in the form of the group's engine: the root indices
+    w^-1(Phi) as bytes or str for finite W, exact CycloReal columns (images
+    of the simple roots) otherwise.  It is the element's one action: right
     descents and the inverse come from the word.
     """
 

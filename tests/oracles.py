@@ -7,7 +7,8 @@ tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
 
 The exceptions are forward_action, reference_right_descents,
-reference_factorize, product_inv and the two reference ball walks.
+reference_factorize, product_inv, TupleRootTable and the two reference
+ball walks.
 forward_action builds the action of w with the engine's rmul, one letter
 at a time, and reference_right_descents reads the right descents off it
 with the engine's sign test, as the package did before it read them off
@@ -19,6 +20,9 @@ property suite reads its products off the generated ball.
 reference_image_ball is the bytes-keyed ball walk of
 coxfold.verify before its last-letter rule: every node tries every
 generator, and the dedup set alone rejects what is not new.
+TupleRootTable is the root table before its actions took the ball keys'
+encoding: tuples of root indices stepped by itemgetter, the reference
+that the bytes and str actions are decoded (decode) and compared with.
 reference_shortlex_ball is the automaton walk of coxfold.verify before its
 successor lists: every node scans its state's whole row of the ShortLex
 automaton.  reference_fixed_nodes is the fixedness filter that ran on the
@@ -42,6 +46,7 @@ of w^-1.  replace copies a package record through its constructor.
 import inspect
 import math
 from collections import deque
+from operator import itemgetter
 
 from coxfold.folding import Automorphism, InvariantViolation
 from coxfold.verify import Ball, _elements, _levels
@@ -106,9 +111,8 @@ def inversion_count(w):
     Counted on the root table's indices, or on the exact images of the
     positive roots."""
     engine, cols = w.group._engine, w.inv_cols
-    if isinstance(engine, _RootTable):
-        P = engine.npos
-        return sum(1 for j in cols[:P] if j >= P)
+    if isinstance(engine, _RootTable):   # bytes or str, against its own -beta_0
+        return sum(1 for j in cols[:engine.npos] if j >= engine.neg)
     images = engine.compose(cols, tuple(w.group.positive_roots()))
     return sum(1 for r in images if root_sign(r) < 0)
 
@@ -281,6 +285,68 @@ def product_inv(folded, orbit_word):
     return inv_cols
 
 
+# -- the root table on tuples of root indices -------------------------------------
+
+
+def decode(a):
+    """A root-table action or ball key as a tuple of root indices, whether
+    it is a tuple, bytes or a str."""
+    return tuple(map(ord, a)) if isinstance(a, str) else tuple(a)
+
+
+class TupleRootTable:
+    """The root table's primitives as coxfold.words had them before its
+    actions took the ball keys' encoding: an action is a tuple of root
+    indices, stepped by itemgetter, and fixes takes a tuple only.  The
+    permutations are read off the same elementary-root table."""
+
+    def __init__(self, group):
+        table = group._elementary
+        P = self.npos = len(table.roots)
+        self.identity = tuple(range(2 * P))
+        self._roots = table.roots
+        self._perms = [()] + [
+            self._extend([P + i if row[s] == NEG else row[s]
+                          for i, row in enumerate(table.step)])
+            for s in group.generators()]
+        self._rmul_getters = [None] + [itemgetter(*p) for p in self._perms[1:]]
+        self.strip_rounds = P + 1
+
+    def _extend(self, half):
+        """A permutation of Phi from its values on Phi+, since g(-b) = -g(b)."""
+        P = self.npos
+        return tuple(half + [j + P if j < P else j - P for j in half])
+
+    def lmul(self, s, cols):
+        return itemgetter(*cols)(self._perms[s])
+
+    def rmul(self, cols, s):
+        return self._rmul_getters[s](cols)
+
+    def compose(self, outer, inner):
+        return itemgetter(*inner)(outer)
+
+    def negative(self, cols, s):
+        return cols[s - 1] >= self.npos
+
+    def fixes(self, images, cols):
+        g = self._extend(_permute_roots(self._roots, images))
+        return all(g[cols[i]] == cols[t - 1] for i, t in enumerate(images))
+
+    def strip(self, cols, subset):
+        """CoxeterGroup._strip on this table: (letters, action after)."""
+        letters = []
+        for _ in range(self.strip_rounds):
+            for s in subset:
+                if self.negative(cols, s):
+                    break
+            else:
+                return tuple(letters), cols
+            letters.append(s)
+            cols = self.rmul(cols, s)
+        raise AssertionError("descent stripping did not terminate")
+
+
 # -- the bytes-keyed ball walk without the last-letter rule -----------------------
 
 
@@ -290,7 +356,7 @@ def reference_image_ball(group, radius=None):
     generator, and w s is appended when its key is in neither level k-1
     nor the part of level k+1 found so far."""
     steps = [(s, bytes(perm).ljust(256, b"\0"))     # bytes.translate tables
-             for s, perm in enumerate(group._engine._perms[1:], 1)]
+             for s, perm in enumerate(TupleRootTable(group)._perms[1:], 1)]
     ball = Ball(group, [bytes(range(group.rank))])   # alpha_t is root t-1
     parents, letters, keys = ball.parents, ball.letters, ball.keys
     for prev, start in _levels(ball, radius):

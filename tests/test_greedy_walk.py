@@ -30,6 +30,7 @@ from coxfold.verify import GREEDY_CAP, _greedy_probe
 from coxfold.words import BIG, NEG, CoxeterGroup
 
 from conftest import MATRICES
+from oracles import decode
 
 GROUPS = {
     "a5": MATRICES["a5"],
@@ -153,7 +154,8 @@ def test_elementary_table_matches_reference_closure(name):
     assert W.positive_roots() == set(roots)
     phi = roots + [tuple(-c for c in r) for r in roots]
     index = {r: i for i, r in enumerate(phi)}
-    assert W._engine._perms == [()] + [
+    # each translate table starts with s as an action on Phi
+    assert [decode(t[:len(phi)]) for t in W._engine.tables[1:]] == [
         tuple(index[W.reflect(s, r)] for r in phi) for s in W.generators()]
 
 

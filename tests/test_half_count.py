@@ -238,7 +238,8 @@ def drop_last_node(reps):
 
 def corrupt_translate_table(group):
     # s_1 moves no root, so the walks through W_{1,3,5,6} fall short
-    group._engine._perms[1] = group._engine.identity
+    # E6 has 72 roots, so its translate tables are 256 bytes long
+    group._engine.tables[1] = group._engine.identity.ljust(256, b"\0")
 
 
 @pytest.mark.parametrize("hooks", [

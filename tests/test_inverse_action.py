@@ -211,6 +211,9 @@ def test_walk_boundary_at_256_roots(n, roots, order, key):
     expected = [w for w in oracles.ball_elements(ball) if is_fixed(w, [SWAP])]
     assert [w.word for w in fixed] == [w.word for w in expected]
     assert [w.inv_cols for w in fixed] == [w.inv_cols for w in expected]
+    # an action is in its ball key's encoding, and the key is its prefix
+    assert {type(w.inv_cols) for w in fixed} == {key}
+    assert fixed[0].inv_cols[:W.rank] == ball.keys[0]
     # e, the longest elements of the two factors, and their product
     assert len(fixed) == 4
     assert all(oracles.apply_element(SWAP, w) == w for w in fixed)
@@ -340,7 +343,7 @@ def test_image_fixed_set_matches_engine(name):
     (CoxeterMatrix(((1,),)), 2),
 ], ids=["rank0", "rank1"])
 def test_ranks_below_two_take_the_automaton(matrix, order):
-    # an itemgetter of one index gives a root index, not a key
+    # rank 0 has no root table, and the key walk starts at rank 2
     W = CoxeterGroup(matrix)
     ball = enumerate_ball(W)
     assert ball.complete and not bytes_walk(ball)
