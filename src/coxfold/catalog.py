@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coxeter import classify_finite, parse_input
-from .cosets import coset_walks
 from .folding import Automorphism, fold
 from .verify import (
     DEFAULT_INFINITE_RADIUS,
     VerifyConfig,
+    coset_walks,
     enumerate_ball,
     fixed_nodes,
     generated_ball,

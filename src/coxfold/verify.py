@@ -2,17 +2,16 @@
 
 The enumeration side never consults the folding machinery.  A ball is a
 prefix tree of canonical ShortLex words.  On the root table of a finite W
-of rank 2 or more it comes from a breadth-first search keyed by the root
-indices of w^-1(alpha_t), the first rank entries of the action of w^-1,
-and fixedness is one engine test per key; on an
-infinite W, or one of rank 0 or 1, it comes from the ShortLex automaton
-on the elementary roots, and under a nontrivial Gamma each node carries
-the exchange walks that decide gamma(w) = w: a walk that fails fails in
-every word with that prefix, so the walk drops the node's subtree, and a
-node whose walks have all deleted is fixed.  Either way only the fixed
-nodes are spelled and built as elements, and counting them builds none.
-A finite W under a nontrivial Gamma takes its fixed set from the coset
-chain (coxfold.cosets) instead.
+it comes from a breadth-first search keyed by the root indices of
+w^-1(alpha_t), the first rank entries of the action of w^-1, and
+fixedness is one engine test per key; on the matrix engine it comes from
+the ShortLex automaton on the elementary roots, and under a nontrivial
+Gamma each node carries the exchange walks that decide gamma(w) = w: a
+walk that fails fails in every word with that prefix, so the walk drops
+the node's subtree, and a node whose walks have all deleted is fixed.
+Either way only the fixed nodes are spelled and built as elements, and
+counting them builds none.  A finite W under a nontrivial Gamma takes its
+fixed set from a chain of coset walks instead (coset_walks).
 The generated fixed subgroup is explored by plain right multiplication
 with dedup on the exact action of w^-1, and that walk is the product
 table of the checks that multiply fixed elements (_Products); an
@@ -41,8 +40,12 @@ from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from . import cosets
-from .coxeter import CoxeterMatrix, classify_finite, coxeter_order
+from .coxeter import (
+    CoxeterMatrix,
+    classify_finite,
+    coxeter_order,
+    graph_components,
+)
 from .cyclo import INF
 from .folding import (
     Automorphism,
@@ -51,7 +54,7 @@ from .folding import (
     fold,
     validate_automorphism,
 )
-from .words import CoxeterGroup, Element, _RootTable
+from .words import CoxeterGroup, Element, EngineInvariantError, _RootTable
 
 DEFAULT_INFINITE_RADIUS = 8
 SAMPLES = 50                # randomized factorizations per element
@@ -161,13 +164,12 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
     increasing order, and append w s when it is a new normal form, so
     level k+1 comes out in ShortLex order.
 
-    Root table of rank 2 or more: the key of w s is one translate of the
-    key of w by the table of s, the root table's lmul, since (w s)^-1 =
-    s w^-1.  w s lies in level k-1 or k+1, and is new
-    when its key is in neither level k-1 nor the part of level k+1 found
-    so far.  So y of length k+1 is first reached from the least pair
-    (NF(y s), s) over its right descents s, and NF(y s) s is its ShortLex
-    normal form.
+    Root table: the key of w s is one translate of the key of w by the
+    table of s, the root table's lmul, since (w s)^-1 = s w^-1.  w s lies
+    in level k-1 or k+1, and is new when its key is in neither level k-1
+    nor the part of level k+1 found so far.  So y of length k+1 is first
+    reached from the least pair (NF(y s), s) over its right descents s,
+    and NF(y s) s is its ShortLex normal form.
 
     A node w = u t, t its last letter, skips s = t and every s < t with
     m(s, t) = 2, and no skipped w s is new, by induction along the walk:
@@ -177,10 +179,10 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
     found or skipped.  So the walk appends what the unpruned walk appends,
     in the same order, and the dedup set still rejects the rest.
 
-    Any other W (the matrix engine, rank 0 or 1) takes the ShortLex
-    automaton on the elementary roots, which does no arithmetic.  There a
-    nontrivial Gamma prunes the walk (_shortlex_ball); the root-table walk
-    lists every node, and fixed_nodes tests their keys.
+    The matrix engine takes the ShortLex automaton on the elementary
+    roots, which does no arithmetic.  There a nontrivial Gamma prunes the
+    walk (_shortlex_ball); the root-table walk lists every node, and
+    fixed_nodes tests their keys.
     """
     order = coxeter_order(group.matrix, group.generators())
     if order is None:
@@ -191,7 +193,7 @@ def enumerate_ball(group: CoxeterGroup, radius: int | None = None,
             raise NodeCapExceeded(
                 f"the group has {order} elements, over the node cap {NODE_CAP}"
             )
-    if isinstance(group._engine, _RootTable) and group.rank > 1:
+    if isinstance(group._engine, _RootTable):
         return _image_ball(group, radius)
     return _shortlex_ball(group, radius, _moved(group, autos))
 
@@ -256,6 +258,63 @@ def _image_ball(group: CoxeterGroup, radius: int | None, K=None, J=(),
                     if len(keys) > cap:
                         return ball
     return ball
+
+
+# ---------------------------------------------------------------------------
+# the fixed points of a finite W over a chain of parabolics
+#
+# For J in K, every w in W_K is uniquely u x with u in W_J and x in ^J W_K,
+# the x in W_K with no left descent in J (Bjorner and Brenti, GTM 231, Prop.
+# 2.4.4).  Each gamma preserves length, so for Gamma-stable J and K it fixes
+# w exactly when it fixes u and x, and W^Gamma is the products of each
+# step's fixed representatives.  The key walk lists them, and fixed_nodes
+# keeps the fixed ones; the catalog counts their products, and the property
+# suite lists them.
+
+
+def coset_walks(group: CoxeterGroup, autos: Sequence[Automorphism]):
+    """(J, K, |W_K| / |W_J|, ball of ^J W_K) for each step of a chain of
+    unions of Gamma-orbits, bottom step first.  It is built from the top,
+    each step dropping the orbit that leaves the largest parabolic (on a
+    tie, the one with the smallest member), so each index is the least on
+    offer.  A walk stops one node past its index."""
+    matrix = group.matrix
+    orbits = [set(c) for c in graph_components(     # as in folding.orbits
+        {s: [gamma(s) for gamma in autos] for s in matrix.generators()})]
+    K = set(matrix.generators())
+    order_k = coxeter_order(matrix, K)
+    steps = []
+    while orbits:
+        orders = [coxeter_order(matrix, K - orbit) for orbit in orbits]
+        drop = orders.index(max(orders))
+        J = K - orbits.pop(drop)
+        steps.append((J, K, order_k // orders[drop]))
+        K, order_k = J, orders[drop]
+    for J, K, index in reversed(steps):
+        yield J, K, index, _image_ball(group, None, K, J, index)
+
+
+def fixed_elements(group: CoxeterGroup,
+                   autos: Sequence[Automorphism]) -> tuple[Element, ...]:
+    """W^Gamma of a finite W in ball order.  A product u x of fixed
+    representatives is one compose, (u x)^-1 = x^-1 u^-1, and then its
+    word is extracted.  Raises past NODE_CAP products, and when a walk
+    disagrees with the classification."""
+    compose = group._engine.compose
+    products = [group._engine.identity]     # inverse actions of W_J^Gamma
+    for J, K, index, reps in coset_walks(group, autos):
+        if len(reps) != index:
+            raise EngineInvariantError(
+                "coset walk disagrees with the classification",
+                group._witness(J=sorted(J), K=sorted(K), index=index,
+                               found=len(reps)))
+        fixed = [x.inv_cols for x in fixed_subgroup(reps, autos)]
+        if len(products) * len(fixed) > NODE_CAP:
+            raise NodeCapExceeded(
+                f"fixed set exceeded the node cap {NODE_CAP}")
+        products = [compose(x, u) for u in products for x in fixed]
+    return tuple(sorted(map(group._element_from_inv, products),
+                        key=lambda w: (len(w.word), w.word)))
 
 
 _START = ((), (), None)     # the exchange walks of e: nothing to delete
@@ -340,23 +399,23 @@ def fixed_nodes(ball: Ball, autos: Sequence[Automorphism]) -> list[int]:
     node to its children.  Nothing is spelled."""
     group, keys = ball.group, ball.keys
     gamma = _moved(group, autos)
-    if isinstance(keys[0], int):
-        if gamma == ball.gamma:
-            return list(range(len(ball)) if ball.fixed is None else ball.fixed)
-        if ball.gamma:
-            raise ValueError("the ball was pruned under other automorphisms")
-        # a full ball: the pruned walk's states, carried along its tree
-        fixing_step, gammas = group._elementary.fixing_step, sorted(gamma)
-        states = [[_START] * len(gammas)]
-        for p, s in zip(ball.parents[1:], ball.letters[1:]):
-            here = states[p]
-            states.append(here and fixing_step(gammas, here, s))
-        return [i for i, there in enumerate(states)
-                if there and _all_deleted(there)]
-    nodes = range(len(ball))
-    for g in gamma:
-        nodes = [i for i in nodes if group._engine.fixes(g, keys[i])]
-    return list(nodes)
+    if isinstance(group._engine, _RootTable):
+        nodes = range(len(ball))
+        for g in gamma:
+            nodes = [i for i in nodes if group._engine.fixes(g, keys[i])]
+        return list(nodes)
+    if gamma == ball.gamma:
+        return list(range(len(ball)) if ball.fixed is None else ball.fixed)
+    if ball.gamma:
+        raise ValueError("the ball was pruned under other automorphisms")
+    # a full ball: the pruned walk's states, carried along its tree
+    fixing_step, gammas = group._elementary.fixing_step, sorted(gamma)
+    states = [[_START] * len(gammas)]
+    for p, s in zip(ball.parents[1:], ball.letters[1:]):
+        here = states[p]
+        states.append(here and fixing_step(gammas, here, s))
+    return [i for i, there in enumerate(states)
+            if there and _all_deleted(there)]
 
 
 def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, ...]:
@@ -1114,7 +1173,7 @@ def property_suite(group: CoxeterGroup, autos: Sequence[Automorphism],
     finite_w = classify_finite(group.matrix, group.generators()) is not None
     identity = Automorphism(tuple(group.generators()))
     if finite_w and set(autos) - {identity}:
-        fixed = cosets.fixed_elements(group, autos)
+        fixed = fixed_elements(group, autos)
     else:   # the whole ball under a trivial Gamma, else a pruned walk
         ball = enumerate_ball(group, None if finite_w else radius, autos)
         fixed = fixed_subgroup(ball, autos)

@@ -30,13 +30,13 @@ elementary roots (Brink and Howlett): the simple roots closed under the
 simple reflections on plain integer coefficients (``_root_closure``), the
 one place where roots are closed.  It walks reduced words without
 arithmetic: it drives the ShortLex automaton that lists the balls of an
-infinite W (and of a W of rank 0 or 1), the exchange walks that decide
-gamma(w) = w one appended letter at a time (``fixing_step``), so that the
-ball walk drops every subtree that holds no fixed word, and, for every W,
-the right descents, the exchange property (``exchange``) and the greedy
-walk up by non-descents (``_grow``) that builds longest elements and
-probes finiteness.  The root table of a
-finite W is read off it: every positive root is elementary.
+infinite W, the exchange walks that decide gamma(w) = w one appended
+letter at a time (``fixing_step``), so that the ball walk drops every
+subtree that holds no fixed word, and, for every W, the right descents,
+the exchange property (``exchange``) and the greedy walk up by
+non-descents (``_grow``) that builds longest elements and probes
+finiteness.  The root table of a finite W is read off it: every positive
+root is elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent
@@ -131,9 +131,8 @@ class CoxeterGroup:
     def _engine(self):
         """The action engine, built on first use: a root-index table for
         finite W, read off the elementary roots, and exact matrices
-        otherwise (and for the trivial group, which has no roots to
-        index)."""
-        if not classify_finite(self.matrix, self.generators()):
+        otherwise."""
+        if classify_finite(self.matrix, self.generators()) is None:
             return _MatrixEngine(self)
         return _RootTable(self)
 
@@ -491,7 +490,7 @@ class CoxeterGroup:
 
 
 class _MatrixEngine:
-    """Exact matrices on the span of the simple roots, for any W:
+    """Exact matrices on the span of the simple roots, for infinite W:
     cols[j] is the image of alpha_{j+1} in simple-root coordinates."""
 
     strip_rounds = _MAX_STRIP_STEPS

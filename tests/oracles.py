@@ -351,10 +351,10 @@ class TupleRootTable:
 
 
 def reference_image_ball(group, radius=None):
-    """The ball of a root-table W of rank 2 or more with at most 256 roots,
-    keyed by the bytes of w^-1(alpha_t): each node of level k tries every
-    generator, and w s is appended when its key is in neither level k-1
-    nor the part of level k+1 found so far."""
+    """The ball of a root-table W with at most 256 roots, keyed by the
+    bytes of w^-1(alpha_t): each node of level k tries every generator,
+    and w s is appended when its key is in neither level k-1 nor the part
+    of level k+1 found so far."""
     steps = [(s, bytes(perm).ljust(256, b"\0"))     # bytes.translate tables
              for s, perm in enumerate(TupleRootTable(group)._perms[1:], 1)]
     ball = Ball(group, [bytes(range(group.rank))])   # alpha_t is root t-1

@@ -9,8 +9,9 @@ dropped orbit beside kept generators and a pair, which no catalog row
 does.  The `verify` of the A7 and E6 flips pins the sampled branch of
 length-additivity-transfer on a finite W (384 and 1152 fixed elements);
 they are kept out of INPUTS, which the failure goldens and the
-ball-product tests run too.  Any change to a payload, its key order, a
-statistic or a seeded draw shows up here.
+ball-product tests run too, and so is A1 under the identity, the one W of
+rank 1 whose whole ball a golden report walks.  Any change to a payload,
+its key order, a statistic or a seeded draw shows up here.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ SAMPLED_INPUTS = {
                 + "auto flip 1>7 7>1 2>6 6>2 3>5 5>3\n"),
     "e6-flip": next(e.input_text for e in CATALOG if e.name == "e6-flip"),
 }
+RANK_ONE = {"a1-id": "rank 1\nauto id\n"}
 
 # arguments after the file, by input and command
 EXTRA = {("tri443-swap", "verify"): ("--radius", "8")}
@@ -83,12 +85,16 @@ GOLDEN = {
     ("a7-flip", "verify", "json"): "f79aa37407325de141e2edbb2948a89bc86e69a2b36b2fc140cfc79b87f6b6ea",
     ("e6-flip", "verify", "text"): "0bfe9ce3d493a49bd9583e42cbab5b46f40535e3c1fe4778cea4cbdae1ab2e8f",
     ("e6-flip", "verify", "json"): "c67d7ecce2a5e8f3bd4e3da5a7d360f0a7352578cd991bba02355a32ad2c27e1",
+    ("a1-id", "fold", "text"): "75cd56ab8f25843d54ce573f9d366b7f586a5c4a6d55477ba19d6a9058da603c",
+    ("a1-id", "fold", "json"): "7a07e996c102bd7c94642e2f92f135b4e6d62899a497608f6c06c16586b2e55b",
+    ("a1-id", "verify", "text"): "c88139d1b72270b4c85c161d070ba7aac91f9d9a69a5884f69a867099b25c278",
+    ("a1-id", "verify", "json"): "b95eb95352e669a4fdbc4edf012c97ebae6257615f5d1584a2f4e1c9b33d6dd6",
 }
 
 
 def run_cli(capsys, tmp_path, name, *argv):
     path = tmp_path / (name + ".cox")
-    path.write_text({**INPUTS, **SAMPLED_INPUTS}[name])
+    path.write_text({**INPUTS, **SAMPLED_INPUTS, **RANK_ONE}[name])
     rc = cli.main([argv[0], str(path), *argv[1:]])
     return rc, capsys.readouterr().out
 

@@ -17,6 +17,10 @@ them H4 and the six benchmark verify instances) and on seeded random
 matrices.  For a finite W the root table is read off that table, since
 every positive root is elementary; its permutations must be those of the
 reflections on the reference roots and their negatives.
+
+The probe's step bound is below l(w_0) = 600 of five commuting I2(120)
+blocks, so it calls that finite parabolic infinite: a known false failure
+of the suite's finiteness check, pinned as a strict xfail.
 """
 
 import random
@@ -179,3 +183,23 @@ def test_simply_laced_closure_needs_no_enclosure(monkeypatch):
     monkeypatch.setattr(CycloReal, "_interval_value", enclosure)
     W = CoxeterGroup(CLOSURE_GROUPS["e6"])
     assert len(W._elementary.roots) == 36
+
+
+# five commuting I2(120) blocks on 1..10, and an infinite edge to 11
+FIVE_I2_120 = CoxeterMatrix.from_labels(
+    11, {**{(2 * k - 1, 2 * k): 120 for k in range(1, 6)}, (10, 11): INF})
+
+
+def test_five_i2_120_blocks_pass_the_greedy_cap():
+    W = CoxeterGroup(FIVE_I2_120)
+    labels = classify_finite(W.matrix, range(1, 11))
+    assert sum(lab.positive_root_count for lab in labels) == 600 > GREEDY_CAP
+    assert classify_finite(W.matrix, W.generators()) is None
+    assert len(W._elementary.roots) == 601
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: GREEDY_CAP = 512 is below l(w_0) = 600, so the greedy "
+    "probe calls this finite parabolic infinite"))
+def test_greedy_probe_finds_five_i2_120_blocks_finite():
+    assert _greedy_probe(CoxeterGroup(FIVE_I2_120), list(range(1, 11)))

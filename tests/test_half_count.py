@@ -2,23 +2,24 @@
 
 For Gamma-stable J in K, each w in W_K is uniquely u x with u in W_J and
 x a minimal representative of W_J x, and gamma fixes w exactly when it
-fixes u and x.  cosets.coset_walks walks each step of a chain of
-Gamma-stable parabolics once, on verify's key walk; the catalog's
+fixes u and x.  verify.coset_walks walks each step of a chain of
+Gamma-stable parabolics once, on the key walk; the catalog's
 finite_fixed_count multiplies the fixed representatives' counts, and
-cosets.fixed_elements, the suite's fixed set, multiplies them out.  Both
+verify.fixed_elements, the suite's fixed set, multiplies them out.  Both
 must find what the full walk finds, for every diagram automorphism of
 groups with odd and even l(w0), reducible ones, rank 0 and 1, and a
-group over 256 roots.  Each walk must find the index the classification
-gives, so a broken walk makes the catalog row mismatch and the suite
-raise with a witness.  (The name is from the count's first form, which
-walked half of W and paired it by w -> w0 w.)
+group over 256 roots, and what the automaton walk finds on the matrix
+engine.  Each walk must find the index the classification gives, so a
+broken walk makes the catalog row mismatch and the suite raise with a
+witness.  (The name is from the count's first form, which walked half of
+W and paired it by w -> w0 w.)
 """
 
 import itertools
 
 import pytest
 
-from coxfold import cosets, verify
+from coxfold import verify
 from coxfold.catalog import CATALOG, finite_fixed_count, run_entry
 from coxfold.coxeter import (
     CoxeterMatrix, classify_finite, coxeter_order, parse_input)
@@ -28,13 +29,14 @@ from coxfold.verify import (
     NodeCapExceeded,
     _image_ball,
     enumerate_ball,
+    fixed_elements,
     fixed_nodes,
     fixed_subgroup,
     property_suite,
 )
 from coxfold.words import CoxeterGroup, EngineInvariantError
 
-from conftest import diagram_automorphisms, entry_by_name
+from conftest import diagram_automorphisms, entry_by_name, matrix_engine_group
 from test_golden import INPUTS as GOLDEN_INPUTS, SAMPLED_INPUTS
 
 
@@ -106,7 +108,7 @@ def test_half_count_matches_full_walk(name):
 def assert_chain_lists_full_walk(W, autos, full):
     """The suite's fixed set from the chain is the full walk's: the same
     elements with the same words and inverse actions, in the same order."""
-    chain = cosets.fixed_elements(W, autos)
+    chain = fixed_elements(W, autos)
     walked = fixed_subgroup(full, autos)
     assert [w.word for w in chain] == [w.word for w in walked]
     assert [w.inv_cols for w in chain] == [w.inv_cols for w in walked]
@@ -161,7 +163,7 @@ def test_trivial_gamma_keeps_the_ball_and_tests_nothing(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(W._engine, "fixes", untouched)
         assert fixed_nodes(ball, autos) == list(range(120))
-    monkeypatch.setattr(cosets, "fixed_elements", untouched)
+    monkeypatch.setattr(verify, "fixed_elements", untouched)
     assert property_suite(W, autos).passed
 
 
@@ -171,19 +173,28 @@ def test_chain_products_are_capped(monkeypatch):
     parsed = parse_input(entry_by_name("a5-flip").input_text)
     W = CoxeterGroup(parsed.matrix)
     autos = [Automorphism(images) for _, images in parsed.autos]
-    assert len(cosets.fixed_elements(W, autos)) == 48
+    assert len(fixed_elements(W, autos)) == 48
     monkeypatch.setattr(verify, "NODE_CAP", 47)
     with pytest.raises(NodeCapExceeded,
                        match="^fixed set exceeded the node cap 47$"):
-        cosets.fixed_elements(W, autos)
+        fixed_elements(W, autos)
 
 
 def test_automaton_walk_is_covered():
-    # over 256 roots, so the full walk the count is compared with keys
-    # nodes by automaton states, and root indices need more than a byte
-    W = CoxeterGroup(GROUPS["i2-120xi2-10"][0])
-    assert 2 * W._engine.npos == 260
-    assert not isinstance(enumerate_ball(W, 1).keys[0], bytes)
+    # the matrix engine walks a finite W on the automaton, whose full
+    # walk must find the count and the chain's words
+    for name in ("a3", "b3", "d4"):
+        matrix, _, n_autos = GROUPS[name]
+        W, M = CoxeterGroup(matrix), matrix_engine_group(matrix)
+        full = enumerate_ball(M)
+        assert isinstance(full.keys[0], int) and full.complete
+        autos = diagram_automorphisms(matrix)
+        assert len(autos) == n_autos
+        for gammas in [[gamma] for gamma in autos] + [autos]:
+            assert len(fixed_nodes(full, gammas)) == finite_fixed_count(
+                W, gammas)
+            assert ([w.word for w in fixed_subgroup(full, gammas)]
+                    == [w.word for w in fixed_elements(W, gammas)])
 
 
 # -- Ball.complete on a radius-bounded finite ball ------------------------------

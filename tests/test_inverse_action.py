@@ -9,11 +9,11 @@ word letterwise.  Both engines are
 covered: table groups a5, d4 and h3, and matrix-engine groups affine A~2,
 the (4,4,3) triangle group, I2(inf), and b3 on the matrix engine.
 
-enumerate_ball walks a root-table W of rank 2 or more on keys that list
-the root indices of w^-1(alpha_t), and takes the first discovery of each
-element; it walks the ShortLex automaton of the elementary roots on any
-other W.  Either way a plain BFS, deduplicated on the action and with
-words from normal-form extraction, must list the same words.  The keys
+enumerate_ball walks a root-table W on keys that list the root indices
+of w^-1(alpha_t), and takes the first discovery of each element; it walks
+the ShortLex automaton of the elementary roots on the matrix engine.
+Either way a plain BFS, deduplicated on the action and with words from
+normal-form extraction, must list the same words.  The keys
 are bytes up to 256 roots and str past them: I2(120) x I2(8), with
 exactly 256 roots, keeps bytes, and I2(120) x I2(10) and I2(120) x
 I2(30), with 260 and 300, take str.  The automaton walk lists each
@@ -31,7 +31,8 @@ and for all of them together: on the root table against the table's own
 test, and on infinite W against the matrix engine.  There the walk pruned
 under the same automorphisms must keep the same fixed words, and every
 fixed word's automaton state is one the automorphism leaves stable.
-Groups of rank 0 and 1 take the automaton.
+Groups of rank 0 and 1 take the key walk too, and list the words and
+fixed elements that the automaton lists on the matrix engine.
 """
 
 import itertools
@@ -342,15 +343,23 @@ def test_image_fixed_set_matches_engine(name):
     (CoxeterMatrix(()), 1),
     (CoxeterMatrix(((1,),)), 2),
 ], ids=["rank0", "rank1"])
-def test_ranks_below_two_take_the_automaton(matrix, order):
-    # rank 0 has no root table, and the key walk starts at rank 2
+def test_ranks_below_two_take_the_key_walk(matrix, order):
+    # the trivial group's root table is empty, and its keys are b""
     W = CoxeterGroup(matrix)
+    assert isinstance(W._engine, _RootTable)
     ball = enumerate_ball(W)
-    assert ball.complete and not bytes_walk(ball)
-    assert list(oracles.ball_words(ball)) == [(), (1,)][:order]
+    assert ball.complete and bytes_walk(ball)
+    words = list(oracles.ball_words(ball))
+    assert words == [(), (1,)][:order]
     gamma = oracles.identity_of(W.rank)
-    assert [w.word for w in fixed_subgroup(ball, [gamma])] == list(oracles.ball_words(ball))
-    assert [w.word for w in oracles.ball_elements(enumerate_ball(W, 1))] == list(oracles.ball_words(ball))
+    assert [w.word for w in fixed_subgroup(ball, [gamma])] == words
+    assert [w.word for w in oracles.ball_elements(enumerate_ball(W, 1))] == words
+    # the automaton on the matrix engine lists the same
+    M = matrix_engine_group(matrix)
+    automaton = enumerate_ball(M)
+    assert automaton.complete and not bytes_walk(automaton)
+    assert list(oracles.ball_words(automaton)) == words
+    assert [w.word for w in fixed_subgroup(automaton, [gamma])] == words
 
 
 # -- the elementary-root automaton against the matrix engine -------------------

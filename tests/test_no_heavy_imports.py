@@ -10,15 +10,19 @@ classes or named tuples instead.
 folding and verify names of the package load their module on first use,
 each CLI command imports only the modules it runs, and argparse loads with
 the first `cli.main` call.  Without a bytecode cache every module loaded is
-compiled, so a words-only process would otherwise pay for folding, verify,
-cosets and the catalog.  These probes each run in a fresh interpreter,
-since this one has loaded every module.
+compiled, so a words-only process would otherwise pay for folding, verify
+and the catalog.  These probes each run in a fresh interpreter, since this
+one has loaded every module.
+
+No module imports, at module level, one that imports it back, directly or
+through others: the package's import graph is acyclic.
 """
 
 import ast
 import json
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -27,8 +31,7 @@ from test_no_asserts import SOURCES
 
 BANNED = {"dataclasses", "inspect"}
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("coxfold.folding", "coxfold.verify", "coxfold.cosets",
-         "coxfold.catalog")
+HEAVY = ("coxfold.folding", "coxfold.verify", "coxfold.catalog")
 A3_FLIP = "rank 3\nm 1 2 3\nm 2 3 3\nauto flip 1>3 3>1\n"
 
 
@@ -103,3 +106,24 @@ def test_submodule_import_and_unknown_name():
         "print(json.dumps([verify.__name__, error]))")
     assert module == "coxfold.verify"
     assert error == "module 'coxfold' has no attribute 'no_such_name'"
+
+
+def package_imports(path) -> set:
+    """The modules of the package that a module imports at module level,
+    by `from . import X` or `from .X import ...`."""
+    found = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+    return found
+
+
+def test_package_imports_are_acyclic():
+    graph = {path.stem: package_imports(path) for path in SOURCES}
+    graph = {name: deps & graph.keys() for name, deps in graph.items()}
+    assert graph["catalog"] >= {"folding", "verify", "words"}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as err:
+        pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")
