@@ -4,8 +4,10 @@ Subcommands: reduce, fold, verify, classify, catalog.  Input files use the
 line-based format parsed by coxfold.coxeter.parse_input; words are
 space-separated 1-based generator indices.  Output is deterministic for a
 fixed input, seed and radius.  Each command imports the modules it runs
-when it runs, and argparse loads with the first `main` call: importing
-this module loads only the word engine, and so do `reduce` and `classify`.
+when it runs: importing this module loads only the word engine, and so do
+`reduce` and `classify`.  The grammar is declared once, in `COMMANDS`.
+`main` parses a valid command line straight from it, and imports argparse
+only to print help or a usage error.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (the report
 carries a replayable witness), 2 input or validation error.
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from .coxeter import (
     ParseError,
@@ -249,10 +251,75 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@cache
+# The grammar, read by `_parse` and by `build_parser`.  Each command maps to
+# (handler, help, positionals, options, flags).  An option maps its name to
+# (default, choices, help) and takes one value; a flag maps its name to its
+# help and stores True.  Each name is `--` and then its namespace attribute.
+
+_FORMAT = {"--format": ("text", ("text", "json"), None)}
+
+COMMANDS = {
+    "reduce": (cmd_reduce, "normal form, length and descents of a word",
+               ("file",),
+               {"--word": ("", None, "space-separated 1-based indices"),
+                **_FORMAT}, {}),
+    "fold": (cmd_fold, "orbits, folded generators and folded matrix",
+             ("file",), _FORMAT, {}),
+    "verify": (cmd_verify, "run the full property suite", ("file",),
+               {"--radius": (None, None, "ball radius for infinite groups, "
+                                         "at least 1 (default 8)"),
+                "--seed": ("0", None, None), **_FORMAT}, {}),
+    "classify": (cmd_classify, "components and finite-type classification",
+                 ("file",), _FORMAT, {}),
+    "catalog": (cmd_catalog, "recompute the built-in instances", (), _FORMAT,
+                {"--slow": "also run the rows that enumerate a large group "
+                           "(E6)"}),
+}
+
+
+def _parse(argv):
+    """The namespace argparse returns for argv when argv is a plain command
+    line, else None.  Plain: a command name, then exact option names each
+    with a value in its choices, exact flags and exactly the command's
+    positionals, in any order, no option or flag twice, and no value or
+    positional that starts with '-'.  Help, `--opt=value`, abbreviations,
+    `--` and every usage error are left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, options, flags = COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    args.update((name[2:], spec[0]) for name, spec in options.items())
+    args.update((name[2:], False) for name in flags)
+    seen, given = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in seen:
+            return None
+        if token in options:
+            value = next(tokens, "-")      # no value: refused below
+            choices = options[token][1]
+            if value.startswith("-") or (choices and value not in choices):
+                return None
+        elif token in flags:
+            value = True
+        elif token.startswith("-"):
+            return None
+        else:
+            given.append(token)
+            continue
+        seen.add(token)
+        args[token[2:]] = value
+    if len(given) != len(positionals):
+        return None
+    args.update(zip(positionals, given))
+    return SimpleNamespace(**args)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first main call and reused by
-    every later one in the process: parsing keeps no state in it."""
+    """The argparse parser of `COMMANDS`.  `main` builds it only for a
+    command line that `_parse` leaves to it: help, an abbreviation, or a
+    usage error.  Each command adds its positionals, then its flags, then
+    its options, in table order."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -260,46 +327,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact folding of Coxeter groups along diagram automorphisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("reduce", help="normal form, length and descents of a word")
-    p.add_argument("file")
-    p.add_argument("--word", default="", help="space-separated 1-based indices")
-    add_format(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("fold", help="orbits, folded generators and folded matrix")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(func=cmd_fold)
-
-    p = sub.add_parser("verify", help="run the full property suite")
-    p.add_argument("file")
-    p.add_argument("--radius", default=None,
-                   help="ball radius for infinite groups, at least 1 "
-                        "(default 8)")
-    p.add_argument("--seed", default="0")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="components and finite-type classification")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("catalog", help="recompute the built-in instances")
-    p.add_argument("--slow", action="store_true",
-                   help="also run the rows that enumerate a large group (E6)")
-    add_format(p)
-    p.set_defaults(func=cmd_catalog)
-
+    for command, (func, help_, positionals, options, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name in positionals:
+            p.add_argument(name)
+        for name, flag_help in flags.items():
+            p.add_argument(name, action="store_true", help=flag_help)
+        for name, (default, choices, option_help) in options.items():
+            p.add_argument(name, default=default, choices=choices,
+                           help=option_help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parse(argv) or build_parser().parse_args(argv)
+    except SystemExit as exit_:     # argparse after help or a usage error
+        return exit_.code
     try:
         return args.func(args)
     except SystemExit2 as err:

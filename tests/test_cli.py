@@ -383,7 +383,7 @@ def test_catalog_json_is_byte_identical_across_runs(capsys):
     assert "seconds" not in json.loads(out1)["rows"][0]
 
 
-# -- one parser per process ----------------------------------------------------
+# -- many calls in one process -------------------------------------------------
 
 CALLS_SCRIPT = """\
 import contextlib, io, json, sys
@@ -393,19 +393,16 @@ out = []
 for argv in json.loads(sys.argv[1]):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exit_:     # an argparse usage error
-            rc = exit_.code
+        rc = cli.main(argv)
     out.append([rc, stdout.getvalue(), stderr.getvalue()])
-out.append(cli.build_parser.cache_info().misses)
+out.append("argparse" in sys.modules)
 print(json.dumps(out))
 """
 
 
 def run_calls(calls):
     """[rc, stdout, stderr] of each main call, all in one fresh process,
-    then the number of parsers it built."""
+    then whether the process loaded argparse."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", CALLS_SCRIPT.format(src=str(src)),
@@ -427,19 +424,24 @@ def test_main_calls_in_one_process_match_separate_calls(tmp_path, a3_file):
         ["verify", str(tri), "--radius", "5"],
         ["catalog", "--format", "json"],
     ]
-    *together, parsers = run_calls(calls)
-    assert parsers == 1
+    *together, _ = run_calls(calls)
     assert [rc for rc, _, _ in together] == [0, 2, 0, 2, 0, 0, 0]
     assert "invalid choice: 'xml'" in together[1][2]
     for argv, outcome in zip(calls, together):
-        *alone, built = run_calls([argv])
-        assert alone == [outcome] and built == 1
+        *alone, _ = run_calls([argv])
+        assert alone == [outcome]
+    # valid command lines are parsed without argparse
+    valid = [argv for argv, (rc, _, _) in zip(calls, together) if rc != 2]
+    assert run_calls(valid)[-1] is False
 
 
-def test_import_builds_no_parser():
-    # the parser is built on the first main call, so importing the CLI
-    # costs no argparse set-up
-    assert run_calls([]) == [0]
+def test_main_returns_the_usage_exit_code(capsys):
+    # help and usage errors return from main; argparse's SystemExit
+    # stays inside it
+    assert cli.main(["frobnicate"]) == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert cli.main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: coxfold verify")
 
 
 # -- the pruned walk's node cap ------------------------------------------------

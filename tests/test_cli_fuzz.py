@@ -2,7 +2,8 @@
 exits 0, 1 or 2, and no exception escapes `main` (which the console
 script would print as a traceback).  On valid infinite-W inputs whose
 automorphisms preserve the matrix, `verify` exits 0: the folding theorem
-holds, so every check passes."""
+holds, so every check passes.  `main` parses a valid command line without
+argparse; on every command line it takes, it returns argparse's namespace."""
 
 import contextlib
 import io
@@ -88,10 +89,7 @@ def invocations(draw):
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exit_:          # argparse usage errors
-            rc = exit_.code
+        rc = cli.main(argv)
     return rc, err.getvalue()
 
 
@@ -148,3 +146,49 @@ def test_verify_passes_on_infinite_groups(text, radius, seed):
         rc, err = run_main(["verify", path, "--radius", str(radius),
                             "--seed", str(seed)])
     assert rc == 0, (text, radius, seed, err)
+
+
+COMMAND_NAMES = list(cli.COMMANDS)
+OPTION_NAMES = sorted({name for _, _, _, options, flags in cli.COMMANDS.values()
+                       for name in (*options, *flags)})
+VALUES = ["json", "xml", "text", "16", "-1", "", "a3.cox"]
+TOKENS = (COMMAND_NAMES + ["frobnicate"] + OPTION_NAMES
+          + ["--rad", "--form", "--format=json", "-h", "--"] + VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its positionals, then some of its own options and flags,
+    each option with a value: mostly lines `_parse` takes."""
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    _, _, positionals, options, flags = cli.COMMANDS[command]
+    argv = [command] + ["a3.cox"] * len(positionals)
+    for name in draw(st.lists(st.sampled_from([*options, *flags]),
+                              max_size=2, unique=True)):
+        argv += [name] if name in flags else [name, draw(st.sampled_from(VALUES))]
+    return argv
+
+
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=6),
+    st.builds(lambda command, rest: [command, *rest],
+              st.sampled_from(COMMAND_NAMES),
+              st.lists(st.sampled_from(TOKENS), max_size=5)),
+    command_lines())
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv; None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(ARGVS)
+def test_parse_returns_argparse_namespace_or_none(argv):
+    parsed = cli._parse(argv)
+    assert parsed is None or vars(parsed) == argparse_vars(argv), argv

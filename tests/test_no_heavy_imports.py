@@ -8,8 +8,8 @@ classes or named tuples instead.
 
 `import coxfold` loads only the word engine (cyclo, coxeter, words).  The
 folding and verify names of the package load their module on first use,
-each CLI command imports only the modules it runs, and argparse loads with
-the first `cli.main` call.  Without a bytecode cache every module loaded is
+each CLI command imports only the modules it runs, and argparse loads only
+for help or a usage error.  Without a bytecode cache every module loaded is
 compiled, so a words-only process would otherwise pay for folding, verify
 and the catalog.  These probes each run in a fresh interpreter, since this
 one has loaded every module.
@@ -32,6 +32,7 @@ from test_no_asserts import SOURCES
 BANNED = {"dataclasses", "inspect"}
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("coxfold.folding", "coxfold.verify", "coxfold.catalog")
+PROBED = HEAVY + ("argparse",)
 A3_FLIP = "rank 3\nm 1 2 3\nm 2 3 3\nauto flip 1>3 3>1\n"
 
 
@@ -60,27 +61,33 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_after(code: str, modules=HEAVY) -> list:
+def loaded_after(code: str, modules=PROBED) -> list:
     return fresh(code + f"\nprint(json.dumps([m for m in {modules!r} "
                         "if m in sys.modules]))")
 
 
 @pytest.mark.parametrize("code", ["import coxfold", "import coxfold.cli"])
 def test_import_loads_only_the_word_engine(code):
-    assert loaded_after(code, HEAVY + ("argparse",)) == []
+    assert loaded_after(code) == []
 
 
 @pytest.mark.parametrize("argv, loaded", [
     (["reduce", "{file}", "--word", "2 1 3 2"], []),
     (["classify", "{file}"], []),
     (["fold", "{file}"], ["coxfold.folding"]),
+    (["verify", "{file}"], ["coxfold.folding", "coxfold.verify"]),
+    (["catalog"], list(HEAVY)),
+    # a usage error, the one row that loads argparse: it exits 2
+    (["verify", "{file}", "--format", "xml"], ["argparse"]),
 ])
 def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     path = tmp_path / "a3.cox"
     path.write_text(A3_FLIP)
     argv = [arg.format(file=path) for arg in argv]
+    rc = 2 if "argparse" in loaded else 0
     assert loaded_after(f"from coxfold import cli\n"
-                        f"if cli.main({argv!r}):\n    sys.exit(1)") == loaded
+                        f"if cli.main({argv!r}) != {rc}:\n"
+                        f"    sys.exit(1)") == loaded
 
 
 def test_every_public_name_resolves_and_is_listed():
