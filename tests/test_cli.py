@@ -435,6 +435,12 @@ def test_main_calls_in_one_process_match_separate_calls(tmp_path, a3_file):
     assert run_calls(valid)[-1] is False
 
 
+def test_import_builds_no_parser():
+    # the parser is built only for help and usage errors, so importing the
+    # CLI costs no argparse set-up
+    assert run_calls([]) == [False]
+
+
 def test_main_returns_the_usage_exit_code(capsys):
     # help and usage errors return from main; argparse's SystemExit
     # stays inside it
