@@ -8,14 +8,15 @@ coefficients stay integers.  Real values are exactly the polynomials
 invariant under zeta -> zeta^(-1); the constructors here other than
 zeta_power produce such values and the ring operations preserve them.
 
-Equality is decided on canonical forms, so it is exact.  A sign is
+Equality is decided on canonical forms, so it is exact.  An integer
+value's sign is read off its constant coefficient.  Any other sign is
 decided on an enclosure in integer fixed point: each cos(k*pi/N) carries
 an explicit error bound (pi from Machin's formula, cos from its Taylor
-series), and the value sums them with its integer coefficients.
-The working precision doubles until the enclosure excludes zero, which
-happens for every nonzero input, since a nonzero algebraic number is
-bounded away from zero.  Each context computes the cosine enclosures once
-per working precision.
+series), and the value sums them with its integer coefficients.  The
+first enclosure is at 64 bits; when it contains zero, the second is at
+the precision that the norm of the value proves enough, so a sign takes
+at most two.  Each context computes the cosine enclosures once per
+working precision.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from functools import lru_cache
 
 INF = math.inf
 
-#: working-precision schedule of the sign test, in bits
+#: working precision of the first enclosure of a sign, in bits
 _SIGN_START_PREC = 64
-_SIGN_MAX_PREC = 1 << 16
 #: bits carried below the working precision; they absorb the rounding
-#: errors of pi and of the cosine series, below 2^18 units up to 2^16 bits
+#: errors of pi and of the cosine series, which a cosine table checks stay
+#: below 2^(_GUARD_BITS - 1) units: about 4 per bit, so up to 2^29 bits
 _GUARD_BITS = 32
 
 #: largest field degree phi(2N) a Coxeter matrix may ask for
@@ -38,15 +39,6 @@ DEGREE_CAP = 64
 # The memo makes repeated queries on the same canonical value free; results
 # are precision-independent, so the cache is observationally absent.
 _SIGN_MEMO: dict[tuple, int] = {}
-
-
-class PrecisionExhausted(ArithmeticError):
-    """The enclosure at the precision cap still contains zero.
-
-    This is a hard internal failure: it can only happen for a nonzero value
-    whose magnitude is below 2^-_SIGN_MAX_PREC, far outside the scale of the
-    values this package produces.
-    """
 
 
 class ContextMismatch(ValueError):
@@ -232,7 +224,8 @@ class ArithContext:
 
     def cos_enclosures(self, prec: int) -> tuple:
         """(value, bound) in fixed point with unit 2^(prec + _GUARD_BITS)
-        enclosing cos(k*pi/N), for k < degree; computed once per prec."""
+        enclosing cos(k*pi/N), for k < degree; computed once per prec.
+        Raises unless each bound is below 2^(_GUARD_BITS - 1)."""
         table = self._cos_enclosures.get(prec)
         if table is None:
             bits = prec + _GUARD_BITS
@@ -244,6 +237,9 @@ class ArithContext:
                 # j/N <= 1/2, so the argument is off by below pi_bound/2 + 1,
                 # and cos is 1-Lipschitz
                 enclosures.append((c if j == k else -c, bound + pi_bound + 1))
+            if max(b for _, b in enclosures) >> (_GUARD_BITS - 1):
+                raise ArithmeticError(f"cosine bounds at {prec} bits (N={N})"
+                                      f" reach 2^{_GUARD_BITS - 1} units")
             table = self._cos_enclosures[prec] = tuple(enclosures)
         return table
 
@@ -390,22 +386,32 @@ class CycloReal:
         return s
 
     def _compute_sign(self) -> int:
-        if self.is_zero():
-            return 0
-        key = (self.ctx.N, self.coeffs)
-        memo = _SIGN_MEMO.get(key)
+        """The sign from at most two enclosures, none for an integer (as
+        canonical forms are unique, integers are the rational values).  Else
+        x = sum a_k zeta^k is in the real subfield, of degree d = phi(2N)/2,
+        where its norm is a nonzero integer and each of its d conjugates is
+        at most A = sum |a_k|: |x| >= A^-(d-1) (Washington, GTM 83, ch. 2).
+        At p bits the enclosure is off by at most A*B units of 2^-(p+g), B
+        the widest bound of the table and g = _GUARD_BITS.  For p >= d*L,
+        L = A.bit_length(), and B < 2^(g-1), which cos_enclosures checks,
+        |x| 2^(p+g) > A 2^g > 2AB, so it decides.  64 bits come first, then
+        d*L rounded up to a power of two, so that values share tables."""
+        coeffs = self.coeffs
+        if not any(coeffs[1:]):
+            return (coeffs[0] > 0) - (coeffs[0] < 0)
+        memo = _SIGN_MEMO.get(key := (self.ctx.N, coeffs))
         if memo is not None:
             return memo
-        prec = _SIGN_START_PREC
-        while prec <= _SIGN_MAX_PREC:
-            value, bound = self._interval_value(prec=prec)
-            if abs(value) > bound:
-                return _SIGN_MEMO.setdefault(key, 1 if value > 0 else -1)
-            prec *= 2
-        raise PrecisionExhausted(
-            f"sign undecided at {_SIGN_MAX_PREC} bits for nonzero value "
-            f"{self.coeffs!r} (N={self.ctx.N})"
-        )
+        value, bound = self._interval_value(prec=_SIGN_START_PREC)
+        if abs(value) <= bound:
+            needed = self.ctx.degree // 2 * sum(map(abs, coeffs)).bit_length()
+            prec = max(1 << (needed - 1).bit_length(), _SIGN_START_PREC)
+            if prec > _SIGN_START_PREC:
+                value, bound = self._interval_value(prec=prec)
+            if abs(value) <= bound:  # an engine bug
+                raise ArithmeticError(f"sign of {self!r} undecided at {prec}"
+                                      " bits, where its norm bound decides it")
+        return _SIGN_MEMO.setdefault(key, 1 if value > 0 else -1)
 
     def _interval_value(self, *, prec: int) -> tuple[int, int]:
         """(value, bound) enclosing this number in fixed point with unit

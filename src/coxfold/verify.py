@@ -40,18 +40,14 @@ from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .coxeter import (
-    CoxeterMatrix,
-    classify_finite,
-    coxeter_order,
-    graph_components,
-)
+from .coxeter import CoxeterMatrix, classify_finite, coxeter_order
 from .cyclo import INF
 from .folding import (
     Automorphism,
     FoldedSystem,
     InvariantViolation,
     fold,
+    orbits,
     validate_automorphism,
 )
 from .words import CoxeterGroup, Element, EngineInvariantError, _RootTable
@@ -279,15 +275,14 @@ def coset_walks(group: CoxeterGroup, autos: Sequence[Automorphism]):
     tie, the one with the smallest member), so each index is the least on
     offer.  A walk stops one node past its index."""
     matrix = group.matrix
-    orbits = [set(c) for c in graph_components(     # as in folding.orbits
-        {s: [gamma(s) for gamma in autos] for s in matrix.generators()})]
+    left = list(orbits(matrix, autos))
     K = set(matrix.generators())
     order_k = coxeter_order(matrix, K)
     steps = []
-    while orbits:
-        orders = [coxeter_order(matrix, K - orbit) for orbit in orbits]
+    while left:
+        orders = [coxeter_order(matrix, K - orbit) for orbit in left]
         drop = orders.index(max(orders))
-        J = K - orbits.pop(drop)
+        J = K - left.pop(drop)
         steps.append((J, K, order_k // orders[drop]))
         K, order_k = J, orders[drop]
     for J, K, index in reversed(steps):

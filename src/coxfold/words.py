@@ -182,8 +182,8 @@ class CoxeterGroup:
         coordinates: s sets coordinate s to -beta_s + sum_t c_st beta_t,
         where a rational c_st (labels 3 and inf) is an int and any other
         costs one convolution.  A listed image is elementary, so its step
-        is never BIG; only a new one needs a sign test, read off the integer
-        when the value is rational.  Roots become CycloReal at the end.
+        is never BIG; only a new one needs a sign test.  Roots become
+        CycloReal at the end.
         """
         subset = sorted(set(subset))
         ctx = self.ctx
@@ -227,8 +227,7 @@ class CoxeterGroup:
                     # step is BIG when 2 + 2B(beta, alpha_s) <= 0
                     two = [a - x for a, x in zip(old, new)]
                     two[0] += 2
-                    if (CycloReal(ctx, tuple(two)).sign() if any(two[1:])
-                            else two[0]) <= 0:
+                    if CycloReal(ctx, tuple(two)).sign() <= 0:
                         j = BIG
                     else:
                         j = index[img] = len(roots)
@@ -783,10 +782,10 @@ class Element:
         return h
 
     def __repr__(self):
-        return f"Element({' '.join(map(str, self.word)) or 'e'})"
+        return f"Element({word_str(self.word)})"
 
     def __str__(self):
-        return " ".join(map(str, self.word)) if self.word else "e"
+        return word_str(self.word)
 
 
 def word_str(word: Sequence[int]) -> str:

@@ -149,7 +149,7 @@ def test_sign_examples():
 def test_sign_escalates_precision_for_tiny_values():
     # x - p/q for a rational p/q within 1e-50 of x, written as the integer
     # value q*x - p: it cannot be decided at the starting 64 bits, and the
-    # doubling loop must still land on the correct sign
+    # enclosure at its norm-bound precision must land on the correct sign
     ctx = ArithContext(30)
     x = ctx.two_cos_pi_over(30)
     with mpmath.workdps(60):
@@ -234,17 +234,24 @@ def test_zeta_power_not_real():
 # -- the fixed-point sign test, against mpmath as an independent oracle --------
 
 
-@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
 def test_cos_enclosures_contain_the_cosines(prec):
     bits = prec + cyclo._GUARD_BITS
-    with mpmath.workprec(400):
+    with mpmath.workprec(bits + 64):
         for N in range(2, 61):
             ctx = ArithContext(N)
             for k, (value, bound) in enumerate(ctx.cos_enclosures(prec)):
                 true = mpmath.cos(mpmath.pi * k / N) * 2 ** bits
                 assert abs(value - true) <= bound, (N, k)
-                # the guard bits absorb the rounding: prec bits are exact
-                assert bound < 1 << cyclo._GUARD_BITS
+                # the side condition of the sign proof: the guard bits
+                # absorb the rounding with one bit to spare
+                assert bound < 1 << (cyclo._GUARD_BITS - 1)
+
+
+def test_cos_enclosures_raise_without_enough_guard_bits(monkeypatch):
+    monkeypatch.setattr(cyclo, "_GUARD_BITS", 8)
+    with pytest.raises(ArithmeticError, match=r"at 64 bits \(N=5\) reach 2\^7"):
+        ArithContext(5).cos_enclosures(64)
 
 
 @pytest.mark.parametrize("bits", [96, 160, 288])
@@ -325,38 +332,95 @@ def _near(x, exponent, side):
                                     exponent + 10))
 
 
+def _norm_bound_prec(x):
+    """2^ceil(log2(d L)), d = phi(2N)/2 and L the bit length of the sum of
+    |coefficients|; the sign proof says this precision decides x."""
+    d = euler_phi(2 * x.ctx.N) // 2
+    return 2 ** math.ceil(math.log2(d * sum(map(abs, x.coeffs)).bit_length()))
+
+
+@pytest.fixture
+def enclosures(monkeypatch):
+    """The precisions of the enclosures each sign() takes, on an empty
+    sign memo: counted_sign(x) returns (sign, [prec, ...])."""
+    monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
+    precs = []
+    evaluate = cyclo.CycloReal._interval_value
+
+    def logged(self, *, prec):
+        precs.append(prec)
+        return evaluate(self, prec=prec)
+
+    monkeypatch.setattr(cyclo.CycloReal, "_interval_value", logged)
+
+    def counted_sign(x):
+        precs.clear()
+        cyclo._SIGN_MEMO.clear()
+        s = x.sign()
+        if not any(x.coeffs[1:]):
+            assert precs == []          # an integer is read, not enclosed
+        else:
+            assert precs in ([64], [64, max(64, _norm_bound_prec(x))]), precs
+        return s, list(precs)
+
+    return counted_sign
+
+
 @pytest.mark.parametrize("N", [5, 12, 42])
-def test_cached_signs_agree_with_uncached_evaluation(N):
+def test_cached_signs_agree_with_uncached_evaluation(N, enclosures):
     ctx = ArithContext(N)
     rng = random.Random(N)
     for i in range(50):
         x = _random_real(ctx, rng)
-        assert x.sign() == _reference_sign(x)
+        assert enclosures(x)[0] == _reference_sign(x)
         if i % 10 == 0:
             # values 1e-10 to 1e-50 from zero, on both sides
             for exponent in (10, 30, 50):
                 for side in (1, -1):
                     y = _minus(x, _near(x, exponent, side))
-                    assert y.sign() == _reference_sign(y) == -side
+                    assert enclosures(y)[0] == _reference_sign(y) == -side
+    for n in (-3, 0, 7):
+        assert enclosures(ctx.one * n)[0] == (n > 0) - (n < 0)
 
 
-def test_precision_exhausted_below_what_a_tiny_value_needs(monkeypatch):
+def test_tiny_value_decides_at_the_norm_bound_precision(enclosures):
     ctx = ArithContext(30)
     x = ctx.two_cos_pi_over(15)
-    y = _minus(x, _near(x, 50, 1))  # q*(about -1e-50): 256 bits decide it
+    y = _minus(x, _near(x, 50, 1))  # q*(about -1e-50), q about 10^59
+    sign, precs = enclosures(y)
+    assert sign == -1
+    assert precs == [64, _norm_bound_prec(y)] and precs[1] > 64
+
+
+@pytest.mark.parametrize("scale", [1, 3 ** 80])
+def test_undecided_norm_bound_enclosure_raises_a_replayable_witness(
+        monkeypatch, scale):
+    # an enclosure that always contains zero: an engine bug, which must
+    # name the coefficients, N and the precision of the last enclosure
+    precs = []
+
+    def too_wide(self, *, prec):
+        precs.append(prec)
+        return 0, 1 << (prec + 2 * cyclo._GUARD_BITS)
+
+    x = ArithContext(10).two_cos_pi_over(5) * scale
+    prec = max(64, _norm_bound_prec(x))
     monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
-    monkeypatch.setattr(cyclo, "_SIGN_MAX_PREC", 128)
-    with pytest.raises(cyclo.PrecisionExhausted, match="undecided at 128 bits"):
-        y._compute_sign()
-    monkeypatch.setattr(cyclo, "_SIGN_MAX_PREC", 256)
-    assert y._compute_sign() == -1
+    monkeypatch.setattr(cyclo.CycloReal, "_interval_value", too_wide)
+    with pytest.raises(ArithmeticError) as raised:
+        x._compute_sign()
+    message = str(raised.value)
+    assert repr(x.coeffs) in message and "N=10" in message
+    assert f"{prec} bits" in message
+    assert precs == ([64] if prec == 64 else [64, prec])
+    monkeypatch.undo()
+    assert cyclo.CycloReal(ArithContext(10), x.coeffs).sign() == 1
 
 
-def test_signs_of_tiny_units(monkeypatch):
+def test_signs_of_tiny_units(enclosures):
     # (2cos(pi/5) - 1)^k = phi^(-k) is a unit: as small as 1e-25 at k = 120,
     # with integer coefficients that grow like phi^k, so the high powers
     # escalate past the starting precision
-    monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
     ctx = ArithContext(10)
     unit = ctx.two_cos_pi_over(5) - 1
     y = ctx.one
@@ -368,11 +432,35 @@ def test_signs_of_tiny_units(monkeypatch):
             true = mpmath.fsum(c * mpmath.cos(mpmath.pi * j / ctx.N)
                                for j, c in enumerate(y.coeffs) if c)
             assert abs(true * phi ** k - 1) < mpmath.mpf(10) ** -40, k
-            value, bound = y._interval_value(prec=cyclo._SIGN_START_PREC)
-            escalated += abs(value) <= bound
-            assert y.sign() == _reference_sign(y) == 1, k
-            assert (-y).sign() == _reference_sign(-y) == -1, k
+            sign, precs = enclosures(y)
+            escalated += len(precs) == 2
+            assert sign == _reference_sign(y) == 1, k
+            assert enclosures(-y)[0] == _reference_sign(-y) == -1, k
     assert escalated > 0
+
+
+def test_affine_a2_reductions_take_no_enclosure(monkeypatch):
+    # every entry of the affine A2 matrices is an integer, so each sign is
+    # read off the constant coefficient
+    def words(W):
+        rng = random.Random(2)
+        out = []
+        for _ in range(200):
+            w = W.reduce(rng.choice(W.generators())
+                         for _ in range(rng.randrange(25)))
+            out.append((w.word, W.left_descents(w), W.right_descents(w)))
+        return out
+
+    expected = words(CoxeterGroup(MATRICES["triangle"]))
+
+    def enclosure(self, *, prec):
+        raise AssertionError("an affine A2 sign evaluated an enclosure")
+
+    monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
+    monkeypatch.setattr(cyclo.CycloReal, "_interval_value", enclosure)
+    W = CoxeterGroup(MATRICES["triangle"])
+    assert W.ctx.degree == 4
+    assert words(W) == expected
 
 
 # -- the fused matrix kernel against one scalar object per product -------------
