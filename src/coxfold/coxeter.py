@@ -25,10 +25,11 @@ RANK_CAP = 16
 class CoxeterMatrix:
     """Symmetric label table; entries[i][j] is m(i+1, j+1), INF allowed."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_finite")
 
     def __init__(self, entries: tuple[tuple[float, ...], ...]):
         self.entries = entries
+        self._finite = {}   # frozenset(subset) -> classify_finite's result
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterMatrix):
@@ -265,15 +266,16 @@ def _classify_component(matrix: CoxeterMatrix, adj, comp: tuple[int, ...]):
 
 
 def classify_finite(matrix: CoxeterMatrix, subset):
-    """Finite-type labels, one per component, or None when W_I is infinite."""
-    adj = neighbours(matrix, subset)
-    labels = []
-    for comp in graph_components(adj):
-        label = _classify_component(matrix, adj, comp)
-        if label is None:
-            return None
-        labels.append(label)
-    return tuple(labels)
+    """Finite-type labels, one per component, or None when W_I is infinite.
+    Memoized on the matrix, per set of generators."""
+    key = frozenset(subset)
+    memo = matrix._finite
+    if key not in memo:
+        adj = neighbours(matrix, key)
+        labels = tuple(_classify_component(matrix, adj, comp)
+                       for comp in graph_components(adj))
+        memo[key] = None if None in labels else labels
+    return memo[key]
 
 
 def coxeter_order(matrix: CoxeterMatrix, subset):

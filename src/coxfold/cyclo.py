@@ -158,6 +158,14 @@ def _cos(x: int, bits: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _operand(coeffs: tuple):
+    """An entry as matmul reads it: its int value when only the constant
+    coefficient is nonzero, else its nonzero (power, coefficient) pairs."""
+    if any(coeffs[1:]):
+        return [(p, c) for p, c in enumerate(coeffs) if c]
+    return coeffs[0]
+
+
 class ArithContext:
     """Field data for exact arithmetic with the labels of one Coxeter matrix.
 
@@ -247,29 +255,55 @@ class ArithContext:
         """Product of two matrices over this field, each given by its
         columns: column j of the result is sum_t inner[j][t] * outer[t].
 
-        One fused kernel.  Each entry accumulates the coefficient
-        convolutions of its scalar products in one plain list and is
-        reduced once, so no CycloReal is built for a product or a partial
-        sum.  Reduction is linear, so the canonical form is the one that
-        CycloReal `*` and `+` give."""
-        size = 2 * self.degree - 1
+        One fused kernel, which builds no CycloReal for a product or a
+        partial sum.  Each entry is read once, by _operand.  int by int adds
+        to the constant coefficient, int by pairs scales, and only pairs by
+        pairs convolves; an entry is reduced once, and only after a
+        convolution.  A unit column e_t of inner gives outer[t] itself.
+        Reduction is linear and canonical forms are unique, so every entry
+        is the one that CycloReal `*` and `+` give."""
+        d = self.degree
+        size, zeros = 2 * d - 1, (0,) * (d - 1)
         rows = range(len(outer[0]) if outer else 0)
-        # the nonzero (power, coefficient) pairs of every entry of outer
-        terms = [[[(p, c) for p, c in enumerate(x.coeffs) if c] for x in col]
-                 for col in outer]
+        terms = [[_operand(x.coeffs) for x in col] for col in outer]
         out = []
         for col in inner:
-            parts = [(pairs, terms[t]) for t, x in enumerate(col)
-                     if (pairs := [(p, c) for p, c in enumerate(x.coeffs) if c])]
+            parts = [(a, t) for t, x in enumerate(col)
+                     if (a := _operand(x.coeffs)) != 0]
+            if len(parts) == 1 and parts[0][0] == 1:
+                out.append(outer[parts[0][1]])
+                continue
+            parts = [(a, terms[t]) for a, t in parts]
             new = []
             for i in rows:
-                acc = [0] * size
-                for pairs, column in parts:
-                    other = column[i]
-                    for p, a in pairs:
-                        for q, b in other:
-                            acc[p + q] += a * b
-                new.append(CycloReal(self, self._reduce(acc)))
+                const, acc, convolved = 0, None, False
+                for a, column in parts:
+                    b = column[i]
+                    if type(b) is int:
+                        if type(a) is int:
+                            const += a * b
+                            continue
+                        if not b:
+                            continue
+                    if acc is None:
+                        acc = [0] * size
+                    if type(a) is int:
+                        for q, v in b:
+                            acc[q] += a * v
+                    elif type(b) is int:
+                        for p, u in a:
+                            acc[p] += u * b
+                    else:
+                        convolved = True
+                        for p, u in a:
+                            for q, v in b:
+                                acc[p + q] += u * v
+                if acc is None:
+                    coeffs = (const,) + zeros
+                else:
+                    acc[0] += const
+                    coeffs = self._reduce(acc) if convolved else tuple(acc[:d])
+                new.append(CycloReal(self, coeffs))
             out.append(tuple(new))
         return tuple(out)
 

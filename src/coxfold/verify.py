@@ -425,7 +425,9 @@ def fixed_subgroup(ball: Ball, autos: Sequence[Automorphism]) -> tuple[Element, 
 
 class GeneratedBall:
     """BFS over right multiplication by generators: the folded generators,
-    or the simple reflections of the abstract folded group.
+    or the simple reflections of the abstract folded group.  Each is an
+    involution, so an element's discovering edge, read backwards, is one
+    of its edges, found without a product.
 
     Levels are word lengths over those generators by construction; dedup
     uses the exact inverse action as key, and ``actions`` lists those keys
@@ -497,10 +499,14 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
                    order: int | None = None) -> GeneratedBall:
     """The span of gens up to the radius, and at most `order` elements: a
     span that a folded matrix claims has that order, but is larger, stops
-    there truncated rather than walking on towards the node cap."""
+    there truncated rather than walking on towards the node cap.  Raises
+    ValueError, before the walk, unless each generator is an involution."""
     gens = tuple(gens)
     compose = group._engine.compose
     identity = group._engine.identity
+    for g in gens:
+        if compose(g.inv_cols, g.inv_cols) != identity:
+            raise ValueError(f"generator {list(g.word)} is not an involution")
     actions = [identity]
     levels = [0]
     parents: list[tuple[int, int] | None] = [None]
@@ -511,8 +517,13 @@ def generated_ball(group: CoxeterGroup, gens: Sequence[Element],
     while head < len(actions):
         inv_cols = actions[head]
         lvl = levels[head]
+        # x = p * g_b, and g_b is an involution, so x * g_b = p
+        p, b = parents[head] or (None, None)
         out: list[int | None] = []
         for k, g in enumerate(gens):
+            if k == b:
+                out.append(p)
+                continue
             # (x g)^-1 = g^-1 x^-1
             y_inv = compose(g.inv_cols, inv_cols)
             idx = key_index.get(y_inv)

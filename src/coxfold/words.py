@@ -17,9 +17,9 @@ rmul, compose, negative, fixes):
   so constructing a group costs no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
-  coordinates are.  lmul and rmul are exact reflections; compose is a
-  matrix product, one call of the fused kernel ``ArithContext.matmul``,
-  which builds no scalar object per product.
+  coordinates are.  lmul is an exact reflection; rmul and compose are
+  matrix products, one call each of the fused kernel
+  ``ArithContext.matmul``, which builds no scalar object per product.
 
 Either way s is a left descent of w exactly when w^-1(alpha_s) is a
 negative root.  It is a right descent when w(alpha_s) is, which one walk
@@ -482,10 +482,10 @@ class CoxeterGroup:
 #   identity          the action of e
 #   lmul(s, a)        the action of s * w, from that a of w
 #   rmul(a, s)        the action of w * s
-#   compose(a, b)     the action of u * v, from those of u and v (on
-#                     matrices, one call of the fused ArithContext.matmul)
+#   compose(a, b)     the action of u * v, from those of u and v
 #   negative(a, s)    whether the image of alpha_s is a negative root
 #   fixes(g, a)       whether gamma(w) = w, gamma given by its images g
+# On matrices, rmul and compose are one call each of ArithContext.matmul.
 
 
 class _MatrixEngine:
@@ -497,22 +497,19 @@ class _MatrixEngine:
     def __init__(self, group: CoxeterGroup):
         self.group = group
         self.identity = group._unit_cols
+        self._reflections = {}      # s -> the action of s, built on first use
 
     def lmul(self, s, cols):
         reflect = self.group.reflect
         return tuple(reflect(s, col) for col in cols)
 
     def rmul(self, cols, s):
-        group = self.group
-        old = cols[s - 1]
-        out = list(cols)
-        out[s - 1] = tuple(-c for c in old)
-        for t in group._nbrs[s]:
-            coeff = group._coeff[s][t]
-            out[t - 1] = tuple(
-                a + coeff * b for a, b in zip(cols[t - 1], old)
-            )
-        return tuple(out)
+        # the action of s has the column -alpha_s at s, alpha_t + c_st alpha_s
+        # at each neighbour t and a unit column elsewhere, which matmul reuses
+        action = self._reflections.get(s)
+        if action is None:
+            action = self._reflections[s] = self.lmul(s, self.identity)
+        return self.group.ctx.matmul(cols, action)
 
     def compose(self, outer, inner):
         return self.group.ctx.matmul(outer, inner)

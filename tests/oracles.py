@@ -7,8 +7,8 @@ tuples.  Agreements between these models and the engine are therefore
 meaningful checks.
 
 The exceptions are forward_action, reference_right_descents,
-reference_factorize, product_inv, TupleRootTable and the two reference
-ball walks.
+reference_factorize, product_inv, reference_rmul,
+reference_generated_ball, TupleRootTable and the two reference ball walks.
 forward_action builds the action of w with the engine's rmul, one letter
 at a time, and reference_right_descents reads the right descents off it
 with the engine's sign test, as the package did before it read them off
@@ -17,6 +17,12 @@ descent test and right multiplication, as the folded factorization is
 defined, but without any of FoldedSystem's memos.  product_inv multiplies
 an orbit word with the engine's compose, one letter at a time, where the
 property suite reads its products off the generated ball.
+scalar_matmul and reference_rmul are the exact matrix products with one
+CycloReal `*` and `+` at a time, which the fused kernel
+ArithContext.matmul must match entry by entry; reference_rmul is the
+matrix engine's rmul before it called that kernel.
+reference_generated_ball composes every edge of the generated ball,
+where generated_ball reads each node's back edge off its parent.
 reference_image_ball is the bytes-keyed ball walk of
 coxfold.verify before its last-letter rule: every node tries every
 generator, and the dedup set alone rejects what is not new.
@@ -49,7 +55,7 @@ from collections import deque
 from operator import itemgetter
 
 from coxfold.folding import Automorphism, InvariantViolation
-from coxfold.verify import Ball, _elements, _levels
+from coxfold.verify import Ball, GeneratedBall, _elements, _levels
 from coxfold.words import NEG, _permute_roots, _RootTable, root_sign
 
 
@@ -283,6 +289,63 @@ def product_inv(folded, orbit_word):
     for J in orbit_word:
         inv_cols = engine.compose(folded.longest[J].inv_cols, inv_cols)
     return inv_cols
+
+
+# -- exact products one CycloReal at a time, and every edge composed ---------------
+
+
+def scalar_matmul(outer, inner, zero):
+    """Column j is sum_t inner[j][t] * outer[t], one CycloReal `*` and `+`
+    at a time."""
+    out = []
+    for col in inner:
+        acc = [zero] * len(outer[0])
+        for t, c in enumerate(col):
+            acc = [a + c * x for a, x in zip(acc, outer[t])]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def reference_rmul(group, cols, s):
+    """The matrix engine's rmul before it called the fused kernel: column
+    s negated, and c_st times it added to each neighbour t's column, by
+    CycloReal `*` and `+`."""
+    old = cols[s - 1]
+    out = list(cols)
+    out[s - 1] = tuple(-c for c in old)
+    for t in group._nbrs[s]:
+        coeff = group._coeff[s][t]
+        out[t - 1] = tuple(a + coeff * b for a, b in zip(cols[t - 1], old))
+    return tuple(out)
+
+
+def reference_generated_ball(group, gens, radius, order=None):
+    """generated_ball before it read back edges off the parents: every node
+    composes every generator, and exact dedup alone finds each edge."""
+    compose = group._engine.compose
+    actions, levels = [group._engine.identity], [0]
+    parents, edges, key_index = [None], [], {actions[0]: 0}
+    truncated = False
+    for head, inv_cols in enumerate(actions):
+        out = []
+        for k, g in enumerate(gens):
+            y_inv = compose(g.inv_cols, inv_cols)
+            idx = key_index.get(y_inv)
+            if idx is None:
+                if (len(actions) == order
+                        or radius is not None and levels[head] + 1 > radius):
+                    truncated = True
+                    out.append(None)
+                    continue
+                idx = key_index[y_inv] = len(actions)
+                actions.append(y_inv)
+                levels.append(levels[head] + 1)
+                parents.append((head, k))
+            out.append(idx)
+        edges.append(out)
+    return GeneratedBall(gens=tuple(gens), actions=actions, levels=levels,
+                         edges=edges, parents=parents, key_index=key_index,
+                         complete=not truncated, radius=radius)
 
 
 # -- the root table on tuples of root indices -------------------------------------

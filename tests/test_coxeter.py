@@ -80,6 +80,22 @@ def test_classify_cycle_is_infinite():
     assert classify_finite(MATRICES["triangle"], [1, 2, 3]) is None
 
 
+def test_classify_finite_is_memoized_per_matrix_and_set():
+    # one entry per set of generators, whatever its order or repeats; an
+    # out-of-range generator raises every time, as nothing is stored for it;
+    # equality and hashing ignore the memo
+    d4 = CoxeterMatrix(MATRICES["d4"].entries)
+    first = classify_finite(d4, [4, 1, 2])
+    assert classify_finite(d4, (1, 2, 2, 4)) is first
+    assert classify_finite(d4, iter([2, 4, 1])) is first
+    assert classify_finite(d4, [1, 3]) != first
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            classify_finite(d4, [1, 5])
+    assert d4 == MATRICES["d4"] and hash(d4) == hash(MATRICES["d4"])
+    assert labels_of(d4, [1, 2, 3, 4]) == ["D4"]
+
+
 def test_classify_dihedral():
     assert labels_of(MATRICES["b2"], [1, 2]) == ["B2"]
     assert labels_of(MATRICES["a2"], [1, 2]) == ["A2"]

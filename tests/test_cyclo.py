@@ -466,18 +466,6 @@ def test_affine_a2_reductions_take_no_enclosure(monkeypatch):
 # -- the fused matrix kernel against one scalar object per product -------------
 
 
-def _scalar_matmul(outer, inner, zero):
-    """Column j is sum_t inner[j][t] * outer[t], one CycloReal `*` and `+`
-    at a time."""
-    out = []
-    for col in inner:
-        acc = [zero] * len(outer[0])
-        for t, c in enumerate(col):
-            acc = [a + c * x for a, x in zip(acc, outer[t])]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def _same(left, right):
     # canonical coefficient tuples, compared entry by entry
     return ([[x.coeffs for x in col] for col in left]
@@ -507,7 +495,7 @@ def test_matmul_matches_scalar_products(name):
     for _ in range(60):
         outer, inner = rng.choice(actions), rng.choice(actions)
         assert _same(ctx.matmul(outer, inner),
-                     _scalar_matmul(outer, inner, ctx.zero))
+                     oracles.scalar_matmul(outer, inner, ctx.zero))
     # a zero column, large and negative coefficients on both sides, and
     # zeta^(d-1) (not real) on both sides, so the top coefficient of a
     # product is hit
@@ -520,7 +508,7 @@ def test_matmul_matches_scalar_products(name):
              actions[1][0]) + actions[-1][3:]
     for outer in (actions[-1], odd):
         product = ctx.matmul(outer, inner)
-        assert _same(product, _scalar_matmul(outer, inner, ctx.zero))
+        assert _same(product, oracles.scalar_matmul(outer, inner, ctx.zero))
         assert all(x.is_zero() for x in product[0])
     assert any(c < -2 ** 64 for col in ctx.matmul(odd, inner)
                for x in col for c in x.coeffs)
