@@ -288,9 +288,7 @@ class FoldedSystem:
         """The memo state of an inverse action, made on first reach."""
         state = self._steps.get(inv_cols)
         if state is None:
-            negative = self.group._engine.negative
-            descents = tuple(s for s in self.group.generators()
-                             if negative(inv_cols, s))
+            descents = self.group._engine.descents(inv_cols)
             state = self._steps[inv_cols] = (inv_cols, descents, {})
         return state
 
@@ -305,16 +303,14 @@ class FoldedSystem:
         """Strip the parabolic component of orbit (reached from the
         descent s) off the left: (letters stripped, inverse action after).
         Raises unless it is the longest element w_orbit."""
-        negative = self.group._engine.negative
         members = sorted(orbit)
-        for t in members:
-            if not negative(inv_cols, t):
-                raise InvariantViolation(
-                    "factorize", "orbit of a descent is not all-descending",
-                    self._witness(source=source, descent=s,
-                                  orbit=members, non_descent=t,
-                                  peeled=[sorted(J) for J in seq]),
-                )
+        t = self.group._engine.descent(inv_cols, members, False)
+        if t is not None:
+            raise InvariantViolation(
+                "factorize", "orbit of a descent is not all-descending",
+                self._witness(source=source, descent=s, orbit=members,
+                              non_descent=t, peeled=[sorted(J) for J in seq]),
+            )
         if orbit not in self.longest:
             raise InvariantViolation(
                 "factorize", "descent orbit spans an infinite parabolic",

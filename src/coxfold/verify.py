@@ -235,7 +235,8 @@ def _image_ball(group: CoxeterGroup, radius: int | None, K=None, J=(),
     steps = [[(s, tables[s]) for s in sorted(K or group.generators())
               if s != t and not (s < t and m(s, t) == 2)]  # by last letter
              for t in range(group.rank + 1)]
-    drop = [s - 1 for s in J]
+    # the entries at J, a tuple even for one index since one repeats
+    drop = J and itemgetter(*(s - 1 for s in J), min(J) - 1)
     ball = Ball(group, [first])
     parents, letters, keys = ball.parents, ball.letters, ball.keys
     for prev, start in _levels(ball, radius):
@@ -246,7 +247,7 @@ def _image_ball(group: CoxeterGroup, radius: int | None, K=None, J=(),
                 y = key.translate(table)
                 if y not in seen:
                     seen.add(y)
-                    if drop and max(y[j] for j in drop) >= neg:
+                    if drop and max(drop(y)) >= neg:
                         continue
                     parents.append(i)
                     letters.append(s)

@@ -5,7 +5,7 @@ A group element is its canonical word plus the action of w^-1 on roots
 normal form, and gamma(w) = w exactly when gamma(w^-1) = w^-1; the right
 descents and the inverse come from the word.
 Two engines compute with actions behind six primitives (identity, lmul,
-rmul, compose, negative, fixes):
+rmul, compose, negative, fixes) and a descent scan (descent, descents):
 
 * Finite W, as decided by classify_finite, uses a root-index table.  Its
   positive roots are the elementary roots below, checked against the
@@ -13,8 +13,9 @@ rmul, compose, negative, fixes):
   simple reflection becomes a permutation of Phi.  An action is the string
   of root indices w(Phi), bytes up to 256 roots and str past them, every
   product is one translate, and a root is negative exactly when its index
-  is at least |Phi+|.  The table is built on the first element operation,
-  so constructing a group costs no more than the matrix setup.
+  is at least |Phi+|, so one more translate flags the left descents.  The
+  table is built on the first element operation, so constructing a group
+  costs no more than the matrix setup.
 * Infinite W uses the matrix engine: columns are the images of the simple
   roots in exact CycloReal coordinates, and a root is negative when its
   coordinates are.  lmul is an exact reflection; rmul and compose are
@@ -33,24 +34,25 @@ arithmetic: it drives the ShortLex automaton that lists the balls of an
 infinite W, the exchange walks that decide gamma(w) = w one appended
 letter at a time (``fixing_step``), so that the ball walk drops every
 subtree that holds no fixed word, and, for every W, the right descents,
-the exchange property (``exchange``) and the greedy walk up by
-non-descents (``_grow``) that builds longest elements and probes
-finiteness.  The root table of a finite W is read off it: every positive
-root is elementary.
+the exchange property (``exchange``) and the finiteness probe, a greedy
+walk up by non-descents (``_grow``).  Longest elements take the same
+walk on the engine's action (``longest_element``).  The root table of a
+finite W is read off it: every positive root is elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent
 (``_strip``).  Equality of elements is equality of canonical words.  The
 same walk down by descents gives coset decompositions.
 
-Root vectors are plain tuples of CycloReal in simple-root coordinates; a
-root is positive or negative according to the common sign of its nonzero
-coordinates.
+Root vectors are tuples in simple-root coordinates, of CycloReal or (in
+the elementary-root table) of their integer coefficient tuples; a root is
+positive or negative as its nonzero coordinates are.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from operator import methodcaller
 from typing import Iterable, Sequence
 
@@ -181,9 +183,10 @@ class CoxeterGroup:
         The one closure of roots, on the integer coefficients of the
         coordinates: s sets coordinate s to -beta_s + sum_t c_st beta_t,
         where a rational c_st (labels 3 and inf) is an int and any other
-        costs one convolution.  A listed image is elementary, so its step
-        is never BIG; only a new one needs a sign test.  Roots become
-        CycloReal at the end.
+        costs one convolution.  A root stays a tuple of coefficient
+        tuples.  An unchanged coordinate (B(beta, alpha_s) = 0) means s
+        fixes beta; a listed image is elementary, so its step is never BIG;
+        only a new one needs a sign test.
         """
         subset = sorted(set(subset))
         ctx = self.ctx
@@ -220,7 +223,11 @@ class CoxeterGroup:
                             wide[q] += a * x
                 if wide:
                     new = [a + x for a, x in zip(new, ctx._reduce(wide))]
-                img = (*beta[:s - 1], tuple(new), *beta[s:])
+                new = tuple(new)
+                if new == old:
+                    row[s] = i
+                    continue
+                img = (*beta[:s - 1], new, *beta[s:])
                 j = index.get(img)
                 if j is None:
                     # s(beta) = beta - 2B(beta, alpha_s) alpha_s, and the
@@ -234,7 +241,6 @@ class CoxeterGroup:
                         roots.append(img)
                 row[s] = j
             step.append(tuple(row))
-        roots = [tuple(CycloReal(ctx, c) for c in r) for r in roots]
         return roots, step
 
     def _check_finite(self, subset, roots, step) -> None:
@@ -263,20 +269,18 @@ class CoxeterGroup:
     # -- elements from inverse actions ----------------------------------------
 
     def _strip(self, inv_cols, subset) -> tuple[tuple[int, ...], object]:
-        """Peel the smallest left descent in subset until none is left:
-        (letters peeled, inverse action after).  s * w has inverse action
-        w^-1 * s, so for w = u * x with x a minimal coset representative of
-        W_I, the letters are a reduced word of u and the action is that of
-        x^-1.  Each peel shortens w by one, so the strip ends within the
-        engine's ``strip_rounds``."""
+        """Peel the smallest left descent in subset (sorted), one descent
+        scan each, until none is left: (letters peeled, inverse action
+        after).  s * w has inverse action w^-1 * s, so for w = u * x with x
+        a minimal coset representative of W_I, the letters are a reduced
+        word of u and the action is that of x^-1.  Each peel shortens w by
+        one, so the strip ends within the engine's ``strip_rounds``."""
         engine = self._engine
-        negative, rmul, rounds = engine.negative, engine.rmul, engine.strip_rounds
+        descent, rmul, rounds = engine.descent, engine.rmul, engine.strip_rounds
         letters = []
         for _ in range(rounds):
-            for s in subset:
-                if negative(inv_cols, s):
-                    break
-            else:
+            s = descent(inv_cols, subset)
+            if s is None:
                 return tuple(letters), inv_cols
             letters.append(s)
             inv_cols = rmul(inv_cols, s)
@@ -289,20 +293,23 @@ class CoxeterGroup:
         subset that is not yet a left descent until all of subset descends.
         Returns the letters in the order taken, whose reversal is a word of
         the longest element of W_I, or None when the walk has not stopped
-        after `steps` multiplications.
+        after `steps` multiplications or its mask repeats.
 
         The walk carries the set S of elementary roots that w^-1 sends
         negative: s descends exactly when alpha_s is in S, and s * w has
-        S' = {alpha_s} + (s(S) within E)."""
+        S' = {alpha_s} + (s(S) within E).  The next letter and mask depend
+        on S alone, so once S repeats the walk cycles and never stops."""
         image = self._elementary._image
-        mask = 0
-        letters = []
+        mask, letters, seen = 0, [], set()
         for _ in range(steps + 1):
             for s in subset:
                 if not mask >> (s - 1) & 1:
                     break
             else:
                 return tuple(letters)
+            if mask in seen:
+                return None
+            seen.add(mask)
             letters.append(s)
             mask = 1 << (s - 1) | image(mask, s)
         return None
@@ -381,8 +388,7 @@ class CoxeterGroup:
         return self._engine.negative(w.inv_cols, s)
 
     def left_descents(self, w: "Element") -> tuple[int, ...]:
-        negative, inv_cols = self._engine.negative, w.inv_cols
-        return tuple(s for s in self.generators() if negative(inv_cols, s))
+        return self._engine.descents(w.inv_cols)
 
     def right_descents(self, w: "Element") -> tuple[int, ...]:
         """The s with l(w*s) < l(w): w(alpha_s) < 0, and alpha_s is
@@ -398,13 +404,13 @@ class CoxeterGroup:
             subset = self.generators()
         roots, step = self._root_closure(subset)
         self._check_finite(subset, roots, step)
-        return set(roots)
+        return {tuple(CycloReal(self.ctx, c) for c in r) for r in roots}
 
     def longest_element(self, subset) -> "Element":
-        """Longest element of a finite standard parabolic, built greedily:
-        keep left-multiplying by the smallest generator in I that does not
-        yet descend.  Verifies it is an involution whose length is the
-        positive root count of the classification."""
+        """Longest element of a finite standard parabolic, walked up on the
+        engine's action: left-multiply by the smallest generator in I that
+        does not yet descend, then extract the word once.  Verifies it is an
+        involution whose length is the positive root count."""
         subset = sorted(set(subset))
         for s in subset:
             if not 1 <= s <= self.rank:
@@ -413,12 +419,18 @@ class CoxeterGroup:
         if labels is None:
             raise ValueError("parabolic subgroup is infinite; no longest element")
         count = sum(lab.positive_root_count for lab in labels)
-        letters = self._grow(subset, count)
-        if letters is None:
+        engine = self._engine
+        inv_cols = engine.identity
+        for _ in range(count + 1):      # l(w_I) = count steps, then a check
+            s = engine.descent(inv_cols, subset, False)
+            if s is None:
+                break
+            inv_cols = engine.rmul(inv_cols, s)     # (s * w)^-1 = w^-1 * s
+        else:
             raise EngineInvariantError(
                 "greedy walk exceeds the positive root count",
                 self._witness(subset=subset, positive_root_count=count))
-        w = self._element_from_word_trusted(letters[::-1])
+        w = self._element_from_inv(inv_cols)
         if self.multiply(w, w) != self.identity:
             raise EngineInvariantError(
                 "longest element is not an involution",
@@ -478,14 +490,19 @@ class CoxeterGroup:
 # -- the two engines -------------------------------------------------------------
 #
 # Both compute with the action of one element at a time, through six
-# primitives:
+# primitives
 #   identity          the action of e
 #   lmul(s, a)        the action of s * w, from that a of w
 #   rmul(a, s)        the action of w * s
 #   compose(a, b)     the action of u * v, from those of u and v
 #   negative(a, s)    whether the image of alpha_s is a negative root
 #   fixes(g, a)       whether gamma(w) = w, gamma given by its images g
-# On matrices, rmul and compose are one call each of ArithContext.matmul.
+# and a descent scan reading the signs that negative reads:
+#   descent(a, I, neg)  the smallest s in the sorted I with negative(a, s)
+#                       == neg, or None
+#   descents(a)         every s with negative(a, s)
+# On matrices, rmul and compose are one call each of ArithContext.matmul,
+# and the scan tests one sign at a time, stopping at the first it wants.
 
 
 class _MatrixEngine:
@@ -516,6 +533,15 @@ class _MatrixEngine:
 
     def negative(self, cols, s):
         return root_sign(cols[s - 1]) < 0
+
+    def descent(self, cols, subset, negative=True):
+        for s in subset:
+            if (root_sign(cols[s - 1]) < 0) == negative:
+                return s
+        return None
+
+    def descents(self, cols):
+        return tuple(s for s, col in enumerate(cols, 1) if root_sign(col) < 0)
 
     def fixes(self, images, cols):
         # gamma permutes the simple roots, so gamma(w) moves entry (i, j)
@@ -557,16 +583,20 @@ class _RootTable:
         table = group._elementary
         group._check_finite(group.generators(), table.roots, table.step)
         P = len(table.roots)
-        self.npos = P
+        self.npos, self.rank = P, group.rank
         # l(w) <= |Phi+| peels, then one round that finds no descent
         self.strip_rounds = P + 1
         if 2 * P <= 256:
             self._code, self.neg = bytes, P
             # bytes.translate takes a table of exactly 256 entries
             self._pad = methodcaller("ljust", 256, b"\0")
+            # the descent scan: one byte per entry, 1 where it is negative
+            self._signs = methodcaller("translate", bytes(P) + b"\1" * (256 - P))
         else:
             self._code, self.neg = lambda idx: "".join(map(chr, idx)), chr(P)
             self._pad = str     # a str table of any length will do: a itself
+            signs = "\0" * P + "\1" * P
+            self._signs = lambda a: a.translate(signs).encode()
         self.identity = self._code(range(2 * P))
         self._roots = table.roots
         # s as an action (entry 0 unused): w * s reads w at its entries
@@ -594,6 +624,18 @@ class _RootTable:
 
     def negative(self, a, s):
         return a[s - 1] >= self.neg
+
+    def descent(self, a, subset, negative=True):
+        flags = self._signs(a[:self.rank])
+        if len(subset) == self.rank:        # all of S: one find
+            return flags.find(negative) + 1 or None
+        for s in subset:
+            if flags[s - 1] == negative:
+                return s
+        return None
+
+    def descents(self, a):
+        return tuple(compress(range(1, self.rank + 1), self._signs(a[:self.rank])))
 
     def fixes(self, images, a):
         # gamma w = w gamma on the simple roots, which determine both sides:

@@ -8,7 +8,8 @@ meaningful checks.
 
 The exceptions are forward_action, reference_right_descents,
 reference_factorize, product_inv, reference_rmul,
-reference_generated_ball, TupleRootTable and the two reference ball walks.
+reference_generated_ball, TupleRootTable, the reference descent scan and
+the two reference ball walks.
 forward_action builds the action of w with the engine's rmul, one letter
 at a time, and reference_right_descents reads the right descents off it
 with the engine's sign test, as the package did before it read them off
@@ -29,6 +30,9 @@ generator, and the dedup set alone rejects what is not new.
 TupleRootTable is the root table before its actions took the ball keys'
 encoding: tuples of root indices stepped by itemgetter, the reference
 that the bytes and str actions are decoded (decode) and compared with.
+Its descent scan is reference_descent and reference_descents, a loop of
+negative one generator at a time, as _strip and the folded memo tested
+descents before the engines had a scan of their own.
 reference_shortlex_ball is the automaton walk of coxfold.verify before its
 successor lists: every node scans its state's whole row of the ShortLex
 automaton.  reference_fixed_nodes is the fixedness filter that ran on the
@@ -366,6 +370,7 @@ class TupleRootTable:
     def __init__(self, group):
         table = group._elementary
         P = self.npos = len(table.roots)
+        self.rank = group.rank
         self.identity = tuple(range(2 * P))
         self._roots = table.roots
         self._perms = [()] + [
@@ -392,6 +397,12 @@ class TupleRootTable:
     def negative(self, cols, s):
         return cols[s - 1] >= self.npos
 
+    def descent(self, cols, subset, negative=True):
+        return reference_descent(self.negative, cols, subset, negative)
+
+    def descents(self, cols):
+        return reference_descents(self.negative, cols, range(1, self.rank + 1))
+
     def fixes(self, images, cols):
         g = self._extend(_permute_roots(self._roots, images))
         return all(g[cols[i]] == cols[t - 1] for i, t in enumerate(images))
@@ -400,14 +411,26 @@ class TupleRootTable:
         """CoxeterGroup._strip on this table: (letters, action after)."""
         letters = []
         for _ in range(self.strip_rounds):
-            for s in subset:
-                if self.negative(cols, s):
-                    break
-            else:
+            s = self.descent(cols, subset)
+            if s is None:
                 return tuple(letters), cols
             letters.append(s)
             cols = self.rmul(cols, s)
         raise AssertionError("descent stripping did not terminate")
+
+
+def reference_descent(negative, cols, subset, want=True):
+    """The descent scan as a loop of an engine's negative: the first s of
+    subset with negative(cols, s) == want, or None."""
+    for s in subset:
+        if negative(cols, s) == want:
+            return s
+    return None
+
+
+def reference_descents(negative, cols, gens):
+    """Every s of gens with negative(cols, s)."""
+    return tuple(s for s in gens if negative(cols, s))
 
 
 # -- the bytes-keyed ball walk without the last-letter rule -----------------------

@@ -134,14 +134,14 @@ def test_strip_on_root_table_is_bounded_by_positive_roots(name, monkeypatch):
     letters, rest = T._strip(w0.inv_cols, gens)
     assert len(letters) == table.npos and rest == table.identity
     assert table.strip_rounds == table.npos + 1
-    # an engine that always finds a descent is stopped at that bound
+    # a descent scan that always finds a descent is stopped at that bound
     rounds = []
 
-    def negative(cols, s):
-        rounds.append(s)
-        return True
+    def descent(cols, subset, negative=True):
+        rounds.append(subset)
+        return subset[0]
 
-    monkeypatch.setattr(table, "negative", negative)
+    monkeypatch.setattr(table, "descent", descent)
     with pytest.raises(EngineInvariantError) as raised:
         T._strip(table.identity, gens)
     assert len(rounds) == table.npos + 1

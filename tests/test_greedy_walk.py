@@ -7,14 +7,20 @@ reference below is the walk on the engine itself: left descents from
 same letters on every subset, and give up (None) at the same step bound;
 finite groups run on the root table, infinite ones on exact matrices.
 
+The probe stops at its first repeated mask, since the walk's next letter
+and mask depend on the mask alone: on every subset of the seeded random
+matrices and of the infinite groups it must answer as the walk without
+that stop does.
+
 The elementary-root table is the one closure of roots.  It runs on the
-integer coefficients of the coordinates and looks each image up before
-it tests a sign.  The reference closure below runs on CycloReal
-coordinates under the matrix engine's `reflect` and tests a sign on
-every root and generator that do not commute; both must give the same
-roots, in the same order, with the same table, on named groups (among
-them H4 and the six benchmark verify instances) and on seeded random
-matrices.  For a finite W the root table is read off that table, since
+integer coefficients of the coordinates, keeps its roots as tuples of
+them, and looks each image up before it tests a sign.  The reference
+closure below runs on CycloReal coordinates under the matrix engine's
+`reflect` and tests a sign on every root and generator that do not
+commute; both must give the same roots (the coefficient tuples of the
+reference's coordinates), in the same order, with the same table, on
+named groups (among them H4 and the six benchmark verify instances) and
+on seeded random matrices.  For a finite W the root table is read off that table, since
 every positive root is elementary; its permutations must be those of the
 reflections on the reference roots and their negatives.
 
@@ -67,6 +73,19 @@ def reference_grow(W, subset, steps):
     return None
 
 
+def unstopped_grow(W, subset, steps):
+    """CoxeterGroup._grow without its stop at a repeated mask."""
+    image = W._elementary._image
+    mask, letters = 0, []
+    for _ in range(steps + 1):
+        up = [s for s in subset if not mask >> (s - 1) & 1]
+        if not up:
+            return tuple(letters)
+        letters.append(up[0])
+        mask = 1 << (up[0] - 1) | image(mask, up[0])
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_grow_matches_engine_walk(name):
     W = CoxeterGroup(GROUPS[name])
@@ -115,6 +134,34 @@ CLOSURE_GROUPS = {
 }
 
 
+PROBE_GROUPS = sorted(name for name, matrix in CLOSURE_GROUPS.items()
+                      if name.startswith("random-")
+                      or classify_finite(matrix, matrix.generators()) is None)
+
+
+@pytest.mark.parametrize("name", PROBE_GROUPS)
+def test_probe_stopped_at_a_repeated_mask_keeps_its_answer(name):
+    W = CoxeterGroup(CLOSURE_GROUPS[name])
+    for mask in range(1 << W.rank):
+        subset = [s for s in W.generators() if (mask >> (s - 1)) & 1]
+        assert (W._grow(subset, GREEDY_CAP - 1)
+                == unstopped_grow(W, subset, GREEDY_CAP - 1)), subset
+
+
+def test_infinite_dihedral_probe_stops_after_three_steps(monkeypatch):
+    # alpha_1, alpha_2 are the only elementary roots of I2(inf), and the
+    # masks go 0, {1}, {2}, {1}: the third multiplication repeats one
+    W = CoxeterGroup(GROUPS["i2inf"])
+    table = W._elementary
+    image, calls = table._image, []
+    monkeypatch.setattr(table, "_image",
+                        lambda mask, s: calls.append(s) or image(mask, s))
+    assert W._grow([1, 2], GREEDY_CAP - 1) is None
+    assert calls == [1, 2, 1]
+    assert not _greedy_probe(W, [1, 2])
+    assert len(calls) == 6
+
+
 def reference_closure(W):
     """The elementary roots and their step table, with a sign test on
     every root beta and generator s with B(beta, alpha_s) != 0."""
@@ -149,7 +196,7 @@ def test_elementary_table_matches_reference_closure(name):
     W = CoxeterGroup(CLOSURE_GROUPS[name])
     roots, step = reference_closure(W)
     table = W._elementary
-    assert table.roots == roots
+    assert table.roots == [tuple(c.coeffs for c in r) for r in roots]
     assert table.step == step
     if classify_finite(W.matrix, W.generators()) is None:
         assert any(BIG in row for row in step)

@@ -263,7 +263,8 @@ def test_broken_engine_raises_with_a_witness(monkeypatch):
     assert err.value.witness["product"] == [1, 2, 3]
     monkeypatch.undo()
 
-    monkeypatch.setattr(W._engine, "negative", lambda cols, s: False)
+    monkeypatch.setattr(W._engine, "descent",
+                        lambda cols, subset, negative=True: None)
     with pytest.raises(EngineInvariantError, match="not the identity"):
         W.reduce([2])
 
@@ -280,10 +281,11 @@ def test_wrong_longest_length_raises(monkeypatch):
 
 
 def test_longest_walk_overrun_raises(monkeypatch):
-    # a root table that forgets every inversion would grow forever; the
+    # a descent scan that never reports a descent would grow forever; the
     # walk is bounded by the classification's positive root count
     W = CoxeterGroup(MATRICES["a2"])
-    monkeypatch.setattr(W._elementary, "_image", lambda mask, s: 0)
+    monkeypatch.setattr(W._engine, "descent", lambda cols, subset, negative=True:
+                        None if negative else subset[0])
     with pytest.raises(EngineInvariantError, match="greedy walk") as err:
         W.longest_element([1, 2])
     assert err.value.witness == {"matrix": str(MATRICES["a2"]).split("\n"),
