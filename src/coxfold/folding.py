@@ -146,14 +146,13 @@ class FoldedSystem:
         # through the constructor starts with its own, empty.
         self._orbit_of: dict[int, frozenset] = {
             s: orbit for orbit in orbit_partition for s in orbit}
-        # inverse action -> its state (action, left descents, {orbit: peel});
-        # see _factorize_inv.
+        # inverse action -> its record [action, left descents, {orbit:
+        # peel}, (orbits, letters) of its smallest-descent walk, outcomes
+        # over every choice], the last two None until known; see _lengths
+        # and choice_outcomes.
         self._steps: dict = {}
         # element -> whether every automorphism fixes it; see is_fixed.
         self._fixed: dict = {}
-        # id of a memo state -> its outcomes over every choice; see
-        # choice_outcomes.  States stay in _steps, so their ids stay theirs.
-        self._outcomes: dict = {}
 
     def __eq__(self, other):
         """Equal inputs and results; the memos take no part."""
@@ -199,61 +198,84 @@ class FoldedSystem:
     # -- factorization over the folded generators ------------------------------
 
     def _factorize_inv(self, inv_cols, source=None):
-        """Factorize the element whose inverse action is inv_cols.
+        """Factorize the element whose inverse action is inv_cols:
+        (orbit sequence, letters stripped), the orbits spelled along the
+        smallest-descent peels that _lengths walked and checked.  Only a
+        caller that reads the orbits spells them; a length is read off
+        _lengths."""
+        letters = self._lengths(inv_cols, source)[1]
+        seq: list[frozenset] = []
+        state = self._steps[inv_cols]
+        while state[1]:
+            orbit = self.orbit_of(state[1][0])
+            seq.append(orbit)
+            state = state[2][orbit][1]
+        return seq, letters
 
-        Peels one descent orbit at a time: all letters of the orbit must
-        descend, and greedily stripping them must remove exactly the weight
-        of the orbit (the longest element is the unique maximal-length
-        element of a finite parabolic, so the count equality pins it).
-        Returns (orbit sequence, letters stripped); the letter total is the
-        length of the element.  Left descents are read off the inverse
+    def _lengths(self, inv_cols, source=None) -> tuple[int, int]:
+        """(orbit count, letters) of the greedy factorization of the
+        element whose inverse action is inv_cols.
+
+        Peels one descent orbit at a time, that of the smallest left
+        descent: all letters of the orbit must descend, and greedily
+        stripping them must remove exactly the weight of the orbit (the
+        longest element is the unique maximal-length element of a finite
+        parabolic, so the count equality pins it).  The letter total is
+        the length of the element.  Left descents are read off the inverse
         action, and stripping t maps it to inv_cols * t, so the element
         itself never needs a normal form.
 
         Both steps are pure functions of the inverse action, so the system
-        memoizes them: the descents of each action reached, and each peel
-        that passed its checks, linked to the state it leads to, so a
-        repeated walk hashes no action.  The factorizations of one run,
-        and choice_outcomes, share their steps; a failing peel is never
-        stored and raises on every call.
+        memoizes them in one record per action reached: its descents, and
+        each peel that passed its checks, linked to the record it leads
+        to, so a repeated walk hashes no action.  The walk stops at the
+        first record whose lengths are known, or at a state without
+        descents, which must be the identity; only then are the lengths
+        written back onto every record of the path.  A failing peel is
+        never stored, so a path that raised keeps no lengths and raises
+        with the same witness on every call.
         """
-        seq: list[frozenset] = []
-        letters = 0
         state = self._state(inv_cols)
-        while True:
-            inv_cols, descents, peels = state
-            if not descents:
+        path: list = []
+        seq: list[frozenset] = []      # the orbits peeled, for witnesses
+        while state[3] is None:
+            if not state[1]:
+                if state[0] != self.group._engine.identity:
+                    raise self._residual(source, seq)
+                state[3] = (0, 0)
                 break
-            orbit = self.orbit_of(descents[0])
-            peel = peels.get(orbit)
+            s = state[1][0]
+            orbit = self.orbit_of(s)
+            peel = state[2].get(orbit)
             if peel is None:
-                peel = self._add_peel(state, descents[0], orbit, source, seq)
-            count, state = peel
+                peel = self._add_peel(state, s, orbit, source, seq)
+            path.append(state)
             seq.append(orbit)
-            letters += count
-        if inv_cols != self.group._engine.identity:
-            raise self._residual(source, seq)
-        return seq, letters
+            state = peel[1]
+        orbits, letters = state[3]
+        for state, orbit in zip(reversed(path), reversed(seq)):  # to the root
+            orbits, letters = orbits + 1, letters + state[2][orbit][0]
+            state[3] = (orbits, letters)
+        return state[3]
 
     def choice_outcomes(self, inv_cols, source=None) -> frozenset:
         """Every (orbit count, letters) that _factorize_inv can return for
         this inverse action, over every choice of descent at every step.
 
-        One post-order pass over the memo's state graph: a state's outcomes
+        One post-order pass over the memo's records: a state's outcomes
         are its successors' outcomes, each shifted by one orbit and the
         letters of its peel, over the orbits of its descents; a state
         without descents has the single outcome (0, 0).  The pass keeps
         the path from inv_cols on an explicit stack, so its depth is not
         bounded by the recursion limit.  Missing peels are made as
-        _factorize_inv makes them: a failing peel raises with the orbits
+        _lengths makes them: a failing peel raises with the orbits
         peeled along that path, and so does a state without descents that
-        is not the identity.  Outcomes are memoized per state, and only
-        once every successor has its own, so a failing branch raises on
-        every call.
+        is not the identity.  Outcomes are kept on each state's record,
+        and only once every successor has its own, so a failing branch
+        raises on every call.
         """
-        outcomes = self._outcomes
         root = self._state(inv_cols)
-        stack = [] if id(root) in outcomes else [(root, iter(root[1]))]
+        stack = [] if root[4] is not None else [(root, iter(root[1]))]
         seq: list[frozenset] = []      # orbits peeled along the stack
         while stack:
             state, choices = stack[-1]
@@ -264,7 +286,7 @@ class FoldedSystem:
                 if peel is None:
                     peel = self._add_peel(state, s, orbit, source, seq)
                 after = peel[1]
-                if id(after) not in outcomes:
+                if after[4] is None:
                     seq.append(orbit)
                     stack.append((after, iter(after[1])))
                     break
@@ -273,28 +295,28 @@ class FoldedSystem:
                 for orbit in {self.orbit_of(s) for s in state[1]}:
                     count, after = peels[orbit]
                     out.update((orbits + 1, letters + count)
-                               for orbits, letters in outcomes[id(after)])
+                               for orbits, letters in after[4])
                 if not state[1]:
                     if state[0] != self.group._engine.identity:
                         raise self._residual(source, seq)
                     out.add((0, 0))
-                outcomes[id(state)] = frozenset(out)
+                state[4] = frozenset(out)
                 stack.pop()
                 if seq:
                     seq.pop()
-        return outcomes[id(root)]
+        return root[4]
 
-    def _state(self, inv_cols):
-        """The memo state of an inverse action, made on first reach."""
+    def _state(self, inv_cols) -> list:
+        """The memo record of an inverse action, made on first reach."""
         state = self._steps.get(inv_cols)
         if state is None:
             descents = self.group._engine.descents(inv_cols)
-            state = self._steps[inv_cols] = (inv_cols, descents, {})
+            state = self._steps[inv_cols] = [inv_cols, descents, {}, None, None]
         return state
 
     def _add_peel(self, state, s, orbit, source, seq):
-        """Peel orbit off a memo state and store the peel, linked to the
-        state it leads to; nothing is stored when the peel raises."""
+        """Peel orbit off a memo record and store the peel, linked to the
+        record it leads to; nothing is stored when the peel raises."""
         count, after = self._peel(state[0], s, orbit, source, seq)
         peel = state[2][orbit] = (count, self._state(after))
         return peel
@@ -344,8 +366,15 @@ class FoldedSystem:
         return seq
 
     def lambda_length(self, w: Element) -> int:
-        """Word length of a fixed element over the folded generators."""
-        return len(self.greedy_factorize(w))
+        """Word length of a fixed element over the folded generators, with
+        greedy_factorize's checks; the orbits are spelled only for the
+        witness."""
+        if not self.is_fixed(w):
+            raise ValueError("element is not fixed by the automorphism group")
+        orbits, letters = self._lengths(w.inv_cols, source=list(w.word))
+        if letters != w.length:     # greedy_factorize spells the witness
+            self.greedy_factorize(w)
+        return orbits
 
     # Kept only because perfbench/tracing.py patches it by name.
     def factorize_product(self, orbit_word: Sequence[frozenset]):
@@ -361,8 +390,7 @@ class FoldedSystem:
     # Kept only because perfbench/tracing.py patches it by name.
     def lambda_of_product(self, a: Element, b: Element) -> int:
         inv_cols = self.group._engine.compose(b.inv_cols, a.inv_cols)
-        seq, _ = self._factorize_inv(inv_cols)
-        return len(seq)
+        return self._lengths(inv_cols)[0]
 
     # -- folded-level predicates ------------------------------------------------
 
@@ -374,13 +402,13 @@ class FoldedSystem:
         if not (self.is_fixed(w) and self.is_fixed(wp)):
             raise ValueError("both elements must be fixed")
         inv_cols = self.group._engine.compose(wp.inv_cols, w.inv_cols)
-        seq, letters = self._factorize_inv(inv_cols)
+        orbits, letters = self._lengths(inv_cols)
         if lam_w is None:
             lam_w = self.lambda_length(w)
         if lam_wp is None:
             lam_wp = self.lambda_length(wp)
         l_add = letters == w.length + wp.length
-        lam_add = len(seq) == lam_w + lam_wp
+        lam_add = orbits == lam_w + lam_wp
         return l_add, lam_add
 
     def folded_exchange(self, orbit_word: Sequence[frozenset], orbit: frozenset,
@@ -414,7 +442,7 @@ class FoldedSystem:
             raise ValueError("orbit word is not minimal for its product")
         w_i = self.longest[orbit]
         w_i_w = product([orbit] + orbit_word)
-        if len(self._factorize_inv(w_i_w)[0]) > p:
+        if self._lengths(w_i_w)[0] > p:
             raise ValueError("not a folded descent")
 
         descent_letters = [t for t in sorted(orbit) if group.is_left_descent(t, w)]

@@ -36,7 +36,7 @@ import random
 from array import array
 from bisect import bisect_right
 from functools import reduce, wraps
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -560,7 +560,8 @@ class _Products:
     exact action, so a walk on them gives the action compose gives, even
     for a broken folded system.  compose runs only for a factor off the
     ball or past a truncated edge (past the radius, or the order a folded
-    matrix claims).
+    matrix claims).  ``lengths`` holds the (orbits, letters) of each
+    node's folded walk, filled on first read.
     """
 
     def __init__(self, folded: FoldedSystem, ball: GeneratedBall):
@@ -569,7 +570,7 @@ class _Products:
         self.gens = {J: (k, folded.longest[J].inv_cols)
                      for k, J in enumerate(folded.bar_s)}
         self.identity = self.at(folded.group._engine.identity)
-        self._walks: dict[int, tuple] = {}
+        self.lengths: list = [None] * len(ball)
 
     def at(self, inv_cols) -> tuple:
         """The factor of the element with this inverse action."""
@@ -589,39 +590,43 @@ class _Products:
                 return z, self.ball.actions[z]
         return None, self.compose(y[1], x[1])
 
-    def rows(self, factors: Sequence[tuple]):
-        """The rows x y of every pair of factors, x-major, as product gives
-        them.  Each row with x on the ball is one edge per node of the
-        ancestor closure of the y on the ball (no more than the walks of
-        product), and is dropped once the next row starts."""
-        ball, actions = self.ball, self.ball.actions
-        pos, steps = ball.closure(y[0] for y in factors if y[0] is not None)
-        at = [None if y[0] is None else pos[y[0]] for y in factors]
-        for x in factors:
-            if x[0] is None:
-                yield [self.product(x, y) for y in factors]
-                continue
-            row = ball.row(x[0], steps)
-            yield [(z, actions[z]) if q is not None
-                   and (z := row[q]) is not None
-                   else (None, self.compose(y[1], x[1]))
-                   for q, y in zip(at, factors)]
+    def rows(self, nodes: Sequence[int | None]):
+        """For each of some ball nodes (None: a factor off the ball), the
+        nodes of its products with every one of them, as product finds
+        them, and None where product composes.  Each row from a node is
+        one edge per node of the ancestor closure of the others (no more
+        than the walks of product), and is dropped once the next starts."""
+        ball = self.ball
+        pos, steps = ball.closure(b for b in nodes if b is not None)
+        at = [-1 if b is None else pos[b] for b in nodes]   # -1: a None
+        off = [None] * (len(steps) + 2)
+        for x in nodes:
+            row = off if x is None else ball.row(x, steps) + [None]
+            yield [row[q] for q in at]
 
     def walk(self, x: tuple) -> tuple:
-        """(orbits, letters) of the folded walk of x, memoized per node."""
+        """(orbits, letters) of the folded walk of x, kept per node."""
         if x[0] is None:
-            return self.folded._factorize_inv(x[1])
-        if x[0] not in self._walks:
-            self._walks[x[0]] = self.folded._factorize_inv(x[1])
-        return self._walks[x[0]]
+            return self.folded._lengths(x[1])
+        got = self.lengths[x[0]]
+        if got is None:
+            got = self.lengths[x[0]] = self.folded._lengths(x[1])
+        return got
 
     def of_word(self, orbit_word: Sequence[frozenset]):
         """Inverse action of the product of an orbit word."""
         return self.word(orbit_word)[1]
 
     def word(self, orbit_word: Sequence[frozenset]) -> tuple:
-        """The factor of the product of an orbit word."""
-        return reduce(self.times, orbit_word, self.identity)
+        """The factor of the product of an orbit word: node indices along
+        the edges from e (node 0), then times past a truncated edge."""
+        node, edges, gens = 0, self.ball.edges, self.gens
+        for n, J in enumerate(orbit_word):
+            if (after := edges[node][gens[J][0]]) is None:
+                x = node, self.ball.actions[node]
+                return reduce(self.times, orbit_word[n:], x)
+            node = after
+        return node, self.ball.actions[node]
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +759,7 @@ def check_finiteness_vs_greedy(group: CoxeterGroup, config: VerifyConfig) -> dic
 @_check("fixed-elements-factorize")
 def check_factorize_fixed(folded: FoldedSystem, fixed: Sequence[Element]) -> dict:
     try:
-        max_lambda = max((len(folded.greedy_factorize(w)) for w in fixed),
-                         default=0)
+        max_lambda = max(map(folded.lambda_length, fixed), default=0)
     except InvariantViolation as err:
         raise CheckFailed({"fixed_elements": len(fixed)}, err.witness) from err
     return {"fixed_elements": len(fixed), "max_lambda": max_lambda}
@@ -798,7 +802,7 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
                              products: _Products) -> dict:
     """Random orbit words whose length is already minimal must have
     weights summing exactly to the length of their product, an edge walk
-    from e on the product table, factorized by its memoized folded walk.
+    from e on the product table, measured by its memoized folded walk.
     A walk that raises runs again with the orbit word as its source, for
     the witness."""
     if not folded.bar_s:
@@ -811,14 +815,14 @@ def check_minimal_additivity(folded: FoldedSystem, config: VerifyConfig,
         x = products.word(word)
         try:
             try:
-                seq, length = products.walk(x)
+                lam, length = products.walk(x)
             except InvariantViolation:
-                seq, length = folded._factorize_inv(
+                lam, length = folded._lengths(
                     x[1], source=[sorted(J) for J in word])
         except InvariantViolation as err:
             raise CheckFailed({"trials": TRIALS, "minimal_hits": hits},
                               err.witness) from err
-        if len(seq) != k:
+        if lam != k:
             continue
         hits += 1
         expected = sum(folded.weight[J] for J in word)
@@ -898,38 +902,45 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
                               config: VerifyConfig, products: _Products) -> dict:
     """l restricts to a weight function on W^Gamma: for fixed w and w',
     l(w w') = l(w) + l(w') exactly when lambda(w w') = lambda(w) +
-    lambda(w').  Every pair up to PAIR_CAP, one row of the product table
-    per left factor, else SAMPLE_PAIRS seeded draws; each product's l and
-    lambda come from its memoized folded walk."""
+    lambda(w').  Every pair up to PAIR_CAP, one row of product nodes per
+    left factor, else SAMPLE_PAIRS seeded draws; each product's l and
+    lambda come from its node's entry of the product table's lengths, or
+    from the folded walk of one compose off the ball."""
     n = len(fixed)
-    if n * n <= PAIR_CAP:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        exhaustive = True
-    else:
+    exhaustive = n * n <= PAIR_CAP
+    if not exhaustive:
         rng = _rng(config, "additivity-transfer")
         pairs = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(SAMPLE_PAIRS)]
-        exhaustive = False
-    stats = {"pairs": len(pairs), "exhaustive": exhaustive}
+    stats = {"pairs": n * n if exhaustive else len(pairs),
+             "exhaustive": exhaustive}
     try:
         lam = [folded.lambda_length(w) for w in fixed]
     except InvariantViolation as err:
         raise CheckFailed(stats, err.witness) from err
-    factors = [products.at(w.inv_cols) for w in fixed]
     length = [w.length for w in fixed]
-    if exhaustive:
-        zs = (z for row in products.rows(factors) for z in row)
+    nodes = [products.at(w.inv_cols)[0] for w in fixed]
+    ball, walked, compose = products.ball, products.lengths, products.compose
+    if exhaustive:      # (i, right factors, their product nodes)
+        rows = zip(range(n), repeat(range(n)), products.rows(nodes))
     else:
-        zs = (products.product(factors[i], factors[j]) for i, j in pairs)
-    for (i, j), z in zip(pairs, zs):
-        seq, letters = products.walk(z)
-        l_add = letters == length[i] + length[j]
-        if l_add != (lam_add := len(seq) == lam[i] + lam[j]):
-            raise CheckFailed(
-                stats,
-                {"left": list(fixed[i].word), "right": list(fixed[j].word),
-                 "length_additive": l_add, "folded_additive": lam_add},
-            )
+        rows = ((i, (j,), (None if nodes[i] is None or nodes[j] is None
+                           else ball.product(nodes[i], nodes[j]),))
+                for i, j in pairs)
+    for i, js, zs in rows:
+        for j, z in zip(js, zs):
+            if z is None:       # off the ball, or past a truncated edge
+                got = folded._lengths(compose(fixed[j].inv_cols,
+                                              fixed[i].inv_cols))
+            elif (got := walked[z]) is None:
+                got = walked[z] = folded._lengths(ball.actions[z])
+            l_add = got[1] == length[i] + length[j]
+            if l_add != (lam_add := got[0] == lam[i] + lam[j]):
+                raise CheckFailed(
+                    stats,
+                    {"left": list(fixed[i].word), "right": list(fixed[j].word),
+                     "length_additive": l_add, "folded_additive": lam_add},
+                )
     return stats
 
 
@@ -937,19 +948,20 @@ def check_additivity_transfer(folded: FoldedSystem, fixed: Sequence[Element],
 def check_folded_exchange(folded: FoldedSystem, fixed: Sequence[Element],
                           products: _Products) -> dict:
     """FoldedSystem.folded_exchange at every folded descent w_I of every
-    fixed element w with lambda(w) <= EXCHANGE_LAMBDA_CAP.  The
-    lambda(w_I w) probe and the products inside folded_exchange are walks
-    on the product table."""
+    fixed element w with lambda(w) <= EXCHANGE_LAMBDA_CAP; only those
+    have their orbit words spelled.  The lambda(w_I w) probe and the
+    products inside folded_exchange are walks on the product table."""
     verified = 0
     try:
         for w in fixed:
-            word = folded.greedy_factorize(w)
-            if len(word) > EXCHANGE_LAMBDA_CAP:
+            lam = folded.lambda_length(w)
+            if lam > EXCHANGE_LAMBDA_CAP:
                 continue
+            word = folded.greedy_factorize(w)
             x = products.at(w.inv_cols)
             for orbit in folded.bar_s:
                 w_i = products.times(products.identity, orbit)
-                if len(products.walk(products.product(w_i, x))[0]) > len(word):
+                if products.walk(products.product(w_i, x))[0] > lam:
                     continue
                 folded.folded_exchange(word, orbit, products.of_word, w)
                 verified += 1
@@ -1001,14 +1013,15 @@ def check_generated_matches_fixed(folded: FoldedSystem, gen_ball: GeneratedBall,
 
 
 def _presentation_pairs(levels: Sequence[int], radius: int | None,
-                        config: VerifyConfig) -> tuple[list, bool]:
-    """(index pairs to test, exhaustive?) for the length-transfer test.
+                        config: VerifyConfig) -> tuple[list, list | None]:
+    """(row widths, drawn pairs) for the length-transfer test.
 
     The candidates are the pairs (i, j) with levels[i] + levels[j] <= radius
-    in i-major order; over PAIR_CAP, SAMPLE_PAIRS of them are drawn.
-    Levels are non-decreasing in BFS order, so the j of each i form a
-    prefix of length width[i].  Draws are indices into the candidate list,
-    mapped back to pairs, so the list itself is never built.
+    in i-major order.  Levels are non-decreasing in BFS order, so the j of
+    each i form a prefix of length width[i], at least 1 since levels[0] is
+    0.  Up to PAIR_CAP candidates every one is tested, and drawn is None;
+    over it, SAMPLE_PAIRS of them are drawn.  Draws are indices into the
+    candidate list, mapped back to pairs, so the list is never built.
     """
     n = len(levels)
     if radius is None:
@@ -1016,14 +1029,14 @@ def _presentation_pairs(levels: Sequence[int], radius: int | None,
     else:
         width = [bisect_right(levels, radius - lvl) for lvl in levels]
     if sum(width) <= PAIR_CAP:
-        return [(i, j) for i in range(n) for j in range(width[i])], True
+        return width, None
     rng = _rng(config, "presentation-pairs")
     starts = list(accumulate(width, initial=0))
     pairs = []
     for k in rng.sample(range(starts[-1]), SAMPLE_PAIRS):
         i = bisect_right(starts, k) - 1
         pairs.append((i, k - starts[i]))
-    return pairs, False
+    return width, pairs
 
 
 def _length(folded: FoldedSystem, built: dict, inv_cols) -> int:
@@ -1035,7 +1048,7 @@ def _length(folded: FoldedSystem, built: dict, inv_cols) -> int:
     if w is not None:
         return w.length
     try:
-        return folded._factorize_inv(inv_cols)[1]
+        return folded._lengths(inv_cols)[1]
     except InvariantViolation:
         return folded.group._element_from_inv(inv_cols).length
 
@@ -1052,7 +1065,7 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     Pair products come from GeneratedBall.row over the candidates of each
     i when they are all tested, else from GeneratedBall.product: a
     candidate pair has levels[i] + levels[j] <= radius, so its walk never
-    leaves the ball.
+    leaves the ball.  Each pair reads lengths and levels by node index.
     Lengths come from `fixed` or from the memoized folded walk (_length);
     canonical words are built only for a failure witness."""
     group = folded.group
@@ -1110,32 +1123,31 @@ def presentation_check(folded: FoldedSystem, gen_ball: GeneratedBall,
     built = {w.inv_cols: w for w in fixed}
     lengths = [_length(folded, built, inv_cols)
                for inv_cols in gen_ball.actions]
-    candidates, exhaustive = _presentation_pairs(gen_ball.levels, radius, config)
-    stats["pairs"] = len(candidates)
-    stats["pairs_exhaustive"] = exhaustive
-    if exhaustive:      # the j of each i are a prefix: one row over it
-        lam_zs = (z for i, js in groupby(candidates, itemgetter(0))
-                  for z in gen_ball.row(i, islice(gen_ball.parents, 1,
-                                                  sum(1 for _ in js))))
+    width, drawn = _presentation_pairs(gen_ball.levels, radius, config)
+    stats["pairs"] = sum(width) if drawn is None else len(drawn)
+    stats["pairs_exhaustive"] = drawn is None
+    levels, parents = gen_ball.levels, gen_ball.parents
+    if drawn is None:   # (i, first j, product nodes): a row over the prefix
+        rows = ((i, 0, gen_ball.row(i, islice(parents, 1, w)))
+                for i, w in enumerate(width))
     else:
-        lam_zs = (gen_ball.product(i, j) for i, j in candidates)
-    for (i, j), lam_z in zip(candidates, lam_zs):
-        if lam_z is None:
-            raise CheckFailed(stats,
-                              {"problem": "product left the generated ball"})
-        l_add = lengths[lam_z] == lengths[i] + lengths[j]
-        lam_add = (gen_ball.levels[lam_z]
-                   == gen_ball.levels[i] + gen_ball.levels[j])
-        if l_add != lam_add:
-            left, right = (built.get(gen_ball.actions[k])
-                           or group._element_from_inv(gen_ball.actions[k])
-                           for k in (i, j))
-            raise CheckFailed(
-                stats,
-                {"problem": "length transfer fails",
-                 "left": list(left.word), "right": list(right.word),
-                 "length_additive": l_add, "folded_additive": lam_add},
-            )
+        rows = ((i, j, (gen_ball.product(i, j),)) for i, j in drawn)
+    for i, start, zs in rows:
+        for j, z in enumerate(zs, start):
+            if z is None:
+                raise CheckFailed(stats,
+                                  {"problem": "product left the generated ball"})
+            l_add = lengths[z] == lengths[i] + lengths[j]
+            if l_add != (lam_add := levels[z] == levels[i] + levels[j]):
+                left, right = (built.get(gen_ball.actions[k])
+                               or group._element_from_inv(gen_ball.actions[k])
+                               for k in (i, j))
+                raise CheckFailed(
+                    stats,
+                    {"problem": "length transfer fails",
+                     "left": list(left.word), "right": list(right.word),
+                     "length_additive": l_add, "folded_additive": lam_add},
+                )
     return stats
 
 

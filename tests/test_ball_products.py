@@ -13,9 +13,10 @@ benchmark verify instances at radius 16.
 The exhaustive pair checks read their products from one transient row
 per left factor: GeneratedBall.row over a prefix of the ball (the
 presentation check) or over the ancestor closure of the right factors'
-nodes (the additivity check, through _Products.rows).  Every row entry
-must be GeneratedBall.product, None on a truncated edge included, on the
-same inputs and on the rank-4 hyperbolic input under `auto id` at radius
+nodes (the additivity check, through _Products.rows, whose rows list the
+product nodes, None where product composes).  Every row entry must be
+GeneratedBall.product, None on a truncated edge included, on the same
+inputs and on the rank-4 hyperbolic input under `auto id` at radius
 3, where most fixed pairs leave the ball.  And a row must take no more
 edge steps than the walks it replaces.
 
@@ -102,8 +103,10 @@ def test_pair_products_match_compose(name, radius):
         w, wp = fixed[i], fixed[j]
         z = products.product(factors[i], factors[j])
         assert z[1] == compose(wp.inv_cols, w.inv_cols), (w, wp)
-        seq, letters = products.walk(z)
-        adds = (letters == w.length + wp.length, len(seq) == lam[i] + lam[j])
+        lam_z, letters = products.walk(z)
+        seq, spelled = folded._factorize_inv(z[1])
+        assert (lam_z, letters) == (len(seq), spelled), (w, wp)
+        adds = (letters == w.length + wp.length, lam_z == lam[i] + lam[j])
         assert adds == folded.weight_additivity(w, wp), (w, wp)
 
 
@@ -150,7 +153,9 @@ def test_walks_match_compose(name, radius):
             w_j_w = products.product(products.times(products.identity, J), x)
             exact = compose(w.inv_cols, longest[J].inv_cols)
             assert w_j_w[1] == exact, (w, J)
-            lam = len(products.walk(w_j_w)[0])
+            lam, letters = products.walk(w_j_w)
+            seq, spelled = folded._factorize_inv(exact)
+            assert (lam, letters) == (len(seq), spelled), (w, J)
             assert lam == len(reference_factorize(folded, exact)[0])
             if lam <= len(word):
                 assert (folded.folded_exchange(word, J, of_word, w)
@@ -180,11 +185,16 @@ def test_rows_match_product(name, radius):
         row = gen_ball.row(i, steps)
         assert ([row[pos[b]] for b in nodes]
                 == [gen_ball.product(i, b) for b in nodes]), i
-    # the rows of the additivity check, factors off the ball included
+    # the rows of the additivity check, factors off the ball included: a
+    # node where product finds one, else None where product composes
     left = 0
-    for x, row in zip(factors, products.rows(factors), strict=True):
-        assert row == [products.product(x, y) for y in factors], x
-        left += sum(z[0] is None for z in row)
+    compose, actions = folded.group._engine.compose, gen_ball.actions
+    rows = products.rows([x[0] for x in factors])
+    for x, row in zip(factors, rows, strict=True):
+        assert ([(z, actions[z]) if z is not None else (None, compose(y[1], x[1]))
+                 for z, y in zip(row, factors, strict=True)]
+                == [products.product(x, y) for y in factors]), x
+        left += sum(z is None for z in row)
     if name == "hyperbolic-id":
         assert (left, len(fixed) ** 2) == (2052, 2704)
 

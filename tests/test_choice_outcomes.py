@@ -133,14 +133,18 @@ def tampered_weight(folded):
 
 def tampered_peel_count(folded, fixed):
     """A copy whose memo peels the longest fixed element's first orbit
-    with one letter too many."""
+    with one letter too many.  greedy_factorize wrote lengths along w's
+    path; of those only w's own went through the tampered peel (no record
+    above w was walked), so they are cleared."""
     system = fresh(folded)
     w = max(fixed, key=lambda e: e.length)
     system.greedy_factorize(w)
-    _, descents, peels = system._state(w.inv_cols)
+    record = system._state(w.inv_cols)
+    _, descents, peels, _, _ = record
     orbit = system.orbit_of(descents[0])
     count, after = peels[orbit]
     peels[orbit] = (count + 1, after)
+    record[3] = None
     return system
 
 
@@ -189,7 +193,7 @@ def test_failing_branch_raises_on_every_call():
         witnesses.append(exc.value.witness)
     assert witnesses[0] == witnesses[1]
     assert witnesses[0]["source"] == list(w.word)
-    assert id(system._state(w.inv_cols)) not in system._outcomes
+    assert system._state(w.inv_cols)[4] is None
 
 
 def test_two_counts_on_a_missed_branch_fail():
@@ -200,10 +204,11 @@ def test_two_counts_on_a_missed_branch_fail():
     top = [max(fixed, key=lambda e: e.length)]
     system = fresh(folded)
     system.choice_outcomes(top[0].inv_cols)
-    system._outcomes.clear()
+    for record in system._steps.values():
+        record[4] = None
     identity = system._state(system.group._engine.identity)
     missed = None
-    for inv_cols, (_, descents, peels) in system._steps.items():
+    for inv_cols, (_, descents, peels, _, _) in system._steps.items():
         seq, letters = folded._factorize_inv(inv_cols)
         untaken = [orbit for orbit in peels
                    if orbit != system.orbit_of(descents[0])]

@@ -346,6 +346,11 @@ def _levels(radius, count):
     return [k for k in range(radius + 1) for _ in range(count(k))]
 
 
+def width_pairs(width):
+    """The pairs (i, j) of rows of the given widths, i-major."""
+    return [(i, j) for i, w in enumerate(width) for j in range(w)]
+
+
 @pytest.mark.parametrize("levels,radius", [
     (_levels(6, lambda k: 2 * k + 1), None),        # 49^2 pairs, listed
     (_levels(12, lambda k: 3 * k + 1), None),       # 247^2 pairs, sampled
@@ -360,13 +365,13 @@ def test_presentation_pairs_draw_the_listed_candidates(levels, radius):
     bound = float("inf") if radius is None else radius
     listed = [(i, j) for i in range(len(levels)) for j in range(len(levels))
               if levels[i] + levels[j] <= bound]
-    pairs, exhaustive = _presentation_pairs(levels, radius, config)
+    width, drawn = _presentation_pairs(levels, radius, config)
     if len(listed) > verify.PAIR_CAP:
         expected = _rng(config, "presentation-pairs").sample(
             listed, verify.SAMPLE_PAIRS)
-        assert not exhaustive and pairs == expected
+        assert drawn is not None and drawn == expected
     else:
-        assert exhaustive and pairs == listed
+        assert drawn is None and width_pairs(width) == listed
 
 
 PAIR_INSTANCES = {
@@ -395,9 +400,10 @@ def test_pair_products_follow_ball_edges(name):
     gen_ball = generated_ball(W, [folded.longest[J] for J in folded.bar_s],
                               radius)
     assert gen_ball.complete == (radius is None)
-    pairs, exhaustive = _presentation_pairs(gen_ball.levels, radius,
-                                            VerifyConfig())
-    assert exhaustive == (name != "h3-id")
+    width, drawn = _presentation_pairs(gen_ball.levels, radius,
+                                       VerifyConfig())
+    assert (drawn is None) == (name != "h3-id")
+    pairs = width_pairs(width) if drawn is None else drawn
     compose, acts = W._engine.compose, gen_ball.actions
     for i, j in pairs:
         assert gen_ball.product(i, j) == gen_ball.key_index[
