@@ -198,11 +198,9 @@ class FoldedSystem:
     # -- factorization over the folded generators ------------------------------
 
     def _factorize_inv(self, inv_cols, source=None):
-        """Factorize the element whose inverse action is inv_cols:
-        (orbit sequence, letters stripped), the orbits spelled along the
-        smallest-descent peels that _lengths walked and checked.  Only a
-        caller that reads the orbits spells them; a length is read off
-        _lengths."""
+        """(orbit sequence, letters) of the element whose inverse action is
+        inv_cols: the walk of _lengths, its orbits spelled along the peels
+        it stored.  Only a caller that reads the orbits spells them."""
         letters = self._lengths(inv_cols, source)[1]
         seq: list[frozenset] = []
         state = self._steps[inv_cols]
@@ -354,26 +352,22 @@ class FoldedSystem:
         factor weights sum to l(w) and the factors multiply back to w;
         violations raise with a counterexample.
         """
+        self.lambda_length(w)
+        return self._factorize_inv(w.inv_cols)[0]
+
+    def lambda_length(self, w: Element) -> int:
+        """Word length of a fixed element over the folded generators, with
+        the checks of greedy_factorize."""
         if not self.is_fixed(w):
             raise ValueError("element is not fixed by the automorphism group")
-        seq, letters = self._factorize_inv(w.inv_cols, source=list(w.word))
+        orbits, letters = self._lengths(w.inv_cols, source=list(w.word))
         if letters != w.length:
+            seq = self._factorize_inv(w.inv_cols)[0]
             raise InvariantViolation(
                 "factorize", "factor weights do not sum to the length",
                 self._witness(word=list(w.word),
                               factors=[sorted(J) for J in seq]),
             )
-        return seq
-
-    def lambda_length(self, w: Element) -> int:
-        """Word length of a fixed element over the folded generators, with
-        greedy_factorize's checks; the orbits are spelled only for the
-        witness."""
-        if not self.is_fixed(w):
-            raise ValueError("element is not fixed by the automorphism group")
-        orbits, letters = self._lengths(w.inv_cols, source=list(w.word))
-        if letters != w.length:     # greedy_factorize spells the witness
-            self.greedy_factorize(w)
         return orbits
 
     # Kept only because perfbench/tracing.py patches it by name.

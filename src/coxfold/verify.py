@@ -618,15 +618,8 @@ class _Products:
         return self.word(orbit_word)[1]
 
     def word(self, orbit_word: Sequence[frozenset]) -> tuple:
-        """The factor of the product of an orbit word: node indices along
-        the edges from e (node 0), then times past a truncated edge."""
-        node, edges, gens = 0, self.ball.edges, self.gens
-        for n, J in enumerate(orbit_word):
-            if (after := edges[node][gens[J][0]]) is None:
-                x = node, self.ball.actions[node]
-                return reduce(self.times, orbit_word[n:], x)
-            node = after
-        return node, self.ball.actions[node]
+        """The factor of the product of an orbit word."""
+        return reduce(self.times, orbit_word, self.identity)
 
 
 # ---------------------------------------------------------------------------
