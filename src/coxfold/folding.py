@@ -151,6 +151,9 @@ class FoldedSystem:
         # over every choice], the last two None until known; see _lengths
         # and choice_outcomes.
         self._steps: dict = {}
+        # (orbits, letters) -> the one tuple that records share, as many
+        # records of a large fixed set share few distinct lengths.
+        self._pairs: dict = {}
         # element -> whether every automorphism fixes it; see is_fixed.
         self._fixed: dict = {}
 
@@ -252,8 +255,8 @@ class FoldedSystem:
             state = peel[1]
         orbits, letters = state[3]
         for state, orbit in zip(reversed(path), reversed(seq)):  # to the root
-            orbits, letters = orbits + 1, letters + state[2][orbit][0]
-            state[3] = (orbits, letters)
+            pair = orbits, letters = orbits + 1, letters + state[2][orbit][0]
+            state[3] = self._pairs.setdefault(pair, pair)
         return state[3]
 
     def choice_outcomes(self, inv_cols, source=None) -> frozenset:

@@ -96,10 +96,10 @@ def test_replaced_copy_starts_with_empty_memo():
         folded.greedy_factorize(w)
     folded.factorize_product(folded.bar_s * 2)
     folded.choice_outcomes(fixed[-1].inv_cols)
-    assert folded._steps and folded._fixed
+    assert folded._steps and folded._fixed and folded._pairs
     assert any(record[4] for record in folded._steps.values())  # outcomes
     copy = replace(folded)
-    for memo in ("_steps", "_fixed"):
+    for memo in ("_steps", "_fixed", "_pairs"):
         assert getattr(copy, memo) == {}
         assert getattr(copy, memo) is not getattr(folded, memo)
     assert copy == folded  # the memos take no part in equality
