@@ -30,7 +30,6 @@ seed and radius.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from array import array
@@ -39,6 +38,16 @@ from functools import reduce, wraps
 from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from typing import Callable, Sequence
+
+# the interpreter's own sha256, as random.py takes its sha512: hashlib loads
+# OpenSSL, about 3 ms and 3.6 MiB of a fresh process
+try:
+    from _sha256 import sha256          # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256        # Python 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 from .coxeter import CoxeterMatrix, classify_finite, coxeter_order
 from .cyclo import INF
@@ -704,7 +713,7 @@ class Report:
 
 def input_digest(matrix: CoxeterMatrix, autos: Sequence[Automorphism]) -> str:
     text = str(matrix) + "\n" + "\n".join(str(g) for g in autos)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def _rng(config: VerifyConfig, name: str) -> random.Random:

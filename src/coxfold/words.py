@@ -28,8 +28,10 @@ of the word on the elementary roots below decides (``inversions``).
 
 Next to the engine, built on first use, is the table of the finitely many
 elementary roots (Brink and Howlett): the simple roots closed under the
-simple reflections on plain integer coefficients (``_root_closure``), the
-one place where roots are closed.  It walks reduced words without
+simple reflections (``_root_closure``), the one place where roots are
+closed.  When every label is 2, 3 or inf each coordinate is one int and
+the closure runs on ints; any other label runs it on the integer
+coefficients of the coordinates.  It walks reduced words without
 arithmetic: it drives the ShortLex automaton that lists the balls of an
 infinite W, the exchange walks that decide gamma(w) = w one appended
 letter at a time (``fixing_step``), so that the ball walk drops every
@@ -57,7 +59,7 @@ from operator import methodcaller
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterMatrix, classify_finite, parse_number, validate
-from .cyclo import ArithContext, CycloReal, make_context
+from .cyclo import ArithContext, CycloReal, _operand, make_context
 
 # safety valve for descent stripping on the matrix engine; far beyond desk
 # scale.  The root table derives its own bound from |Phi+|.
@@ -180,25 +182,31 @@ class CoxeterGroup:
         when s(beta_i) dominates alpha_s, and otherwise the index of
         s(beta_i); the entries of the other generators are None.
 
-        The one closure of roots, on the integer coefficients of the
-        coordinates: s sets coordinate s to -beta_s + sum_t c_st beta_t,
-        where a rational c_st (labels 3 and inf) is an int and any other
-        costs one convolution.  A root stays a tuple of coefficient
-        tuples.  An unchanged coordinate (B(beta, alpha_s) = 0) means s
+        The one closure of roots: s sets coordinate s to -beta_s + sum_t
+        c_st beta_t.  An unchanged coordinate (B(beta, alpha_s) = 0) means s
         fixes beta; a listed image is elementary, so its step is never BIG;
-        only a new one needs a sign test.
+        only a new one needs a sign test.  When every c_st of I is rational
+        (labels 2, 3 and inf give 0, 1 and 2), every coordinate is one int
+        and the closure runs on ints (``_close_on_ints``); its roots are
+        lifted to coefficient tuples of the field's degree at the end.  Any
+        other label runs on the integer coefficients of the coordinates,
+        where an irrational c_st costs one convolution.  Either way a root
+        is a tuple of coefficient tuples.
         """
         subset = sorted(set(subset))
         ctx = self.ctx
         zero, size = ctx.zero.coeffs, 2 * ctx.degree - 1
-        # (t - 1, c_st as an int, or as its nonzero (power, coefficient) pairs)
+        # (t - 1, c_st as an int, or as its nonzero (power, coefficient)
+        # pairs); a neighbour outside I is skipped, since beta_t = 0 there
         terms = [None] * (self.rank + 1)
         for s in subset:
-            terms[s] = []
-            for t in self._nbrs[s]:
-                c = self._coeff[s][t].coeffs
-                terms[s].append((t - 1, [(p, a) for p, a in enumerate(c) if a]
-                                 if any(c[1:]) else c[0]))
+            terms[s] = [(t - 1, _operand(self._coeff[s][t].coeffs))
+                        for t in self._nbrs[s] if t in subset]
+        if all(c.__class__ is int for s in subset for _, c in terms[s]):
+            roots, step = _close_on_ints(self.rank, subset, terms)
+            pad = zero[1:]
+            lift = {v: (v, *pad) for v in {v for r in roots for v in r}}
+            return [tuple(map(lift.__getitem__, r)) for r in roots], step
         roots = [tuple(x.coeffs for x in self.simple_root(s)) for s in subset]
         index = {r: i for i, r in enumerate(roots)}
         step = []
@@ -659,6 +667,40 @@ class _RootTable:
 
 NEG = -1    # s(alpha_s) = -alpha_s
 BIG = -2    # s(beta) is positive and dominates alpha_s: it never returns to E
+
+
+def _close_on_ints(rank: int, subset, terms) -> tuple[list, list]:
+    """CoxeterGroup._root_closure when every c_st of the subset is an int:
+    the same walk with each coordinate one int, and a new image's step BIG
+    when the int 2 + beta_s - s(beta)_s = 2 + 2B(beta, alpha_s) is at most
+    0.  Roots are tuples of ints."""
+    roots = [tuple(int(t == s) for t in range(1, rank + 1)) for s in subset]
+    index = {r: i for i, r in enumerate(roots)}
+    step = []
+    for i, beta in enumerate(roots):  # grows while it is read
+        row = [None] * (rank + 1)
+        for k, s in enumerate(subset):
+            if i == k:
+                row[s] = NEG
+                continue
+            old = beta[s - 1]
+            new = -old
+            for t, c in terms[s]:
+                new += c * beta[t]
+            if new == old:
+                row[s] = i
+                continue
+            img = (*beta[:s - 1], new, *beta[s:])
+            j = index.get(img)
+            if j is None:
+                if 2 + old - new <= 0:
+                    j = BIG
+                else:
+                    j = index[img] = len(roots)
+                    roots.append(img)
+            row[s] = j
+        step.append(tuple(row))
+    return roots, step
 
 
 class _ElementaryRoots:

@@ -21,6 +21,9 @@ import pytest
 
 from coxfold import cli
 from coxfold.catalog import CATALOG
+from coxfold.coxeter import parse_input
+from coxfold.folding import Automorphism
+from coxfold.verify import input_digest
 
 INPUTS = {e.name: e.input_text for e in CATALOG if not e.slow}
 INPUTS["h3-id"] = "rank 3\nm 1 2 5\nm 2 3 3\nauto id\n"
@@ -34,6 +37,7 @@ SAMPLED_INPUTS = {
     "e6-flip": next(e.input_text for e in CATALOG if e.name == "e6-flip"),
 }
 RANK_ONE = {"a1-id": "rank 1\nauto id\n"}
+ALL_INPUTS = {**INPUTS, **SAMPLED_INPUTS, **RANK_ONE}
 
 # arguments after the file, by input and command
 EXTRA = {("tri443-swap", "verify"): ("--radius", "8")}
@@ -94,9 +98,18 @@ GOLDEN = {
 
 def run_cli(capsys, tmp_path, name, *argv):
     path = tmp_path / (name + ".cox")
-    path.write_text({**INPUTS, **SAMPLED_INPUTS, **RANK_ONE}[name])
+    path.write_text(ALL_INPUTS[name])
     rc = cli.main([argv[0], str(path), *argv[1:]])
     return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INPUTS))
+def test_input_digest_is_hashlib_sha256(name):
+    # input_digest takes sha256 from the interpreter's own module
+    matrix, autos = parse_input(ALL_INPUTS[name])
+    autos = [Automorphism(images) for _, images in autos]
+    text = str(matrix) + "\n" + "\n".join(map(str, autos))
+    assert input_digest(matrix, autos) == hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,command,fmt", sorted(GOLDEN))

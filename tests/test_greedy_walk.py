@@ -12,15 +12,18 @@ and mask depend on the mask alone: on every subset of the seeded random
 matrices and of the infinite groups it must answer as the walk without
 that stop does.
 
-The elementary-root table is the one closure of roots.  It runs on the
-integer coefficients of the coordinates, keeps its roots as tuples of
-them, and looks each image up before it tests a sign.  The reference
-closure below runs on CycloReal coordinates under the matrix engine's
-`reflect` and tests a sign on every root and generator that do not
-commute; both must give the same roots (the coefficient tuples of the
-reference's coordinates), in the same order, with the same table, on
-named groups (among them H4 and the six benchmark verify instances) and
-on seeded random matrices.  For a finite W the root table is read off that table, since
+The elementary-root table is the one closure of roots.  It runs on one
+int per coordinate when every label of the subset is 2, 3 or inf, and on
+the integer coefficients of the coordinates otherwise; either way it
+keeps its roots as tuples of coefficient tuples, and looks each image up
+before it tests a sign.  The reference closure below runs on CycloReal
+coordinates under the matrix engine's `reflect` and tests a sign on every
+root and generator that do not commute; both must give the same roots
+(the coefficient tuples of the reference's coordinates), in the same
+order, with the same table, on named groups (among them H4, the six
+benchmark verify instances, E6 to E8, affine A4 and D4, and a Y with an
+inf arm), on seeded random matrices, and on every subset of E6, H4 and a
+hyperbolic group.  For a finite W the root table is read off that table, since
 every positive root is elementary; its permutations must be those of the
 reflections on the reference roots and their negatives.
 
@@ -130,6 +133,17 @@ CLOSURE_GROUPS = {
     "534": CoxeterMatrix.from_labels(4, {(1, 2): 5, (2, 3): 3, (3, 4): 4}),
     "hyperbolic4": CoxeterMatrix.from_labels(4, {
         (1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 3): 6, (2, 4): INF, (3, 4): 5}),
+    "e7": CoxeterMatrix.from_labels(7, {
+        (1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3, (2, 4): 3}),
+    "e8": CoxeterMatrix.from_labels(8, {
+        (1, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3, (7, 8): 3,
+        (2, 4): 3}),
+    "affine-a4": CoxeterMatrix.from_labels(
+        5, {(1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (1, 5): 3}),
+    "affine-d4": CoxeterMatrix.from_labels(
+        5, {(1, 3): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3}),
+    # the Y with an inf arm: 7 elementary roots and 5 BIG steps
+    "y-inf": CoxeterMatrix.from_labels(4, {(1, 2): INF, (2, 3): 3, (2, 4): 3}),
     **random_matrices(40),
 }
 
@@ -162,31 +176,32 @@ def test_infinite_dihedral_probe_stops_after_three_steps(monkeypatch):
     assert len(calls) == 6
 
 
-def reference_closure(W):
-    """The elementary roots and their step table, with a sign test on
-    every root beta and generator s with B(beta, alpha_s) != 0."""
-    gens = W.generators()
+def reference_closure(W, subset=None):
+    """The elementary roots of W_I and their step table, with a sign test
+    on every root beta and generator s with B(beta, alpha_s) != 0; I is
+    all of S by default."""
+    gens = W.generators() if subset is None else subset
     roots = [W.simple_root(s) for s in gens]
     index = {r: i for i, r in enumerate(roots)}
     step = []
     for i, beta in enumerate(roots):  # grows while it is read
-        row = [None]
-        for s in gens:
-            if i == s - 1:
-                row.append(NEG)
+        row = [None] * (W.rank + 1)
+        for k, s in enumerate(gens):
+            if i == k:
+                row[s] = NEG
                 continue
             img = W.reflect(s, beta)
             two_b = beta[s - 1] - img[s - 1]
             if two_b.is_zero():
-                row.append(i)
+                row[s] = i
             elif (two_b + 2).sign() <= 0:
-                row.append(BIG)
+                row[s] = BIG
             else:
                 j = index.get(img)
                 if j is None:
                     j = index[img] = len(roots)
                     roots.append(img)
-                row.append(j)
+                row[s] = j
         step.append(tuple(row))
     return roots, step
 
@@ -208,6 +223,18 @@ def test_elementary_table_matches_reference_closure(name):
     # each translate table starts with s as an action on Phi
     assert [decode(t[:len(phi)]) for t in W._engine.tables[1:]] == [
         tuple(index[W.reflect(s, r)] for r in phi) for s in W.generators()]
+
+
+@pytest.mark.parametrize("name", ["e6", "h4", "hyperbolic4"])
+def test_subset_closure_matches_reference_closure(name):
+    # the subsets of H4 and hyperbolic4 with labels 3 and inf only close on
+    # ints inside a wider field: their roots carry that field's degree
+    W = CoxeterGroup(CLOSURE_GROUPS[name])
+    for mask in range(1 << W.rank):
+        subset = [s for s in W.generators() if mask >> (s - 1) & 1]
+        roots, step = reference_closure(W, subset)
+        assert W._root_closure(subset) == (
+            [tuple(c.coeffs for c in r) for r in roots], step), subset
 
 
 @pytest.mark.parametrize("name", ["h4", "tri237", "hyperbolic4", "e6"])

@@ -8,13 +8,19 @@ each pair again on the product table.  On the A3 flip the orbits are
 weights send _folded_order down each of its four failure branches, and a
 folded system that writes inf over the label fails dihedral-pairs where
 the alternating products first agree, at 4 factors.
+
+An infinite pair is checked on its first 8 alternating products only, so
+inf written over I2(m) under the identity fails for m = 8 and passes for
+m = 9 and 10: a known gap (ROADMAP item 10), pinned as strict xfails.
 """
 
 import pytest
 
+from coxfold.coxeter import CoxeterMatrix
 from coxfold.cyclo import INF
-from coxfold.folding import InvariantViolation, _folded_order, fold
+from coxfold.folding import Automorphism, InvariantViolation, _folded_order, fold
 from coxfold.verify import _Products, check_dihedral_pairs, generated_ball
+from coxfold.words import CoxeterGroup
 
 from conftest import FLIPS
 from oracles import replace
@@ -65,3 +71,22 @@ def test_infinite_label_over_a_finite_pair_fails_dihedral_pairs(a3_fold):
     assert result.statistics == {"finite_pairs": 0}
     assert result.witness == {"orbits": [[1, 3], [2]], "label": "inf",
                               "agree_at": 4}
+
+
+@pytest.mark.parametrize("m", [
+    8,
+    *(pytest.param(m, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 10"))
+      for m in (9, 10)),
+])
+def test_infinite_label_over_a_dihedral_pair_fails_dihedral_pairs(m):
+    folded = fold(CoxeterGroup(CoxeterMatrix.from_labels(2, {(1, 2): m})),
+                  [Automorphism((1, 2))])
+    (detail,) = folded.details
+    assert detail.label == m
+    broken = replace(folded, details=(detail._replace(label=INF),))
+    gen_ball = generated_ball(folded.group,
+                              [folded.longest[J] for J in folded.bar_s],
+                              None, 8)
+    result = check_dihedral_pairs(broken, _Products(broken, gen_ball))
+    assert result.status == "fail"
+    assert result.witness["orbits"] == [[1], [2]]

@@ -14,11 +14,15 @@ compiled, so a words-only process would otherwise pay for folding, verify
 and the catalog.  These probes each run in a fresh interpreter, since this
 one has loaded every module.
 
+`coxfold.verify` takes sha256 from the interpreter's own module, not from
+hashlib, whose `_hashlib` loads OpenSSL.
+
 No module imports, at module level, one that imports it back, directly or
 through others: the package's import graph is acyclic.
 """
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -88,6 +92,14 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     assert loaded_after(f"from coxfold import cli\n"
                         f"if cli.main({argv!r}) != {rc}:\n"
                         f"    sys.exit(1)") == loaded
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
+                    reason="this interpreter has no _hashlib")
+def test_verify_loads_no_openssl():
+    # input_digest takes sha256 from the interpreter's own module, since
+    # hashlib loads OpenSSL through _hashlib
+    assert loaded_after("import coxfold.verify", ("_hashlib",)) == []
 
 
 def test_every_public_name_resolves_and_is_listed():
