@@ -62,7 +62,9 @@ from .folding import (
 from .words import CoxeterGroup, Element, EngineInvariantError, _RootTable
 
 DEFAULT_INFINITE_RADIUS = 8
-SAMPLES = 50                # randomized factorizations per element
+# the multiplier of the factorizations statistic (fixed elements x SAMPLES);
+# nothing is drawn, it keeps the reports' bytes until ROADMAP item 2
+SAMPLES = 50
 TRIALS = 200                # random orbit words for additivity probing
 PAIR_CAP = 6000             # exhaustive pair checks up to this many
 SAMPLE_PAIRS = 300          # sampled pairs beyond the cap
@@ -774,10 +776,10 @@ def check_choice_independence(folded: FoldedSystem,
     orbits, and their letters add up to its length.
 
     One exhaustive pass over the folded-peel memo decides this for every
-    choice at once (FoldedSystem.choice_outcomes).  ``factorizations``
-    counts the SAMPLES seeded draws per element that the pass covers.  A
-    failure reports the element's outcomes, or the witness of the peel
-    that raised.
+    choice at once (FoldedSystem.choice_outcomes).  ``factorizations`` is
+    the checked elements times SAMPLES, a multiplier that keeps the
+    reports' bytes.  A failure reports the element's outcomes, or the
+    witness of the peel that raised.
     """
     checked = 0
     try:

@@ -26,20 +26,21 @@ Either way s is a left descent of w exactly when w^-1(alpha_s) is a
 negative root.  It is a right descent when w(alpha_s) is, which one walk
 of the word on the elementary roots below decides (``inversions``).
 
-Next to the engine, built on first use, is the table of the finitely many
-elementary roots (Brink and Howlett): the simple roots closed under the
-simple reflections (``_root_closure``), the one place where roots are
-closed.  When every label is 2, 3 or inf each coordinate is one int and
-the closure runs on ints; any other label runs it on the integer
-coefficients of the coordinates.  It walks reduced words without
-arithmetic: it drives the ShortLex automaton that lists the balls of an
-infinite W, the exchange walks that decide gamma(w) = w one appended
-letter at a time (``fixing_step``), so that the ball walk drops every
-subtree that holds no fixed word, and, for every W, the right descents,
-the exchange property (``exchange``) and the finiteness probe, a greedy
-walk up by non-descents (``_grow``).  Longest elements take the same
-walk on the engine's action (``longest_element``).  The root table of a
-finite W is read off it: every positive root is elementary.
+Next to the engine, built on first use, is the table of the finitely
+many elementary roots (Brink and Howlett): the simple roots closed under
+the simple reflections (``_root_closure``), the one place where roots
+are closed.  The labels pick only the arithmetic of that one walk: one
+int per coordinate when every label is 2, 3 or inf, and the integer
+coefficients of the coordinates otherwise.  The table walks reduced
+words without arithmetic: it drives the ShortLex automaton that lists
+the balls of an infinite W, the exchange walks that decide gamma(w) = w
+one appended letter at a time (``fixing_step``), so that the ball walk
+drops every subtree that holds no fixed word, and, for every W, the
+right descents, the exchange property (``exchange``) and the finiteness
+probe, a greedy walk up by non-descents (``_grow``).  Longest elements
+take the same walk on the engine's action (``longest_element``).  The
+root table of a finite W is read off it: every positive root is
+elementary.
 
 The stored word of an Element is canonical: the ShortLex-least reduced
 word, extracted by repeatedly peeling the smallest left descent
@@ -185,13 +186,15 @@ class CoxeterGroup:
         The one closure of roots: s sets coordinate s to -beta_s + sum_t
         c_st beta_t.  An unchanged coordinate (B(beta, alpha_s) = 0) means s
         fixes beta; a listed image is elementary, so its step is never BIG;
-        only a new one needs a sign test.  When every c_st of I is rational
-        (labels 2, 3 and inf give 0, 1 and 2), every coordinate is one int
-        and the closure runs on ints (``_close_on_ints``); its roots are
-        lifted to coefficient tuples of the field's degree at the end.  Any
-        other label runs on the integer coefficients of the coordinates,
-        where an irrational c_st costs one convolution.  Either way a root
-        is a tuple of coefficient tuples.
+        only a new one needs a sign test, since s(beta) = beta - 2B(beta,
+        alpha_s) alpha_s is BIG when 2 + 2B(beta, alpha_s) = 2 + beta_s -
+        s(beta)_s <= 0.  The labels of I pick only the arithmetic.  When
+        every c_st is rational (labels 2, 3 and inf give 0, 1 and 2), a
+        coordinate is one int and the test is on that int; its roots are
+        lifted to coefficient tuples of the field's degree at the end.
+        Otherwise a coordinate is its integer coefficients, an irrational
+        c_st costs one convolution, and CycloReal.sign makes the test.
+        Either way a root is a tuple of coefficient tuples.
         """
         subset = sorted(set(subset))
         ctx = self.ctx
@@ -202,12 +205,10 @@ class CoxeterGroup:
         for s in subset:
             terms[s] = [(t - 1, _operand(self._coeff[s][t].coeffs))
                         for t in self._nbrs[s] if t in subset]
-        if all(c.__class__ is int for s in subset for _, c in terms[s]):
-            roots, step = _close_on_ints(self.rank, subset, terms)
-            pad = zero[1:]
-            lift = {v: (v, *pad) for v in {v for r in roots for v in r}}
-            return [tuple(map(lift.__getitem__, r)) for r in roots], step
-        roots = [tuple(x.coeffs for x in self.simple_root(s)) for s in subset]
+        # the labels pick the arithmetic of s(beta)_s and of the BIG test
+        on_ints = all(c.__class__ is int for s in subset for _, c in terms[s])
+        roots = [tuple(x.coeffs[0] if on_ints else x.coeffs
+                       for x in self.simple_root(s)) for s in subset]
         index = {r: i for i, r in enumerate(roots)}
         step = []
         for i, beta in enumerate(roots):  # grows while it is read
@@ -217,38 +218,49 @@ class CoxeterGroup:
                     row[s] = NEG
                     continue
                 old = beta[s - 1]
-                new, wide = [-a for a in old], None
-                for t, c in terms[s]:
-                    b = beta[t]
-                    if b == zero:
-                        continue
-                    if c.__class__ is int:
-                        new = [a + c * x for a, x in zip(new, b)]
-                        continue
-                    wide = wide or [0] * size
-                    for p, a in c:
-                        for q, x in enumerate(b, p):
-                            wide[q] += a * x
-                if wide:
-                    new = [a + x for a, x in zip(new, ctx._reduce(wide))]
-                new = tuple(new)
+                if on_ints:
+                    new = -old
+                    for t, c in terms[s]:
+                        new += c * beta[t]
+                else:
+                    new, wide = [-a for a in old], None
+                    for t, c in terms[s]:
+                        b = beta[t]
+                        if b == zero:
+                            continue
+                        if c.__class__ is int:
+                            new = [a + c * x for a, x in zip(new, b)]
+                            continue
+                        wide = wide or [0] * size
+                        for p, a in c:
+                            for q, x in enumerate(b, p):
+                                wide[q] += a * x
+                    if wide:
+                        new = [a + x for a, x in zip(new, ctx._reduce(wide))]
+                    new = tuple(new)
                 if new == old:
                     row[s] = i
                     continue
                 img = (*beta[:s - 1], new, *beta[s:])
                 j = index.get(img)
                 if j is None:
-                    # s(beta) = beta - 2B(beta, alpha_s) alpha_s, and the
-                    # step is BIG when 2 + 2B(beta, alpha_s) <= 0
-                    two = [a - x for a, x in zip(old, new)]
-                    two[0] += 2
-                    if CycloReal(ctx, tuple(two)).sign() <= 0:
+                    if on_ints:
+                        dominates = 2 + old - new <= 0
+                    else:
+                        two = [a - x for a, x in zip(old, new)]
+                        two[0] += 2
+                        dominates = CycloReal(ctx, tuple(two)).sign() <= 0
+                    if dominates:
                         j = BIG
                     else:
                         j = index[img] = len(roots)
                         roots.append(img)
                 row[s] = j
             step.append(tuple(row))
+        if on_ints:
+            pad = zero[1:]
+            lift = {v: (v, *pad) for v in {v for r in roots for v in r}}
+            roots = [tuple(map(lift.__getitem__, r)) for r in roots]
         return roots, step
 
     def _check_finite(self, subset, roots, step) -> None:
@@ -667,40 +679,6 @@ class _RootTable:
 
 NEG = -1    # s(alpha_s) = -alpha_s
 BIG = -2    # s(beta) is positive and dominates alpha_s: it never returns to E
-
-
-def _close_on_ints(rank: int, subset, terms) -> tuple[list, list]:
-    """CoxeterGroup._root_closure when every c_st of the subset is an int:
-    the same walk with each coordinate one int, and a new image's step BIG
-    when the int 2 + beta_s - s(beta)_s = 2 + 2B(beta, alpha_s) is at most
-    0.  Roots are tuples of ints."""
-    roots = [tuple(int(t == s) for t in range(1, rank + 1)) for s in subset]
-    index = {r: i for i, r in enumerate(roots)}
-    step = []
-    for i, beta in enumerate(roots):  # grows while it is read
-        row = [None] * (rank + 1)
-        for k, s in enumerate(subset):
-            if i == k:
-                row[s] = NEG
-                continue
-            old = beta[s - 1]
-            new = -old
-            for t, c in terms[s]:
-                new += c * beta[t]
-            if new == old:
-                row[s] = i
-                continue
-            img = (*beta[:s - 1], new, *beta[s:])
-            j = index.get(img)
-            if j is None:
-                if 2 + old - new <= 0:
-                    j = BIG
-                else:
-                    j = index[img] = len(roots)
-                    roots.append(img)
-            row[s] = j
-        step.append(tuple(row))
-    return roots, step
 
 
 class _ElementaryRoots:

@@ -12,20 +12,22 @@ and mask depend on the mask alone: on every subset of the seeded random
 matrices and of the infinite groups it must answer as the walk without
 that stop does.
 
-The elementary-root table is the one closure of roots.  It runs on one
-int per coordinate when every label of the subset is 2, 3 or inf, and on
-the integer coefficients of the coordinates otherwise; either way it
-keeps its roots as tuples of coefficient tuples, and looks each image up
-before it tests a sign.  The reference closure below runs on CycloReal
-coordinates under the matrix engine's `reflect` and tests a sign on every
-root and generator that do not commute; both must give the same roots
-(the coefficient tuples of the reference's coordinates), in the same
-order, with the same table, on named groups (among them H4, the six
-benchmark verify instances, E6 to E8, affine A4 and D4, and a Y with an
-inf arm), on seeded random matrices, and on every subset of E6, H4 and a
-hyperbolic group.  For a finite W the root table is read off that table, since
-every positive root is elementary; its permutations must be those of the
-reflections on the reference roots and their negatives.
+The elementary-root table is the one closure of roots, one walk whose
+arithmetic the labels of the subset pick: one int per coordinate and an
+int sign test when every label is 2, 3 or inf, and the integer
+coefficients of the coordinates with CycloReal.sign otherwise.  Either
+way it keeps its roots as tuples of coefficient tuples, and looks each
+image up before it tests a sign.  The reference closure below runs on
+CycloReal coordinates under the matrix engine's `reflect` and tests a
+sign on every root and generator that do not commute; both must give the
+same roots (the coefficient tuples of the reference's coordinates), in
+the same order, with the same table, on named groups (among them H4, the
+six benchmark verify instances, E6 to E8, affine A4 and D4, and a Y with
+an inf arm), on seeded random matrices, and on every subset of E6, H4, a
+hyperbolic group, 534, the Y and tri555.  For a finite W the root table
+is read off that table, since every positive root is elementary; its
+permutations must be those of the reflections on the reference roots and
+their negatives.
 
 The probe's step bound is below l(w_0) = 600 of five commuting I2(120)
 blocks, so it calls that finite parabolic infinite: a known false failure
@@ -36,7 +38,6 @@ import random
 
 import pytest
 
-from coxfold import cyclo
 from coxfold.coxeter import CoxeterMatrix, classify_finite
 from coxfold.cyclo import INF, CycloReal, degree_problem, label_lcm
 from coxfold.verify import GREEDY_CAP, _greedy_probe
@@ -225,10 +226,12 @@ def test_elementary_table_matches_reference_closure(name):
         tuple(index[W.reflect(s, r)] for r in phi) for s in W.generators()]
 
 
-@pytest.mark.parametrize("name", ["e6", "h4", "hyperbolic4"])
+@pytest.mark.parametrize(
+    "name", ["e6", "h4", "hyperbolic4", "534", "y-inf", "tri555"])
 def test_subset_closure_matches_reference_closure(name):
-    # the subsets of H4 and hyperbolic4 with labels 3 and inf only close on
-    # ints inside a wider field: their roots carry that field's degree
+    # the subsets of H4, hyperbolic4 and 534 with labels 3 and inf only
+    # close on ints inside a wider field: their roots carry that field's
+    # degree; 534 holds labels 3, 4 and 5 in one field
     W = CoxeterGroup(CLOSURE_GROUPS[name])
     for mask in range(1 << W.rank):
         subset = [s for s in W.generators() if mask >> (s - 1) & 1]
@@ -247,16 +250,29 @@ def test_closure_does_not_reflect(monkeypatch, name):
     assert len(W._elementary.roots) >= W.rank
 
 
-def test_simply_laced_closure_needs_no_enclosure(monkeypatch):
-    # every value on E6 is rational, so no sign goes to an enclosure; an
-    # empty sign memo keeps a cached sign from hiding one
-    def enclosure(self, *, prec):
-        raise AssertionError("the closure evaluated an enclosure")
+def int_labels(W, subset):
+    """Whether every label of W_I is 2, 3 or inf."""
+    return all(W.matrix.m(s, t) in (2, 3, INF)
+               for s in subset for t in subset if s < t)
 
-    monkeypatch.setattr(cyclo, "_SIGN_MEMO", {})
-    monkeypatch.setattr(CycloReal, "_interval_value", enclosure)
-    W = CoxeterGroup(CLOSURE_GROUPS["e6"])
-    assert len(W._elementary.roots) == 36
+
+def test_simply_laced_closure_needs_no_enclosure(monkeypatch):
+    # labels 2, 3 and inf make every coordinate one int, and the closure
+    # tests the int 2 + beta_s - s(beta)_s: it calls no CycloReal.sign, so
+    # no sign goes to an enclosure.  An integer CycloReal never takes an
+    # enclosure either, so sign itself is forbidden; a subset with any other
+    # label tests its new roots with sign
+    signs = []
+    sign = CycloReal.sign
+    monkeypatch.setattr(CycloReal, "sign",
+                        lambda self: signs.append(self) or sign(self))
+    for name in ["e6", "e7", "e8", "y-inf", "h4", "hyperbolic4", "534"]:
+        W = CoxeterGroup(CLOSURE_GROUPS[name])
+        for mask in range(1 << W.rank):
+            subset = [s for s in W.generators() if mask >> (s - 1) & 1]
+            signs.clear()
+            W._root_closure(subset)
+            assert (not signs) == int_labels(W, subset), (name, subset)
 
 
 # five commuting I2(120) blocks on 1..10, and an infinite edge to 11
